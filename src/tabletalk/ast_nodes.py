@@ -15,8 +15,9 @@ from typing import Optional, Union
 @dataclass
 class ColumnRef:
     alias: Optional[str]
-    column: str
+    column: str  # as written in the query
     relation: Optional[str] = None  # canonical relation, set by resolve_names
+    attribute: Optional[str] = None  # canonical column, set by resolve_names
 
     def render(self) -> str:
         return f"{self.alias}.{self.column}" if self.alias else self.column

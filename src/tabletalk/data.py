@@ -30,27 +30,33 @@ class Row:
     values: dict[str, object]
 
     def cell(self, attribute: str):
-        for name, value in self.values.items():
-            if name.upper() == attribute.upper():
-                return value
-        raise UnknownAttribute(f"{self.relation} has no attribute {attribute!r}")
+        """The value of an attribute, named in its declared spelling."""
+        try:
+            return self.values[attribute]
+        except KeyError:
+            raise UnknownAttribute(f"{self.relation} has no attribute {attribute!r}") from None
 
 
 @dataclass
 class Database:
+    """Tables keyed by declared relation name."""
+
     tables: dict[str, list[Row]] = field(default_factory=dict)
 
     def table(self, relation: str) -> list[Row]:
-        key = relation.upper()
-        for name, rows in self.tables.items():
-            if name.upper() == key:
-                return rows
-        raise UnknownRelation(f"no table loaded for relation {relation!r}")
+        try:
+            return self.tables[relation]
+        except KeyError:
+            raise UnknownRelation(f"no table loaded for relation {relation!r}") from None
 
 
 @dataclass
 class RankSpec:
-    """Order tuples by an attribute, or by load order when attribute is None."""
+    """Order tuples by an attribute, or by load order when attribute is None.
+
+    rank_rows and select_tuples take the attribute in its declared
+    spelling; narrate resolves a plan's spelling itself.
+    """
 
     attribute: Optional[str] = None
     descending: bool = False
@@ -61,7 +67,11 @@ class RankSpec:
 
 
 def load_data(graph: SchemaGraph, source) -> Database:
-    """Load one CSV per relation from a directory or a name->text mapping."""
+    """Load one CSV per relation from a directory or a name->text mapping.
+
+    File names and headers may use any case (and relation aliases); tables
+    and rows are keyed by the declared spellings.
+    """
     if isinstance(source, dict):
         streams = dict(source)
     else:
@@ -90,11 +100,12 @@ def _load_table(graph: SchemaGraph, relation: str, text) -> list[Row]:
         return []
     header = [h.strip() for h in rows[0]]
     declared = [a.name for a in graph.attributes_of(relation)]
-    if sorted(h.upper() for h in header) != sorted(d.upper() for d in declared):
+    columns = [graph.find_attribute(relation, h) for h in header]
+    if None in columns or sorted(a.name for a in columns) != sorted(declared):
         raise HeaderMismatch(
             f"{relation}: header {header} does not match declared attributes {declared}"
         )
-    canonical = {d.upper(): d for d in declared}
+    position = {attr.name: col for col, attr in enumerate(columns)}
     raw_rows = []
     for lineno, cells in enumerate(rows[1:], start=2):
         if not cells:
@@ -113,35 +124,30 @@ def _load_table(graph: SchemaGraph, relation: str, text) -> list[Row]:
     table = []
     for cells in raw_rows:
         values = {}
-        for col, heading in enumerate(header):
+        for name in declared:  # declared attribute order
+            col = position[name]
             cell = cells[col]
             if cell == "":
-                value = None
+                values[name] = None
             elif is_int[col]:
-                value = int(cell)
+                values[name] = int(cell)
             else:
-                value = cell
-            values[canonical[heading.upper()]] = value
-        # Re-order to declared attribute order.
-        ordered = {d: values[d] for d in declared}
-        table.append(Row(relation, ordered))
+                values[name] = cell
+        table.append(Row(relation, values))
     return table
 
 
 def _is_int(text: str) -> bool:
-    try:
-        int(text)
-    except ValueError:
-        return False
-    return True
+    """An optional sign followed by ASCII digits, nothing else."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdigit()
 
 
 def follow_join(db: Database, edge: JoinEdge, row: Row) -> list[Row]:
     """Tuples on the other side of `edge` whose key cell equals row's."""
-    side = row.relation.upper()
-    if side == edge.from_relation.upper():
+    if row.relation == edge.from_relation:
         own_key, other_rel, other_key = edge.from_key, edge.to_relation, edge.to_key
-    elif side == edge.to_relation.upper():
+    elif row.relation == edge.to_relation:
         own_key, other_rel, other_key = edge.to_key, edge.from_relation, edge.from_key
     else:
         raise WrongRelation(

@@ -44,7 +44,7 @@ def evaluate(ast: Query, db: Database) -> ResultSet:
 
 def _eval_query(query: Query, db: Database, outer_env: dict) -> ResultSet:
     envs = []
-    tables = [db.table(item.canonical or item.relation) for item in query.from_items]
+    tables = [db.table(item.canonical) for item in query.from_items]
     for combo in product(*tables):
         env = dict(outer_env)
         for item, row in zip(query.from_items, combo):
@@ -168,7 +168,7 @@ def _value(ref: ColumnRef, env):
     row = env.get(ref.alias.upper())
     if row is None:
         raise SqlError(f"alias {ref.alias!r} not bound during evaluation")
-    return row.cell(ref.column)
+    return row.cell(ref.attribute)
 
 
 def _operand(expr, env, db, group=None):
@@ -253,10 +253,8 @@ def random_database(graph: SchemaGraph, seed: int, max_rows: int) -> Database:
     pk_attrs: dict[str, set] = {r.name: set() for r in graph.relations}
     fk_targets: dict[tuple, tuple] = {}
     for edge in graph.joins:
-        to_rel = graph.relation(edge.to_relation).name
-        from_rel = graph.relation(edge.from_relation).name
-        pk_attrs[to_rel].add(edge.to_key.upper())
-        fk_targets[(from_rel, edge.from_key.upper())] = (to_rel, edge.to_key.upper())
+        pk_attrs[edge.to_relation].add(edge.to_key)
+        fk_targets[(edge.from_relation, edge.from_key)] = (edge.to_relation, edge.to_key)
 
     db = Database()
     for rel in _topological(graph):
@@ -266,8 +264,8 @@ def random_database(graph: SchemaGraph, seed: int, max_rows: int) -> Database:
         for i in range(n):
             values = {}
             for attr in graph.attributes_of(rel.name):
-                key = (rel.name, attr.name.upper())
-                if attr.name.upper() in pk_attrs[rel.name]:
+                key = (rel.name, attr.name)
+                if attr.name in pk_attrs[rel.name]:
                     values[attr.name] = pk_pool[i]
                 elif key in fk_targets:
                     values[attr.name] = _fk_value(rng, db, fk_targets[key])
@@ -295,10 +293,8 @@ def _topological(graph: SchemaGraph):
     names = [r.name for r in graph.relations]
     deps = {name: set() for name in names}
     for edge in graph.joins:
-        frm = graph.relation(edge.from_relation).name
-        to = graph.relation(edge.to_relation).name
-        if frm != to:
-            deps[frm].add(to)
+        if edge.from_relation != edge.to_relation:
+            deps[edge.from_relation].add(edge.to_relation)
     ordered = []
     remaining = dict(deps)
     while remaining:

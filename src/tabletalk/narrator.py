@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import templates
 from .data import Database, RankSpec, Row, follow_join, rank_rows
-from .errors import UnknownAttribute, UnknownStart
+from .errors import UnknownStart
 from .schema import SchemaGraph
 from .templates import Clause, common_prefix, tokenize, trim_articles
 
@@ -67,15 +67,47 @@ class _Step:
         return [rel for _, rel in self.hops[:-1]]
 
 
+@dataclass
+class _Plan:
+    """A NarrationPlan with every name resolved to its declared spelling."""
+
+    start: str
+    tuple_budget: int
+    allowed: Optional[frozenset]  # None: every relation
+    ranks: dict  # relation -> RankSpec; relations lacking the attribute absent
+
+
+def _resolve(graph: SchemaGraph, plan: NarrationPlan) -> _Plan:
+    if plan.start_relation is not None:
+        rel = graph.find_relation(plan.start_relation)
+        if rel is None:
+            raise UnknownStart(f"unknown start relation {plan.start_relation!r}")
+        start = rel.name
+    elif not graph.relations:
+        raise UnknownStart("schema graph has no relations")
+    else:
+        start = max(graph.relations, key=lambda r: r.weight).name
+    allowed = None
+    if plan.relation_filter is not None:
+        found = map(graph.find_relation, plan.relation_filter)
+        allowed = frozenset(rel.name for rel in found if rel is not None)
+    # Plan-level ranking skips relations that lack the rank attribute.
+    ranks = {}
+    rank = plan.rank
+    if rank is not None and rank.attribute is not None:
+        found = (graph.find_attribute(r.name, rank.attribute) for r in graph.relations)
+        ranks = {a.relation: RankSpec(a.name, rank.descending) for a in found if a}
+    return _Plan(start, plan.tuple_budget, allowed, ranks)
+
+
 def _steps_from(graph: SchemaGraph, relation: str) -> list[_Step]:
     """Narration steps leaving `relation`: templated edges and relay paths."""
-    rel = graph.relation(relation).name
     steps = []
     for edge in graph.joins:
-        if edge.from_relation == rel and edge.template:
+        if edge.from_relation == relation and edge.template:
             steps.append(
                 _Step(
-                    source=rel,
+                    source=relation,
                     target=edge.to_relation,
                     hops=[(edge, edge.to_relation)],
                     template=edge.template,
@@ -84,14 +116,14 @@ def _steps_from(graph: SchemaGraph, relation: str) -> list[_Step]:
                 )
             )
     for path in graph.join_paths:
-        if path.path and graph.relation(path.path[0]).name == rel and path.template:
+        if path.path and path.path[0] == relation and path.template:
             hops = []
             for a, b in zip(path.path, path.path[1:]):
-                hops.append((graph.joins_between(a, b)[0], graph.relation(b).name))
+                hops.append((graph.joins_between(a, b)[0], b))
             steps.append(
                 _Step(
-                    source=rel,
-                    target=graph.relation(path.path[-1]).name,
+                    source=relation,
+                    target=path.path[-1],
                     hops=hops,
                     template=path.template,
                     procedural_template=path.procedural_template,
@@ -100,26 +132,14 @@ def _steps_from(graph: SchemaGraph, relation: str) -> list[_Step]:
     return steps
 
 
-def _resolve_start(graph: SchemaGraph, plan: NarrationPlan) -> str:
-    if plan.start_relation is not None:
-        rel = graph.find_relation(plan.start_relation)
-        if rel is None:
-            raise UnknownStart(f"unknown start relation {plan.start_relation!r}")
-        return rel.name
-    if not graph.relations:
-        raise UnknownStart("schema graph has no relations")
-    return max(graph.relations, key=lambda r: r.weight).name
-
-
-def _allowed(plan: NarrationPlan, relation: str) -> bool:
-    if plan.relation_filter is None:
-        return True
-    return any(relation.upper() == r.upper() for r in plan.relation_filter)
+def _allowed(plan: _Plan, relation: str) -> bool:
+    return plan.allowed is None or relation in plan.allowed
 
 
 def detect_patterns(graph: SchemaGraph, plan: NarrationPlan) -> list[PatternInstance]:
     """Walk narration steps from the start; report unary/split/join shapes."""
-    start = _resolve_start(graph, plan)
+    rplan = _resolve(graph, plan)
+    start = rplan.start
     out: list[PatternInstance] = []
     visited = {start}
     frontier = [start]
@@ -127,7 +147,7 @@ def detect_patterns(graph: SchemaGraph, plan: NarrationPlan) -> list[PatternInst
         node = frontier.pop(0)
         fresh, back = [], []
         for step in _steps_from(graph, node):
-            if not _allowed(plan, step.target):
+            if not _allowed(rplan, step.target):
                 continue
             (back if step.target in visited else fresh).append(step)
         for step in back:
@@ -161,9 +181,12 @@ def fallback_mode(graph: SchemaGraph, plan: NarrationPlan) -> str:
     """Heuristic mode choice: declarative unless a relation on the traversal
     needs more than two attribute clauses (and has no long template), or a
     split hub fuses more than two branches."""
-    start = _resolve_start(graph, plan)
-    visited = {start}
-    frontier = [start]
+    return _fallback_mode(graph, _resolve(graph, plan))
+
+
+def _fallback_mode(graph: SchemaGraph, plan: _Plan) -> str:
+    visited = {plan.start}
+    frontier = [plan.start]
     while frontier:
         node = frontier.pop(0)
         steps = [
@@ -189,23 +212,13 @@ def fallback_mode(graph: SchemaGraph, plan: NarrationPlan) -> str:
     return "declarative"
 
 
-def _tolerant_rank(rows, rank: Optional[RankSpec]):
-    """Plan-level ranking skips relations that lack the rank attribute."""
-    if rank is None or rank.attribute is None or not rows:
-        return list(rows)
-    try:
-        rows[0].cell(rank.attribute)
-    except UnknownAttribute:
-        return list(rows)
-    return rank_rows(rows, rank)
-
-
 def narrate(graph: SchemaGraph, db: Database, plan: NarrationPlan) -> Narrative:
-    mode = plan.mode if plan.mode != "auto" else fallback_mode(graph, plan)
-    start = _resolve_start(graph, plan)
+    rplan = _resolve(graph, plan)
+    mode = plan.mode if plan.mode != "auto" else _fallback_mode(graph, rplan)
+    start = rplan.start
     diagnostics: list[str] = []
     sentences: list[str] = []
-    rows = _tolerant_rank(db.table(start), plan.rank)
+    rows = rank_rows(db.table(start), rplan.ranks.get(start))
     if not rows:
         return Narrative([], mode, [f"relation {start} has no rows to narrate"])
     entity = rows[0]
@@ -214,21 +227,24 @@ def narrate(graph: SchemaGraph, db: Database, plan: NarrationPlan) -> Narrative:
         sentences.append(_finish(clause))
 
     visited = {start}
-    _walk(graph, db, plan, mode, start, [entity], visited, sentences, diagnostics)
+    _walk(graph, db, rplan, mode, start, [entity], visited, sentences, diagnostics)
     return Narrative(sentences, mode, diagnostics)
+
+
+def _fill(graph: SchemaGraph, text: str, bindings: dict) -> str:
+    """Instantiate a schema template from its load-time compilation."""
+    return templates.instantiate(graph.compiled[text], bindings, graph)
 
 
 def _relation_clauses(graph, relation, row, mode) -> list[str]:
     """Clauses describing one tuple of a relation, merged on shared prefixes."""
     rel = graph.relation(relation)
     if mode == "declarative" and rel.long_template:
-        expr = templates.parse_template(rel.long_template)
-        return [templates.instantiate(expr, {rel.name: [row]}, graph)]
+        return [_fill(graph, rel.long_template, {rel.name: [row]})]
     clause_texts = _attribute_clauses(graph, relation, row)
     if not clause_texts:
         if rel.short_template:
-            expr = templates.parse_template(rel.short_template)
-            return [templates.instantiate(expr, {rel.name: [row]}, graph)]
+            return [_fill(graph, rel.short_template, {rel.name: [row]})]
         return []
     subject = row.cell(rel.heading_attribute)
     subject_text = "" if subject is None else str(subject)
@@ -238,7 +254,6 @@ def _relation_clauses(graph, relation, row, mode) -> list[str]:
 
 def _attribute_clauses(graph, relation, row) -> list[str]:
     """Instantiated non-heading attribute templates, heaviest first."""
-    rel = graph.relation(relation)
     ordered = sorted(
         enumerate(graph.attributes_of(relation)), key=lambda p: (-p[1].weight, p[0])
     )
@@ -246,11 +261,10 @@ def _attribute_clauses(graph, relation, row) -> list[str]:
     for _, attr in ordered:
         if attr.is_heading:
             continue
-        proj = graph.projection(rel.name, attr.name)
+        proj = graph.projection(relation, attr.name)
         if proj is None or proj.is_default:
             continue
-        expr = templates.parse_template(proj.template)
-        out.append(templates.instantiate(expr, {rel.name: [row]}, graph))
+        out.append(_fill(graph, proj.template, {relation: [row]}))
     return out
 
 
@@ -265,17 +279,15 @@ def _walk(graph, db, plan, mode, relation, rows, visited, sentences, diagnostics
     if len(steps) == 1:
         step = steps[0]
         visited.add(step.target)
-        target_rows = _follow(db, plan, step, rows)
+        target_rows, bindings = _follow(db, plan, step, rows)
         if not target_rows:
             diagnostics.append(
                 f"no {step.target} tuples reachable from {relation}; step skipped"
             )
             return
-        bindings = _bindings(db, plan, step, rows, target_rows)
         text = _step_template(step, mode)
         if text:
-            expr = templates.parse_template(text)
-            sentences.append(_finish(templates.instantiate(expr, bindings, graph)))
+            sentences.append(_finish(_fill(graph, text, bindings)))
         if mode == "procedural":
             for row in target_rows:
                 for clause in _attribute_clauses(graph, step.target, row):
@@ -292,23 +304,21 @@ def _walk(graph, db, plan, mode, relation, rows, visited, sentences, diagnostics
     subject = rows[0].cell(hub.heading_attribute) if rows else None
     for step in steps:
         visited.add(step.target)
-        target_rows = _follow(db, plan, step, rows)
+        target_rows, bindings = _follow(db, plan, step, rows)
         if not target_rows:
             diagnostics.append(
                 f"no {step.target} tuples reachable from {relation}; branch skipped"
             )
             continue
-        bindings = _bindings(db, plan, step, rows, target_rows)
         text = _step_template(step, mode)
         if not text:
             continue
-        clause = templates.instantiate(templates.parse_template(text), bindings, graph)
+        clause = _fill(graph, text, bindings)
         # Declarative mode folds branch content into a relative clause;
         # procedural mode spells it out as separate simple sentences.
         covered = False
         if step.relative_clause and mode == "declarative":
-            rel_expr = templates.parse_template(step.relative_clause)
-            clause += " " + templates.instantiate(rel_expr, bindings, graph)
+            clause += " " + _fill(graph, step.relative_clause, bindings)
             covered = True
         branch_texts.append(clause)
         if not covered:
@@ -328,26 +338,11 @@ def _step_template(step: _Step, mode: str) -> Optional[str]:
     return step.template
 
 
-def _follow(db, plan, step: _Step, rows) -> list[Row]:
+def _follow(db, plan: _Plan, step: _Step, rows) -> tuple[list[Row], dict]:
+    """The step's target tuples (ranked, within budget) and its bindings."""
+    bindings = {step.source: rows}
     current = rows
-    for edge, _ in step.hops:
-        found = []
-        seen = set()
-        for row in current:
-            for match in follow_join(db, edge, row):
-                key = id(match)
-                if key not in seen:
-                    seen.add(key)
-                    found.append(match)
-        current = found
-    return _tolerant_rank(current, plan.rank)[: plan.tuple_budget]
-
-
-def _bindings(db, plan, step: _Step, rows, target_rows) -> dict:
-    bindings = {step.source: rows, step.target: target_rows}
-    # Relay relations are bound too in case a template mentions them.
-    current = rows
-    for edge, rel_name in step.hops[:-1]:
+    for edge, rel_name in step.hops:
         found = []
         seen = set()
         for row in current:
@@ -355,9 +350,12 @@ def _bindings(db, plan, step: _Step, rows, target_rows) -> dict:
                 if id(match) not in seen:
                     seen.add(id(match))
                     found.append(match)
+        # Relay relations are bound too in case a template mentions them.
         bindings.setdefault(rel_name, found)
         current = found
-    return bindings
+    target_rows = rank_rows(current, plan.ranks.get(step.target))[: plan.tuple_budget]
+    bindings[step.target] = target_rows
+    return target_rows, bindings
 
 
 def fuse_split(texts: list[str], subject: str) -> Optional[str]:

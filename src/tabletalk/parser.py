@@ -349,7 +349,10 @@ def resolve_names(query: Query, graph) -> Query:
     """Qualify and check every column reference against the schema.
 
     Correlated references resolve through enclosing query scopes, inner
-    scope first.  The query is annotated in place and returned.
+    scope first.  The query is annotated in place and returned: each
+    FromItem gets its relation's declared name (`canonical`) and each
+    ColumnRef its declared relation and attribute names, while the
+    spellings the query used stay for rendering.
     """
     _resolve_query(query, graph, ())
     return query
@@ -378,26 +381,27 @@ def _resolve_ref(ref: ColumnRef, graph, scopes):
         for scope in scopes:
             item = scope.get(ref.alias.upper())
             if item is not None:
-                if graph.find_attribute(item.canonical, ref.column) is None:
+                attr = graph.find_attribute(item.canonical, ref.column)
+                if attr is None:
                     raise UnknownColumn(
                         f"relation {item.relation} has no column {ref.column!r}"
                     )
-                ref.relation = item.canonical
+                ref.relation, ref.attribute = item.canonical, attr.name
                 return
         raise UnknownRelation(f"unknown alias {ref.alias!r}")
     for scope in scopes:
         owners = [
-            item
+            (item, attr)
             for item in scope.values()
-            if graph.find_attribute(item.canonical, ref.column) is not None
+            if (attr := graph.find_attribute(item.canonical, ref.column)) is not None
         ]
         if len(owners) > 1:
             raise AmbiguousColumn(
                 f"column {ref.column!r} matches aliases "
-                f"{sorted(i.alias for i in owners)}"
+                f"{sorted(item.alias for item, _ in owners)}"
             )
         if owners:
-            ref.alias = owners[0].alias
-            ref.relation = owners[0].canonical
+            item, attr = owners[0]
+            ref.alias, ref.relation, ref.attribute = item.alias, item.canonical, attr.name
             return
     raise UnknownColumn(f"column {ref.column!r} matches no relation in scope")

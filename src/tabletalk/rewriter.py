@@ -212,7 +212,7 @@ def _detect_superlative_all(qg: QueryGraph) -> list[Motif]:
             continue
         inner_col = select[0].expr
         if (
-            inner_col.column.upper() == pred.lhs.column.upper()
+            inner_col.attribute == pred.lhs.attribute
             and inner_col.relation == pred.lhs.relation
         ):
             out.append(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import templates
@@ -90,8 +90,20 @@ class SchemaGraph:
     join_paths: list[JoinPathTemplate] = field(default_factory=list)
     phrases: list[PhraseEntry] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    # Template text -> expression compiled at load, names resolved.
+    compiled: dict = field(default_factory=dict, repr=False, compare=False)
+    _names: Optional["_Names"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    # -- lookups --------------------------------------------------------
+    # -- lookups: fold the argument once, then read a dict ----------------
+
+    def _index(self) -> "_Names":
+        """Built on first lookup; lists edited after that are not seen here,
+        while validate() reads the lists as they are."""
+        if self._names is None:
+            self._names = _Names(self)
+        return self._names
 
     def relation(self, name: str) -> RelationNode:
         rel = self.find_relation(name)
@@ -100,24 +112,16 @@ class SchemaGraph:
         return rel
 
     def find_relation(self, name: str) -> Optional[RelationNode]:
-        key = name.upper()
-        for rel in self.relations:
-            if rel.name.upper() == key or key in (a.upper() for a in rel.alt_names):
-                return rel
-        return None
+        return self._index().relations.get(name.upper())
 
     def attributes_of(self, relation: str) -> list[AttributeNode]:
-        key = self.relation(relation).name
-        return [a for a in self.attributes if a.relation == key]
+        return list(self._index().by_relation.get(self.relation(relation).name, ()))
 
     def find_attribute(self, relation: str, name: str) -> Optional[AttributeNode]:
         rel = self.find_relation(relation)
         if rel is None:
             return None
-        for attr in self.attributes:
-            if attr.relation == rel.name and attr.name.upper() == name.upper():
-                return attr
-        return None
+        return self._index().attributes.get((rel.name, name.upper()))
 
     def attribute(self, relation: str, name: str) -> AttributeNode:
         attr = self.find_attribute(relation, name)
@@ -127,10 +131,7 @@ class SchemaGraph:
 
     def projection(self, relation: str, attribute: str) -> Optional[ProjectionEdge]:
         rel = self.relation(relation).name
-        for edge in self.projections:
-            if edge.relation == rel and edge.attribute.upper() == attribute.upper():
-                return edge
-        return None
+        return self._index().projections.get((rel, attribute.upper()))
 
     def key_attributes(self, relation: str) -> set[str]:
         """Attributes that serve as a key on either side of a join edge."""
@@ -155,28 +156,50 @@ class SchemaGraph:
 
     def fk_backed(self, rel_a: str, attr_a: str, rel_b: str, attr_b: str) -> bool:
         """True when the attribute pair matches a declared join edge."""
-        ra = self.find_relation(rel_a)
-        rb = self.find_relation(rel_b)
-        if ra is None or rb is None:
+        a = self.find_attribute(rel_a, attr_a)
+        b = self.find_attribute(rel_b, attr_b)
+        if a is None or b is None:
             return False
-        for e in self.joins:
-            pairs = {
-                (e.from_relation, e.from_key.upper(), e.to_relation, e.to_key.upper()),
-                (e.to_relation, e.to_key.upper(), e.from_relation, e.from_key.upper()),
-            }
-            if (ra.name, attr_a.upper(), rb.name, attr_b.upper()) in pairs:
-                return True
-        return False
+        pair = (a.relation, a.name, b.relation, b.name)
+        return any(
+            pair == (e.from_relation, e.from_key, e.to_relation, e.to_key)
+            or pair == (e.to_relation, e.to_key, e.from_relation, e.from_key)
+            for e in self.joins
+        )
+
+
+class _Names:
+    """Declared nodes keyed by case-folded name (relations also by alias);
+    the first declaration of a name wins."""
+
+    def __init__(self, graph: SchemaGraph):
+        self.relations: dict[str, RelationNode] = {}
+        for rel in graph.relations:
+            for name in (rel.name, *rel.alt_names):
+                self.relations.setdefault(name.upper(), rel)
+        self.attributes: dict[tuple, AttributeNode] = {}
+        self.by_relation: dict[str, list[AttributeNode]] = {}
+        for attr in graph.attributes:
+            self.attributes.setdefault((attr.relation, attr.name.upper()), attr)
+            self.by_relation.setdefault(attr.relation, []).append(attr)
+        self.projections: dict[tuple, ProjectionEdge] = {}
+        for proj in graph.projections:
+            self.projections.setdefault((proj.relation, proj.attribute.upper()), proj)
 
 
 # --- loading -----------------------------------------------------------
 
 def load_schema(source) -> SchemaGraph:
-    """Load and validate an annotation document (path, bytes, or stream)."""
-    doc = _read_document(source)
-    graph = _build_graph(doc)
-    _check_references(graph)
-    _check_templates(graph)
+    """Load and validate an annotation document (path, bytes, or stream).
+
+    Every name the document uses is resolved to its declared spelling
+    here, and every template is compiled once.
+    """
+    graph = _build_graph(_read_document(source))
+    findings, graph.compiled = _check(graph)
+    if findings:
+        kind, message = findings[0]
+        raise kind(message)
     if len(graph.relations) == 0:
         graph.warnings.append("annotation document declares no relations")
     else:
@@ -206,32 +229,41 @@ def _read_document(source) -> dict:
 
 
 def _build_graph(doc: dict) -> SchemaGraph:
+    """Build the graph, storing each reference in its declared spelling;
+    names that resolve to nothing are kept as given for _check to report."""
     graph = SchemaGraph()
-    seen = set()
     for rel_doc in doc.get("relations", []):
         rel, attrs, projections = _build_relation(rel_doc)
-        if rel.name.upper() in seen:
-            raise MalformedDocument(f"duplicate relation {rel.name}")
-        seen.add(rel.name.upper())
         graph.relations.append(rel)
         graph.attributes.extend(attrs)
         graph.projections.extend(projections)
+
+    def declared(name, relation=None):
+        node = (
+            graph.find_relation(name)
+            if relation is None
+            else graph.find_attribute(relation, name)
+        )
+        return name if node is None else node.name
+
     for join_doc in doc.get("joins", []):
         if "path" in join_doc:
             graph.join_paths.append(
                 JoinPathTemplate(
-                    path=list(join_doc["path"]),
+                    path=[declared(r) for r in join_doc["path"]],
                     template=join_doc.get("template", ""),
                     procedural_template=join_doc.get("procedural_template"),
                 )
             )
         else:
+            frm = declared(_require(join_doc, "from"))
+            to = declared(_require(join_doc, "to"))
             graph.joins.append(
                 JoinEdge(
-                    from_relation=_require(join_doc, "from"),
-                    to_relation=_require(join_doc, "to"),
-                    from_key=_require(join_doc, "from_key"),
-                    to_key=_require(join_doc, "to_key"),
+                    from_relation=frm,
+                    to_relation=to,
+                    from_key=declared(_require(join_doc, "from_key"), frm),
+                    to_key=declared(_require(join_doc, "to_key"), to),
                     template=join_doc.get("template"),
                     relative_clause_template=join_doc.get("relative_clause"),
                     procedural_template=join_doc.get("procedural_template"),
@@ -240,7 +272,7 @@ def _build_graph(doc: dict) -> SchemaGraph:
     for phrase_doc in doc.get("phrases", []):
         graph.phrases.append(
             PhraseEntry(
-                route=list(_require(phrase_doc, "route")),
+                route=[declared(r) for r in _require(phrase_doc, "route")],
                 text=_require(phrase_doc, "text"),
             )
         )
@@ -258,30 +290,18 @@ def _build_relation(doc: dict):
     noun = doc.get("noun", {})
     singular = noun.get("singular", name.lower())
     plural = noun.get("plural", singular + "s")
-    weight = doc.get("weight", 1)
-    if weight < 0:
-        raise MalformedDocument(f"relation {name}: negative weight")
-    heading = doc.get("heading")
-    if not heading:
-        raise MissingHeading(f"relation {name} declares no heading attribute")
+    heading = doc.get("heading") or ""
     attrs = []
     projections = []
-    seen = set()
     for attr_doc in doc.get("attributes", []):
         attr_name = _require(attr_doc, "name")
-        if attr_name.upper() in seen:
-            raise MalformedDocument(f"duplicate attribute {name}.{attr_name}")
-        seen.add(attr_name.upper())
         attr_noun = attr_doc.get("noun", {})
-        attr_weight = attr_doc.get("weight", 1)
-        if attr_weight < 0:
-            raise MalformedDocument(f"attribute {name}.{attr_name}: negative weight")
         attrs.append(
             AttributeNode(
                 relation=name,
                 name=attr_name,
                 is_heading=attr_name.upper() == heading.upper(),
-                weight=attr_weight,
+                weight=attr_doc.get("weight", 1),
                 noun_singular=attr_noun.get("singular", attr_name.lower()),
                 noun_plural=attr_noun.get(
                     "plural", attr_noun.get("singular", attr_name.lower()) + "s"
@@ -295,16 +315,12 @@ def _build_relation(doc: dict):
             projections.append(ProjectionEdge(name, attr_name, template, True))
         else:
             projections.append(ProjectionEdge(name, attr_name, template, False))
-    if not any(a.is_heading for a in attrs):
-        raise MissingHeading(
-            f"relation {name}: heading {heading!r} names no declared attribute"
-        )
     rel = RelationNode(
         name=name,
         noun_singular=singular,
         noun_plural=plural,
-        heading_attribute=heading,
-        weight=weight,
+        heading_attribute=next((a.name for a in attrs if a.is_heading), heading),
+        weight=doc.get("weight", 1),
         short_template=doc.get("short_template"),
         long_template=doc.get("long_template"),
         alt_names=tuple(doc.get("aliases", ())),
@@ -312,40 +328,107 @@ def _build_relation(doc: dict):
     return rel, attrs, projections
 
 
-def _check_references(graph: SchemaGraph):
+# --- the one checker ---------------------------------------------------
+
+def _check(graph: SchemaGraph):
+    """Every structural finding, in document order, with the exception type
+    load_schema raises for it, plus every template compiled with its names
+    resolved.  References must name declared nodes in declared spelling."""
+    findings: list[tuple[type, str]] = []
+
+    def report(kind, message):
+        findings.append((kind, message))
+
+    relations = {rel.name for rel in graph.relations}
+    seen = set()
+    for rel in graph.relations:
+        if rel.name.upper() in seen:
+            report(MalformedDocument, f"duplicate relation {rel.name}")
+        seen.add(rel.name.upper())
+        if rel.weight < 0:
+            report(MalformedDocument, f"relation {rel.name}: negative weight")
+        flagged = [a.name for a in graph.attributes if a.relation == rel.name and a.is_heading]
+        if flagged != [rel.heading_attribute]:
+            report(
+                MissingHeading,
+                f"relation {rel.name}: heading {rel.heading_attribute!r} must be the "
+                f"one attribute flagged as heading, found {flagged}",
+            )
+
+    attributes, seen = set(), set()
+    for attr in graph.attributes:
+        where = f"attribute {attr.relation}.{attr.name}"
+        if (attr.relation.upper(), attr.name.upper()) in seen:
+            report(MalformedDocument, f"duplicate {where}")
+        seen.add((attr.relation.upper(), attr.name.upper()))
+        attributes.add((attr.relation, attr.name))
+        if attr.relation not in relations:
+            report(DanglingReference, f"{where} names unknown relation")
+        if attr.weight < 0:
+            report(MalformedDocument, f"{where}: negative weight")
+    projected = set()
+    for proj in graph.projections:
+        key = (proj.relation, proj.attribute)
+        where = f"projection edge {proj.relation}.{proj.attribute}"
+        if key in projected:
+            report(MalformedDocument, f"duplicate {where}")
+        projected.add(key)
+        if key not in attributes:
+            report(DanglingReference, f"{where} names unknown attribute")
+    for rel_name, attr_name in sorted(attributes - projected):
+        report(MalformedDocument, f"attribute {rel_name}.{attr_name} has no projection edge")
+
     for edge in graph.joins:
-        for rel_name, key in (
-            (edge.from_relation, edge.from_key),
-            (edge.to_relation, edge.to_key),
-        ):
-            rel = graph.find_relation(rel_name)
-            if rel is None:
-                raise DanglingReference(f"join edge names unknown relation {rel_name!r}")
-            if graph.find_attribute(rel.name, key) is None:
-                raise DanglingReference(
-                    f"join edge names unknown attribute {rel_name}.{key}"
-                )
-    for path in graph.join_paths:
-        if len(path.path) < 3:
-            raise MalformedDocument(
-                f"join path {path.path} too short (interior relays required)"
-            )
-        _check_route(graph, path.path, "join path")
-    for phrase in graph.phrases:
-        if len(phrase.route) < 2:
-            raise MalformedDocument(f"phrase route {phrase.route} too short")
-        _check_route(graph, phrase.route, "phrase route")
+        for end in ((edge.from_relation, edge.from_key), (edge.to_relation, edge.to_key)):
+            if end[0] not in relations:
+                report(DanglingReference, f"join edge names unknown relation {end[0]!r}")
+            elif end not in attributes:
+                report(DanglingReference, f"join edge names unknown attribute {'.'.join(end)}")
+    joined = {frozenset((e.from_relation, e.to_relation)) for e in graph.joins}
+    routes = [("join path", path.path, 3) for path in graph.join_paths]
+    routes += [("phrase route", phrase.route, 2) for phrase in graph.phrases]
+    for what, route, shortest in routes:
+        if len(route) < shortest:
+            report(MalformedDocument, f"{what} {route} shorter than {shortest} relations")
+        for name in route:
+            if name not in relations:
+                report(DanglingReference, f"{what} names unknown relation {name!r}")
+        for a, b in zip(route, route[1:]):
+            if frozenset((a, b)) not in joined:
+                report(MalformedDocument, f"{what} {route}: no join edge between {a} and {b}")
+
+    compiled = {}
+    for where, text, route in _iter_templates(graph):
+        try:
+            expr = templates.parse_template(text)
+        except TemplateError as exc:
+            report(BadTemplate, f"{where}: {exc}")
+            continue
+        for ref in expr.references():
+            problem = _resolve_reference(graph, ref, route)
+            if problem:
+                report(DanglingReference, f"{where}: {problem}")
+        compiled[text] = expr
+    return findings, compiled
 
 
-def _check_route(graph: SchemaGraph, route: list[str], what: str):
-    for name in route:
-        if graph.find_relation(name) is None:
-            raise DanglingReference(f"{what} names unknown relation {name!r}")
-    for a, b in zip(route, route[1:]):
-        if not graph.joins_between(a, b):
-            raise MalformedDocument(
-                f"{what} {route}: no join edge between {a} and {b}"
-            )
+def _resolve_reference(graph: SchemaGraph, ref, route) -> Optional[str]:
+    """Point a placeholder or loop at declared names, or say why it cannot."""
+    if ref.alias.upper() == SUBJECT_SLOT:
+        ref.alias = SUBJECT_SLOT
+        return None
+    rel = graph.find_relation(ref.alias)
+    if rel is None:
+        return f"placeholder names unknown relation {ref.alias!r}"
+    if route is not None and rel.name not in route:
+        return f"placeholder alias {ref.alias!r} is not on the route"
+    ref.alias = rel.name
+    if ref.attribute is not None:
+        attr = graph.find_attribute(rel.name, ref.attribute)
+        if attr is None:
+            return f"placeholder names unknown attribute {rel.name}.{ref.attribute}"
+        ref.attribute = attr.name
+    return None
 
 
 def _iter_templates(graph: SchemaGraph):
@@ -372,34 +455,7 @@ def _iter_templates(graph: SchemaGraph):
         if path.procedural_template:
             yield f"{where} procedural_template", path.procedural_template, None
     for phrase in graph.phrases:
-        yield f"phrase {'-'.join(phrase.route)}", phrase.text, set(phrase.route)
-
-
-def _check_templates(graph: SchemaGraph):
-    for where, text, allowed in _iter_templates(graph):
-        try:
-            expr = templates.parse_template(text)
-        except TemplateError as exc:
-            raise BadTemplate(f"{where}: {exc}") from exc
-        for ph in expr.placeholders():
-            if ph.alias.upper() == SUBJECT_SLOT:
-                continue
-            if allowed is not None and not any(
-                r.upper() == ph.alias.upper() for r in allowed
-            ):
-                raise DanglingReference(
-                    f"{where}: placeholder alias {ph.alias!r} is not on the route"
-                )
-            rel = graph.find_relation(ph.alias)
-            if rel is None:
-                raise DanglingReference(
-                    f"{where}: placeholder names unknown relation {ph.alias!r}"
-                )
-            if ph.attribute and graph.find_attribute(rel.name, ph.attribute) is None:
-                raise DanglingReference(
-                    f"{where}: placeholder names unknown attribute "
-                    f"{ph.alias}.{ph.attribute}"
-                )
+        yield f"phrase {'-'.join(phrase.route)}", phrase.text, phrase.route
 
 
 def _connectivity_warnings(graph: SchemaGraph) -> list[str]:
@@ -407,10 +463,10 @@ def _connectivity_warnings(graph: SchemaGraph) -> list[str]:
         return []
     adjacency = {rel.name: set() for rel in graph.relations}
     for edge in graph.joins:
-        a = graph.relation(edge.from_relation).name
-        b = graph.relation(edge.to_relation).name
-        adjacency[a].add(b)
-        adjacency[b].add(a)
+        a, b = edge.from_relation, edge.to_relation
+        if a in adjacency and b in adjacency:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
     start = graph.relations[0].name
     seen = {start}
     stack = [start]
@@ -428,80 +484,12 @@ def _connectivity_warnings(graph: SchemaGraph) -> list[str]:
     return []
 
 
-# --- validation as diagnostics ----------------------------------------
-
 def validate(graph: SchemaGraph) -> list[str]:
-    """Re-check every structural invariant; one diagnostic per violation."""
-    diags: list[str] = []
-    seen = set()
-    for rel in graph.relations:
-        if rel.name.upper() in seen:
-            diags.append(f"duplicate relation name {rel.name}")
-        seen.add(rel.name.upper())
-        if rel.weight < 0:
-            diags.append(f"relation {rel.name}: negative weight")
-        headings = [
-            a for a in graph.attributes if a.relation == rel.name and a.is_heading
-        ]
-        if len(headings) != 1:
-            diags.append(
-                f"relation {rel.name}: expected exactly one heading attribute, "
-                f"found {len(headings)}"
-            )
-        elif headings[0].name.upper() != rel.heading_attribute.upper():
-            diags.append(
-                f"relation {rel.name}: heading_attribute "
-                f"{rel.heading_attribute!r} does not match flagged attribute"
-            )
-    seen_attrs = set()
-    for attr in graph.attributes:
-        key = (attr.relation.upper(), attr.name.upper())
-        if key in seen_attrs:
-            diags.append(f"duplicate attribute {attr.relation}.{attr.name}")
-        seen_attrs.add(key)
-        if graph.find_relation(attr.relation) is None:
-            diags.append(
-                f"attribute {attr.relation}.{attr.name} names unknown relation"
-            )
-        if attr.weight < 0:
-            diags.append(f"attribute {attr.relation}.{attr.name}: negative weight")
-    projected = set()
-    for proj in graph.projections:
-        key = (proj.relation.upper(), proj.attribute.upper())
-        if key in projected:
-            diags.append(
-                f"multiple projection edges for {proj.relation}.{proj.attribute}"
-            )
-        projected.add(key)
-        if key not in seen_attrs:
-            diags.append(
-                f"projection edge names unknown attribute "
-                f"{proj.relation}.{proj.attribute}"
-            )
-    for key in seen_attrs - projected:
-        diags.append(f"attribute {key[0]}.{key[1]} has no projection edge")
-    for edge in graph.joins:
-        for rel_name, attr_name in (
-            (edge.from_relation, edge.from_key),
-            (edge.to_relation, edge.to_key),
-        ):
-            if graph.find_relation(rel_name) is None:
-                diags.append(f"join edge names unknown relation {rel_name}")
-            elif graph.find_attribute(rel_name, attr_name) is None:
-                diags.append(f"join edge names unknown attribute {rel_name}.{attr_name}")
-    for path in graph.join_paths:
-        if len(path.path) < 3:
-            diags.append(f"join path {path.path} shorter than 3 relations")
-        for a, b in zip(path.path, path.path[1:]):
-            if (
-                graph.find_relation(a) is None
-                or graph.find_relation(b) is None
-                or not graph.joins_between(a, b)
-            ):
-                diags.append(f"join path {path.path}: {a} and {b} are not joined")
-    if graph.relations:
-        diags.extend(_connectivity_warnings(graph))
-    return diags
+    """Re-check an already-built graph (it may have been edited since load):
+    one diagnostic per finding of the load-time checker, then the
+    connectivity warnings."""
+    findings, _ = _check(replace(graph))  # shares the lists, indexes them anew
+    return [message for _, message in findings] + _connectivity_warnings(graph)
 
 
 # --- output ------------------------------------------------------------

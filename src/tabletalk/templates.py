@@ -34,6 +34,7 @@ from .errors import (
     TemplateError,
     UnbalancedBraces,
     UnboundAlias,
+    UnknownAttribute,
     UnknownGuard,
 )
 
@@ -77,14 +78,16 @@ class ListLoop:
 class TemplateExpr:
     parts: list = field(default_factory=list)
 
-    def placeholders(self):
-        """Yield every placeholder, recursing into loop bodies."""
+    def references(self):
+        """Yield every placeholder and loop (each names an alias and an
+        attribute), recursing into loop bodies."""
         for part in self.parts:
             if isinstance(part, Placeholder):
                 yield part
             elif isinstance(part, ListLoop):
+                yield part
                 for arm in part.arms:
-                    yield from arm.body.placeholders()
+                    yield from arm.body.references()
 
 
 # --- parsing -----------------------------------------------------------
@@ -298,10 +301,11 @@ def _render_part(part) -> str:
 def instantiate(expr: TemplateExpr, bindings, graph=None) -> str:
     """Fill a template from alias -> tuple-list bindings.
 
-    Outside a loop a placeholder reads the first bound tuple; inside a
-    loop over alias X, {X.attr} reads the current tuple.  The noun and
-    heading variants need `graph` (a SchemaGraph) to look up relation
-    metadata.
+    Aliases and attributes match exactly: a compiled schema template and
+    the rows it reads both use declared spellings.  Outside a loop a
+    placeholder reads the first bound tuple; inside a loop over alias X,
+    {X.attr} reads the current tuple.  The noun and heading variants need
+    `graph` (a SchemaGraph) to look up relation metadata.
     """
     return _instantiate(expr, bindings, graph, {})
 
@@ -314,26 +318,22 @@ def _instantiate(expr, bindings, graph, loop_ctx) -> str:
         elif isinstance(part, Placeholder):
             out.append(_fill(part, bindings, graph, loop_ctx))
         elif isinstance(part, ListLoop):
-            rows = _bound_rows(part.alias, bindings, loop_ctx, whole_list=True)
+            rows = _bound_rows(part.alias, bindings)
             n = len(rows)
             for i, row in enumerate(rows, start=1):
                 arm = part.arms[0] if i < n else part.arms[1]
-                ctx = dict(loop_ctx)
-                ctx[part.alias.upper()] = row
                 if i > 1:
                     out.append(arm.joiner)
+                ctx = {**loop_ctx, part.alias: row}
                 out.append(_instantiate(arm.body, bindings, graph, ctx))
     return "".join(out)
 
 
-def _bound_rows(alias, bindings, loop_ctx, whole_list=False):
-    key = alias.upper()
-    if not whole_list and key in loop_ctx:
-        return [loop_ctx[key]]
-    for name, rows in bindings.items():
-        if name.upper() == key:
-            return rows
-    raise UnboundAlias(f"alias {alias!r} is not bound")
+def _bound_rows(alias, bindings):
+    try:
+        return bindings[alias]
+    except KeyError:
+        raise UnboundAlias(f"alias {alias!r} is not bound") from None
 
 
 def _fill(ph: Placeholder, bindings, graph, loop_ctx) -> str:
@@ -341,10 +341,12 @@ def _fill(ph: Placeholder, bindings, graph, loop_ctx) -> str:
         raise UnboundAlias(
             f"bare reference {{{ph.alias}}} cannot be instantiated directly"
         )
-    rows = _bound_rows(ph.alias, bindings, loop_ctx)
-    if not rows:
-        raise UnboundAlias(f"alias {ph.alias!r} is bound to an empty tuple list")
-    row = rows[0]
+    row = loop_ctx.get(ph.alias)
+    if row is None:
+        rows = _bound_rows(ph.alias, bindings)
+        if not rows:
+            raise UnboundAlias(f"alias {ph.alias!r} is bound to an empty tuple list")
+        row = rows[0]
     if ph.variant == "noun":
         if graph is None:
             raise MissingAttribute("noun variant needs a schema graph")
@@ -354,15 +356,13 @@ def _fill(ph: Placeholder, bindings, graph, loop_ctx) -> str:
         if graph is None:
             raise MissingAttribute("heading variant needs a schema graph")
         attr = graph.relation(row.relation).heading_attribute
-    value = _cell(row, attr)
+    try:
+        value = row.cell(attr)
+    except UnknownAttribute:
+        raise MissingAttribute(
+            f"tuple of {row.relation} has no attribute {attr!r}"
+        ) from None
     return "" if value is None else str(value)
-
-
-def _cell(row, attr):
-    for name, value in row.values.items():
-        if name.upper() == attr.upper():
-            return value
-    raise MissingAttribute(f"tuple of {row.relation} has no attribute {attr!r}")
 
 
 # --- clause merging ----------------------------------------------------

@@ -53,6 +53,8 @@ _ORDINALS = (
     "sixth", "seventh", "eighth", "ninth", "tenth",
 )
 
+_SUFFIXES = {1: "st", 2: "nd", 3: "rd"}
+
 _VOWELS = "aeiou"
 
 
@@ -70,7 +72,11 @@ def _indefinite(noun: str) -> str:
 
 
 def _ordinal(i: int) -> str:
-    return _ORDINALS[i - 1] if i <= len(_ORDINALS) else f"{i}th"
+    if i <= len(_ORDINALS):
+        return _ORDINALS[i - 1]
+    if i % 100 in (11, 12, 13):
+        return f"{i}th"
+    return f"{i}{_SUFFIXES.get(i % 10, 'th')}"
 
 
 def _listed(parts: list[str], conj: str = "and") -> str:
@@ -117,7 +123,7 @@ class _References:
                 and pred.op == "="
                 and isinstance(pred.lhs, ColumnRef)
                 and isinstance(pred.rhs, Constant)
-                and pred.lhs.column.upper() == heading.upper()
+                and pred.lhs.attribute == heading
             ):
                 return pred
         return None
@@ -187,7 +193,7 @@ def lexicalize_predicate(
             node = refs.qg.node(pred.lhs.alias)
             if node is not None:
                 rel = graph.relation(node.relation)
-                if pred.lhs.column.upper() == rel.heading_attribute.upper() and pred.op == "=":
+                if pred.lhs.attribute == rel.heading_attribute and pred.op == "=":
                     return f"the {rel.noun_singular} {pred.rhs.value}"
         lhs = _operand_phrase(pred.lhs, graph, refs)
         rhs = _operand_phrase(pred.rhs, graph, refs)
@@ -245,16 +251,9 @@ def _is_relay(qg: QueryGraph, alias: str) -> bool:
     return True
 
 
-def _routes(graph: SchemaGraph) -> set:
-    return {
-        tuple(graph.relation(r).name for r in phrase.route)
-        for phrase in graph.phrases
-    }
-
-
 def _at_route_end(qg, graph, chain) -> bool:
-    relations = tuple(qg.node(a).relation for a in chain)
-    return relations in _routes(graph)
+    relations = [qg.node(a).relation for a in chain]
+    return any(phrase.route == relations for phrase in graph.phrases)
 
 
 def _branches_from(qg, graph, adj, root: str, visited: set) -> list[_Branch]:
@@ -316,7 +315,7 @@ def _match_phrase(graph: SchemaGraph, qg: QueryGraph, branch: _Branch):
     relations = [qg.node(a).relation for a in branch.chain]
     best = None
     for phrase in graph.phrases:
-        route = [graph.relation(r).name for r in phrase.route]
+        route = phrase.route
         if len(route) <= len(relations) and relations[: len(route)] == route:
             if best is None or len(route) > len(best[0]):
                 best = (route, phrase)
@@ -337,18 +336,16 @@ def _render_phrase(phrase, graph, qg, refs, branch: _Branch):
     by_relation = {}
     for alias in branch.chain:
         by_relation.setdefault(qg.node(alias).relation, alias)
-    expr = templates.parse_template(phrase.text)
     premod = False
     out = []
-    for part in expr.parts:
+    for part in graph.compiled[phrase.text].parts:
         if isinstance(part, templates.Literal):
             out.append(part.text)
         elif isinstance(part, Placeholder):
-            if part.alias.upper() == SUBJECT_SLOT:
+            if part.alias == SUBJECT_SLOT:
                 premod = True
                 continue
-            rel = graph.relation(part.alias).name
-            alias = by_relation.get(rel)
+            alias = by_relation.get(part.alias)
             if alias is None:
                 continue
             if part.attribute is None:
@@ -368,7 +365,7 @@ def _attribute_slot(graph, qg, refs, alias, attribute) -> str:
             and pred.op == "="
             and isinstance(pred.lhs, ColumnRef)
             and isinstance(pred.rhs, Constant)
-            and pred.lhs.column.upper() == attribute.upper()
+            and pred.lhs.attribute == attribute
         ):
             refs.consumed_preds.add(id(pred))
             return str(pred.rhs.value)
@@ -406,7 +403,7 @@ def _translate_root_np(qg, graph, cls, notes) -> TranslationResult:
         attr = graph.attribute(owner.relation, ref.column)
         if ref.alias == root:
             proj_phrases.append(attr.noun_plural)
-        elif ref.column.upper() == graph.relation(owner.relation).heading_attribute.upper():
+        elif ref.attribute == graph.relation(owner.relation).heading_attribute:
             proj_phrases.append(graph.relation(owner.relation).noun_plural)
         else:
             owner_rel = graph.relation(owner.relation)
@@ -525,7 +522,7 @@ def _division_frame(qg, graph, motif) -> Optional[str]:
     heading = graph.relation(node.relation).heading_attribute
     for ref in _projection_refs(qg):
         # The frame speaks of whole entities; only heading projections fit.
-        if ref.alias != node.alias or ref.column.upper() != heading.upper():
+        if ref.alias != node.alias or ref.attribute != heading:
             return None
     range_plural = graph.relation(motif.params["range"]).noun_plural
     divisor_plural = graph.relation(motif.params["divisor"]).noun_plural
@@ -601,7 +598,7 @@ def _match_user_pattern(qg, graph, patterns) -> Optional[str]:
         heading = graph.relation(relation).heading_attribute
         proj = _projection_refs(qg)
         if len(proj) == count and all(
-            r.column.upper() == heading.upper() and r.alias in instances for r in proj
+            r.attribute == heading and r.alias in instances for r in proj
         ):
             return entry["phrase"]
     return None

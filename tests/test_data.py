@@ -144,3 +144,17 @@ class TestSelectTuples:
     def test_unknown_attribute(self, movie_db):
         with pytest.raises(UnknownAttribute):
             select_tuples(movie_db, "MOVIE", 1, RankSpec("box_office"))
+
+
+class TestColumnTyping:
+    @pytest.mark.parametrize("cell", ["1_000", " 7 ", "\u0663", "+", "1.0", "0x1"])
+    def test_only_signed_ascii_digits_make_an_integer_column(self, movie_graph, cell):
+        slice_ = dict(WOODY_SLICE)
+        slice_["ACTOR"] = f'id,name\n"{cell}",X\n'
+        assert load_data(movie_graph, slice_).table("ACTOR")[0].cell("id") == cell
+
+    def test_signed_digits_are_integers(self, movie_graph):
+        slice_ = dict(WOODY_SLICE)
+        slice_["ACTOR"] = "id,name\n-3,X\n+4,Y\n007,Z\n"
+        ids = [r.cell("id") for r in load_data(movie_graph, slice_).table("ACTOR")]
+        assert ids == [-3, 4, 7]

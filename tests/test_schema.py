@@ -2,8 +2,11 @@ import copy
 import json
 
 import pytest
+from conftest import FIXTURES
 
-from tabletalk import schema
+from tabletalk import evaluator, parser, query_graph, schema, translator
+from tabletalk.data import load_data
+from tabletalk.narrator import NarrationPlan, narrate
 from tabletalk.errors import (
     BadTemplate,
     DanglingReference,
@@ -75,10 +78,25 @@ class TestLoad:
             schema.load_schema(b"not json at all")
 
     def test_relation_name_lookup_is_case_insensitive_and_alias_aware(
-        self, movie_graph
+        self, movie_graph, movie_db
     ):
         assert movie_graph.relation("movie").name == "MOVIE"
         assert movie_graph.relation("MOVIES").name == "MOVIE"
+        assert movie_graph.find_attribute("movie", "TITLE").name == "title"
+        shouted = "select m.TITLE from MOVIES m where m.YEAR = 2005"
+        plain = "select m.title from MOVIE m where m.year = 2005"
+        results = {}
+        for sql in (shouted, plain):
+            ast = parser.parse_sql(sql)
+            parser.resolve_names(ast, movie_graph)
+            qg = query_graph.build(ast, movie_graph)
+            results[sql] = (
+                translator.translate(qg, movie_graph).text,
+                evaluator.evaluate(ast, movie_db),
+            )
+        assert results[shouted][0] == results[plain][0]
+        assert results[shouted][1].rows == results[plain][1].rows
+        assert results[shouted][1].columns == ["TITLE"]
 
     def test_weights_default_to_one(self):
         graph = mini()
@@ -157,3 +175,48 @@ class TestDot:
             schema.emit_dot(emp_graph),
         }
         assert len(outputs) == 3
+
+
+def _respelled_movies(kind):
+    """The movie document with one name spelled unlike its declaration."""
+    doc = json.loads((FIXTURES / "movies.schema.json").read_text())
+    edge = next(
+        j for j in doc["joins"] if j.get("from") == "DIRECTED" and j.get("to") == "DIRECTOR"
+    )
+    if kind == "lower-case join endpoint":
+        edge["from"] = "directed"
+    elif kind == "upper-case join keys":
+        edge["from_key"], edge["to_key"] = "DID", "ID"
+    else:  # a placeholder naming the relation by its alias
+        year = doc["relations"][0]["attributes"][2]
+        year["template"] = '{MOVIES.title} + " was released in " + {MOVIES.year}'
+    return doc
+
+
+class TestNamesResolvedAtLoad:
+    @pytest.mark.parametrize(
+        "kind",
+        ["lower-case join endpoint", "upper-case join keys", "alias placeholder"],
+    )
+    def test_respelled_name_narrates_like_the_fixture(self, kind, movie_graph, movie_db):
+        graph = schema.loads(json.dumps(_respelled_movies(kind)))
+        assert schema.validate(graph) == []
+        assert graph.joins == movie_graph.joins
+        db = load_data(graph, FIXTURES / "movies")
+        for start in ("DIRECTOR", "MOVIE"):
+            for mode in ("auto", "declarative"):
+                plan = NarrationPlan(start_relation=start, mode=mode)
+                got = narrate(graph, db, plan)
+                want = narrate(movie_graph, movie_db, plan)
+                assert (got.text, got.mode_used) == (want.text, want.mode_used)
+
+    def test_serialize_prints_declared_spelling(self):
+        doc = _respelled_movies("lower-case join endpoint")
+        graph = schema.loads(json.dumps(doc))
+        assert '"from": "DIRECTED"' in schema.serialize(graph)
+        assert '"DIRECTED" -> "DIRECTOR"' in schema.emit_dot(graph)
+
+    def test_validate_reports_a_template_edited_after_load(self, movie_graph):
+        base = schema.loads(schema.serialize(movie_graph))
+        base.projections[2].template = "{MOVIE.ghost}"
+        assert any("unknown attribute" in d for d in schema.validate(base))

@@ -236,3 +236,13 @@ class TestMotifPatternFile:
             "id of the first actor is larger than the id of the second actor"
         )
         assert any("user motif" in n for n in result.notes)
+
+
+@pytest.mark.parametrize(
+    "n, word",
+    [(3, "third"), (10, "tenth"), (11, "11th"), (12, "12th"), (13, "13th"),
+     (21, "21st"), (22, "22nd"), (23, "23rd"), (24, "24th"), (101, "101st"),
+     (111, "111th"), (112, "112th")],
+)
+def test_ordinal_suffixes(n, word):
+    assert translator._ordinal(n) == word
