@@ -1,6 +1,10 @@
-"""Naive nested-loop evaluator: the oracle the rewriter is checked against.
+"""Nested-loop evaluator: the oracle the rewriter is checked against.
 
-No optimization on purpose.  Cross products are materialized, subqueries
+A reference, not an optimizer.  FROM items are bound depth-first in their
+declared order, and each WHERE conjunct is checked at the first level
+where every alias of the query it names is bound; conjuncts holding a
+subquery wait for the last level.  Rows therefore come out in the
+lexicographic order of the full cross product.  Subqueries are
 re-evaluated per binding, comparisons are null-rejecting (a null cell
 satisfies no predicate, mirroring SQL's treatment closely enough for the
 supported subset).  Desk-scale inputs keep this tractable.
@@ -10,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
 
 from .ast_nodes import (
     ColumnRef,
@@ -43,15 +46,7 @@ def evaluate(ast: Query, db: Database) -> ResultSet:
 
 
 def _eval_query(query: Query, db: Database, outer_env: dict) -> ResultSet:
-    envs = []
-    tables = [db.table(item.canonical) for item in query.from_items]
-    for combo in product(*tables):
-        env = dict(outer_env)
-        for item, row in zip(query.from_items, combo):
-            env[item.alias.upper()] = row
-        if all(_eval_pred(p, env, db) for p in query.where):
-            envs.append(env)
-
+    envs = _bindings(query, db, outer_env)
     grouped = bool(query.group_by) or _has_aggregate(query)
     if grouped:
         return _eval_grouped(query, db, envs, outer_env)
@@ -62,6 +57,47 @@ def _eval_query(query: Query, db: Database, outer_env: dict) -> ResultSet:
         out_row = tuple(_project(item, env, None) for item in _expand_star(query))
         keyed.append((_order_key(query, env), out_row))
     return ResultSet(columns, _ordered(query, keyed))
+
+
+def _bindings(query: Query, db: Database, outer_env: dict) -> list[dict]:
+    """The FROM bindings that satisfy WHERE, in cross-product order."""
+    aliases = [item.alias.upper() for item in query.from_items]
+    tables = [db.table(item.canonical) for item in query.from_items]
+    checks = _placed(query.where, aliases)
+    envs, env = [], dict(outer_env)
+
+    def bind(level):
+        for row in tables[level]:
+            env[aliases[level]] = row
+            if not all(_eval_pred(p, env, db) for p in checks[level]):
+                continue
+            if level + 1 < len(tables):
+                bind(level + 1)
+            else:
+                envs.append(dict(env))
+
+    bind(0)
+    return envs
+
+
+def _placed(where: list, aliases: list[str]) -> list[list]:
+    """WHERE conjuncts by the FROM level after which each is checked.
+
+    A comparison waits for the deepest alias of this query it names (outer
+    aliases and constants are ready at level 0); a conjunct holding a
+    subquery waits for the last level.  Declared order is kept per level.
+    """
+    depth = {alias: i for i, alias in enumerate(aliases)}
+    checks = [[] for _ in aliases]
+    for pred in where:
+        sides = (pred.lhs, pred.rhs) if isinstance(pred, Compare) else ()
+        if sides and not any(isinstance(side, ScalarSubquery) for side in sides):
+            levels = [depth.get(side.alias.upper(), 0)
+                      for side in sides if isinstance(side, ColumnRef)]
+            checks[max(levels, default=0)].append(pred)
+        else:
+            checks[-1].append(pred)
+    return checks
 
 
 def _eval_grouped(query, db, envs, outer_env) -> ResultSet:
@@ -85,18 +121,20 @@ def _eval_grouped(query, db, envs, outer_env) -> ResultSet:
 
 
 def _ordered(query, keyed):
-    if query.order_by:
-        for index, (_, direction) in reversed(list(enumerate(query.order_by))):
-            keyed.sort(
-                key=lambda pair: _sort_token(pair[0][index]),
-                reverse=(direction == "desc"),
-            )
+    # One stable sort per key, last key first.  The second sort moves nulls
+    # last whatever the direction, keeping the order among the rest.
+    for index, (_, direction) in reversed(list(enumerate(query.order_by))):
+        keyed.sort(
+            key=lambda pair: _sort_token(pair[0][index]),
+            reverse=(direction == "desc"),
+        )
+        keyed.sort(key=lambda pair: pair[0][index] is None)
     return [row for _, row in keyed]
 
 
 def _sort_token(value):
-    # None sorts last regardless of direction; mixed types sort by type name.
-    return (value is None, type(value).__name__, value)
+    # Mixed types sort by type name.
+    return (type(value).__name__, value)
 
 
 def _order_key(query, env):

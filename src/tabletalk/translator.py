@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -55,7 +56,12 @@ _ORDINALS = (
 
 _SUFFIXES = {1: "st", 2: "nd", 3: "rd"}
 
-_VOWELS = "aeiou"
+# The article follows the first sound, not the first letter: a vowel letter
+# read /ju/ or /w/ ("a user", "a one") and a silent h ("an hour").
+_VOWEL_SOUND = re.compile(
+    r"(?!uni([^nmd]|mo)|u[bcfghjkqrst][aeiou]|e[uw]|onc?e\b)[aeiou]"
+    r"|hour|heir|honest|hono"
+)
 
 
 @dataclass
@@ -67,7 +73,7 @@ class TranslationResult:
 
 
 def _indefinite(noun: str) -> str:
-    article = "an" if noun[:1].lower() in _VOWELS else "a"
+    article = "an" if _VOWEL_SOUND.match(noun.lower()) else "a"
     return f"{article} {noun}"
 
 

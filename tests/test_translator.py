@@ -246,3 +246,17 @@ class TestMotifPatternFile:
 )
 def test_ordinal_suffixes(n, word):
     assert translator._ordinal(n) == word
+
+
+@pytest.mark.parametrize(
+    "noun, phrase",
+    [("actor", "an actor"), ("movie", "a movie"), ("user", "a user"),
+     ("unit", "a unit"), ("union", "a union"), ("utility", "a utility"),
+     ("European", "a European"), ("one-off", "a one-off"),
+     ("umbrella", "an umbrella"), ("uninformed voter", "an uninformed voter"),
+     ("usher", "an usher"), ("onerous task", "an onerous task"),
+     ("hour", "an hour"), ("heir", "an heir"), ("honest broker", "an honest broker"),
+     ("Honour", "an Honour"), ("house", "a house")],
+)
+def test_indefinite_article_follows_the_first_sound(noun, phrase):
+    assert translator._indefinite(noun) == phrase
