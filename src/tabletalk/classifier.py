@@ -23,6 +23,7 @@ LABELS = (
 class QueryClass:
     label: str
     evidence: list[str] = field(default_factory=list)
+    motifs: list[rewriter.Motif] = field(default_factory=list)
 
 
 def classify(qg: QueryGraph) -> QueryClass:
@@ -31,54 +32,56 @@ def classify(qg: QueryGraph) -> QueryClass:
     Higher-order motifs are checked before the aggregate test because a
     query like `having count(distinct year) = 1` is an ordinary aggregate
     only syntactically: the count stands for an "all the same" reading.
+    The motifs found on this query level ride along for translation.
     """
-    report = shape(qg)
     motifs = rewriter.detect_motifs(qg)
+    label, evidence = _label(qg, motifs)
+    return QueryClass(label, evidence, motifs)
+
+
+def _label(qg: QueryGraph, motifs: list[rewriter.Motif]) -> tuple[str, list[str]]:
+    report = shape(qg)
     higher = [m for m in motifs if m.kind in rewriter.HIGHER_ORDER_KINDS]
     if higher:
         evidence = [f"{m.kind} motif at {m.anchor}" for m in higher]
         evidence.append("meaning rests on a higher-order reading of the aggregate"
                         if any(m.kind == "SameValue" for m in higher)
                         else "meaning rests on a higher-order reading of ALL")
-        return QueryClass("HigherOrder", evidence)
+        return "HigherOrder", evidence
     if report.has_aggregate:
         evidence = ["count aggregate or group note present"]
         if report.cyclic:
             evidence.append(
                 "join core is cyclic; Aggregate chosen by precedence over GraphCyclic"
             )
-        return QueryClass("Aggregate", evidence)
+        return "Aggregate", evidence
     if report.connectors:
-        if set(report.connectors) == {"in"} and not report.correlated:
-            return QueryClass(
-                "NestedFlattenable",
-                ["IN is the only nesting connector and no subquery is correlated"],
-            )
+        reason = rewriter.flattenable(qg.query)
+        if reason is None:
+            return "NestedFlattenable", [
+                "IN is the only nesting connector and no subquery is correlated"
+            ]
         detail = ", ".join(sorted(set(report.connectors)))
         evidence = [f"nesting connectors: {detail}"]
         if report.correlated:
             evidence.append("at least one subquery is correlated")
-        return QueryClass("NestedGeneral", evidence)
+        elif detail == "in":
+            # Neither line above says why: name the rewriter's reason.
+            evidence.append(reason)
+        return "NestedGeneral", evidence
     if report.cyclic:
-        return QueryClass("GraphCyclic", ["join graph contains an undirected cycle"])
+        return "GraphCyclic", ["join graph contains an undirected cycle"]
     if report.multi_instance:
         dupes = _duplicated_relations(qg)
-        return QueryClass(
-            "GraphMultiInstance",
-            [f"multiple tuple variables over: {', '.join(dupes)}"],
-        )
+        return "GraphMultiInstance", [
+            f"multiple tuple variables over: {', '.join(dupes)}"
+        ]
     if report.max_degree <= 2 and _is_simple_path(qg):
-        return QueryClass(
-            "Path",
-            [
-                "acyclic, single-instance, at most two joins per relation, "
-                "join graph is a simple path"
-            ],
-        )
-    return QueryClass(
-        "Subgraph",
-        ["acyclic single-instance subgraph of the schema graph"],
-    )
+        return "Path", [
+            "acyclic, single-instance, at most two joins per relation, "
+            "join graph is a simple path"
+        ]
+    return "Subgraph", ["acyclic single-instance subgraph of the schema graph"]
 
 
 def _duplicated_relations(qg: QueryGraph) -> list[str]:

@@ -60,17 +60,14 @@ def build_parser() -> _ArgumentParser:
 
 
 def _read_sql(args) -> str | None:
-    piped = None
-    if not sys.stdin.isatty():
-        try:
-            piped = sys.stdin.read().strip() or None
-        except OSError:
-            piped = None
+    """The SQL argument; piped stdin is read only when there is none."""
     given = getattr(args, "sql", None)
-    if piped and given:
-        sys.stderr.write("warning: SQL given both on stdin and as an argument; "
-                         "using stdin\n")
-    return piped or given
+    if given is not None or sys.stdin.isatty():
+        return given
+    try:
+        return sys.stdin.read().strip() or None
+    except OSError:
+        return None
 
 
 def _envelope(result, cls=None, notes=(), diagnostics=()):

@@ -6,13 +6,18 @@ text), and realizes each step either declaratively (one fused clause per
 step, list loops inline) or procedurally (a simple sentence per
 tuple-attribute fact).  The entity narrated is the top-ranked tuple of
 the start relation; joined relations are capped by the tuple budget.
+
+One breadth-first traversal feeds pattern detection, the mode choice
+and the walk.  The walk follows single steps from the start; a split
+realizes its branches and ends the walk, so relations beyond it are not
+narrated, though they count in `detect_patterns` and `fallback_mode`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import templates
 from .data import Database, RankSpec, Row, follow_join, rank_rows
@@ -65,6 +70,14 @@ class _Step:
     @property
     def relays(self) -> list[str]:
         return [rel for _, rel in self.hops[:-1]]
+
+
+class _Visit(NamedTuple):
+    """A traversal node; fresh steps reach new relations, back steps old ones."""
+
+    node: str
+    fresh: list
+    back: list
 
 
 @dataclass
@@ -132,24 +145,28 @@ def _steps_from(graph: SchemaGraph, relation: str) -> list[_Step]:
     return steps
 
 
-def _allowed(plan: _Plan, relation: str) -> bool:
-    return plan.allowed is None or relation in plan.allowed
-
-
-def detect_patterns(graph: SchemaGraph, plan: NarrationPlan) -> list[PatternInstance]:
-    """Walk narration steps from the start; report unary/split/join shapes."""
-    rplan = _resolve(graph, plan)
-    start = rplan.start
-    out: list[PatternInstance] = []
-    visited = {start}
-    frontier = [start]
+def _traversal(graph: SchemaGraph, plan: _Plan) -> list[_Visit]:
+    """Breadth-first over the narration steps from the start, in visit order."""
+    out = []
+    visited = {plan.start}
+    frontier = [plan.start]
     while frontier:
         node = frontier.pop(0)
         fresh, back = [], []
         for step in _steps_from(graph, node):
-            if not _allowed(rplan, step.target):
-                continue
-            (back if step.target in visited else fresh).append(step)
+            if plan.allowed is None or step.target in plan.allowed:
+                (back if step.target in visited else fresh).append(step)
+        out.append(_Visit(node, fresh, back))
+        for step in fresh:
+            visited.add(step.target)
+            frontier.append(step.target)
+    return out
+
+
+def detect_patterns(graph: SchemaGraph, plan: NarrationPlan) -> list[PatternInstance]:
+    """Walk narration steps from the start; report unary/split/join shapes."""
+    out: list[PatternInstance] = []
+    for node, fresh, back in _traversal(graph, _resolve(graph, plan)):
         for step in back:
             out.append(PatternInstance("join", [node, step.target], None, step.relays))
         if len(fresh) >= 2:
@@ -171,9 +188,6 @@ def detect_patterns(graph: SchemaGraph, plan: NarrationPlan) -> list[PatternInst
                     step.relays,
                 )
             )
-        for step in fresh:
-            visited.add(step.target)
-            frontier.append(step.target)
     return out
 
 
@@ -181,25 +195,13 @@ def fallback_mode(graph: SchemaGraph, plan: NarrationPlan) -> str:
     """Heuristic mode choice: declarative unless a relation on the traversal
     needs more than two attribute clauses (and has no long template), or a
     split hub fuses more than two branches."""
-    return _fallback_mode(graph, _resolve(graph, plan))
+    return _fallback_mode(graph, _traversal(graph, _resolve(graph, plan)))
 
 
-def _fallback_mode(graph: SchemaGraph, plan: _Plan) -> str:
-    visited = {plan.start}
-    frontier = [plan.start]
-    while frontier:
-        node = frontier.pop(0)
-        steps = [
-            s
-            for s in _steps_from(graph, node)
-            if s.target not in visited and _allowed(plan, s.target)
-        ]
-        if len(steps) > 2:
-            return "procedural"
-        for step in steps:
-            visited.add(step.target)
-            frontier.append(step.target)
-    for name in visited:
+def _fallback_mode(graph: SchemaGraph, traversal: list[_Visit]) -> str:
+    if any(len(visit.fresh) > 2 for visit in traversal):
+        return "procedural"
+    for name, _, _ in traversal:
         rel = graph.relation(name)
         keys = graph.key_attributes(name)
         clause_attrs = [
@@ -214,7 +216,8 @@ def _fallback_mode(graph: SchemaGraph, plan: _Plan) -> str:
 
 def narrate(graph: SchemaGraph, db: Database, plan: NarrationPlan) -> Narrative:
     rplan = _resolve(graph, plan)
-    mode = plan.mode if plan.mode != "auto" else _fallback_mode(graph, rplan)
+    traversal = _traversal(graph, rplan)
+    mode = plan.mode if plan.mode != "auto" else _fallback_mode(graph, traversal)
     start = rplan.start
     diagnostics: list[str] = []
     sentences: list[str] = []
@@ -226,8 +229,7 @@ def narrate(graph: SchemaGraph, db: Database, plan: NarrationPlan) -> Narrative:
     for clause in _relation_clauses(graph, start, entity, mode):
         sentences.append(_finish(clause))
 
-    visited = {start}
-    _walk(graph, db, rplan, mode, start, [entity], visited, sentences, diagnostics)
+    _walk(graph, db, rplan, mode, traversal, [entity], sentences, diagnostics)
     return Narrative(sentences, mode, diagnostics)
 
 
@@ -268,17 +270,13 @@ def _attribute_clauses(graph, relation, row) -> list[str]:
     return out
 
 
-def _walk(graph, db, plan, mode, relation, rows, visited, sentences, diagnostics):
-    steps = [
-        s
-        for s in _steps_from(graph, relation)
-        if s.target not in visited and _allowed(plan, s.target)
-    ]
-    if not steps:
-        return
-    if len(steps) == 1:
+def _walk(graph, db, plan, mode, traversal, rows, sentences, diagnostics):
+    for relation, steps, _ in traversal:
+        if len(steps) > 1:
+            _split(graph, db, plan, mode, relation, steps, rows, sentences, diagnostics)
+        if len(steps) != 1:
+            return
         step = steps[0]
-        visited.add(step.target)
         target_rows, bindings = _follow(db, plan, step, rows)
         if not target_rows:
             diagnostics.append(
@@ -292,18 +290,16 @@ def _walk(graph, db, plan, mode, relation, rows, visited, sentences, diagnostics
             for row in target_rows:
                 for clause in _attribute_clauses(graph, step.target, row):
                     sentences.append(_finish(clause))
-        _walk(
-            graph, db, plan, mode, step.target, target_rows,
-            visited, sentences, diagnostics,
-        )
-        return
-    # Split: realize every branch, fuse on the shared hub prefix.
+        rows = target_rows
+
+
+def _split(graph, db, plan, mode, relation, steps, rows, sentences, diagnostics):
+    """Realize every branch of a split and fuse them on the shared hub prefix."""
     branch_texts = []
     deferred = []
     hub = graph.relation(relation)
     subject = rows[0].cell(hub.heading_attribute) if rows else None
     for step in steps:
-        visited.add(step.target)
         target_rows, bindings = _follow(db, plan, step, rows)
         if not target_rows:
             diagnostics.append(

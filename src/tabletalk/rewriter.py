@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .ast_nodes import (
     ColumnRef,
@@ -15,7 +16,7 @@ from .ast_nodes import (
     Query,
 )
 from .errors import NotFlattenable
-from .query_graph import QueryGraph
+from .query_graph import NestedQuery, QueryGraph
 
 
 @dataclass
@@ -23,6 +24,8 @@ class Motif:
     kind: str  # Division | SameValue | SuperlativeAll
     anchor: str  # predicate site description
     params: dict = field(default_factory=dict)
+    # SuperlativeAll: the nested ALL comparison the motif was found on.
+    entry: Optional[NestedQuery] = field(default=None, compare=False, repr=False)
 
 
 HIGHER_ORDER_KINDS = ("SameValue", "SuperlativeAll")
@@ -30,14 +33,43 @@ HIGHER_ORDER_KINDS = ("SameValue", "SuperlativeAll")
 
 # --- flattening ---------------------------------------------------------
 
+def flattenable(query: Query) -> Optional[str]:
+    """None when `flatten` can unnest every subquery of `query`, else why not.
+
+    Every subquery, at any depth, must be an IN in WHERE whose child
+    selects one plain column, has no GROUP BY, HAVING or ORDER BY, and
+    names no alias outside its own FROM list (Kim's type-N nesting).
+    """
+    for site, connector, child in query.subqueries():
+        if connector != "in":
+            return f"{connector} nesting is not flattenable"
+        if site != "where":
+            return "IN nesting in HAVING is not flattenable"
+        reason = flattenable(child)
+        if reason is not None:
+            return reason
+        if child.group_by or child.having or child.order_by:
+            return "subquery with grouping or ordering"
+        select = child.select_items
+        if len(select) != 1 or not isinstance(select[0].expr, ColumnRef):
+            return "IN-subquery must select exactly one plain column"
+        local = {item.alias.upper() for item in child.from_items}
+        for ref in child.column_refs():
+            if ref.alias and ref.alias.upper() not in local:
+                return f"correlated reference {ref.render()} blocks flattening"
+    return None
+
+
 def flatten(ast: Query) -> Query:
-    """Unnest every uncorrelated IN-subquery into an equality join.
+    """Unnest every IN-subquery into an equality join.
 
     Applied innermost-first; the result contains no subqueries.  The
     input must be name-resolved and is left untouched (a rewritten copy
-    is returned).  Raises NotFlattenable when any nesting other than an
-    uncorrelated single-column IN is present.
+    is returned).  Raises NotFlattenable with the reason from `flattenable`.
     """
+    reason = flattenable(ast)
+    if reason is not None:
+        raise NotFlattenable(reason)
     out = copy.deepcopy(ast)
     _flatten_level(out)
     return out
@@ -47,12 +79,10 @@ def _flatten_level(query: Query):
     new_where = []
     for pred in query.where:
         if not isinstance(pred, InSubquery):
-            _reject_nested(pred)
             new_where.append(pred)
             continue
         child = pred.query
         _flatten_level(child)
-        _check_flattenable_child(child)
         taken = {item.alias.upper() for item in query.from_items}
         renames = {}
         for item in child.from_items:
@@ -70,35 +100,6 @@ def _flatten_level(query: Query):
         new_where.append(Compare(pred.column, "=", select_expr))
         new_where.extend(child.where)
     query.where = new_where
-    for pred in query.having:
-        _reject_nested(pred)
-
-
-def _reject_nested(pred):
-    for _, connector, _child in _pred_children(pred):
-        raise NotFlattenable(f"{connector} nesting is not flattenable")
-
-
-def _pred_children(pred):
-    from .ast_nodes import _pred_subqueries
-
-    yield from _pred_subqueries(pred, "where")
-
-
-def _check_flattenable_child(child: Query):
-    if child.group_by or child.having or child.order_by:
-        raise NotFlattenable("subquery with grouping or ordering")
-    if len(child.select_items) != 1:
-        raise NotFlattenable("IN-subquery must select exactly one column")
-    expr = child.select_items[0].expr
-    if not isinstance(expr, ColumnRef):
-        raise NotFlattenable("IN-subquery must select a plain column")
-    local = {item.alias.upper() for item in child.from_items}
-    for ref in child.column_refs():
-        if ref.alias and ref.alias.upper() not in local:
-            raise NotFlattenable(
-                f"correlated reference {ref.render()} blocks flattening"
-            )
 
 
 def _fresh_alias(base: str, taken: set) -> str:
@@ -225,6 +226,7 @@ def _detect_superlative_all(qg: QueryGraph) -> list[Motif]:
                         "relation": pred.lhs.relation,
                         "direction": direction,
                     },
+                    entry=entry,
                 )
             )
     return out

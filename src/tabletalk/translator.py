@@ -10,7 +10,6 @@ procedural steps, so every parseable query yields text.
 
 from __future__ import annotations
 
-import copy
 import json
 import re
 from dataclasses import dataclass, field
@@ -628,7 +627,11 @@ def _reaches(adj, start, goal) -> bool:
 def translate_procedural(
     qg: QueryGraph, graph: SchemaGraph, cls: Optional[QueryClass] = None
 ) -> TranslationResult:
-    """Numbered imperative steps; total on every buildable query graph."""
+    """Numbered imperative steps; total on every buildable query graph.
+
+    A given `cls` must come from `classify(qg)`: its motifs are reused.
+    """
+    motifs = cls.motifs if cls is not None else rewriter.detect_motifs(qg)
     refs = _References(qg, graph)
     steps: list[str] = []
     consumed_edges: set[int] = set()
@@ -689,7 +692,7 @@ def translate_procedural(
         if entry.site == "where":
             steps.append(
                 f"Keep combinations where "
-                f"{_nested_phrase(entry, qg, graph, refs)}."
+                f"{_nested_phrase(entry, motifs, graph, refs)}."
             )
 
     if qg.group_note:
@@ -713,7 +716,7 @@ def translate_procedural(
     for entry in qg.nested:
         if entry.site == "having":
             steps.append(
-                f"Keep groups where {_nested_phrase(entry, qg, graph, refs)}."
+                f"Keep groups where {_nested_phrase(entry, motifs, graph, refs)}."
             )
 
     if qg.order_note:
@@ -728,7 +731,7 @@ def translate_procedural(
     steps.append(f"Report {_listed(report)}.")
 
     text = "\n".join(f"{i}. {s}" for i, s in enumerate(steps, start=1))
-    return TranslationResult(text, "procedural", cls or classify(qg), [])
+    return TranslationResult(text, "procedural", cls, [])
 
 
 def _fk_link(qg, alias, placed, consumed):
@@ -759,21 +762,19 @@ def _report_phrase(item: SelectItem, graph, refs, qg) -> str:
     return expr.render()
 
 
-def _nested_phrase(entry, qg, graph, refs) -> str:
+def _nested_phrase(entry, motifs, graph, refs) -> str:
     """Word a nested predicate, inlining the child query."""
     pred = entry.predicate
     child = entry.child
-    motifs = rewriter.detect_motifs(qg)
     if entry.connector == "compare_all":
+        lhs = _operand_phrase(pred.lhs, graph, refs)
         for motif in motifs:
-            if motif.kind == "SuperlativeAll" and isinstance(pred, CompareAll):
-                lhs = _operand_phrase(pred.lhs, graph, refs)
+            if motif.kind == "SuperlativeAll" and motif.entry is entry:
                 word = superlative_word(graph, motif)
                 attr = graph.attribute(
                     motif.params["relation"], motif.params["attribute"]
                 )
                 return f"{lhs} is the {word} such {attr.noun_singular}"
-        lhs = _operand_phrase(pred.lhs, graph, refs)
         return (
             f"{lhs} {LEXICON[pred.op]} every value from "
             f"{_inline_child(child, graph)}"
@@ -857,14 +858,17 @@ def translate(
     cls: Optional[QueryClass] = None,
     motif_patterns: Optional[list] = None,
 ) -> TranslationResult:
-    """Dispatch on the taxonomy class; never returns empty text."""
+    """Dispatch on the taxonomy class; never returns empty text.
+
+    A given `cls` must come from `classify(qg)`: its motifs are reused.
+    """
     if cls is None:
         cls = classify(qg)
     label = cls.label
     notes: list[str] = []
 
     if label == "NestedFlattenable":
-        flat_ast = rewriter.flatten(copy.deepcopy(qg.query))
+        flat_ast = rewriter.flatten(qg.query)
         flat_qg = qgraph.build(flat_ast, graph)
         notes.append("uncorrelated IN nesting flattened before translation")
         inner = translate(flat_qg, graph, motif_patterns=motif_patterns)
@@ -876,20 +880,16 @@ def translate(
             return _translate_itemized(qg, graph, cls, notes, motif_patterns)
         return _translate_root_np(qg, graph, cls, notes)
 
-    motifs = rewriter.detect_motifs(qg)
     if label == "NestedGeneral":
-        for motif in motifs:
+        for motif in cls.motifs:
             if motif.kind == "Division":
                 text = _division_frame(qg, graph, motif)
                 if text is not None:
                     notes.append("relational division (for-all) pattern")
                     return TranslationResult(text, "declarative", cls, notes)
-        result = translate_procedural(qg, graph, cls)
-        return TranslationResult(result.text, "procedural", cls, notes)
-
-    if label == "HigherOrder":
+    elif label == "HigherOrder":
         notes.append(HIGHER_ORDER_NOTE)
-        for motif in motifs:
+        for motif in cls.motifs:
             if motif.kind == "SameValue":
                 text = _same_value_frame(qg, graph, motif)
                 if text is not None:
@@ -898,11 +898,8 @@ def translate(
             if motif.kind == "SuperlativeAll":
                 word = superlative_word(graph, motif)
                 notes.append(f'comparison with ALL read as "{word}"')
-        result = translate_procedural(qg, graph, cls)
-        return TranslationResult(result.text, "procedural", cls, notes)
-
-    # Aggregate and anything unforeseen: procedural is total.
-    result = translate_procedural(qg, graph, cls)
-    if label == "Aggregate":
+    elif label == "Aggregate":
         notes.append("aggregate query rendered procedurally")
+    # Every class without a declarative frame ends here: procedural is total.
+    result = translate_procedural(qg, graph, cls)
     return TranslationResult(result.text, "procedural", cls, notes)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -79,12 +80,24 @@ class TestExplainCommand:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "Find movies that have all genres"
 
-    def test_stdin_wins_over_argument_with_warning(self):
-        proc = run_cli(
-            "explain", corpus_sql("q1"), "--schema", SCHEMA, stdin=corpus_sql("q6")
+    def test_argument_wins_and_stdin_is_left_unread(self):
+        # The pipe's write end stays open, so reading stdin would block.
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, corpus_sql("q6").encode())
+            proc = subprocess.run(
+                [sys.executable, "-m", "tabletalk.cli", "explain", corpus_sql("q1"),
+                 "--schema", SCHEMA],
+                stdin=read_end, capture_output=True, text=True, timeout=30,
+            )
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == (
+            "Find the titles of movies where the actor Brad Pitt plays"
         )
-        assert proc.stdout.strip() == "Find movies that have all genres"
-        assert "using stdin" in proc.stderr
+        assert proc.stderr == "class: Path\n"
 
     def test_bad_sql_is_an_input_error(self):
         proc = run_cli("explain", "select nothing sensible", "--schema", SCHEMA)

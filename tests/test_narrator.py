@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tabletalk import schema
+from tabletalk import narrator, schema
 from tabletalk.data import RankSpec, load_data
 from tabletalk.errors import UnknownStart
 from tabletalk.evaluator import random_database
@@ -344,6 +344,80 @@ class TestDeepTraversal:
             "Pixmount produced Alpha.",
             "The films won Best Song.",
         ]
+
+
+class TestBeyondASplit:
+    """One branch of the HUB split continues to FAR, whose three plain
+    attributes need more clauses than a declarative sentence carries."""
+
+    DOC = {
+        "relations": [
+            {"name": "HUB", "heading": "k",
+             "attributes": [{"name": "k"}, {"name": "b1id"}, {"name": "b2id"}]},
+            {"name": "B1", "heading": "name",
+             "attributes": [{"name": "id"}, {"name": "name"}, {"name": "fid"}]},
+            {"name": "B2", "heading": "name",
+             "attributes": [{"name": "id"}, {"name": "name"}]},
+            {"name": "FAR", "heading": "name",
+             "attributes": [{"name": "id"}, {"name": "name"}, {"name": "x"},
+                            {"name": "y"}, {"name": "z"}]},
+        ],
+        "joins": [
+            {"from": "HUB", "to": "B1", "from_key": "b1id", "to_key": "id",
+             "template": '"hub " + {HUB.k} + " has b1 " + {B1.name}'},
+            {"from": "HUB", "to": "B2", "from_key": "b2id", "to_key": "id",
+             "template": '"hub " + {HUB.k} + " has b2 " + {B2.name}'},
+            {"from": "B1", "to": "FAR", "from_key": "fid", "to_key": "id",
+             "template": '"b1 " + {B1.name} + " reaches " + {FAR.name}'},
+        ],
+    }
+
+    DATA = {
+        "HUB": "k,b1id,b2id\nH,1,1\n",
+        "B1": "id,name,fid\n1,Bee,1\n",
+        "B2": "id,name\n1,Cee\n",
+        "FAR": "id,name,x,y,z\n1,Faraway,1,2,3\n",
+    }
+
+    PLAN = NarrationPlan(start_relation="HUB")
+
+    def test_patterns_list_the_step_beyond_the_split(self):
+        graph = schema.loads(json.dumps(self.DOC))
+        patterns = detect_patterns(graph, self.PLAN)
+        assert [(p.kind, p.relations) for p in patterns] == [
+            ("split", ["HUB", "B1", "B2"]),
+            ("unary", ["B1", "FAR"]),
+        ]
+
+    def test_relation_beyond_the_split_sets_the_mode(self):
+        graph = schema.loads(json.dumps(self.DOC))
+        assert fallback_mode(graph, self.PLAN) == "procedural"
+        without_far = NarrationPlan(
+            start_relation="HUB", relation_filter=frozenset({"HUB", "B1", "B2"})
+        )
+        assert fallback_mode(graph, without_far) == "declarative"
+
+    @pytest.mark.parametrize("mode", ["auto", "declarative", "procedural"])
+    def test_narration_stops_at_the_split(self, mode):
+        graph = schema.loads(json.dumps(self.DOC))
+        db = load_data(graph, self.DATA)
+        narrative = narrate(graph, db, NarrationPlan(start_relation="HUB", mode=mode))
+        assert narrative.sentences == ["hub H has b1 Bee and b2 Cee."]
+        assert narrative.mode_used == ("procedural" if mode == "auto" else mode)
+
+    def test_narrate_reads_each_relation_s_steps_once(self, monkeypatch):
+        graph = schema.loads(json.dumps(self.DOC))
+        db = load_data(graph, self.DATA)
+        calls = []
+        steps_from = narrator._steps_from
+
+        def counted(graph, relation):
+            calls.append(relation)
+            return steps_from(graph, relation)
+
+        monkeypatch.setattr(narrator, "_steps_from", counted)
+        narrate(graph, db, self.PLAN)
+        assert sorted(calls) == ["B1", "B2", "FAR", "HUB"]
 
 
 class TestShortAndLongTemplates:

@@ -42,6 +42,21 @@ class TestFlatten:
         with pytest.raises(NotFlattenable):
             rewriter.flatten(ast)
 
+    def test_outer_reference_shadowed_below_is_not_flattenable(self, movie_graph):
+        # The child's m is the outer movie; flattening the grandchild's own
+        # m first must not capture it.
+        ast = parser.parse_sql(
+            "select m.title from MOVIE m where m.id in "
+            "(select c.mid from CAST c where c.role = m.title and c.mid in "
+            "(select m.id from MOVIE m))"
+        )
+        parser.resolve_names(ast, movie_graph)
+        assert rewriter.flattenable(ast) == (
+            "correlated reference m.title blocks flattening"
+        )
+        with pytest.raises(NotFlattenable):
+            rewriter.flatten(ast)
+
     def test_alias_collision_renamed(self, movie_graph):
         ast = parser.parse_sql(
             "select m.title from MOVIE m where m.id in "

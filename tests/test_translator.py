@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from conftest import CORPUS_NAMES, built
+from conftest import CORPUS_NAMES, built, corpus_sql
 
-from tabletalk import parser, query_graph as QG, translator
+from tabletalk import parser, query_graph as QG, rewriter, translator
 from tabletalk.ast_nodes import ColumnRef, Compare
+from tabletalk.classifier import classify
 from tabletalk.translator import (
     LEXICON,
     lexicalize_predicate,
@@ -215,6 +216,55 @@ class TestEdges:
             "combinations where the name of the actor is Brad Pitt; report "
             "the id of the actor); report the mid of the cast entry)."
         )
+
+    def test_superlative_reading_stays_on_its_own_all_comparison(self, movie_graph):
+        ast = parser.parse_sql(
+            "select m.title from MOVIES m where m.year >= all "
+            "(select m2.year from MOVIES m2 where m2.title = m.title) "
+            "and m.id < all (select c.mid from CAST c)"
+        )
+        parser.resolve_names(ast, movie_graph)
+        steps = translate(QG.build(ast, movie_graph), movie_graph).text.split("\n")
+        assert steps[1] == (
+            "2. Keep combinations where the year of the movie is the latest such year."
+        )
+        assert steps[2] == (
+            "3. Keep combinations where the id of the movie is less than every "
+            "value from (consider each cast entry (c); report the mid of the "
+            "cast entry)."
+        )
+
+
+class TestMotifsOncePerLevel:
+    NESTED = {
+        "two_all": "select m.title from MOVIE m where m.year >= all "
+        "(select m2.year from MOVIE m2 where m2.title = m.title) "
+        "and m.id < all (select c.mid from CAST c where c.aid in "
+        "(select a.id from ACTOR a))",
+        "exists_chain": "select m.title from MOVIE m where exists "
+        "(select c.mid from CAST c where c.mid = m.id and not exists "
+        "(select g.mid from GENRE g where g.mid = c.mid))",
+    }
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES + sorted(NESTED))
+    def test_detect_motifs_runs_once_per_query_graph(self, movie_graph, monkeypatch, name):
+        seen = []
+        detect = rewriter.detect_motifs
+
+        def counted(qg):
+            seen.append(id(qg))
+            return detect(qg)
+
+        monkeypatch.setattr(rewriter, "detect_motifs", counted)
+        ast = parser.parse_sql(self.NESTED.get(name) or corpus_sql(name))
+        parser.resolve_names(ast, movie_graph)
+        qg = QG.build(ast, movie_graph)
+        translate(qg, movie_graph, classify(qg))
+        assert seen and len(seen) == len(set(seen))
+
+    def test_procedural_without_a_class_does_not_classify(self, movie_graph, corpus_graphs):
+        result = translate_procedural(corpus_graphs["q7"], movie_graph)
+        assert result.class_used is None
 
 
 class TestMotifPatternFile:
