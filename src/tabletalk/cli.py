@@ -119,6 +119,11 @@ def _dispatch(args) -> int:
     if args.command == "narrate":
         if not args.data:
             return _usage("narrate requires --data")
+        if args.max_tuples < 0:
+            sys.stderr.write(
+                f"tabletalk: error: --max-tuples must be 0 or more, got {args.max_tuples}\n"
+            )
+            return INPUT_EXIT
         db = data.load_data(graph, args.data)
         plan = narrator.NarrationPlan(
             start_relation=args.start,

@@ -1,12 +1,17 @@
 """Desk-scale table storage: CSV loading, join navigation, ranking.
 
-A Database is immutable after load and safe to share; whole tables live
-in memory, which is the point at this scale.
+Whole tables live in memory, which is the point at this scale.  A
+Database is immutable after load and safe to share: replace a table,
+never mutate it in place.  `follow_join` reads a hash index per
+(relation, attribute) that the Database builds the first time the pair
+is looked up, so a join costs O(matches) once the index exists.
+Ranking picks the top k rows without sorting the whole table.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import os
 from dataclasses import dataclass, field
@@ -39,15 +44,39 @@ class Row:
 
 @dataclass
 class Database:
-    """Tables keyed by declared relation name."""
+    """Tables keyed by declared relation name.
+
+    Join indexes are built lazily, one per (relation, attribute) looked
+    up, and each is tied to the identity of the table list it was built
+    from: a table replaced after load gets a new index on its next
+    lookup, while a table mutated in place would keep a stale one.
+    """
 
     tables: dict[str, list[Row]] = field(default_factory=dict)
+    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def table(self, relation: str) -> list[Row]:
         try:
             return self.tables[relation]
         except KeyError:
             raise UnknownRelation(f"no table loaded for relation {relation!r}") from None
+
+    def _index(self, relation: str, attribute: str) -> dict[object, list[Row]]:
+        """Rows of `relation` by their `attribute` cell, in load order.
+
+        Null cells are left out, so a null key joins with nothing.
+        """
+        table = self.table(relation)
+        cached = self._indexes.get((relation, attribute))
+        if cached is not None and cached[0] is table:
+            return cached[1]
+        index: dict[object, list[Row]] = {}
+        for row in table:
+            value = row.cell(attribute)
+            if value is not None:
+                index.setdefault(value, []).append(row)
+        self._indexes[(relation, attribute)] = (table, index)
+        return index
 
 
 @dataclass
@@ -154,27 +183,27 @@ def follow_join(db: Database, edge: JoinEdge, row: Row) -> list[Row]:
             f"tuple of {row.relation} does not belong to join "
             f"{edge.from_relation}->{edge.to_relation}"
         )
-    value = row.cell(own_key)
-    if value is None:
-        return []
-    return [r for r in db.table(other_rel) if r.cell(other_key) == value]
+    return list(db._index(other_rel, other_key).get(row.cell(own_key), ()))
 
 
 def select_tuples(
     db: Database, relation: str, budget: int, rank: Optional[RankSpec] = None
 ) -> list[Row]:
     """At most `budget` tuples, ranked; ties and null cells keep load order."""
-    return rank_rows(db.table(relation), rank)[: max(budget, 0)]
+    return rank_rows(db.table(relation), rank, budget)
 
 
-def rank_rows(rows: list[Row], rank: Optional[RankSpec]) -> list[Row]:
+def rank_rows(rows: list[Row], rank: Optional[RankSpec], budget: int) -> list[Row]:
+    """The first `budget` rows of the stable sort by the rank attribute,
+    null cells last; a negative budget selects nothing."""
+    k = max(budget, 0)
     if rank is None or rank.attribute is None:
-        return list(rows)
-    if rows:
-        rows[0].cell(rank.attribute)  # raises UnknownAttribute early
-    present = [r for r in rows if r.cell(rank.attribute) is not None]
-    missing = [r for r in rows if r.cell(rank.attribute) is None]
-    ordered = sorted(
-        present, key=lambda r: r.cell(rank.attribute), reverse=rank.descending
-    )
-    return ordered + missing
+        return rows[:k]
+    attribute = rank.attribute
+    present = [r for r in rows if r.cell(attribute) is not None]
+    # Both are documented to equal sorted(...)[:k], so ties keep load order.
+    top_k = heapq.nlargest if rank.descending else heapq.nsmallest
+    top = top_k(k, present, key=lambda r: r.cell(attribute))
+    if len(top) < k:
+        top += [r for r in rows if r.cell(attribute) is None][: k - len(top)]
+    return top

@@ -5,7 +5,8 @@ The narrator starts from a central relation, follows join annotations
 text), and realizes each step either declaratively (one fused clause per
 step, list loops inline) or procedurally (a simple sentence per
 tuple-attribute fact).  The entity narrated is the top-ranked tuple of
-the start relation; joined relations are capped by the tuple budget.
+the start relation; joined relations are capped by the tuple budget,
+and a negative budget counts as 0.
 
 One breadth-first traversal feeds pattern detection, the mode choice
 and the walk.  The walk follows single steps from the start; a split
@@ -156,10 +157,10 @@ def _traversal(graph: SchemaGraph, plan: _Plan) -> list[_Visit]:
         for step in _steps_from(graph, node):
             if plan.allowed is None or step.target in plan.allowed:
                 (back if step.target in visited else fresh).append(step)
+                # Claimed at once: a second step into it, even from this node, is back.
+                visited.add(step.target)
         out.append(_Visit(node, fresh, back))
-        for step in fresh:
-            visited.add(step.target)
-            frontier.append(step.target)
+        frontier.extend(step.target for step in fresh)
     return out
 
 
@@ -221,7 +222,7 @@ def narrate(graph: SchemaGraph, db: Database, plan: NarrationPlan) -> Narrative:
     start = rplan.start
     diagnostics: list[str] = []
     sentences: list[str] = []
-    rows = rank_rows(db.table(start), rplan.ranks.get(start))
+    rows = rank_rows(db.table(start), rplan.ranks.get(start), 1)
     if not rows:
         return Narrative([], mode, [f"relation {start} has no rows to narrate"])
     entity = rows[0]
@@ -349,7 +350,7 @@ def _follow(db, plan: _Plan, step: _Step, rows) -> tuple[list[Row], dict]:
         # Relay relations are bound too in case a template mentions them.
         bindings.setdefault(rel_name, found)
         current = found
-    target_rows = rank_rows(current, plan.ranks.get(step.target))[: plan.tuple_budget]
+    target_rows = rank_rows(current, plan.ranks.get(step.target), plan.tuple_budget)
     bindings[step.target] = target_rows
     return target_rows, bindings
 

@@ -45,6 +45,18 @@ class TestNarrateCommand:
         assert "Match Point (2005)." in proc.stdout
         assert "Melinda" not in proc.stdout
 
+    @pytest.mark.parametrize("budget", ["-1", "-2"])
+    def test_negative_max_tuples_is_an_input_error(self, budget):
+        proc = run_cli(
+            "narrate", "--schema", SCHEMA, "--data", DATA, "--max-tuples", budget
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"tabletalk: error: --max-tuples must be 0 or more, got {budget}"
+        ]
+
     def test_split_fixture_sentence(self):
         proc = run_cli(
             "narrate",

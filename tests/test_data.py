@@ -1,6 +1,14 @@
 import pytest
 
-from tabletalk.data import RankSpec, Row, follow_join, load_data, rank_rows, select_tuples
+from tabletalk.data import (
+    Database,
+    RankSpec,
+    Row,
+    follow_join,
+    load_data,
+    rank_rows,
+    select_tuples,
+)
 from tabletalk.errors import (
     HeaderMismatch,
     RaggedRow,
@@ -8,6 +16,7 @@ from tabletalk.errors import (
     UnknownRelation,
     WrongRelation,
 )
+from tabletalk.evaluator import random_database
 
 # Minimal slice: one director and their three films.
 WOODY_SLICE = {
@@ -68,6 +77,38 @@ class TestLoad:
         assert one == two
 
 
+def _scan(db, edge, row):
+    """Reference for follow_join: compare every row of the other side."""
+    if row.relation == edge.from_relation:
+        own, other, key = edge.from_key, edge.to_relation, edge.to_key
+    else:
+        own, other, key = edge.to_key, edge.from_relation, edge.from_key
+    value = row.values[own]
+    return [] if value is None else [r for r in db.table(other) if r.values[key] == value]
+
+
+def _null_every_third_key(graph, db):
+    """A copy of db whose join-key cells are null in every third row."""
+    keys = {(e.from_relation, e.from_key) for e in graph.joins}
+    keys |= {(e.to_relation, e.to_key) for e in graph.joins}
+    tables = {}
+    for name, rows in db.tables.items():
+        tables[name] = [
+            Row(name, {a: None if i % 3 == 1 and (name, a) in keys else v
+                       for a, v in row.values.items()})
+            for i, row in enumerate(rows)
+        ]
+    return Database(tables)
+
+
+def _databases(graph, db):
+    yield db
+    for seed in range(6):
+        rand = random_database(graph, seed, 25)
+        yield rand
+        yield _null_every_third_key(graph, rand)
+
+
 class TestFollowJoin:
     def _edge(self, graph, frm, to):
         return next(
@@ -115,6 +156,55 @@ class TestFollowJoin:
                     assert match in other
                     assert match.cell(edge.to_key) == row.cell(edge.from_key)
 
+    @pytest.mark.parametrize("which", ["movie", "emp"])
+    def test_matches_a_scan_on_every_edge_and_row(self, which, request):
+        graph = request.getfixturevalue(f"{which}_graph")
+        probed = 0
+        for db in _databases(graph, request.getfixturevalue(f"{which}_db")):
+            for edge in graph.joins:
+                for side in {edge.from_relation, edge.to_relation}:
+                    own = edge.from_key if side == edge.from_relation else edge.to_key
+                    blank = {a.name: None for a in graph.attributes_of(side)}
+                    # Matched, unmatched and null keys, probing in either order.
+                    probes = db.table(side) + [
+                        Row(side, blank), Row(side, dict(blank, **{own: 987654}))
+                    ]
+                    for row in probes + probes[::-1]:
+                        want = _scan(db, edge, row)
+                        got = follow_join(db, edge, row)
+                        assert [id(r) for r in got] == [id(r) for r in want]
+                        probed += bool(want)
+                outsider = next(
+                    (r.name for r in graph.relations
+                     if r.name not in (edge.from_relation, edge.to_relation)),
+                    None,
+                )
+                if outsider is not None:
+                    row = Row(outsider, {a.name: 1 for a in graph.attributes_of(outsider)})
+                    with pytest.raises(WrongRelation):
+                        follow_join(db, edge, row)
+        assert probed > 100  # the comparison is not vacuous
+
+    def test_returned_list_is_fresh(self, movie_graph, woody_db):
+        edge = self._edge(movie_graph, "DIRECTED", "MOVIE")
+        credit = woody_db.table("DIRECTED")[0]
+        first = follow_join(woody_db, edge, credit)
+        first.clear()
+        first.append(credit)
+        assert follow_join(woody_db, edge, credit) == [woody_db.table("MOVIE")[0]]
+
+    def test_replaced_table_gets_a_new_index(self, movie_graph):
+        db = load_data(movie_graph, WOODY_SLICE)
+        edge = self._edge(movie_graph, "DIRECTED", "MOVIE")
+        credit = db.table("DIRECTED")[0]
+        assert [m.cell("title") for m in follow_join(db, edge, credit)] == ["Match Point"]
+        db.tables["MOVIE"] = [
+            Row("MOVIE", {"id": 1, "title": "Scoop", "year": 2006}),
+            Row("MOVIE", {"id": 1, "title": "Cassandra's Dream", "year": 2007}),
+        ]
+        titles = [m.cell("title") for m in follow_join(db, edge, credit)]
+        assert titles == ["Scoop", "Cassandra's Dream"]
+
 
 class TestSelectTuples:
     def test_budget_two_year_descending(self, movie_db):
@@ -134,12 +224,34 @@ class TestSelectTuples:
         assert rows[0].cell("title") == "Anything Else"
 
     def test_prefix_of_full_sort(self, movie_db):
-        full = rank_rows(movie_db.table("MOVIE"), RankSpec("year", descending=True))
-        for budget in range(0, 8):
-            rows = select_tuples(
-                movie_db, "MOVIE", budget, RankSpec("year", descending=True)
-            )
-            assert rows == full[:budget]
+        # Ties on year (2005, 2003) and null years, spread through the table.
+        years = [2005, None, 2003, 2005, None, 2004, 2003, 2005, None]
+        table = [
+            Row("MOVIE", {"id": i, "title": f"T{i}", "year": y})
+            for i, y in enumerate(years)
+        ]
+        tied = Database({"MOVIE": table})
+        for db in (movie_db, tied):
+            rows = db.table("MOVIE")
+            for descending in (False, True):
+                rank = RankSpec("year", descending)
+                present = [r for r in rows if r.cell("year") is not None]
+                missing = [r for r in rows if r.cell("year") is None]
+                full = (
+                    sorted(present, key=lambda r: r.cell("year"), reverse=descending)
+                    + missing
+                )
+                for budget in range(0, len(rows) + 2):
+                    picked = select_tuples(db, "MOVIE", budget, rank)
+                    assert [id(r) for r in picked] == [id(r) for r in full[:budget]]
+                    assert rank_rows(rows, rank, budget) == picked
+        first_five = select_tuples(tied, "MOVIE", 5, RankSpec("year"))
+        assert [r.cell("id") for r in first_five] == [2, 6, 5, 0, 3]
+
+    @pytest.mark.parametrize("rank", [None, RankSpec.load_order(), RankSpec("year")])
+    def test_negative_budget_selects_nothing(self, movie_db, rank):
+        assert select_tuples(movie_db, "MOVIE", -1, rank) == []
+        assert rank_rows(movie_db.table("MOVIE"), rank, -2) == []
 
     def test_unknown_attribute(self, movie_db):
         with pytest.raises(UnknownAttribute):

@@ -1,8 +1,11 @@
+import csv
+import io
 import json
 
 import pytest
 
-from tabletalk import narrator, schema
+from conftest import FIXTURES
+from tabletalk import data, narrator, schema
 from tabletalk.data import RankSpec, load_data
 from tabletalk.errors import UnknownStart
 from tabletalk.evaluator import random_database
@@ -155,6 +158,14 @@ class TestNarrate:
             )
             assert isinstance(narrative.text, str)
             assert "{" not in narrative.text and "}" not in narrative.text
+
+    @pytest.mark.parametrize("budget", [-1, -2])
+    def test_negative_budget_narrates_like_zero(self, movie_graph, movie_db, budget):
+        negative = narrate(movie_graph, movie_db, NarrationPlan(tuple_budget=budget))
+        assert negative == narrate(movie_graph, movie_db, NarrationPlan(tuple_budget=0))
+        assert negative.sentences == [
+            "Woody Allen was born in Brooklyn, New York, USA on December 1, 1935."
+        ]
 
     def test_relation_filter_restricts_steps(self, movie_graph, movie_db):
         plan = NarrationPlan(relation_filter=frozenset({"DIRECTOR"}))
@@ -418,6 +429,120 @@ class TestBeyondASplit:
         monkeypatch.setattr(narrator, "_steps_from", counted)
         narrate(graph, db, self.PLAN)
         assert sorted(calls) == ["B1", "B2", "FAR", "HUB"]
+
+
+class TestDuplicateTarget:
+    """A reaches C twice: by a templated edge and by the path A -> B -> C."""
+
+    DOC = {
+        "relations": [
+            {"name": "A", "heading": "name",
+             "attributes": [{"name": "name"}, {"name": "bid"}, {"name": "cid"}]},
+            {"name": "B", "heading": "name",
+             "attributes": [{"name": "id"}, {"name": "name"}, {"name": "cid"}]},
+            {"name": "C", "heading": "name",
+             "attributes": [{"name": "id"}, {"name": "name"}]},
+        ],
+        "joins": [
+            {"from": "A", "to": "B", "from_key": "bid", "to_key": "id"},
+            {"from": "B", "to": "C", "from_key": "cid", "to_key": "id"},
+            {"from": "A", "to": "C", "from_key": "cid", "to_key": "id",
+             "template": '"a " + {A.name} + " sees c " + {C.name}'},
+            {"path": ["A", "B", "C"],
+             "template": '"a " + {A.name} + " meets b " + {B.name}'
+                         ' + " and reaches c " + {C.name}'},
+        ],
+    }
+
+    DATA = {"A": "name,bid,cid\n1,1,1\n", "B": "id,name,cid\n1,1,1\n", "C": "id,name\n1,1\n"}
+
+    PLAN = NarrationPlan(start_relation="A")
+
+    def test_the_second_step_into_c_is_a_back_step(self):
+        graph = schema.loads(json.dumps(self.DOC))
+        patterns = detect_patterns(graph, self.PLAN)
+        assert [(p.kind, p.relations, p.relays) for p in patterns] == [
+            ("join", ["A", "C"], ["B"]),
+            ("unary", ["A", "C"], []),
+        ]
+        assert fallback_mode(graph, self.PLAN) == "declarative"
+
+    def test_c_is_narrated_and_visited_once(self, monkeypatch):
+        graph = schema.loads(json.dumps(self.DOC))
+        db = load_data(graph, self.DATA)
+        calls = []
+        steps_from = narrator._steps_from
+
+        def counted(graph, relation):
+            calls.append(relation)
+            return steps_from(graph, relation)
+
+        monkeypatch.setattr(narrator, "_steps_from", counted)
+        narrative = narrate(graph, db, self.PLAN)
+        assert narrative.sentences == ["a 1 sees c 1."]
+        assert calls == ["A", "C"]
+
+    def test_a_duplicate_target_is_no_third_branch(self):
+        doc = json.loads(json.dumps(self.DOC))
+        doc["joins"][0]["template"] = '"a " + {A.name} + " has b " + {B.name}'
+        graph = schema.loads(json.dumps(doc))
+        patterns = detect_patterns(graph, self.PLAN)
+        assert [(p.kind, p.relations) for p in patterns] == [
+            ("join", ["A", "C"]),
+            ("split", ["A", "B", "C"]),
+        ]
+        assert fallback_mode(graph, self.PLAN) == "declarative"
+        narrative = narrate(graph, load_data(graph, self.DATA), self.PLAN)
+        assert narrative.sentences == ["a 1 has b 1 and sees c 1."]
+
+
+def _scaled_movies(graph, copies):
+    """The movie fixture repeated `copies` times, each copy's join keys
+    shifted past the last, so the first copy narrates as the fixture does."""
+    keys = {(e.from_relation, e.from_key) for e in graph.joins}
+    keys |= {(e.to_relation, e.to_key) for e in graph.joins}
+    texts = {}
+    for path in sorted((FIXTURES / "movies").glob("*.csv")):
+        relation = path.stem
+        header, *rows = list(csv.reader(io.StringIO(path.read_text())))
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(header)
+        for copy in range(copies):
+            for cells in rows:
+                writer.writerow(
+                    int(cell) + 1000 * copy if (relation, name) in keys else cell
+                    for name, cell in zip(header, cells)
+                )
+        texts[relation] = out.getvalue()
+    return load_data(graph, texts)
+
+
+class TestFlatInTableSize:
+    @pytest.mark.parametrize("mode", ["declarative", "procedural"])
+    def test_warm_narration_reads_as_many_cells_at_ten_times_the_data(
+        self, movie_graph, monkeypatch, mode
+    ):
+        plan = NarrationPlan(start_relation="DIRECTOR", mode=mode)
+        counts, texts = [], []
+        for copies in (1, 10):
+            db = _scaled_movies(movie_graph, copies)
+            assert len(db.table("MOVIE")) == 6 * copies
+            narrate(movie_graph, db, plan)  # builds the join indexes
+            calls = []
+            cell = data.Row.cell
+
+            def counted(row, attribute):
+                calls.append(attribute)
+                return cell(row, attribute)
+
+            monkeypatch.setattr(data.Row, "cell", counted)
+            texts.append(narrate(movie_graph, db, plan).text)
+            monkeypatch.setattr(data.Row, "cell", cell)
+            counts.append(len(calls))
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("Woody Allen was born")
+        assert counts[0] == counts[1]
 
 
 class TestShortAndLongTemplates:
