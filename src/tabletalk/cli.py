@@ -30,7 +30,7 @@ def build_parser() -> _ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_data=False):
+    def add_common(p, outputs=("text", "json")):
         p.add_argument("--schema", required=True, help="annotation file (JSON)")
         p.add_argument("--data", help="directory of <RELATION>.csv files")
         p.add_argument(
@@ -40,9 +40,7 @@ def build_parser() -> _ArgumentParser:
         )
         p.add_argument("--max-tuples", type=int, default=3, metavar="K")
         p.add_argument("--start", help="start relation for narration")
-        p.add_argument(
-            "--output", choices=("text", "json", "dot"), default="text"
-        )
+        p.add_argument("--output", choices=outputs, default="text")
 
     add_common(sub.add_parser("narrate", help="narrate table contents"))
     explain = sub.add_parser("explain", help="translate a SQL query to English")
@@ -55,7 +53,7 @@ def build_parser() -> _ArgumentParser:
         "graph", help="DOT for a query graph, or the schema graph without SQL"
     )
     graph_cmd.add_argument("sql", nargs="?")
-    add_common(graph_cmd)
+    add_common(graph_cmd, outputs=("text", "json", "dot"))
     return parser
 
 

@@ -5,7 +5,10 @@ Database is immutable after load and safe to share: replace a table,
 never mutate it in place.  `follow_join` reads a hash index per
 (relation, attribute) that the Database builds the first time the pair
 is looked up, so a join costs O(matches) once the index exists.
-Ranking picks the top k rows without sorting the whole table.
+`select_tuples` slices a whole table's rank order, which the Database
+sorts once per (relation, attribute, direction) on the first ranked
+lookup; `rank_rows` picks the top k of any other list of rows without
+sorting it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import heapq
 import io
 import os
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from .errors import (
@@ -46,14 +50,17 @@ class Row:
 class Database:
     """Tables keyed by declared relation name.
 
-    Join indexes are built lazily, one per (relation, attribute) looked
-    up, and each is tied to the identity of the table list it was built
-    from: a table replaced after load gets a new index on its next
+    Two structures are built lazily, never at load: a join index per
+    (relation, attribute) looked up, and a rank order per (relation,
+    attribute, direction) ranked, which holds one list of row
+    references.  Each is tied to the identity of the table list it was
+    built from: a table replaced after load gets a new one on its next
     lookup, while a table mutated in place would keep a stale one.
     """
 
     tables: dict[str, list[Row]] = field(default_factory=dict)
     _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _orders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def table(self, relation: str) -> list[Row]:
         try:
@@ -77,6 +84,18 @@ class Database:
                 index.setdefault(value, []).append(row)
         self._indexes[(relation, attribute)] = (table, index)
         return index
+
+    def _order(self, relation: str, rank: RankSpec) -> list[Row]:
+        """All rows of `relation` in `rank` order: `rank_rows` over the
+        whole table, sorted once per (relation, attribute, direction)."""
+        table = self.table(relation)
+        key = (relation, rank.attribute, rank.descending)
+        cached = self._orders.get(key)
+        if cached is not None and cached[0] is table:
+            return cached[1]
+        order = rank_rows(table, rank, len(table))
+        self._orders[key] = (table, order)
+        return order
 
 
 @dataclass
@@ -189,21 +208,29 @@ def follow_join(db: Database, edge: JoinEdge, row: Row) -> list[Row]:
 def select_tuples(
     db: Database, relation: str, budget: int, rank: Optional[RankSpec] = None
 ) -> list[Row]:
-    """At most `budget` tuples, ranked; ties and null cells keep load order."""
-    return rank_rows(db.table(relation), rank, budget)
+    """At most `budget` tuples, ranked; ties and null cells keep load order.
+
+    A ranked call slices the table's cached rank order, so it costs
+    O(budget) once that order exists.
+    """
+    k = max(budget, 0)
+    if rank is None or rank.attribute is None:
+        return db.table(relation)[:k]
+    return db._order(relation, rank)[:k]
 
 
 def rank_rows(rows: list[Row], rank: Optional[RankSpec], budget: int) -> list[Row]:
     """The first `budget` rows of the stable sort by the rank attribute,
-    null cells last; a negative budget selects nothing."""
+    null cells last; a negative budget selects nothing.  Each row's rank
+    cell is read once."""
     k = max(budget, 0)
     if rank is None or rank.attribute is None:
         return rows[:k]
-    attribute = rank.attribute
-    present = [r for r in rows if r.cell(attribute) is not None]
+    keyed = [(row.cell(rank.attribute), row) for row in rows]
+    present = [pair for pair in keyed if pair[0] is not None]
     # Both are documented to equal sorted(...)[:k], so ties keep load order.
     top_k = heapq.nlargest if rank.descending else heapq.nsmallest
-    top = top_k(k, present, key=lambda r: r.cell(attribute))
+    top = [row for _, row in top_k(k, present, key=itemgetter(0))]
     if len(top) < k:
-        top += [r for r in rows if r.cell(attribute) is None][: k - len(top)]
+        top += [row for value, row in keyed if value is None][: k - len(top)]
     return top

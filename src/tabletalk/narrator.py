@@ -21,7 +21,7 @@ from functools import reduce
 from typing import NamedTuple, Optional
 
 from . import templates
-from .data import Database, RankSpec, Row, follow_join, rank_rows
+from .data import Database, RankSpec, Row, follow_join, rank_rows, select_tuples
 from .errors import UnknownStart
 from .schema import SchemaGraph
 from .templates import Clause, common_prefix, tokenize, trim_articles
@@ -222,7 +222,7 @@ def narrate(graph: SchemaGraph, db: Database, plan: NarrationPlan) -> Narrative:
     start = rplan.start
     diagnostics: list[str] = []
     sentences: list[str] = []
-    rows = rank_rows(db.table(start), rplan.ranks.get(start), 1)
+    rows = select_tuples(db, start, 1, rplan.ranks.get(start))
     if not rows:
         return Narrative([], mode, [f"relation {start} has no rows to narrate"])
     entity = rows[0]

@@ -142,6 +142,30 @@ class TestGraphCommand:
         assert "cluster_NQ1" in proc.stdout
 
 
+class TestOutputDot:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("narrate", "--schema", SCHEMA, "--data", DATA),
+            ("explain", corpus_sql("q1"), "--schema", SCHEMA),
+            ("classify", corpus_sql("q8"), "--schema", SCHEMA),
+        ],
+        ids=["narrate", "explain", "classify"],
+    )
+    def test_dot_outside_graph_is_a_usage_error(self, args):
+        proc = run_cli(*args, "--output", "dot")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"usage: tabletalk {args[0]}")
+        assert "invalid choice: 'dot'" in proc.stderr
+
+    def test_graph_prints_dot(self):
+        proc = run_cli("graph", "--schema", SCHEMA, "--output", "dot")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("digraph schema {")
+
+
 class TestJsonEnvelope:
     @pytest.mark.parametrize(
         "args,stdin",

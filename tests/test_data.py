@@ -1,4 +1,8 @@
+import dataclasses
+
 import pytest
+
+from conftest import FIXTURES
 
 from tabletalk.data import (
     Database,
@@ -206,6 +210,27 @@ class TestFollowJoin:
         assert titles == ["Scoop", "Cassandra's Dream"]
 
 
+FIXTURE_DIRS = {"movie": "movies", "split": "split", "emp": "emp"}
+
+
+def _tied_movies():
+    """Ties on year (2005, 2003) and null years, spread through the table."""
+    years = [2005, None, 2003, 2005, None, 2004, 2003, 2005, None]
+    return Database({
+        "MOVIE": [
+            Row("MOVIE", {"id": i, "title": f"T{i}" if i % 4 else None, "year": y})
+            for i, y in enumerate(years)
+        ]
+    })
+
+
+def _stable_sort(rows, attribute, descending):
+    """Reference order: non-null cells sorted stably, then nulls, each in load order."""
+    present = [r for r in rows if r.values[attribute] is not None]
+    missing = [r for r in rows if r.values[attribute] is None]
+    return sorted(present, key=lambda r: r.values[attribute], reverse=descending) + missing
+
+
 class TestSelectTuples:
     def test_budget_two_year_descending(self, movie_db):
         rows = select_tuples(movie_db, "MOVIE", 2, RankSpec("year", descending=True))
@@ -224,23 +249,12 @@ class TestSelectTuples:
         assert rows[0].cell("title") == "Anything Else"
 
     def test_prefix_of_full_sort(self, movie_db):
-        # Ties on year (2005, 2003) and null years, spread through the table.
-        years = [2005, None, 2003, 2005, None, 2004, 2003, 2005, None]
-        table = [
-            Row("MOVIE", {"id": i, "title": f"T{i}", "year": y})
-            for i, y in enumerate(years)
-        ]
-        tied = Database({"MOVIE": table})
+        tied = _tied_movies()
         for db in (movie_db, tied):
             rows = db.table("MOVIE")
             for descending in (False, True):
                 rank = RankSpec("year", descending)
-                present = [r for r in rows if r.cell("year") is not None]
-                missing = [r for r in rows if r.cell("year") is None]
-                full = (
-                    sorted(present, key=lambda r: r.cell("year"), reverse=descending)
-                    + missing
-                )
+                full = _stable_sort(rows, "year", descending)
                 for budget in range(0, len(rows) + 2):
                     picked = select_tuples(db, "MOVIE", budget, rank)
                     assert [id(r) for r in picked] == [id(r) for r in full[:budget]]
@@ -256,6 +270,64 @@ class TestSelectTuples:
     def test_unknown_attribute(self, movie_db):
         with pytest.raises(UnknownAttribute):
             select_tuples(movie_db, "MOVIE", 1, RankSpec("box_office"))
+
+    @pytest.mark.parametrize("which", ["movie", "split", "emp", "tied"])
+    def test_warm_order_is_the_full_stable_sort(self, which, request):
+        if which == "tied":
+            db = _tied_movies()
+        else:
+            db = load_data(
+                request.getfixturevalue(f"{which}_graph"), FIXTURES / FIXTURE_DIRS[which]
+            )
+        ranked = 0
+        for relation, rows in db.tables.items():
+            for attribute in rows[0].values if rows else ():
+                for descending in (False, True):
+                    rank = RankSpec(attribute, descending)
+                    want = [id(r) for r in _stable_sort(rows, attribute, descending)]
+                    for budget in range(0, len(rows) + 2):
+                        select_tuples(db, relation, budget, rank)
+                        warm = select_tuples(db, relation, budget, rank)
+                        assert [id(r) for r in warm] == want[:budget]
+                        ranked += bool(warm)
+        assert ranked > 10
+
+    def test_replaced_table_gets_a_new_order(self, movie_graph):
+        db = load_data(movie_graph, WOODY_SLICE)
+        rank = RankSpec("year")
+        assert select_tuples(db, "MOVIE", 1, rank)[0].cell("title") == "Anything Else"
+        db.tables["MOVIE"] = [
+            Row("MOVIE", {"id": 4, "title": "Scoop", "year": 2006}),
+            Row("MOVIE", {"id": 5, "title": "Sleeper", "year": 1973}),
+        ]
+        titles = [r.cell("title") for r in select_tuples(db, "MOVIE", 3, rank)]
+        assert titles == ["Sleeper", "Scoop"]
+
+    def test_returned_list_is_fresh(self, movie_graph):
+        db = load_data(movie_graph, WOODY_SLICE)
+        rank = RankSpec("year", descending=True)
+        first = select_tuples(db, "MOVIE", 3, rank)
+        want = list(first)
+        first.clear()
+        first.append(db.table("DIRECTOR")[0])
+        assert select_tuples(db, "MOVIE", 3, rank) == want
+        assert [r.cell("year") for r in want] == [2005, 2004, 2003]
+
+    def test_missing_attribute_raises_every_time_and_is_not_cached(self, movie_graph):
+        db = load_data(movie_graph, WOODY_SLICE)
+        for budget in (1, 0, 1):
+            with pytest.raises(UnknownAttribute):
+                select_tuples(db, "MOVIE", budget, RankSpec("box_office"))
+        assert db._orders == {}
+
+    def test_order_field_is_outside_init_repr_and_equality(self, movie_graph):
+        orders = next(f for f in dataclasses.fields(Database) if f.name == "_orders")
+        assert (orders.init, orders.repr, orders.compare) == (False, False, False)
+        db = load_data(movie_graph, WOODY_SLICE)
+        twin = load_data(movie_graph, WOODY_SLICE)
+        select_tuples(db, "MOVIE", 1, RankSpec("year"))
+        assert db == twin
+        assert "_orders" not in repr(db)
 
 
 class TestColumnTyping:

@@ -518,30 +518,56 @@ def _scaled_movies(graph, copies):
     return load_data(graph, texts)
 
 
+def _warm_cell_reads(graph, plan, monkeypatch):
+    """Texts and `Row.cell` counts of a warm narration on the movie
+    fixture and on its 10x copy."""
+    counts, texts = [], []
+    for copies in (1, 10):
+        db = _scaled_movies(graph, copies)
+        assert len(db.table("MOVIE")) == 6 * copies
+        narrate(graph, db, plan)  # builds the join indexes and rank orders
+        calls = []
+        cell = data.Row.cell
+
+        def counted(row, attribute):
+            calls.append(attribute)
+            return cell(row, attribute)
+
+        monkeypatch.setattr(data.Row, "cell", counted)
+        texts.append(narrate(graph, db, plan).text)
+        monkeypatch.setattr(data.Row, "cell", cell)
+        counts.append(len(calls))
+    return counts, texts
+
+
 class TestFlatInTableSize:
     @pytest.mark.parametrize("mode", ["declarative", "procedural"])
     def test_warm_narration_reads_as_many_cells_at_ten_times_the_data(
         self, movie_graph, monkeypatch, mode
     ):
         plan = NarrationPlan(start_relation="DIRECTOR", mode=mode)
-        counts, texts = [], []
-        for copies in (1, 10):
-            db = _scaled_movies(movie_graph, copies)
-            assert len(db.table("MOVIE")) == 6 * copies
-            narrate(movie_graph, db, plan)  # builds the join indexes
-            calls = []
-            cell = data.Row.cell
-
-            def counted(row, attribute):
-                calls.append(attribute)
-                return cell(row, attribute)
-
-            monkeypatch.setattr(data.Row, "cell", counted)
-            texts.append(narrate(movie_graph, db, plan).text)
-            monkeypatch.setattr(data.Row, "cell", cell)
-            counts.append(len(calls))
+        counts, texts = _warm_cell_reads(movie_graph, plan, monkeypatch)
         assert texts[0] == texts[1]
         assert texts[0].startswith("Woody Allen was born")
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("mode", ["declarative", "procedural"])
+    @pytest.mark.parametrize(
+        "start,rank,opening",
+        [
+            ("DIRECTOR", RankSpec("name"), "G. Loucas was born"),
+            ("MOVIE", RankSpec("year", descending=True), "Match Point was released in 2005"),
+            ("MOVIE", RankSpec("year"), "King Kong was released in 1933"),
+        ],
+        ids=["director-by-name", "movie-by-year-desc", "movie-by-year"],
+    )
+    def test_warm_ranked_start_reads_as_many_cells_at_ten_times_the_data(
+        self, movie_graph, monkeypatch, mode, start, rank, opening
+    ):
+        plan = NarrationPlan(start_relation=start, mode=mode, rank=rank)
+        counts, texts = _warm_cell_reads(movie_graph, plan, monkeypatch)
+        assert texts[0] == texts[1]
+        assert opening in texts[0]
         assert counts[0] == counts[1]
 
 
