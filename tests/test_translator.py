@@ -235,6 +235,65 @@ class TestEdges:
         )
 
 
+class TestProceduralWording:
+    """Exact text of procedural steps that no golden covers."""
+
+    CASES = {
+        "sort_descending": (
+            "select m.title from MOVIES m where m.year > 1990 "
+            "order by m.year desc, m.title",
+            "1. Consider each movie (m).\n"
+            "2. Keep combinations where the year of the movie is larger than 1990.\n"
+            "3. Sort the results by the year of the movie (descending) and the "
+            "title of the movie (ascending).\n"
+            "4. Report the title of the movie.",
+        ),
+        "star": (
+            "select * from MOVIES m where m.year = 2005",
+            "1. Consider each movie (m).\n"
+            "2. Keep combinations where the year of the movie is 2005.\n"
+            "3. Report every column.",
+        ),
+        "scalar_value": (
+            "select m.title from MOVIES m where m.year > "
+            "(select m2.year from MOVIES m2 where m2.title = 'Seven')",
+            "1. Consider each movie (m).\n"
+            "2. Keep combinations where the year of the movie is larger than the "
+            "single value produced by (consider each movie (m2); keep "
+            "combinations where the title of the movie is Seven; report the "
+            "year of the movie).\n"
+            "3. Report the title of the movie.",
+        ),
+        "exists": (
+            "select m.title from MOVIES m where exists "
+            "(select g.mid from GENRE g where g.genre = 'drama')",
+            "1. Consider each movie (m).\n"
+            "2. Keep combinations where at least one row exists in (consider "
+            "each genre (g); keep combinations where the genre of the genre is "
+            "drama; report the mid of the genre).\n"
+            "3. Report the title of the movie.",
+        ),
+        "compare_all": (
+            "select m.title from MOVIES m where m.year > all "
+            "(select m2.year from MOVIES m2 where m2.title = 'Seven')",
+            "1. Consider each movie (m).\n"
+            "2. Keep combinations where the year of the movie is larger than "
+            "every value from (consider each movie (m2); keep combinations "
+            "where the title of the movie is Seven; report the year of the "
+            "movie).\n"
+            "3. Report the title of the movie.",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exact_steps(self, movie_graph, name):
+        sql, expected = self.CASES[name]
+        ast = parser.parse_sql(sql)
+        parser.resolve_names(ast, movie_graph)
+        result = translate_procedural(QG.build(ast, movie_graph), movie_graph)
+        assert result.text == expected
+
+
 class TestMotifsOncePerLevel:
     NESTED = {
         "two_all": "select m.title from MOVIE m where m.year >= all "
