@@ -156,22 +156,23 @@ class Query:
     def subqueries(self):
         """Yield (site, connector, child) for every directly nested query."""
         for pred in self.where:
-            yield from _pred_subqueries(pred, "where")
+            yield from pred_subqueries(pred, "where")
         for pred in self.having:
-            yield from _pred_subqueries(pred, "having")
+            yield from pred_subqueries(pred, "having")
 
     def column_refs(self):
         """Every column reference in this query level (not in subqueries)."""
         for item in self.select_items:
             yield from _expr_refs(item.expr)
         for pred in self.where + self.having:
-            yield from _pred_refs(pred)
+            yield from pred_refs(pred)
         yield from self.group_by
         for col, _ in self.order_by:
             yield col
 
 
-def _pred_subqueries(pred, site):
+def pred_subqueries(pred, site):
+    """Yield (site, connector, child) for each subquery `pred` holds."""
     if isinstance(pred, InSubquery):
         yield site, "in", pred.query
     elif isinstance(pred, Exists):
@@ -191,7 +192,8 @@ def _expr_refs(expr):
         yield expr.column
 
 
-def _pred_refs(pred):
+def pred_refs(pred):
+    """Yield the column references of one predicate, outside subqueries."""
     if isinstance(pred, Compare):
         for side in (pred.lhs, pred.rhs):
             yield from _expr_refs(side)

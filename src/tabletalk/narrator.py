@@ -24,7 +24,7 @@ from . import templates
 from .data import Database, RankSpec, Row, follow_join, rank_rows, select_tuples
 from .errors import UnknownStart
 from .schema import SchemaGraph
-from .templates import Clause, common_prefix, tokenize, trim_articles
+from .templates import Clause, common_prefix, listed, tokenize, trim_articles
 
 TERMINALS = (".", "!", "?")
 
@@ -376,11 +376,7 @@ def fuse_split(texts: list[str], subject: str) -> Optional[str]:
     remainders = [" ".join(toks[len(prefix):]) for toks in token_lists]
     if any(not r for r in remainders):
         return None
-    head = " ".join(prefix)
-    if len(remainders) == 2:
-        return f"{head} {remainders[0]} and {remainders[1]}"
-    listed = ", ".join(remainders[:-1])
-    return f"{head} {listed}, and {remainders[-1]}"
+    return f"{' '.join(prefix)} {listed(remainders)}"
 
 
 def _contains(haystack: list[str], needle: list[str]) -> bool:

@@ -15,14 +15,11 @@ from typing import Optional
 from .ast_nodes import (
     ColumnRef,
     Compare,
-    CompareAll,
     CountDistinct,
     CountStar,
-    Exists,
-    InSubquery,
     Query,
-    ScalarSubquery,
     SelectItem,
+    pred_subqueries,
 )
 from .schema import SchemaGraph
 
@@ -128,26 +125,12 @@ def _note_projection(qg: QueryGraph, item: SelectItem):
 
 
 def _place(qg, graph, pred, site, local, outer_aliases):
-    if isinstance(pred, InSubquery):
-        child = _build(pred.query, graph, outer_aliases + (local,))
-        qg.nested.append(NestedQuery("in", site, pred, child))
-        return
-    if isinstance(pred, Exists):
-        child = _build(pred.query, graph, outer_aliases + (local,))
-        connector = "not_exists" if pred.negated else "exists"
+    # A Compare with a scalar subquery on both sides nests only its left one.
+    for _, connector, query in pred_subqueries(pred, site):
+        child = _build(query, graph, outer_aliases + (local,))
         qg.nested.append(NestedQuery(connector, site, pred, child))
         return
-    if isinstance(pred, CompareAll):
-        child = _build(pred.query, graph, outer_aliases + (local,))
-        qg.nested.append(NestedQuery("compare_all", site, pred, child))
-        return
-    if isinstance(pred, Compare):
-        for side in (pred.lhs, pred.rhs):
-            if isinstance(side, ScalarSubquery):
-                child = _build(side.query, graph, outer_aliases + (local,))
-                qg.nested.append(NestedQuery("compare_scalar", site, pred, child))
-                return
-        _place_compare(qg, graph, pred, site, local)
+    _place_compare(qg, graph, pred, site, local)
 
 
 def _place_compare(qg, graph, pred: Compare, site, local):
@@ -171,7 +154,7 @@ def _place_compare(qg, graph, pred: Compare, site, local):
         if crossing and lhs.alias.upper() not in local and rhs.alias.upper() in local:
             # Keep the child-local side first on crossing edges.
             lhs, rhs = rhs, lhs
-            op = _mirror(op)
+            op = _MIRROR[op]
         fk = (
             op == "="
             and not crossing
@@ -196,10 +179,6 @@ def _place_compare(qg, graph, pred: Compare, site, local):
 
 
 _MIRROR = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
-
-
-def _mirror(op: str) -> str:
-    return _MIRROR[op]
 
 
 # --- shape report -------------------------------------------------------

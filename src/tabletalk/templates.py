@@ -367,6 +367,13 @@ def _fill(ph: Placeholder, bindings, graph, loop_ctx) -> str:
 
 # --- clause merging ----------------------------------------------------
 
+def listed(parts: list[str]) -> str:
+    """English list: "A", "A and B", "A, B, and C"."""
+    if len(parts) < 3:
+        return " and ".join(parts)
+    return ", ".join(parts[:-1]) + f", and {parts[-1]}"
+
+
 def tokenize(text: str) -> list[str]:
     """Tokens are maximal runs of non-space characters."""
     return text.split()

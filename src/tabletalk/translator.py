@@ -20,19 +20,18 @@ from . import rewriter, templates
 from .ast_nodes import (
     ColumnRef,
     Compare,
-    CompareAll,
     Constant,
     CountDistinct,
     CountStar,
     ScalarSubquery,
-    SelectItem,
     Star,
+    pred_refs,
 )
 from .classifier import QueryClass, classify
 from .errors import MalformedDocument
 from .query_graph import QueryGraph, QueryNode
 from .schema import SUBJECT_SLOT, SchemaGraph
-from .templates import Placeholder
+from .templates import Placeholder, listed
 
 LEXICON = {
     "=": "is",
@@ -84,16 +83,6 @@ def _ordinal(i: int) -> str:
     return f"{i}{_SUFFIXES.get(i % 10, 'th')}"
 
 
-def _listed(parts: list[str], conj: str = "and") -> str:
-    if not parts:
-        return ""
-    if len(parts) == 1:
-        return parts[0]
-    if len(parts) == 2:
-        return f"{parts[0]} {conj} {parts[1]}"
-    return ", ".join(parts[:-1]) + f", {conj} {parts[-1]}"
-
-
 class _References:
     """Referring expressions with instance counts and mention history."""
 
@@ -121,17 +110,7 @@ class _References:
         node = self.qg.node(alias)
         if node is None:
             return None
-        heading = self.graph.relation(node.relation).heading_attribute
-        for pred in node.where_part:
-            if (
-                isinstance(pred, Compare)
-                and pred.op == "="
-                and isinstance(pred.lhs, ColumnRef)
-                and isinstance(pred.rhs, Constant)
-                and pred.lhs.attribute == heading
-            ):
-                return pred
-        return None
+        return _binding(node, self.graph.relation(node.relation).heading_attribute)
 
     def mention(self, alias: str) -> str:
         """Narrative-flow reference: a movie / another actor / the movie."""
@@ -163,21 +142,35 @@ class _References:
 def _plain_refs(graph: SchemaGraph, pred) -> _References:
     """Reference state for standalone predicate lexicalization."""
     qg = QueryGraph()
-    for ref in _pred_columns(pred):
+    for ref in pred_refs(pred):
         if ref.alias and qg.node(ref.alias) is None and ref.relation:
             qg.nodes.append(QueryNode(ref.alias, ref.relation))
     return _References(qg, graph)
 
 
-def _pred_columns(pred):
-    if isinstance(pred, Compare):
-        for side in (pred.lhs, pred.rhs):
-            if isinstance(side, ColumnRef):
-                yield side
-            elif isinstance(side, CountDistinct):
-                yield side.column
-    elif isinstance(pred, CompareAll) and isinstance(pred.lhs, ColumnRef):
-        yield pred.lhs
+def _binds(pred, attribute: str) -> bool:
+    """`pred` is `column = constant` with its column on `attribute`."""
+    return (
+        isinstance(pred, Compare)
+        and pred.op == "="
+        and isinstance(pred.lhs, ColumnRef)
+        and isinstance(pred.rhs, Constant)
+        and pred.lhs.attribute == attribute
+    )
+
+
+def _binding(node: QueryNode, attribute: str) -> Optional[Compare]:
+    """The node's first conjunct that binds `attribute` to a constant."""
+    return next((pred for pred in node.where_part if _binds(pred, attribute)), None)
+
+
+def _edge_predicate(edge, from_relation, to_relation) -> Compare:
+    """The comparison a query join edge stands for."""
+    return Compare(
+        ColumnRef(edge.from_ref[0], edge.from_ref[1], from_relation),
+        edge.op,
+        ColumnRef(edge.to_ref[0], edge.to_ref[1], to_relation),
+    )
 
 
 # --- predicate lexicalization -------------------------------------------
@@ -194,11 +187,11 @@ def lexicalize_predicate(
     if refs is None:
         refs = _plain_refs(graph, pred)
     if isinstance(pred, Compare):
-        if heading and isinstance(pred.lhs, ColumnRef) and isinstance(pred.rhs, Constant):
+        if heading and isinstance(pred.lhs, ColumnRef):
             node = refs.qg.node(pred.lhs.alias)
             if node is not None:
                 rel = graph.relation(node.relation)
-                if pred.lhs.attribute == rel.heading_attribute and pred.op == "=":
+                if _binds(pred, rel.heading_attribute):
                     return f"the {rel.noun_singular} {pred.rhs.value}"
         lhs = _operand_phrase(pred.lhs, graph, refs)
         rhs = _operand_phrase(pred.rhs, graph, refs)
@@ -210,8 +203,7 @@ def _operand_phrase(expr, graph, refs) -> str:
     if isinstance(expr, Constant):
         return str(expr.value)
     if isinstance(expr, ColumnRef):
-        attr = graph.attribute(expr.relation, expr.column)
-        return f"the {attr.noun_singular} of {refs.in_predicate(expr.alias)}"
+        return _attribute_phrase(graph, refs, expr.alias, expr.relation, expr.column)
     if isinstance(expr, CountStar):
         return "the number of rows in each group"
     if isinstance(expr, CountDistinct):
@@ -222,6 +214,12 @@ def _operand_phrase(expr, graph, refs) -> str:
             f"{refs.in_predicate(col.alias)}"
         )
     raise ValueError(f"cannot word operand {expr!r}")
+
+
+def _attribute_phrase(graph, refs, alias, relation, column) -> str:
+    """"the <attribute> of <tuple variable>", as in "the title of the movie"."""
+    attr = graph.attribute(relation, column)
+    return f"the {attr.noun_singular} of {refs.in_predicate(alias)}"
 
 
 # --- branch discovery ----------------------------------------------------
@@ -261,53 +259,28 @@ def _at_route_end(qg, graph, chain) -> bool:
     return any(phrase.route == relations for phrase in graph.phrases)
 
 
-def _branches_from(qg, graph, adj, root: str, visited: set) -> list[_Branch]:
-    """Depth-first branch chains: each chain runs through relay nodes and
-    stops at a declared phrase route, an informative node, or a fan-out."""
-    branches = []
-    queue = [root]
-    while queue:
-        current = queue.pop(0)
-        for edge, nxt in adj[current]:
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            chain = [current, nxt]
-            edges = [edge]
-            tail = nxt
-            while _is_relay(qg, tail) and not _at_route_end(qg, graph, chain):
-                onward = [(e, n) for e, n in adj[tail] if n not in visited]
-                if len(onward) != 1:
-                    break
-                edge2, nxt2 = onward[0]
-                visited.add(nxt2)
-                chain.append(nxt2)
-                edges.append(edge2)
-                tail = nxt2
-            branches.append(_Branch(chain, edges))
-            queue.append(tail)
-    return branches
+def _chains(qg, graph, adj, start: str, claimed: set, claim) -> list[_Branch]:
+    """Chains from one node: each runs through relay nodes and stops at a
+    declared phrase route, an informative node, or a fan-out.
 
-
-def _chains_from(qg, graph, adj, start: str, consumed: set) -> list[_Branch]:
-    """Single-level chains from one node over unconsumed fk edges; used by
-    the itemized pipeline so each projection claims its own branch."""
+    A step over (edge, node) is taken only if `claim(edge, node)` is not in
+    `claimed` yet, and taking it adds that key: the root-NP pipeline claims
+    nodes, the itemized one edges, so each projection keeps its own branch.
+    """
     chains = []
     for edge, nxt in adj[start]:
-        if id(edge) in consumed:
+        if claim(edge, nxt) in claimed:
             continue
-        consumed.add(id(edge))
+        claimed.add(claim(edge, nxt))
         chain = [start, nxt]
         edges = [edge]
         tail = nxt
         while _is_relay(qg, tail) and not _at_route_end(qg, graph, chain):
-            onward = [
-                (e, n) for e, n in adj[tail] if id(e) not in consumed
-            ]
+            onward = [(e, n) for e, n in adj[tail] if claim(e, n) not in claimed]
             if len(onward) != 1:
                 break
             edge2, nxt2 = onward[0]
-            consumed.add(id(edge2))
+            claimed.add(claim(edge2, nxt2))
             chain.append(nxt2)
             edges.append(edge2)
             tail = nxt2
@@ -356,26 +329,19 @@ def _render_phrase(phrase, graph, qg, refs, branch: _Branch):
             if part.attribute is None:
                 out.append(refs.mention(alias))
             else:
-                out.append(_attribute_slot(graph, qg, refs, alias, part.attribute))
+                out.append(_attribute_slot(graph, refs, alias, part.attribute))
     text = "".join(out).strip()
     return text, premod
 
 
-def _attribute_slot(graph, qg, refs, alias, attribute) -> str:
+def _attribute_slot(graph, refs, alias, attribute) -> str:
     """A {REL.attr} slot: the constant bound to it if any, else a phrase."""
-    node = qg.node(alias)
-    for pred in node.where_part:
-        if (
-            isinstance(pred, Compare)
-            and pred.op == "="
-            and isinstance(pred.lhs, ColumnRef)
-            and isinstance(pred.rhs, Constant)
-            and pred.lhs.attribute == attribute
-        ):
-            refs.consumed_preds.add(id(pred))
-            return str(pred.rhs.value)
-    attr = graph.attribute(node.relation, attribute)
-    return f"the {attr.noun_singular} of {refs.in_predicate(alias)}"
+    node = refs.qg.node(alias)
+    pred = _binding(node, attribute)
+    if pred is None:
+        return _attribute_phrase(graph, refs, alias, node.relation, attribute)
+    refs.consumed_preds.add(id(pred))
+    return str(pred.rhs.value)
 
 
 # --- declarative pipelines ------------------------------------------------
@@ -418,14 +384,17 @@ def _translate_root_np(qg, graph, cls, notes) -> TranslationResult:
     postmods: list[str] = []
     visited = {root}
     adj = _fk_adjacency(qg)
-    for branch in _branches_from(qg, graph, adj, root, visited):
-        if not _branch_informative(qg, branch):
-            continue
-        phrase, _ = _match_phrase(graph, qg, branch)
-        if phrase is None:
-            continue
-        text, premod = _render_phrase(phrase, graph, qg, refs, branch)
-        (premods if premod else postmods).append(text)
+    queue = [root]  # breadth-first: each chain's last node is expanded in turn
+    while queue:
+        for branch in _chains(qg, graph, adj, queue.pop(0), visited, lambda e, n: n):
+            queue.append(branch.chain[-1])
+            if not _branch_informative(qg, branch):
+                continue
+            phrase, _ = _match_phrase(graph, qg, branch)
+            if phrase is None:
+                continue
+            text, premod = _render_phrase(phrase, graph, qg, refs, branch)
+            (premods if premod else postmods).append(text)
 
     head_pred = refs.heading_constant(root)
     if head_pred is not None:
@@ -439,13 +408,13 @@ def _translate_root_np(qg, graph, cls, notes) -> TranslationResult:
     conditions = _leftover_conditions(qg, graph, refs)
     opening = "Find"
     if proj_phrases:
-        opening += f" the {_listed(proj_phrases)} of {np}"
+        opening += f" the {listed(proj_phrases)} of {np}"
     else:
         opening += f" {np}"
     pieces = [opening] + postmods
     if conditions:
         connector = "and" if postmods else "where"
-        pieces.append(f"{connector} {_listed(conditions, conj='and')}")
+        pieces.append(f"{connector} {listed(conditions)}")
     sort = _sort_phrase(qg, graph, refs)
     if sort:
         pieces.append(sort)
@@ -456,12 +425,11 @@ def _sort_phrase(qg, graph, refs) -> str:
     if not qg.order_note:
         return ""
     cols = [
-        f"the {graph.attribute(qg.node(a).relation, c).noun_singular} of "
-        f"{refs.in_predicate(a)}"
+        _attribute_phrase(graph, refs, a, qg.node(a).relation, c)
         + (" in descending order" if d == "desc" else "")
         for a, c, d in qg.order_note
     ]
-    return f"sorted by {_listed(cols)}"
+    return f"sorted by {listed(cols)}"
 
 
 def _leftover_conditions(qg, graph, refs) -> list[str]:
@@ -469,12 +437,8 @@ def _leftover_conditions(qg, graph, refs) -> list[str]:
     for edge in qg.joins:
         if edge.crosses_nesting or edge.fk_backed:
             continue
-        pred = Compare(
-            ColumnRef(edge.from_ref[0], edge.from_ref[1],
-                      qg.node(edge.from_ref[0]).relation),
-            edge.op,
-            ColumnRef(edge.to_ref[0], edge.to_ref[1],
-                      qg.node(edge.to_ref[0]).relation),
+        pred = _edge_predicate(
+            edge, qg.node(edge.from_ref[0]).relation, qg.node(edge.to_ref[0]).relation
         )
         out.append(lexicalize_predicate(pred, graph, refs, heading=False))
     for node in qg.nodes:
@@ -499,7 +463,7 @@ def _translate_itemized(qg, graph, cls, notes, patterns=None) -> TranslationResu
             owner = qg.node(ref.alias)
             attr = graph.attribute(owner.relation, ref.column)
             item = f"the {attr.noun_singular} of {refs.mention(ref.alias)}"
-            for branch in _chains_from(qg, graph, adj, ref.alias, consumed):
+            for branch in _chains(qg, graph, adj, ref.alias, consumed, lambda e, n: id(e)):
                 phrase, _ = _match_phrase(graph, qg, branch)
                 if phrase is None:
                     continue
@@ -667,68 +631,48 @@ def translate_procedural(
         placed.append(node.alias)
     flush_follow()
 
-    for edge in qg.joins:
-        if edge.crosses_nesting or id(edge) in consumed_edges:
-            continue
-        pred = Compare(
-            ColumnRef(edge.from_ref[0], edge.from_ref[1],
-                      qg.node(edge.from_ref[0]).relation),
-            edge.op,
-            ColumnRef(edge.to_ref[0], edge.to_ref[1],
-                      qg.node(edge.to_ref[0]).relation),
+    where_preds = [
+        _edge_predicate(
+            edge, qg.node(edge.from_ref[0]).relation, qg.node(edge.to_ref[0]).relation
         )
-        steps.append(
-            f"Keep combinations where "
-            f"{lexicalize_predicate(pred, graph, refs, heading=False)}."
-        )
-
-    for node in qg.nodes:
-        for pred in node.where_part:
-            steps.append(
-                f"Keep combinations where "
-                f"{lexicalize_predicate(pred, graph, refs, heading=False)}."
-            )
-    for entry in qg.nested:
-        if entry.site == "where":
-            steps.append(
-                f"Keep combinations where "
-                f"{_nested_phrase(entry, motifs, graph, refs)}."
-            )
-
-    if qg.group_note:
-        cols = [
-            f"the {graph.attribute(qg.node(a).relation, c).noun_singular} "
-            f"of {refs.in_predicate(a)}"
-            for a, c in qg.group_note
+        for edge in qg.joins
+        if not edge.crosses_nesting and id(edge) not in consumed_edges
+    ]
+    where_preds += [pred for node in qg.nodes for pred in node.where_part]
+    having_preds = [pred for node in qg.nodes for pred in node.having_part]
+    having_preds += qg.having_misc
+    for rows, site, preds in (
+        ("combinations", "where", where_preds),
+        ("groups", "having", having_preds),
+    ):
+        if site == "having" and qg.group_note:
+            cols = [
+                _attribute_phrase(graph, refs, a, qg.node(a).relation, c)
+                for a, c in qg.group_note
+            ]
+            steps.append(f"Group the combinations by {listed(cols)}.")
+        conditions = [lexicalize_predicate(p, graph, refs, heading=False) for p in preds]
+        conditions += [
+            _nested_phrase(entry, motifs, graph, refs)
+            for entry in qg.nested
+            if entry.site == site
         ]
-        steps.append(f"Group the combinations by {_listed(cols)}.")
-    for node in qg.nodes:
-        for pred in node.having_part:
-            steps.append(
-                f"Keep groups where "
-                f"{lexicalize_predicate(pred, graph, refs, heading=False)}."
-            )
-    for pred in qg.having_misc:
-        steps.append(
-            f"Keep groups where "
-            f"{lexicalize_predicate(pred, graph, refs, heading=False)}."
-        )
-    for entry in qg.nested:
-        if entry.site == "having":
-            steps.append(
-                f"Keep groups where {_nested_phrase(entry, motifs, graph, refs)}."
-            )
+        steps.extend(f"Keep {rows} where {c}." for c in conditions)
 
     if qg.order_note:
         cols = [
-            f"the {graph.attribute(qg.node(a).relation, c).noun_singular} "
-            f"of {refs.in_predicate(a)} ({'descending' if d == 'desc' else 'ascending'})"
+            _attribute_phrase(graph, refs, a, qg.node(a).relation, c)
+            + f" ({'descending' if d == 'desc' else 'ascending'})"
             for a, c, d in qg.order_note
         ]
-        steps.append(f"Sort the results by {_listed(cols)}.")
+        steps.append(f"Sort the results by {listed(cols)}.")
 
-    report = [_report_phrase(item, graph, refs, qg) for item in qg.projections]
-    steps.append(f"Report {_listed(report)}.")
+    report = [
+        "every column" if isinstance(item.expr, Star)
+        else _operand_phrase(item.expr, graph, refs)
+        for item in qg.projections
+    ]
+    steps.append(f"Report {listed(report)}.")
 
     text = "\n".join(f"{i}. {s}" for i, s in enumerate(steps, start=1))
     return TranslationResult(text, "procedural", cls, [])
@@ -744,22 +688,6 @@ def _fk_link(qg, alias, placed, consumed):
         if alias == b and a in placed:
             return edge, a
     return None
-
-
-def _report_phrase(item: SelectItem, graph, refs, qg) -> str:
-    expr = item.expr
-    if isinstance(expr, ColumnRef):
-        attr = graph.attribute(expr.relation, expr.column)
-        return f"the {attr.noun_singular} of {refs.in_predicate(expr.alias)}"
-    if isinstance(expr, CountStar):
-        return "the number of rows in each group"
-    if isinstance(expr, CountDistinct):
-        return _operand_phrase(expr, graph, refs)
-    if isinstance(expr, Star):
-        return "every column"
-    if isinstance(expr, Constant):
-        return str(expr.value)
-    return expr.render()
 
 
 def _nested_phrase(entry, motifs, graph, refs) -> str:
@@ -807,22 +735,15 @@ def _scalar_child(query, child: QueryGraph, graph, outer_refs) -> str:
         node = child.nodes[0]
         rel = graph.relation(node.relation)
         refs = _child_refs(child, graph, outer_refs)
-        conditions = []
-        for edge in child.joins:
-            pred = Compare(
-                ColumnRef(edge.from_ref[0], edge.from_ref[1], node.relation),
-                edge.op,
-                ColumnRef(
-                    edge.to_ref[0],
-                    edge.to_ref[1],
-                    _target_relation(child, outer_refs.qg, edge.to_ref[0]),
-                ),
+        preds = [
+            _edge_predicate(
+                edge, node.relation, _target_relation(child, outer_refs.qg, edge.to_ref[0])
             )
-            conditions.append(lexicalize_predicate(pred, graph, refs, heading=False))
-        for pred in node.where_part:
-            conditions.append(lexicalize_predicate(pred, graph, refs, heading=False))
+            for edge in child.joins
+        ] + node.where_part
+        conditions = [lexicalize_predicate(p, graph, refs, heading=False) for p in preds]
         if conditions:
-            return f"the number of {rel.noun_plural} for which {_listed(conditions, 'and')}"
+            return f"the number of {rel.noun_plural} for which {listed(conditions)}"
         return f"the number of {rel.noun_plural}"
     return f"the single value produced by {_inline_child(child, graph)}"
 

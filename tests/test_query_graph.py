@@ -1,5 +1,5 @@
 from tabletalk import parser, query_graph as QG
-from tabletalk.ast_nodes import Constant
+from tabletalk.ast_nodes import Constant, ScalarSubquery
 
 
 class TestBuild:
@@ -34,6 +34,31 @@ class TestBuild:
         assert len(crossing) == 1
         assert crossing[0].from_ref == ("g", "mid")
         assert crossing[0].to_ref == ("m", "id")
+
+    def test_crossing_edge_keeps_the_child_side_first(self, movie_graph):
+        ast = parser.parse_sql(
+            "select m.title from MOVIES m where exists "
+            "(select c.mid from CAST c where m.id < c.mid)"
+        )
+        parser.resolve_names(ast, movie_graph)
+        (edge,) = QG.build(ast, movie_graph).nested[0].child.joins
+        assert (edge.from_ref, edge.op, edge.to_ref) == (("c", "mid"), ">", ("m", "id"))
+        assert edge.crosses_nesting
+
+    def test_two_scalar_subqueries_nest_only_the_left_one(self, movie_graph):
+        # The parser puts a subquery on the right only; a built AST may not.
+        ast = parser.parse_sql(
+            "select m.title from MOVIES m where 1 > "
+            "(select count(*) from GENRE g where g.mid = m.id)"
+        )
+        ast.where[0].lhs = ScalarSubquery(
+            parser.parse_sql("select count(*) from CAST c where c.mid = m.id")
+        )
+        parser.resolve_names(ast, movie_graph)
+        nested = QG.build(ast, movie_graph).nested
+        assert [(e.connector, [n.relation for n in e.child.nodes]) for e in nested] == [
+            ("compare_scalar", ["CAST"])
+        ]
 
     def test_group_and_order_notes(self, corpus_graphs, movie_graph):
         assert corpus_graphs["q7"].group_note == [("m", "id"), ("m", "title")]

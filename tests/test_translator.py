@@ -5,7 +5,7 @@ import pytest
 from conftest import CORPUS_NAMES, built, corpus_sql
 
 from tabletalk import parser, query_graph as QG, rewriter, translator
-from tabletalk.ast_nodes import ColumnRef, Compare
+from tabletalk.ast_nodes import ColumnRef, Compare, Constant
 from tabletalk.classifier import classify
 from tabletalk.translator import (
     LEXICON,
@@ -127,6 +127,22 @@ class TestLexicalize:
             "the salary of the second employee"
         )
 
+    def test_heading_collapses_only_an_equality(self, movie_graph, corpus_graphs):
+        refs = translator._References(corpus_graphs["q1"], movie_graph)
+        pred = Compare(ColumnRef("a", "name", "ACTOR", "name"), "!=", Constant("Brad Pitt"))
+        assert lexicalize_predicate(pred, movie_graph, refs) == (
+            "the name of the actor is not Brad Pitt"
+        )
+
+    def test_standalone_references_cover_both_sides(self, emp_graph):
+        pred = Compare(
+            ColumnRef("e1", "sal", "EMP"), ">", ColumnRef("e2", "sal", "EMP")
+        )
+        assert lexicalize_predicate(pred, emp_graph, heading=False) == (
+            "the salary of the first employee is larger than "
+            "the salary of the second employee"
+        )
+
     def test_degenerate_self_comparison(self, movie_graph, corpus_graphs):
         refs = translator._References(corpus_graphs["q1"], movie_graph)
         ref = ColumnRef("m", "title", "MOVIE")
@@ -194,6 +210,15 @@ class TestEdges:
         result = translate(QG.build(ast, movie_graph), movie_graph)
         # "Find movies that have all genres" would misstate a year query.
         assert result.style == "procedural"
+
+    def test_repeated_join_reaches_its_relation_once(self, movie_graph):
+        ast = parser.parse_sql(
+            "select m.title from MOVIES m, GENRE g "
+            "where m.id = g.mid and g.mid = m.id and g.genre = 'comedy'"
+        )
+        parser.resolve_names(ast, movie_graph)
+        result = translate(QG.build(ast, movie_graph), movie_graph)
+        assert result.text == "Find the titles of comedy movies"
 
     def test_premodifier_with_named_root_entity(self, movie_graph):
         ast = parser.parse_sql(
