@@ -1,60 +1,39 @@
-"""tabletalk: narrate relational data and explain SQL queries in English."""
+"""tabletalk: narrate relational data and explain SQL queries in English.
 
-from .classifier import QueryClass, classify
-from .data import Database, RankSpec, Row, follow_join, load_data, select_tuples
-from .evaluator import ResultSet, evaluate, random_database
-from .narrator import NarrationPlan, Narrative, detect_patterns, fallback_mode, narrate
-from .parser import parse_sql, render_sql, resolve_names
-from .query_graph import QueryGraph, build, shape
-from .rewriter import Motif, detect_motifs, flatten
-from .schema import SchemaGraph, emit_dot, load_schema, serialize, validate
-from .templates import Clause, instantiate, merge_common, parse_template
-from .translator import (
-    TranslationResult,
-    lexicalize_predicate,
-    translate,
-    translate_procedural,
-)
+The names below load their submodule on first use (PEP 562), so a caller
+pays only for the parts of the package it touches.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Clause",
-    "Database",
-    "Motif",
-    "NarrationPlan",
-    "Narrative",
-    "QueryClass",
-    "QueryGraph",
-    "RankSpec",
-    "ResultSet",
-    "Row",
-    "SchemaGraph",
-    "TranslationResult",
-    "build",
-    "classify",
-    "detect_motifs",
-    "detect_patterns",
-    "emit_dot",
-    "evaluate",
-    "fallback_mode",
-    "flatten",
-    "follow_join",
-    "instantiate",
-    "lexicalize_predicate",
-    "load_data",
-    "load_schema",
-    "merge_common",
-    "narrate",
-    "parse_sql",
-    "parse_template",
-    "random_database",
-    "render_sql",
-    "resolve_names",
-    "select_tuples",
-    "serialize",
-    "shape",
-    "translate",
-    "translate_procedural",
-    "validate",
-]
+# Submodule -> the names the package exports from it.
+_EXPORTS = {
+    "classifier": ("QueryClass", "classify"),
+    "data": ("Database", "RankSpec", "Row", "follow_join", "load_data", "select_tuples"),
+    "evaluator": ("ResultSet", "evaluate", "random_database"),
+    "narrator": ("NarrationPlan", "Narrative", "detect_patterns", "fallback_mode", "narrate"),
+    "parser": ("parse_sql", "render_sql", "resolve_names"),
+    "query_graph": ("QueryGraph", "build", "shape"),
+    "rewriter": ("Motif", "detect_motifs", "flatten"),
+    "schema": ("SchemaGraph", "emit_dot", "load_schema", "serialize", "validate"),
+    "templates": ("Clause", "instantiate", "merge_common", "parse_template"),
+    "translator": (
+        "TranslationResult", "lexicalize_predicate", "translate", "translate_procedural",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -6,8 +6,7 @@ import argparse
 import json
 import sys
 
-from . import classifier, data, narrator, parser as sqlparser, query_graph, schema, translator
-from .data import RankSpec
+from . import schema
 from .errors import TabletalkError
 
 USAGE_EXIT = 1
@@ -32,17 +31,18 @@ def build_parser() -> _ArgumentParser:
 
     def add_common(p, outputs=("text", "json")):
         p.add_argument("--schema", required=True, help="annotation file (JSON)")
-        p.add_argument("--data", help="directory of <RELATION>.csv files")
-        p.add_argument(
-            "--mode",
-            choices=("declarative", "procedural", "auto"),
-            default="auto",
-        )
-        p.add_argument("--max-tuples", type=int, default=3, metavar="K")
-        p.add_argument("--start", help="start relation for narration")
         p.add_argument("--output", choices=outputs, default="text")
 
-    add_common(sub.add_parser("narrate", help="narrate table contents"))
+    narrate = sub.add_parser("narrate", help="narrate table contents")
+    add_common(narrate)
+    narrate.add_argument("--data", help="directory of <RELATION>.csv files")
+    narrate.add_argument(
+        "--mode",
+        choices=("declarative", "procedural", "auto"),
+        default="auto",
+    )
+    narrate.add_argument("--max-tuples", type=int, default=3, metavar="K")
+    narrate.add_argument("--start", help="start relation for narration")
     explain = sub.add_parser("explain", help="translate a SQL query to English")
     explain.add_argument("sql", nargs="?", help="SQL text (or pipe via stdin)")
     add_common(explain)
@@ -80,12 +80,12 @@ def _envelope(result, cls=None, notes=(), diagnostics=()):
     )
 
 
-def _load_query(args, graph):
-    sql = _read_sql(args)
-    if not sql:
-        raise SystemExit(_usage("a SQL query is required (argument or stdin)"))
-    ast = sqlparser.parse_sql(sql)
-    sqlparser.resolve_names(ast, graph)
+def _load_query(sql, graph):
+    """Parse and resolve `sql`, then build its query graph."""
+    from . import parser, query_graph
+
+    ast = parser.parse_sql(sql)
+    parser.resolve_names(ast, graph)
     return query_graph.build(ast, graph)
 
 
@@ -102,8 +102,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     except TabletalkError as exc:
         sys.stderr.write(f"{exc}\n")
         return INPUT_EXIT
@@ -113,6 +111,7 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    """Run one subcommand, importing only the submodules it uses."""
     graph = schema.load_schema(args.schema)
     if args.command == "narrate":
         if not args.data:
@@ -122,12 +121,14 @@ def _dispatch(args) -> int:
                 f"tabletalk: error: --max-tuples must be 0 or more, got {args.max_tuples}\n"
             )
             return INPUT_EXIT
+        from . import data, narrator
+
         db = data.load_data(graph, args.data)
         plan = narrator.NarrationPlan(
             start_relation=args.start,
             mode=args.mode,
             tuple_budget=args.max_tuples,
-            rank=RankSpec.load_order(),
+            rank=data.RankSpec.load_order(),
         )
         narrative = narrator.narrate(graph, db, plan)
         if args.output == "json":
@@ -141,9 +142,9 @@ def _dispatch(args) -> int:
     if args.command == "graph":
         sql = _read_sql(args)
         if sql:
-            ast = sqlparser.parse_sql(sql)
-            sqlparser.resolve_names(ast, graph)
-            dot = query_graph.emit_dot(query_graph.build(ast, graph))
+            from . import query_graph
+
+            dot = query_graph.emit_dot(_load_query(sql, graph))
         else:
             dot = schema.emit_dot(graph)
         if args.output == "json":
@@ -152,7 +153,12 @@ def _dispatch(args) -> int:
             sys.stdout.write(dot)
         return 0
 
-    qg = _load_query(args, graph)
+    sql = _read_sql(args)
+    if not sql:
+        return _usage("a SQL query is required (argument or stdin)")
+    from . import classifier
+
+    qg = _load_query(sql, graph)
     cls = classifier.classify(qg)
     if args.command == "classify":
         if args.output == "json":
@@ -163,7 +169,8 @@ def _dispatch(args) -> int:
                 print(f"  - {line}")
         return 0
 
-    # explain
+    from . import translator
+
     result = translator.translate(qg, graph, cls)
     if args.output == "json":
         print(_envelope(result.text, cls.label, result.notes, []))

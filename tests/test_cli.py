@@ -166,6 +166,26 @@ class TestOutputDot:
         assert proc.stdout.startswith("digraph schema {")
 
 
+class TestNarrateOnlyFlags:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("explain", corpus_sql("q3"), "--schema", SCHEMA, "--mode", "procedural"),
+            ("classify", corpus_sql("q3"), "--schema", SCHEMA, "--max-tuples", "-5",
+             "--start", "NOPE", "--data", "/nonexistent"),
+            ("graph", "--schema", SCHEMA, "--start", "MOVIE"),
+        ],
+        ids=["explain", "classify", "graph"],
+    )
+    def test_narrate_flags_elsewhere_are_a_usage_error(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("usage: tabletalk")
+        assert "unrecognized arguments: --" in proc.stderr
+
+
 class TestJsonEnvelope:
     @pytest.mark.parametrize(
         "args,stdin",
