@@ -17,9 +17,13 @@ class _ArgumentParser(argparse.ArgumentParser):
     """Usage problems exit 1 (argparse's default of 2 is our input-error code)."""
 
     def error(self, message):
+        raise SystemExit(self.usage_error(message))
+
+    def usage_error(self, message) -> int:
+        """Print this (sub)command's usage and `message`; the exit code."""
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(USAGE_EXIT)
+        return USAGE_EXIT
 
 
 def build_parser() -> _ArgumentParser:
@@ -32,6 +36,7 @@ def build_parser() -> _ArgumentParser:
     def add_common(p, outputs=("text", "json")):
         p.add_argument("--schema", required=True, help="annotation file (JSON)")
         p.add_argument("--output", choices=outputs, default="text")
+        p.set_defaults(subparser=p)
 
     narrate = sub.add_parser("narrate", help="narrate table contents")
     add_common(narrate)
@@ -89,17 +94,10 @@ def _load_query(sql, graph):
     return query_graph.build(ast, graph)
 
 
-def _usage(message) -> int:
-    sys.stderr.write(
-        "usage: tabletalk {narrate,explain,classify,graph} [SQL] "
-        "--schema PATH [--data DIR] [options]\n"
-    )
-    sys.stderr.write(f"tabletalk: error: {message}\n")
-    return USAGE_EXIT
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # worded by the subcommand, which owns the flags it accepts
+        args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return _dispatch(args)
     except TabletalkError as exc:
@@ -115,7 +113,7 @@ def _dispatch(args) -> int:
     graph = schema.load_schema(args.schema)
     if args.command == "narrate":
         if not args.data:
-            return _usage("narrate requires --data")
+            return args.subparser.usage_error("narrate requires --data")
         if args.max_tuples < 0:
             sys.stderr.write(
                 f"tabletalk: error: --max-tuples must be 0 or more, got {args.max_tuples}\n"
@@ -155,7 +153,7 @@ def _dispatch(args) -> int:
 
     sql = _read_sql(args)
     if not sql:
-        return _usage("a SQL query is required (argument or stdin)")
+        return args.subparser.usage_error("a SQL query is required (argument or stdin)")
     from . import classifier
 
     qg = _load_query(sql, graph)

@@ -72,6 +72,8 @@ class TestNarrateCommand:
         proc = run_cli("narrate", "--schema", SCHEMA)
         assert proc.returncode == 1
         assert "requires --data" in proc.stderr
+        assert proc.stderr.startswith("usage: tabletalk narrate [-h]")
+        assert "[sql]" not in proc.stderr.lower()
 
     def test_unknown_subcommand_is_a_usage_error(self):
         proc = run_cli("chat", "--schema", SCHEMA)
@@ -110,6 +112,15 @@ class TestExplainCommand:
             "Find the titles of movies where the actor Brad Pitt plays"
         )
         assert proc.stderr == "class: Path\n"
+
+    @pytest.mark.parametrize("command", ["explain", "classify"])
+    def test_missing_sql_prints_the_subcommand_usage(self, command):
+        proc = run_cli(command, "--schema", SCHEMA)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"usage: tabletalk {command} [-h]")
+        assert "--data" not in proc.stderr
+        assert "a SQL query is required" in proc.stderr
 
     def test_bad_sql_is_an_input_error(self):
         proc = run_cli("explain", "select nothing sensible", "--schema", SCHEMA)
@@ -182,7 +193,7 @@ class TestNarrateOnlyFlags:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("usage: tabletalk")
+        assert proc.stderr.startswith(f"usage: tabletalk {args[0]} [-h]")
         assert "unrecognized arguments: --" in proc.stderr
 
 

@@ -11,7 +11,7 @@ import pytest
 from conftest import CORPUS_NAMES, corpus_sql, resolved
 
 from tabletalk import parser, rewriter, schema
-from tabletalk.data import load_data
+from tabletalk.data import Row, load_data
 from tabletalk.errors import SqlError
 from tabletalk.evaluator import evaluate, random_database
 
@@ -116,8 +116,6 @@ class TestMonotoneExists:
         queries = [resolved(n, movie_graph) for n in ("q1", "q2", "q3")]
         import copy
 
-        from tabletalk.data import Row
-
         for seed in range(30):
             db = random_database(movie_graph, seed, 4)
             before = [len(evaluate(q, db).rows) for q in queries]
@@ -204,11 +202,44 @@ class TestPredicatePlacement:
         )
         assert _run(sql, movie_graph, db) == [("A", "drama"), ("B", "drama"), ("C", "drama")]
 
-    def test_rows_keep_cross_product_order_without_order_by(self, movie_graph, db):
-        sql = "select m.id, c.aid, a.id from MOVIES m, CAST c, ACTOR a where m.id = c.mid"
-        assert _run(sql, movie_graph, db) == [
-            (1, 1, 1), (1, 1, 2), (3, 2, 1), (3, 2, 2), (3, 1, 1), (3, 1, 2)
+    def test_rows_keep_cross_product_order_without_order_by(
+        self, movie_graph, db, emp_graph, emp_db
+    ):
+        # Levels with an equality to a bound column or a constant read the
+        # join index, which must hand their rows back in load order.
+        cases = [
+            (movie_graph, db,
+             "select m.id, c.aid, a.id from MOVIES m, CAST c, ACTOR a where m.id = c.mid",
+             [(1, 1, 1), (1, 1, 2), (3, 2, 1), (3, 2, 2), (3, 1, 1), (3, 1, 2)]),
+            (movie_graph, db,
+             "select c.role, m.title from CAST c, MOVIES m where m.year = 2005 and c.aid = 1",
+             [("x", "A"), ("x", "C"), ("z", "A"), ("z", "C")]),
+            (movie_graph, db,
+             "select m.title, c.role from MOVIES m, CAST c where c.mid = m.id and 3 = c.mid",
+             [("C", "y"), ("C", "z")]),
+            (emp_graph, emp_db,
+             "select e1.name, e2.name from EMP e1, EMP e2 where e1.did = e2.did",
+             [("Alice", "Alice"), ("Alice", "Bob"), ("Bob", "Alice"), ("Bob", "Bob"),
+              ("Carol", "Carol")]),
+            (emp_graph, emp_db,
+             "select e2.name, e1.name from EMP e2, EMP e1, DPT d "
+             "where d.mgr = e1.eid and e1.did = e2.did",
+             [("Alice", "Alice"), ("Bob", "Alice"), ("Carol", "Carol")]),
         ]
+        for graph, data, sql, rows in cases:
+            assert _run(sql, graph, data) == rows, sql
+
+    def test_int_column_never_equals_a_str_constant(self, movie_graph, db):
+        sql = "select m.title from MOVIES m where m.year = '2005'"
+        assert _run(sql, movie_graph, db) == []
+
+    @pytest.mark.parametrize("sql, rows", [
+        ("select m.title, c.role from MOVIES m, CAST c where m.id = c.mid", [("A", "x")]),
+        ("select c.role, m.title from CAST c, MOVIES m where c.mid = m.id", [("x", "A")]),
+    ], ids=["index_on_cast", "index_on_movie"])
+    def test_null_join_cell_matches_nothing(self, movie_graph, sql, rows):
+        db = _movie_db(movie_graph, MOVIE="1,A,2005\n,N,1999\n", CAST="1,1,x\n,2,y\n")
+        assert _run(sql, movie_graph, db) == rows
 
     def test_scalar_subquery_with_several_rows_raises(self, movie_graph, db):
         sql = (
@@ -230,6 +261,72 @@ class TestPredicatePlacement:
         assert _run(sql, movie_graph, db) == []
 
 
+class TestSubqueryMemo:
+    """Within one evaluate call a subquery runs once for each distinct value
+    of the columns it reads from enclosing queries."""
+
+    @pytest.fixture(scope="class")
+    def db(self, movie_graph):
+        return _movie_db(
+            movie_graph,
+            MOVIE="1,A,2005\n2,B,1999\n3,C,2005\n4,D,\n5,E,\n",
+            CAST="1,1,x\n2,7,y\n3,1,z\n4,2,w\n",
+            GENRE="1,action\n1,drama\n1,comedy\n3,drama\n4,comedy\n",
+            ACTOR="1,P\n2,Q\n7,R\n",
+        )
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Cells read from now on, by (relation, attribute)."""
+        counts = Counter()
+        cell = Row.cell
+
+        def counted(row, attribute):
+            counts[row.relation, attribute] += 1
+            return cell(row, attribute)
+
+        monkeypatch.setattr(Row, "cell", counted)
+        return counts
+
+    def test_uncorrelated_subquery_runs_once_per_call(self, movie_graph, db, reads):
+        # Only the subquery reads CAST.role: one pass over 4 rows per call.
+        sql = "select m.title from MOVIES m where m.id in (select c.mid from CAST c where c.role != 'q')"
+        ast = parser.resolve_names(parser.parse_sql(sql), movie_graph)
+        assert evaluate(ast, db).rows == [("A",), ("B",), ("C",), ("D",)]
+        assert reads["CAST", "role"] == 4
+        evaluate(ast, db)
+        assert reads["CAST", "role"] == 8
+
+    def test_correlated_subquery_runs_once_per_distinct_outer_value(
+        self, movie_graph, db, reads
+    ):
+        # Five movies but three distinct years (2005, 1999, null).
+        sql = "select m.title from MOVIES m where exists (select c.role from CAST c where c.aid != m.year)"
+        assert _run(sql, movie_graph, db) == [("A",), ("B",), ("C",)]
+        assert reads["CAST", "aid"] == 3 * 4
+
+    @pytest.mark.parametrize("sql, rows", [
+        # The innermost m is the inner MOVIES, so the middle query is keyed
+        # by the outer m.id alone; cast row y names no movie.
+        ("select m.title from MOVIES m where exists (select * from CAST c "
+         "where c.mid = m.id and exists (select * from MOVIES m where m.id = c.aid))",
+         [("A",), ("C",), ("D",)]),
+        # q6's shape: the middle query reads m only through its child.
+        ("select m.title from MOVIES m where not exists (select * from GENRE g1 "
+         "where not exists (select * from GENRE g2 where g2.mid = m.id and g2.genre = g1.genre))",
+         [("A",)]),
+        # Groups A and C share the year the HAVING subquery reads.
+        ("select m.title, count(*) from MOVIES m, CAST c where c.mid = m.id group by m.title "
+         "having 1 < (select count(*) from MOVIES m2 where m2.year = m.year)",
+         [("A", 1), ("C", 1)]),
+        # D and E share a null year, which no year equals.
+        ("select m.title from MOVIES m where 0 = (select count(*) from MOVIES m2 where m2.year = m.year)",
+         [("D",), ("E",)]),
+    ], ids=["shadowing", "two_level", "having_shared_key", "null_outer_value"])
+    def test_results_per_key(self, movie_graph, db, sql, rows):
+        assert _run(sql, movie_graph, db) == rows
+
+
 # --- differential check against sqlite3 ---------------------------------
 
 DIFF_ROWS = 30
@@ -247,6 +344,24 @@ SQLITE_Q9 = (
     "m1.title = m2.title and m2.title = m.title and m1.id != m2.id and "
     "m1.year < m.year)"
 )
+
+# Non-corpus shapes whose subquery results are keyed on outer values.
+EXTRA_SQL = {
+    "shadowing_exists": (
+        "select m.title from MOVIES m where exists (select * from CAST c where "
+        "c.mid = m.id and exists (select * from MOVIES m where m.id = c.aid and "
+        "m.year = 2005))"
+    ),
+    "correlated_count": (
+        "select m.title, m.year from MOVIES m where 1 < (select count(*) from "
+        "CAST c where c.mid = m.id)"
+    ),
+    "nested_not_exists_constant": (
+        "select a.name from ACTOR a where not exists (select * from CAST c where "
+        "c.aid = a.id and not exists (select * from MOVIES m where m.id = c.mid "
+        "and m.year = 2005))"
+    ),
+}
 
 
 def _diff_tables(seed):
@@ -299,6 +414,8 @@ def test_agrees_with_sqlite_on_larger_databases(movie_graph):
     flat = rewriter.flatten(resolved("q5", movie_graph))
     queries["flatten(q5)"] = (flat, flat.render())
     queries["q9"] = (resolved("q9", movie_graph), SQLITE_Q9)
+    for name, sql in EXTRA_SQL.items():
+        queries[name] = (parser.resolve_names(parser.parse_sql(sql), movie_graph), sql)
     pairs = nonempty = 0
     for seed in DIFF_SEEDS:
         tables = _diff_tables(seed)
