@@ -76,7 +76,9 @@ def _label(qg: QueryGraph, motifs: list[rewriter.Motif]) -> tuple[str, list[str]
         return "GraphMultiInstance", [
             f"multiple tuple variables over: {', '.join(dupes)}"
         ]
-    if report.max_degree <= 2 and _is_simple_path(qg):
+    # No cycle and no self-join here, so the join graph is a forest: one
+    # simple path exactly when it has n - 1 edges and no degree above two.
+    if report.max_degree <= 2 and sum(report.degrees.values()) == 2 * (len(qg.nodes) - 1):
         return "Path", [
             "acyclic, single-instance, at most two joins per relation, "
             "join graph is a simple path"
@@ -92,33 +94,3 @@ def _duplicated_relations(qg: QueryGraph) -> list[str]:
         seen.add(node.relation)
     return dupes
 
-
-def _is_simple_path(qg: QueryGraph) -> bool:
-    """Connected, acyclic, and max degree 2 over the local join graph."""
-    if not qg.nodes:
-        return False
-    if len(qg.nodes) == 1:
-        return True  # degenerate path of length 0
-    adjacency = {n.alias: set() for n in qg.nodes}
-    edge_count = 0
-    for edge in qg.joins:
-        if edge.crosses_nesting:
-            continue
-        a, b = edge.from_ref[0], edge.to_ref[0]
-        if a in adjacency and b in adjacency:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-            edge_count += 1
-    if edge_count != len(qg.nodes) - 1:
-        return False
-    if any(len(nbrs) > 2 for nbrs in adjacency.values()):
-        return False
-    start = qg.nodes[0].alias
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in adjacency[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(qg.nodes)

@@ -60,7 +60,7 @@ def evaluate(ast: Query, db: Database) -> ResultSet:
 class _Plan:
     """What evaluating one query block needs, derived once per call."""
 
-    aliases: list[str]  # upper-cased, in FROM order
+    aliases: list[str]  # in FROM order
     levels: list[tuple]  # per FROM item, see _Evaluation._level
     checks: list[list]  # WHERE conjuncts by level, see _placed
     items: list[SelectItem]  # select items with stars expanded
@@ -81,7 +81,7 @@ class _Evaluation:
     def plan(self, query: Query) -> _Plan:
         plan = self.plans.get(id(query))
         if plan is None:
-            aliases = [item.alias.upper() for item in query.from_items]
+            aliases = [item.alias for item in query.from_items]
             checks = _placed(query.where, aliases)
             levels = [
                 self._level(item, alias, checks[i])
@@ -238,10 +238,10 @@ def _probe(pred, alias: str):
     if not isinstance(pred, Compare) or pred.op != "=":
         return None
     for own, other in ((pred.lhs, pred.rhs), (pred.rhs, pred.lhs)):
-        if not (isinstance(own, ColumnRef) and own.alias.upper() == alias):
+        if not (isinstance(own, ColumnRef) and own.alias == alias):
             continue
         if isinstance(other, Constant) or (
-            isinstance(other, ColumnRef) and other.alias.upper() != alias
+            isinstance(other, ColumnRef) and other.alias != alias
         ):
             return own.attribute, other
     return None
@@ -253,8 +253,8 @@ def _free_refs(query: Query) -> list[ColumnRef]:
     refs = list(query.column_refs())
     for _, _, child in query.subqueries():
         refs += _free_refs(child)
-    own = {item.alias.upper() for item in query.from_items}
-    free = {(ref.alias.upper(), ref.attribute): ref for ref in refs}
+    own = {item.alias for item in query.from_items}
+    free = {(ref.alias, ref.attribute): ref for ref in refs}
     return [ref for (alias, _), ref in free.items() if alias not in own]
 
 
@@ -270,7 +270,7 @@ def _placed(where: list, aliases: list[str]) -> list[list]:
     for pred in where:
         sides = (pred.lhs, pred.rhs) if isinstance(pred, Compare) else ()
         if sides and not any(isinstance(side, ScalarSubquery) for side in sides):
-            levels = [depth.get(side.alias.upper(), 0)
+            levels = [depth.get(side.alias, 0)
                       for side in sides if isinstance(side, ColumnRef)]
             checks[max(levels, default=0)].append(pred)
         else:
@@ -335,7 +335,7 @@ def _project(item: SelectItem, env, group):
     expr = item.expr
     if isinstance(expr, ColumnRef):
         if expr.column == "*":
-            row = env[expr.alias.upper()]
+            row = env[expr.alias]
             return tuple(row.values.values())
         return _value(expr, env)
     if isinstance(expr, CountStar):
@@ -361,7 +361,7 @@ def _count_distinct(expr: CountDistinct, group) -> int:
 
 
 def _value(ref: ColumnRef, env):
-    row = env.get(ref.alias.upper())
+    row = env.get(ref.alias)
     if row is None:
         raise SqlError(f"alias {ref.alias!r} not bound during evaluation")
     return row.cell(ref.attribute)

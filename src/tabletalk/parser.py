@@ -6,6 +6,10 @@ EXISTS / NOT EXISTS / <op> ALL nesting, scalar-subquery comparison,
 GROUP BY / HAVING, and ORDER BY.  Anything else in the SQL standard is
 rejected with Unsupported so translations never silently drop meaning.
 Grammar in docs/sql-subset.md.
+
+Aliases are matched case-insensitively, as in SQL, and only here:
+`resolve_names` gives every column reference the alias spelling of the
+FROM item it binds, so later stages compare aliases as plain strings.
 """
 
 from __future__ import annotations
@@ -349,10 +353,12 @@ def resolve_names(query: Query, graph) -> Query:
     """Qualify and check every column reference against the schema.
 
     Correlated references resolve through enclosing query scopes, inner
-    scope first.  The query is annotated in place and returned: each
-    FromItem gets its relation's declared name (`canonical`) and each
-    ColumnRef its declared relation and attribute names, while the
-    spellings the query used stay for rendering.
+    scope first; aliases match case-insensitively.  The query is annotated
+    in place and returned: each FromItem gets its relation's declared name
+    (`canonical`), and each ColumnRef its declared relation and attribute
+    names plus the alias as its FROM item spells it, so a resolved query
+    renders `M.title` as `m.title` over `FROM MOVIE m`.  The relation and
+    column names the query used stay for rendering.
     """
     _resolve_query(query, graph, ())
     return query
@@ -386,7 +392,7 @@ def _resolve_ref(ref: ColumnRef, graph, scopes):
                     raise UnknownColumn(
                         f"relation {item.relation} has no column {ref.column!r}"
                     )
-                ref.relation, ref.attribute = item.canonical, attr.name
+                ref.alias, ref.relation, ref.attribute = item.alias, item.canonical, attr.name
                 return
         raise UnknownRelation(f"unknown alias {ref.alias!r}")
     for scope in scopes:

@@ -63,7 +63,7 @@ class QueryGraph:
 
     def node(self, alias: str) -> Optional[QueryNode]:
         for node in self.nodes:
-            if node.alias.upper() == alias.upper():
+            if node.alias == alias:
                 return node
         return None
 
@@ -87,23 +87,19 @@ class QueryGraph:
 
 def build(ast: Query, graph: SchemaGraph) -> QueryGraph:
     """Build the graph for a resolved AST, recursing into subqueries."""
-    return _build(ast, graph, ())
-
-
-def _build(ast: Query, graph: SchemaGraph, outer_aliases: tuple) -> QueryGraph:
     qg = QueryGraph(query=ast)
     for item in ast.from_items:
         qg.nodes.append(QueryNode(item.alias, item.canonical or item.relation))
-    local = tuple(n.alias.upper() for n in qg.nodes)
+    local = tuple(n.alias for n in qg.nodes)
 
     for item in ast.select_items:
         qg.projections.append(item)
         _note_projection(qg, item)
 
     for pred in ast.where:
-        _place(qg, graph, pred, "where", local, outer_aliases)
+        _place(qg, graph, pred, "where", local)
     for pred in ast.having:
-        _place(qg, graph, pred, "having", local, outer_aliases)
+        _place(qg, graph, pred, "having", local)
 
     if ast.group_by:
         qg.group_note = [(c.alias, c.column) for c in ast.group_by]
@@ -124,10 +120,10 @@ def _note_projection(qg: QueryGraph, item: SelectItem):
             node.select_part.append((f"count(distinct {expr.column.column})", item.alias))
 
 
-def _place(qg, graph, pred, site, local, outer_aliases):
+def _place(qg, graph, pred, site, local):
     # A Compare with a scalar subquery on both sides nests only its left one.
     for _, connector, query in pred_subqueries(pred, site):
-        child = _build(query, graph, outer_aliases + (local,))
+        child = build(query, graph)
         qg.nested.append(NestedQuery(connector, site, pred, child))
         return
     _place_compare(qg, graph, pred, site, local)
@@ -147,11 +143,11 @@ def _place_compare(qg, graph, pred: Compare, site, local):
         else:
             qg.having_misc.append(pred)
         return
-    if len(refs) == 2 and refs[0].alias.upper() != refs[1].alias.upper():
+    if len(refs) == 2 and refs[0].alias != refs[1].alias:
         lhs, rhs = refs
         op = pred.op
-        crossing = not (lhs.alias.upper() in local and rhs.alias.upper() in local)
-        if crossing and lhs.alias.upper() not in local and rhs.alias.upper() in local:
+        crossing = not (lhs.alias in local and rhs.alias in local)
+        if crossing and lhs.alias not in local and rhs.alias in local:
             # Keep the child-local side first on crossing edges.
             lhs, rhs = rhs, lhs
             op = _MIRROR[op]
@@ -210,8 +206,7 @@ def shape(qg: QueryGraph) -> ShapeReport:
         if edge.crosses_nesting:
             continue
         for alias, _ in (edge.from_ref, edge.to_ref):
-            if alias in degrees:
-                degrees[alias] += 1
+            degrees[alias] += 1
     relations = [n.relation for n in qg.nodes]
     multi = len(set(relations)) < len(relations)
     cyclic = _has_cycle(qg)
@@ -240,8 +235,6 @@ def _has_cycle(qg: QueryGraph) -> bool:
         if edge.crosses_nesting:
             continue
         a, b = edge.from_ref[0], edge.to_ref[0]
-        if a not in by_alias or b not in by_alias:
-            continue
         if by_alias[a].relation == by_alias[b].relation:
             continue  # self-join edge: multi-instance evidence, not a cycle
         ra, rb = find(a), find(b)

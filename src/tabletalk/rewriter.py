@@ -53,9 +53,9 @@ def flattenable(query: Query) -> Optional[str]:
         select = child.select_items
         if len(select) != 1 or not isinstance(select[0].expr, ColumnRef):
             return "IN-subquery must select exactly one plain column"
-        local = {item.alias.upper() for item in child.from_items}
+        local = {item.alias for item in child.from_items}
         for ref in child.column_refs():
-            if ref.alias and ref.alias.upper() not in local:
+            if ref.alias not in local:
                 return f"correlated reference {ref.render()} blocks flattening"
     return None
 
@@ -88,13 +88,13 @@ def _flatten_level(query: Query):
         for item in child.from_items:
             if item.alias.upper() in taken:
                 fresh = _fresh_alias(item.alias, taken)
-                renames[item.alias.upper()] = fresh
+                renames[item.alias] = fresh
                 item.alias = fresh
             taken.add(item.alias.upper())
         if renames:
             for ref in child.column_refs():
-                if ref.alias and ref.alias.upper() in renames:
-                    ref.alias = renames[ref.alias.upper()]
+                if ref.alias in renames:
+                    ref.alias = renames[ref.alias]
         query.from_items.extend(child.from_items)
         select_expr = child.select_items[0].expr
         new_where.append(Compare(pred.column, "=", select_expr))
@@ -124,12 +124,12 @@ def _detect_division(qg: QueryGraph) -> list[Motif]:
     """Double NOT EXISTS whose innermost query is correlated to both the
     outer query and the middle query's range."""
     out = []
-    outer_aliases = {n.alias.upper() for n in qg.nodes}
+    outer_aliases = {n.alias for n in qg.nodes}
     for entry in qg.nested:
         if entry.connector != "not_exists":
             continue
         middle = entry.child
-        middle_aliases = {n.alias.upper() for n in middle.nodes}
+        middle_aliases = {n.alias for n in middle.nodes}
         for inner_entry in middle.nested:
             if inner_entry.connector != "not_exists":
                 continue
@@ -138,7 +138,7 @@ def _detect_division(qg: QueryGraph) -> list[Motif]:
             for edge in inner.joins:
                 if not edge.crosses_nesting:
                     continue
-                target = edge.to_ref[0].upper()
+                target = edge.to_ref[0]
                 if target in outer_aliases:
                     hit_outer = True
                 if target in middle_aliases:

@@ -236,9 +236,8 @@ def _fk_adjacency(qg: QueryGraph):
         if edge.crosses_nesting or not edge.fk_backed:
             continue
         a, b = edge.from_ref[0], edge.to_ref[0]
-        if a in adj and b in adj:
-            adj[a].append((edge, b))
-            adj[b].append((edge, a))
+        adj[a].append((edge, b))
+        adj[b].append((edge, a))
     return adj
 
 

@@ -17,6 +17,17 @@ def corpus_sql(name: str) -> str:
 CORPUS_NAMES = ["q1", "q2", "q3", "q4", "q5", "q6", "q7", "q8", "q9"]
 
 
+def upper_alias_refs(text: str) -> str:
+    """`text` with the alias of every qualified column reference
+    upper-cased (`m.title` becomes `M.title`); FROM lists are kept."""
+    chars = list(text)
+    tokens = parser.tokenize(text)
+    for token, nxt in zip(tokens, tokens[1:]):
+        if token.kind == "ident" and (nxt.kind, nxt.value) == ("punct", "."):
+            chars[token.pos:token.pos + len(token.value)] = token.value.upper()
+    return "".join(chars)
+
+
 @pytest.fixture(scope="session")
 def movie_graph():
     return schema.load_schema(FIXTURES / "movies.schema.json")

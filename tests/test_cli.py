@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES, corpus_sql
+from conftest import FIXTURES, corpus_sql, upper_alias_refs
 
 SCHEMA = str(FIXTURES / "movies.schema.json")
 DATA = str(FIXTURES / "movies")
@@ -151,6 +151,16 @@ class TestGraphCommand:
         proc = run_cli("graph", corpus_sql("q7"), "--schema", SCHEMA)
         assert proc.stdout.startswith("digraph query {")
         assert "cluster_NQ1" in proc.stdout
+
+
+class TestMixedCaseAliases:
+    @pytest.mark.parametrize("command", ["explain", "classify", "graph"])
+    def test_upper_cased_references_print_what_q1_prints(self, command):
+        plain = run_cli(command, corpus_sql("q1"), "--schema", SCHEMA)
+        mixed = run_cli(command, upper_alias_refs(corpus_sql("q1")), "--schema", SCHEMA)
+        assert plain.returncode == mixed.returncode == 0
+        assert mixed.stdout == plain.stdout
+        assert "Traceback" not in mixed.stderr
 
 
 class TestOutputDot:

@@ -125,6 +125,33 @@ class TestResolve:
         assert dept.canonical == "DEPT"
 
 
+class TestCanonicalAliases:
+    """After resolution each reference carries its FROM item's spelling."""
+
+    SQL = (
+        "select M.title from MOVIE m "
+        "where exists (select G.mid from GENRE g where G.mid = M.id) "
+        "and M.id in (select m.id from MOVIE M where m.year = 2005)"
+    )
+
+    def test_references_take_the_from_spelling(self, movie_graph):
+        ast = parser.resolve_names(parser.parse_sql(self.SQL), movie_graph)
+        exists, in_pred = ast.where
+        assert [r.alias for r in ast.column_refs()] == ["m", "m"]
+        # The correlated M.id resolves through the outer scope.
+        assert [r.alias for r in exists.query.column_refs()] == ["g", "g", "m"]
+        # The inner M shadows the outer m.
+        assert [r.alias for r in in_pred.query.column_refs()] == ["M", "M"]
+
+    def test_resolved_query_renders_the_from_spelling(self, movie_graph):
+        ast = parser.resolve_names(parser.parse_sql(self.SQL), movie_graph)
+        assert ast.render() == (
+            "select m.title from MOVIE m "
+            "where exists (select g.mid from GENRE g where g.mid = m.id) "
+            "and m.id in (select M.id from MOVIE M where M.year = 2005)"
+        )
+
+
 class TestTotality:
     def test_parser_survives_byte_fuzzing(self):
         rng = random.Random(0)
