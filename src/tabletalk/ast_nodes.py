@@ -8,24 +8,21 @@ which is how `having 1 < (select count(*) ...)` is represented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from .record import Record, field
 
 
-@dataclass
-class ColumnRef:
-    alias: Optional[str]
+class ColumnRef(Record):
+    alias: str | None
     column: str  # as written in the query
-    relation: Optional[str] = None  # canonical relation, set by resolve_names
-    attribute: Optional[str] = None  # canonical column, set by resolve_names
+    relation: str | None = None  # canonical relation, set by resolve_names
+    attribute: str | None = None  # canonical column, set by resolve_names
 
     def render(self) -> str:
         return f"{self.alias}.{self.column}" if self.alias else self.column
 
 
-@dataclass
-class Constant:
-    value: Union[int, str]
+class Constant(Record):
+    value: int | str
 
     def render(self) -> str:
         if isinstance(self.value, int):
@@ -34,41 +31,36 @@ class Constant:
         return f"'{escaped}'"
 
 
-@dataclass
-class CountStar:
+class CountStar(Record):
     def render(self) -> str:
         return "count(*)"
 
 
-@dataclass
-class CountDistinct:
+class CountDistinct(Record):
     column: ColumnRef
 
     def render(self) -> str:
         return f"count(distinct {self.column.render()})"
 
 
-@dataclass
-class Star:
+class Star(Record):
     def render(self) -> str:
         return "*"
 
 
-@dataclass
-class SelectItem:
+class SelectItem(Record):
     expr: object
-    alias: Optional[str] = None
+    alias: str | None = None
 
     def render(self) -> str:
         text = self.expr.render()
         return f"{text} as {self.alias}" if self.alias else text
 
 
-@dataclass
-class FromItem:
+class FromItem(Record):
     relation: str
     alias: str
-    canonical: Optional[str] = None  # canonical relation, set by resolve_names
+    canonical: str | None = None  # canonical relation, set by resolve_names
 
     def render(self) -> str:
         if self.alias.upper() == self.relation.upper():
@@ -76,16 +68,14 @@ class FromItem:
         return f"{self.relation} {self.alias}"
 
 
-@dataclass
-class ScalarSubquery:
+class ScalarSubquery(Record):
     query: "Query"
 
     def render(self) -> str:
         return f"({self.query.render()})"
 
 
-@dataclass
-class Compare:
+class Compare(Record):
     lhs: object
     op: str  # = != < <= > >=
     rhs: object
@@ -94,8 +84,7 @@ class Compare:
         return f"{self.lhs.render()} {self.op} {self.rhs.render()}"
 
 
-@dataclass
-class CompareAll:
+class CompareAll(Record):
     lhs: object
     op: str
     query: "Query"
@@ -104,8 +93,7 @@ class CompareAll:
         return f"{self.lhs.render()} {self.op} all ({self.query.render()})"
 
 
-@dataclass
-class InSubquery:
+class InSubquery(Record):
     column: ColumnRef
     query: "Query"
 
@@ -113,8 +101,7 @@ class InSubquery:
         return f"{self.column.render()} in ({self.query.render()})"
 
 
-@dataclass
-class Exists:
+class Exists(Record):
     query: "Query"
     negated: bool = False
 
@@ -123,17 +110,16 @@ class Exists:
         return f"{keyword} ({self.query.render()})"
 
 
-Predicate = Union[Compare, CompareAll, InSubquery, Exists]
+Predicate = Compare | CompareAll | InSubquery | Exists
 
 
-@dataclass
-class Query:
-    select_items: list[SelectItem] = field(default_factory=list)
-    from_items: list[FromItem] = field(default_factory=list)
-    where: list = field(default_factory=list)
-    group_by: list[ColumnRef] = field(default_factory=list)
-    having: list = field(default_factory=list)
-    order_by: list = field(default_factory=list)  # (ColumnRef, "asc"|"desc")
+class Query(Record):
+    select_items: list[SelectItem] = field(factory=list)
+    from_items: list[FromItem] = field(factory=list)
+    where: list = field(factory=list)
+    group_by: list[ColumnRef] = field(factory=list)
+    having: list = field(factory=list)
+    order_by: list = field(factory=list)  # (ColumnRef, "asc"|"desc")
 
     def render(self) -> str:
         parts = [

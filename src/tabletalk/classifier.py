@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
 from . import rewriter
 from .query_graph import QueryGraph, shape
+from .record import Record, field
 
 LABELS = (
     "Path",
@@ -19,11 +19,10 @@ LABELS = (
 )
 
 
-@dataclass
-class QueryClass:
+class QueryClass(Record):
     label: str
-    evidence: list[str] = field(default_factory=list)
-    motifs: list[rewriter.Motif] = field(default_factory=list)
+    evidence: list[str] = field(factory=list)
+    motifs: list[rewriter.Motif] = field(factory=list)
 
 
 def classify(qg: QueryGraph) -> QueryClass:

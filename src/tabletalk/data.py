@@ -17,9 +17,7 @@ import csv
 import heapq
 import io
 import os
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Optional
 
 from .errors import (
     HeaderMismatch,
@@ -28,11 +26,11 @@ from .errors import (
     UnknownRelation,
     WrongRelation,
 )
+from .record import Record, field
 from .schema import JoinEdge, SchemaGraph
 
 
-@dataclass
-class Row:
+class Row(Record):
     """One tuple; values keyed by declared attribute name, in order."""
 
     relation: str
@@ -46,8 +44,7 @@ class Row:
             raise UnknownAttribute(f"{self.relation} has no attribute {attribute!r}") from None
 
 
-@dataclass
-class Database:
+class Database(Record):
     """Tables keyed by declared relation name.
 
     Two structures are built lazily, never at load: a join index per
@@ -58,9 +55,9 @@ class Database:
     lookup, while a table mutated in place would keep a stale one.
     """
 
-    tables: dict[str, list[Row]] = field(default_factory=dict)
-    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _orders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    tables: dict[str, list[Row]] = field(factory=dict)
+    _indexes: dict = field(factory=dict, init=False, shown=False)
+    _orders: dict = field(factory=dict, init=False, shown=False)
 
     def table(self, relation: str) -> list[Row]:
         try:
@@ -98,15 +95,14 @@ class Database:
         return order
 
 
-@dataclass
-class RankSpec:
+class RankSpec(Record):
     """Order tuples by an attribute, or by load order when attribute is None.
 
     rank_rows and select_tuples take the attribute in its declared
     spelling; narrate resolves a plan's spelling itself.
     """
 
-    attribute: Optional[str] = None
+    attribute: str | None = None
     descending: bool = False
 
     @classmethod
@@ -206,7 +202,7 @@ def follow_join(db: Database, edge: JoinEdge, row: Row) -> list[Row]:
 
 
 def select_tuples(
-    db: Database, relation: str, budget: int, rank: Optional[RankSpec] = None
+    db: Database, relation: str, budget: int, rank: RankSpec | None = None
 ) -> list[Row]:
     """At most `budget` tuples, ranked; ties and null cells keep load order.
 
@@ -219,7 +215,7 @@ def select_tuples(
     return db._order(relation, rank)[:k]
 
 
-def rank_rows(rows: list[Row], rank: Optional[RankSpec], budget: int) -> list[Row]:
+def rank_rows(rows: list[Row], rank: RankSpec | None, budget: int) -> list[Row]:
     """The first `budget` rows of the stable sort by the rank attribute,
     null cells last; a negative budget selects nothing.  Each row's rank
     cell is read once."""

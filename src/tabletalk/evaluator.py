@@ -24,7 +24,6 @@ independently of this module.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .ast_nodes import (
     ColumnRef,
@@ -42,13 +41,13 @@ from .ast_nodes import (
 )
 from .data import Database, Row
 from .errors import SqlError
+from .record import Record, field
 from .schema import SchemaGraph
 
 
-@dataclass
-class ResultSet:
-    columns: list[str] = field(default_factory=list)
-    rows: list[tuple] = field(default_factory=list)  # multiset semantics
+class ResultSet(Record):
+    columns: list[str] = field(factory=list)
+    rows: list[tuple] = field(factory=list)  # multiset semantics
 
 
 def evaluate(ast: Query, db: Database) -> ResultSet:
@@ -56,8 +55,7 @@ def evaluate(ast: Query, db: Database) -> ResultSet:
     return _Evaluation(db).query(ast, {})
 
 
-@dataclass
-class _Plan:
+class _Plan(Record):
     """What evaluating one query block needs, derived once per call."""
 
     aliases: list[str]  # in FROM order

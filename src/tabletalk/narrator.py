@@ -16,78 +16,69 @@ narrated, though they count in `detect_patterns` and `fallback_mode`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import reduce
-from typing import NamedTuple, Optional
 
 from . import templates
 from .data import Database, RankSpec, Row, follow_join, rank_rows, select_tuples
 from .errors import UnknownStart
+from .record import Record, field
 from .schema import SchemaGraph
 from .templates import Clause, common_prefix, listed, tokenize, trim_articles
 
 TERMINALS = (".", "!", "?")
 
 
-@dataclass
-class NarrationPlan:
-    start_relation: Optional[str] = None  # default: heaviest relation
+class NarrationPlan(Record):
+    start_relation: str | None = None  # default: heaviest relation
     mode: str = "auto"  # declarative | procedural | auto
     tuple_budget: int = 3
-    rank: Optional[RankSpec] = None
-    relation_filter: Optional[frozenset] = None
+    rank: RankSpec | None = None
+    relation_filter: frozenset | None = None
 
 
-@dataclass
-class PatternInstance:
+class PatternInstance(Record):
     kind: str  # unary | join | split
     relations: list[str]
-    relay: Optional[str] = None
-    relays: list[str] = field(default_factory=list)
+    relay: str | None = None
+    relays: list[str] = field(factory=list)
 
 
-@dataclass
-class Narrative:
+class Narrative(Record):
     sentences: list[str]
     mode_used: str
-    diagnostics: list[str] = field(default_factory=list)
+    diagnostics: list[str] = field(factory=list)
 
     @property
     def text(self) -> str:
         return " ".join(self.sentences)
 
 
-@dataclass
-class _Step:
+class _Step(Record):
     """One narratable traversal hop: source relation to target relation."""
 
     source: str
     target: str
     hops: list  # [(JoinEdge, next_relation), ...] in traversal order
-    template: Optional[str]
-    procedural_template: Optional[str] = None
-    relative_clause: Optional[str] = None
+    template: str | None
+    procedural_template: str | None = None
+    relative_clause: str | None = None
 
     @property
     def relays(self) -> list[str]:
         return [rel for _, rel in self.hops[:-1]]
 
 
-class _Visit(NamedTuple):
-    """A traversal node; fresh steps reach new relations, back steps old ones."""
-
-    node: str
-    fresh: list
-    back: list
+# A traversal node; fresh steps reach new relations, back steps old ones.
+_Visit = namedtuple("_Visit", "node fresh back")
 
 
-@dataclass
-class _Plan:
+class _Plan(Record):
     """A NarrationPlan with every name resolved to its declared spelling."""
 
     start: str
     tuple_budget: int
-    allowed: Optional[frozenset]  # None: every relation
+    allowed: frozenset | None  # None: every relation
     ranks: dict  # relation -> RankSpec; relations lacking the attribute absent
 
 
@@ -329,7 +320,7 @@ def _split(graph, db, plan, mode, relation, steps, rows, sentences, diagnostics)
     sentences.extend(_finish(t) for t in deferred)
 
 
-def _step_template(step: _Step, mode: str) -> Optional[str]:
+def _step_template(step: _Step, mode: str) -> str | None:
     if mode == "procedural" and step.procedural_template:
         return step.procedural_template
     return step.template
@@ -355,7 +346,7 @@ def _follow(db, plan: _Plan, step: _Step, rows) -> tuple[list[Row], dict]:
     return target_rows, bindings
 
 
-def fuse_split(texts: list[str], subject: str) -> Optional[str]:
+def fuse_split(texts: list[str], subject: str) -> str | None:
     """Fuse split-branch clauses on their common hub prefix.
 
     Branches join with "and" (two) or an Oxford-comma list (three or

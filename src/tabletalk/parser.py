@@ -15,7 +15,6 @@ FROM item it binds, so later stages compare aliases as plain strings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .ast_nodes import (
     ColumnRef,
@@ -40,6 +39,7 @@ from .errors import (
     UnknownRelation,
     Unsupported,
 )
+from .record import Record
 
 KEYWORDS = {
     "SELECT", "FROM", "WHERE", "AND", "OR", "GROUP", "ORDER", "BY", "HAVING",
@@ -67,8 +67,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
-class Token:
+class Token(Record):
     kind: str  # ident | keyword | number | string | op | punct | arith | eof
     value: str
     pos: int

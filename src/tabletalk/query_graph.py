@@ -9,8 +9,6 @@ alias becomes a join edge flagged as crossing the nesting boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .ast_nodes import (
     ColumnRef,
@@ -21,20 +19,19 @@ from .ast_nodes import (
     SelectItem,
     pred_subqueries,
 )
+from .record import Record, field
 from .schema import SchemaGraph
 
 
-@dataclass
-class QueryNode:
+class QueryNode(Record):
     alias: str
     relation: str
-    select_part: list = field(default_factory=list)  # (attribute, output alias)
-    where_part: list = field(default_factory=list)  # local Compare predicates
-    having_part: list = field(default_factory=list)
+    select_part: list = field(factory=list)  # (attribute, output alias)
+    where_part: list = field(factory=list)  # local Compare predicates
+    having_part: list = field(factory=list)
 
 
-@dataclass
-class QueryJoinEdge:
+class QueryJoinEdge(Record):
     from_ref: tuple  # (alias, attribute)
     to_ref: tuple
     op: str
@@ -42,26 +39,24 @@ class QueryJoinEdge:
     crosses_nesting: bool = False
 
 
-@dataclass
-class NestedQuery:
+class NestedQuery(Record):
     connector: str  # in | exists | not_exists | compare_all | compare_scalar
     site: str  # where | having
     predicate: object
     child: "QueryGraph"
 
 
-@dataclass
-class QueryGraph:
-    nodes: list[QueryNode] = field(default_factory=list)
-    joins: list[QueryJoinEdge] = field(default_factory=list)
-    group_note: Optional[list] = None  # [(alias, attribute)]
-    order_note: Optional[list] = None  # [(alias, attribute, direction)]
-    nested: list[NestedQuery] = field(default_factory=list)
-    projections: list = field(default_factory=list)
-    having_misc: list = field(default_factory=list)  # ownerless having preds
-    query: Optional[Query] = None
+class QueryGraph(Record):
+    nodes: list[QueryNode] = field(factory=list)
+    joins: list[QueryJoinEdge] = field(factory=list)
+    group_note: list | None = None  # [(alias, attribute)]
+    order_note: list | None = None  # [(alias, attribute, direction)]
+    nested: list[NestedQuery] = field(factory=list)
+    projections: list = field(factory=list)
+    having_misc: list = field(factory=list)  # ownerless having preds
+    query: Query | None = None
 
-    def node(self, alias: str) -> Optional[QueryNode]:
+    def node(self, alias: str) -> QueryNode | None:
         for node in self.nodes:
             if node.alias == alias:
                 return node
@@ -179,8 +174,7 @@ _MIRROR = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 # --- shape report -------------------------------------------------------
 
-@dataclass
-class ShapeReport:
+class ShapeReport(Record):
     degrees: dict
     multi_instance: bool
     cyclic: bool

@@ -2,30 +2,27 @@
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from typing import Optional
-
 from .ast_nodes import (
     ColumnRef,
     Compare,
     CompareAll,
     Constant,
     CountDistinct,
+    FromItem,
     InSubquery,
     Query,
 )
 from .errors import NotFlattenable
 from .query_graph import NestedQuery, QueryGraph
+from .record import Record, field
 
 
-@dataclass
-class Motif:
+class Motif(Record):
     kind: str  # Division | SameValue | SuperlativeAll
     anchor: str  # predicate site description
-    params: dict = field(default_factory=dict)
+    params: dict = field(factory=dict)
     # SuperlativeAll: the nested ALL comparison the motif was found on.
-    entry: Optional[NestedQuery] = field(default=None, compare=False, repr=False)
+    entry: NestedQuery | None = field(None, shown=False)
 
 
 HIGHER_ORDER_KINDS = ("SameValue", "SuperlativeAll")
@@ -33,7 +30,7 @@ HIGHER_ORDER_KINDS = ("SameValue", "SuperlativeAll")
 
 # --- flattening ---------------------------------------------------------
 
-def flattenable(query: Query) -> Optional[str]:
+def flattenable(query: Query) -> str | None:
     """None when `flatten` can unnest every subquery of `query`, else why not.
 
     Every subquery, at any depth, must be an IN in WHERE whose child
@@ -64,42 +61,56 @@ def flatten(ast: Query) -> Query:
     """Unnest every IN-subquery into an equality join.
 
     Applied innermost-first; the result contains no subqueries.  The
-    input must be name-resolved and is left untouched (a rewritten copy
-    is returned).  Raises NotFlattenable with the reason from `flattenable`.
+    input must be name-resolved and is left untouched: the result has
+    lists of its own, builds anew each FROM item it renames and each
+    conjunct or column that names one, and shares every other node.
+    Raises NotFlattenable with the reason from `flattenable`.
     """
     reason = flattenable(ast)
     if reason is not None:
         raise NotFlattenable(reason)
-    out = copy.deepcopy(ast)
-    _flatten_level(out)
-    return out
+    return _flattened(ast)
 
 
-def _flatten_level(query: Query):
-    new_where = []
+def _flattened(query: Query) -> Query:
+    from_items = list(query.from_items)
+    where = []
     for pred in query.where:
         if not isinstance(pred, InSubquery):
-            new_where.append(pred)
+            where.append(pred)
             continue
-        child = pred.query
-        _flatten_level(child)
-        taken = {item.alias.upper() for item in query.from_items}
+        child = _flattened(pred.query)
+        taken = {item.alias.upper() for item in from_items}
         renames = {}
         for item in child.from_items:
             if item.alias.upper() in taken:
-                fresh = _fresh_alias(item.alias, taken)
-                renames[item.alias] = fresh
-                item.alias = fresh
+                renames[item.alias] = fresh = _fresh_alias(item.alias, taken)
+                item = FromItem(item.relation, fresh, item.canonical)
             taken.add(item.alias.upper())
-        if renames:
-            for ref in child.column_refs():
-                if ref.alias in renames:
-                    ref.alias = renames[ref.alias]
-        query.from_items.extend(child.from_items)
-        select_expr = child.select_items[0].expr
-        new_where.append(Compare(pred.column, "=", select_expr))
-        new_where.extend(child.where)
-    query.where = new_where
+            from_items.append(item)
+        select_expr = _renamed(child.select_items[0].expr, renames)
+        where.append(Compare(pred.column, "=", select_expr))
+        where.extend(_renamed(p, renames) for p in child.where)
+    return Query(
+        list(query.select_items), from_items, where,
+        list(query.group_by), list(query.having), list(query.order_by),
+    )
+
+
+def _renamed(node, renames: dict):
+    """`node` (a flattened child's select column or WHERE conjunct) with
+    every alias in `renames` replaced; a node with none is returned as is."""
+    if isinstance(node, Compare):
+        lhs, rhs = _renamed(node.lhs, renames), _renamed(node.rhs, renames)
+        if lhs is node.lhs and rhs is node.rhs:
+            return node
+        return Compare(lhs, node.op, rhs)
+    if isinstance(node, CountDistinct):
+        column = _renamed(node.column, renames)
+        return node if column is node.column else CountDistinct(column)
+    if isinstance(node, ColumnRef) and node.alias in renames:
+        return ColumnRef(renames[node.alias], node.column, node.relation, node.attribute)
+    return node
 
 
 def _fresh_alias(base: str, taken: set) -> str:

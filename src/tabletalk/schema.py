@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from . import templates
 from .errors import (
@@ -20,24 +18,23 @@ from .errors import (
     MissingHeading,
     TemplateError,
 )
+from .record import Record, field
 
 SUBJECT_SLOT = "SUBJECT"
 
 
-@dataclass
-class RelationNode:
+class RelationNode(Record):
     name: str
     noun_singular: str
     noun_plural: str
     heading_attribute: str
     weight: float = 1.0
-    short_template: Optional[str] = None
-    long_template: Optional[str] = None
+    short_template: str | None = None
+    long_template: str | None = None
     alt_names: tuple[str, ...] = ()
 
 
-@dataclass
-class AttributeNode:
+class AttributeNode(Record):
     relation: str
     name: str
     is_heading: bool = False
@@ -47,54 +44,47 @@ class AttributeNode:
     temporal: bool = False
 
 
-@dataclass
-class ProjectionEdge:
+class ProjectionEdge(Record):
     relation: str
     attribute: str
     template: str
     is_default: bool = False
 
 
-@dataclass
-class JoinEdge:
+class JoinEdge(Record):
     from_relation: str
     to_relation: str
     from_key: str
     to_key: str
-    template: Optional[str] = None
-    relative_clause_template: Optional[str] = None
-    procedural_template: Optional[str] = None
+    template: str | None = None
+    relative_clause_template: str | None = None
+    procedural_template: str | None = None
 
 
-@dataclass
-class JoinPathTemplate:
+class JoinPathTemplate(Record):
     path: list[str]
     template: str
-    procedural_template: Optional[str] = None
+    procedural_template: str | None = None
 
 
-@dataclass
-class PhraseEntry:
+class PhraseEntry(Record):
     """Translation wording for a join route (see docs/templates.md)."""
 
     route: list[str]
     text: str
 
 
-@dataclass
-class SchemaGraph:
-    relations: list[RelationNode] = field(default_factory=list)
-    attributes: list[AttributeNode] = field(default_factory=list)
-    projections: list[ProjectionEdge] = field(default_factory=list)
-    joins: list[JoinEdge] = field(default_factory=list)
-    join_paths: list[JoinPathTemplate] = field(default_factory=list)
-    phrases: list[PhraseEntry] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class SchemaGraph(Record):
+    relations: list[RelationNode] = field(factory=list)
+    attributes: list[AttributeNode] = field(factory=list)
+    projections: list[ProjectionEdge] = field(factory=list)
+    joins: list[JoinEdge] = field(factory=list)
+    join_paths: list[JoinPathTemplate] = field(factory=list)
+    phrases: list[PhraseEntry] = field(factory=list)
+    warnings: list[str] = field(factory=list)
     # Template text -> expression compiled at load, names resolved.
-    compiled: dict = field(default_factory=dict, repr=False, compare=False)
-    _names: Optional["_Names"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    compiled: dict = field(factory=dict, shown=False)
+    _names: _Names | None = field(None, init=False, shown=False)
 
     # -- lookups: fold the argument once, then read a dict ----------------
 
@@ -111,13 +101,13 @@ class SchemaGraph:
             raise DanglingReference(f"unknown relation {name!r}")
         return rel
 
-    def find_relation(self, name: str) -> Optional[RelationNode]:
+    def find_relation(self, name: str) -> RelationNode | None:
         return self._index().relations.get(name.upper())
 
     def attributes_of(self, relation: str) -> list[AttributeNode]:
         return list(self._index().by_relation.get(self.relation(relation).name, ()))
 
-    def find_attribute(self, relation: str, name: str) -> Optional[AttributeNode]:
+    def find_attribute(self, relation: str, name: str) -> AttributeNode | None:
         rel = self.find_relation(relation)
         if rel is None:
             return None
@@ -129,7 +119,7 @@ class SchemaGraph:
             raise DanglingReference(f"unknown attribute {relation}.{name}")
         return attr
 
-    def projection(self, relation: str, attribute: str) -> Optional[ProjectionEdge]:
+    def projection(self, relation: str, attribute: str) -> ProjectionEdge | None:
         rel = self.relation(relation).name
         return self._index().projections.get((rel, attribute.upper()))
 
@@ -412,7 +402,7 @@ def _check(graph: SchemaGraph):
     return findings, compiled
 
 
-def _resolve_reference(graph: SchemaGraph, ref, route) -> Optional[str]:
+def _resolve_reference(graph: SchemaGraph, ref, route) -> str | None:
     """Point a placeholder or loop at declared names, or say why it cannot."""
     if ref.alias.upper() == SUBJECT_SLOT:
         ref.alias = SUBJECT_SLOT
@@ -488,7 +478,11 @@ def validate(graph: SchemaGraph) -> list[str]:
     """Re-check an already-built graph (it may have been edited since load):
     one diagnostic per finding of the load-time checker, then the
     connectivity warnings."""
-    findings, _ = _check(replace(graph))  # shares the lists, indexes them anew
+    unindexed = SchemaGraph(  # shares the lists; its lookups index them anew
+        graph.relations, graph.attributes, graph.projections, graph.joins,
+        graph.join_paths, graph.phrases, graph.warnings, graph.compiled,
+    )
+    findings, _ = _check(unindexed)
     return [message for _, message in findings] + _connectivity_warnings(graph)
 
 

@@ -25,8 +25,6 @@ See docs/templates.md for the grammar and worked examples.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import (
     EmptyLoopBody,
@@ -37,46 +35,42 @@ from .errors import (
     UnknownAttribute,
     UnknownGuard,
 )
+from .record import Record, field
 
 VARIANTS = ("value", "noun", "heading", "ref")
 
 _ARTICLES = {"a", "an", "the"}
 
 
-@dataclass
-class Literal:
+class Literal(Record):
     text: str
 
 
-@dataclass
-class Placeholder:
+class Placeholder(Record):
     alias: str
-    attribute: Optional[str] = None  # None = bare node-reference slot
+    attribute: str | None = None  # None = bare node-reference slot
     variant: str = "value"
 
 
-@dataclass
-class LoopArm:
+class LoopArm(Record):
     guard: str  # "<" or "="
     body: "TemplateExpr"
     joiner: str = ""
 
 
-@dataclass
-class ListLoop:
+class ListLoop(Record):
     name: str
     alias: str
     attribute: str
-    arms: list[LoopArm] = field(default_factory=list)
+    arms: list[LoopArm] = field(factory=list)
 
     @property
     def guards(self):
         return [(arm.guard, arm.body) for arm in self.arms]
 
 
-@dataclass
-class TemplateExpr:
-    parts: list = field(default_factory=list)
+class TemplateExpr(Record):
+    parts: list = field(factory=list)
 
     def references(self):
         """Yield every placeholder and loop (each names an alias and an
@@ -379,8 +373,7 @@ def tokenize(text: str) -> list[str]:
     return text.split()
 
 
-@dataclass
-class Clause:
+class Clause(Record):
     tokens: list[str]
     subject_len: int
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from typing import Optional
 
 from . import query_graph as qgraph
 from . import rewriter, templates
@@ -30,6 +28,7 @@ from .ast_nodes import (
 from .classifier import QueryClass, classify
 from .errors import MalformedDocument
 from .query_graph import QueryGraph, QueryNode
+from .record import Record, field
 from .schema import SUBJECT_SLOT, SchemaGraph
 from .templates import Placeholder, listed
 
@@ -62,12 +61,11 @@ _VOWEL_SOUND = re.compile(
 )
 
 
-@dataclass
-class TranslationResult:
+class TranslationResult(Record):
     text: str
     style: str  # declarative | procedural
-    class_used: Optional[QueryClass]
-    notes: list[str] = field(default_factory=list)
+    class_used: QueryClass | None
+    notes: list[str] = field(factory=list)
 
 
 def _indefinite(noun: str) -> str:
@@ -106,7 +104,7 @@ class _References:
         node = self.qg.node(alias)
         return self.counts.get(node.relation, 1)
 
-    def heading_constant(self, alias: str) -> Optional[Compare]:
+    def heading_constant(self, alias: str) -> Compare | None:
         node = self.qg.node(alias)
         if node is None:
             return None
@@ -159,7 +157,7 @@ def _binds(pred, attribute: str) -> bool:
     )
 
 
-def _binding(node: QueryNode, attribute: str) -> Optional[Compare]:
+def _binding(node: QueryNode, attribute: str) -> Compare | None:
     """The node's first conjunct that binds `attribute` to a constant."""
     return next((pred for pred in node.where_part if _binds(pred, attribute)), None)
 
@@ -176,7 +174,7 @@ def _edge_predicate(edge, from_relation, to_relation) -> Compare:
 # --- predicate lexicalization -------------------------------------------
 
 def lexicalize_predicate(
-    pred, graph: SchemaGraph, refs: Optional[_References] = None, heading=True
+    pred, graph: SchemaGraph, refs: _References | None = None, heading=True
 ) -> str:
     """Word one comparison predicate.
 
@@ -224,8 +222,7 @@ def _attribute_phrase(graph, refs, alias, relation, column) -> str:
 
 # --- branch discovery ----------------------------------------------------
 
-@dataclass
-class _Branch:
+class _Branch(Record):
     chain: list[str]  # aliases, starting at the branch root
     edges: list  # fk edges along the chain
 
@@ -480,7 +477,7 @@ def _translate_itemized(qg, graph, cls, notes, patterns=None) -> TranslationResu
 
 # --- motif frames ---------------------------------------------------------
 
-def _division_frame(qg, graph, motif) -> Optional[str]:
+def _division_frame(qg, graph, motif) -> str | None:
     """Full-sentence frame when the division covers the whole query."""
     if len(qg.nodes) != 1 or qg.joins or len(qg.nested) != 1:
         return None
@@ -497,7 +494,7 @@ def _division_frame(qg, graph, motif) -> Optional[str]:
     return f"Find {range_plural} that have all {divisor_plural}"
 
 
-def _same_value_frame(qg, graph, motif) -> Optional[str]:
+def _same_value_frame(qg, graph, motif) -> str | None:
     """Find <group plural> whose <counted plural> are all in the same <attr>."""
     if qg.group_note is None:
         return None
@@ -547,7 +544,7 @@ def load_motif_patterns(source) -> list[dict]:
     return doc
 
 
-def _match_user_pattern(qg, graph, patterns) -> Optional[str]:
+def _match_user_pattern(qg, graph, patterns) -> str | None:
     """Match {relation, count, via} shapes: N instances of one relation all
     reaching a shared instance of another, with heading projections."""
     for entry in patterns:
@@ -588,7 +585,7 @@ def _reaches(adj, start, goal) -> bool:
 # --- procedural fallback ---------------------------------------------------
 
 def translate_procedural(
-    qg: QueryGraph, graph: SchemaGraph, cls: Optional[QueryClass] = None
+    qg: QueryGraph, graph: SchemaGraph, cls: QueryClass | None = None
 ) -> TranslationResult:
     """Numbered imperative steps; total on every buildable query graph.
 
@@ -775,8 +772,8 @@ def _inline_child(child: QueryGraph, graph) -> str:
 def translate(
     qg: QueryGraph,
     graph: SchemaGraph,
-    cls: Optional[QueryClass] = None,
-    motif_patterns: Optional[list] = None,
+    cls: QueryClass | None = None,
+    motif_patterns: list | None = None,
 ) -> TranslationResult:
     """Dispatch on the taxonomy class; never returns empty text.
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from conftest import FIXTURES
@@ -321,11 +319,12 @@ class TestSelectTuples:
         assert db._orders == {}
 
     def test_order_field_is_outside_init_repr_and_equality(self, movie_graph):
-        orders = next(f for f in dataclasses.fields(Database) if f.name == "_orders")
-        assert (orders.init, orders.repr, orders.compare) == (False, False, False)
+        with pytest.raises(TypeError):
+            Database(_orders={})
         db = load_data(movie_graph, WOODY_SLICE)
         twin = load_data(movie_graph, WOODY_SLICE)
         select_tuples(db, "MOVIE", 1, RankSpec("year"))
+        assert db._orders and not twin._orders
         assert db == twin
         assert "_orders" not in repr(db)
 

@@ -1,11 +1,15 @@
+import copy
+import importlib.util
+import re
 from collections import Counter
 
 import pytest
 
-from conftest import resolved
+from conftest import CORPUS_NAMES, ROOT, corpus_sql, resolved
 
 from tabletalk import evaluator, parser, query_graph as QG, rewriter
-from tabletalk.errors import NotFlattenable
+from tabletalk.ast_nodes import Compare, InSubquery
+from tabletalk.errors import NotFlattenable, TabletalkError
 
 
 class TestFlatten:
@@ -84,6 +88,106 @@ class TestFlatten:
             got = Counter(evaluator.evaluate(flat, db).rows)
             want = Counter(evaluator.evaluate(nested, db).rows)
             assert got == want, seed
+
+
+def reference_flatten(ast):
+    """Deep copy, then unnest in place: the straightforward flatten that
+    `rewriter.flatten` must match node for node."""
+    out = copy.deepcopy(ast)
+    _reference_level(out)
+    return out
+
+
+def _reference_level(query):
+    new_where = []
+    for pred in query.where:
+        if not isinstance(pred, InSubquery):
+            new_where.append(pred)
+            continue
+        child = pred.query
+        _reference_level(child)
+        taken = {item.alias.upper() for item in query.from_items}
+        renames = {}
+        for item in child.from_items:
+            if item.alias.upper() in taken:
+                n = 2
+                while f"{item.alias}_{n}".upper() in taken:
+                    n += 1
+                renames[item.alias] = item.alias = f"{item.alias}_{n}"
+            taken.add(item.alias.upper())
+        for ref in child.column_refs():
+            ref.alias = renames.get(ref.alias, ref.alias)
+        query.from_items.extend(child.from_items)
+        new_where.append(Compare(pred.column, "=", child.select_items[0].expr))
+        new_where.extend(child.where)
+    query.where = new_where
+
+
+def generated_sql(seed, count):
+    """`count` texts of the benchmark's seeded SqlStream, each also with
+    every numbered alias cut to its letter (`m1`, `m2` become `m`), so
+    that nested FROM items collide with outer ones and get renamed."""
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    stream = gen.SqlStream(seed, {name: corpus_sql(name) for name in gen.CORPUS})
+    for _ in range(count):
+        text = stream.next()[1]
+        yield text
+        yield re.sub(r"\b([a-z])\d+\b", r"\1", text)
+
+
+def flattenable_inputs(movie_graph, emp_graph):
+    texts = [(corpus_sql(name), movie_graph) for name in CORPUS_NAMES]
+    texts.append(((ROOT / "fixtures" / "queries" / "emp.sql").read_text(), emp_graph))
+    texts.extend((text, movie_graph) for text in generated_sql(1, 3000))
+    for text, graph in texts:
+        try:
+            ast = parser.parse_sql(text)
+            parser.resolve_names(ast, graph)
+        except TabletalkError:
+            continue
+        if rewriter.flattenable(ast) is None:
+            yield ast
+
+
+class TestFlattenCopiesOnlyWhatItRewrites:
+    def test_matches_the_reference_and_leaves_the_input_alone(self, movie_graph, emp_graph):
+        nested = renamed = 0
+        for ast in flattenable_inputs(movie_graph, emp_graph):
+            if not list(ast.subqueries()):
+                assert rewriter.flatten(ast) == ast
+                continue
+            before = copy.deepcopy(ast)
+            flat = rewriter.flatten(ast)
+            want = reference_flatten(before)
+            assert flat.render() == want.render()
+            assert flat == want
+            assert ast == before
+            nested += 1
+            renamed += any("_" in item.alias for item in flat.from_items)
+        assert nested > 500 and renamed > 100
+
+    @pytest.mark.parametrize("sql", [
+        "select m.title from MOVIE m where m.id in (select m.mid from CAST m)",
+        "select m.title from MOVIE m where m.id in (select c.mid from CAST c "
+        "where c.aid in (select m.id from ACTOR m where m.name = 'Brad Pitt'))",
+    ])
+    def test_changing_the_output_changes_nothing_in_the_input(self, movie_graph, sql):
+        ast = parser.parse_sql(sql)
+        parser.resolve_names(ast, movie_graph)
+        before = copy.deepcopy(ast)
+        flat = rewriter.flatten(ast)
+        renamed = [item for item in flat.from_items if item.alias.startswith("m_")]
+        assert renamed
+        for item in renamed:
+            item.alias = "zz"
+        for ref in (r for r in flat.column_refs() if r.alias.startswith("m_")):
+            ref.alias = "zz"
+        for part in (flat.where, flat.from_items, flat.select_items):
+            part.clear()
+        assert ast == before and repr(ast) == repr(before)
+        assert ast.render() == sql
 
 
 class TestMotifs:
