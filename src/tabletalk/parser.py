@@ -39,7 +39,6 @@ from .errors import (
     UnknownRelation,
     Unsupported,
 )
-from .record import Record
 
 KEYWORDS = {
     "SELECT", "FROM", "WHERE", "AND", "OR", "GROUP", "ORDER", "BY", "HAVING",
@@ -55,289 +54,261 @@ MAX_NESTING = 64
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<op><=|>=|<>|!=|=|<|>)
-  | (?P<punct>[(),.*])
-  | (?P<arith>[+\-/%])
+    \s*(?:
+        (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct>[(),.*])
+      | (?P<op><=|>=|<>|!=|=|<|>)
+      | (?P<number>\d+)
+      | (?P<string>'(?:[^']|'')*')
+      | (?P<arith>[+\-/%])
+      | (?P<bad>.)
+    )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-class Token(Record):
-    kind: str  # ident | keyword | number | string | op | punct | arith | eof
-    value: str
-    pos: int
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Lex `text` in one pass into (kind, value, pos) tuples.
 
-
-def tokenize(text: str) -> list[Token]:
+    kind is ident, keyword (value upper-cased), number, string (quotes
+    kept), op, punct or arith; pos is a character offset.  The list ends
+    with ("eof", "", len(text)).
+    """
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise SyntaxError_(f"unexpected character {text[pos]!r}", pos)
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        if kind == "ws":
-            continue
-        value = match.group()
-        if kind == "ident" and value.upper() in KEYWORDS:
-            tokens.append(Token("keyword", value.upper(), match.start()))
-        else:
-            tokens.append(Token(kind, value, match.start()))
-    tokens.append(Token("eof", "", len(text)))
+        value = match[kind]
+        pos = match.start(kind)
+        if kind == "ident":
+            upper = value.upper()
+            if upper in KEYWORDS:
+                kind, value = "keyword", upper
+        elif kind == "bad":
+            if value.isspace():  # only at the end: `\s*` left `bad` one space
+                break
+            raise SyntaxError_(f"unexpected character {value!r}", pos)
+        tokens.append((kind, value, pos))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class Parser:
-    def __init__(self, tokens: list[Token]):
+    """Recursive descent over `tokenize` output, read by index.
+
+    A keyword or punctuation value is never the value of another kind of
+    token (an identifier that spells a keyword lexes as that keyword), so
+    `take` and `expect` compare values alone.  No rule asks for the eof
+    value "", so the parser never moves past eof.
+    """
+
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
 
     # -- token plumbing ---------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def value(self) -> str:
+        return self.tokens[self.pos][1]
 
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind != "eof":
+    def offset(self) -> int:
+        return self.tokens[self.pos][2]
+
+    def take(self, value: str) -> bool:
+        if self.tokens[self.pos][1] == value:
             self.pos += 1
-        return token
-
-    def at_keyword(self, *words: str) -> bool:
-        token = self.peek()
-        return token.kind == "keyword" and token.value in words
-
-    def take_keyword(self, *words: str) -> bool:
-        if self.at_keyword(*words):
-            self.advance()
             return True
         return False
 
-    def expect_keyword(self, word: str) -> Token:
-        if not self.at_keyword(word):
-            raise SyntaxError_(
-                f"expected {word}, found {self.peek().value!r}",
-                self.peek().pos,
-                (word,),
-            )
-        return self.advance()
+    def expect(self, value: str):
+        if self.tokens[self.pos][1] != value:
+            what = value if value.isalpha() else repr(value)  # FROM, but '('
+            self.fail(what, (value,))
+        self.pos += 1
 
-    def take_punct(self, value: str) -> bool:
-        token = self.peek()
-        if token.kind == "punct" and token.value == value:
-            self.advance()
-            return True
-        return False
-
-    def expect_punct(self, value: str):
-        if not self.take_punct(value):
-            raise SyntaxError_(
-                f"expected {value!r}, found {self.peek().value!r}",
-                self.peek().pos,
-                (value,),
-            )
+    def fail(self, what: str, expected: tuple):
+        _, value, pos = self.tokens[self.pos]
+        raise SyntaxError_(f"expected {what}, found {value!r}", pos, expected)
 
     def ident(self, what: str) -> str:
-        token = self.peek()
-        if token.kind != "ident":
-            raise SyntaxError_(
-                f"expected {what}, found {token.value!r}", token.pos, (what,)
-            )
-        return self.advance().value
+        kind, value, _ = self.tokens[self.pos]
+        if kind != "ident":
+            self.fail(what, (what,))
+        self.pos += 1
+        return value
 
     # -- grammar ----------------------------------------------------------
 
     def parse_query(self) -> Query:
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise SyntaxError_("query nesting too deep", self.peek().pos)
-        self.expect_keyword("SELECT")
-        if self.take_keyword("DISTINCT"):
-            raise Unsupported("SELECT DISTINCT", self.peek().pos)
+            raise SyntaxError_("query nesting too deep", self.offset())
+        self.expect("SELECT")
+        if self.take("DISTINCT"):
+            raise Unsupported("SELECT DISTINCT", self.offset())
         query = Query()
         query.select_items = self.select_list()
-        self.expect_keyword("FROM")
+        self.expect("FROM")
         query.from_items = self.from_list()
-        if self.take_keyword("WHERE"):
+        if self.take("WHERE"):
             query.where = self.conjunction()
-        if self.take_keyword("GROUP"):
-            self.expect_keyword("BY")
+        if self.take("GROUP"):
+            self.expect("BY")
             query.group_by = self.column_list()
-            if self.take_keyword("HAVING"):
+            if self.take("HAVING"):
                 query.having = self.conjunction()
-        elif self.at_keyword("HAVING"):
-            raise Unsupported("HAVING without GROUP BY", self.peek().pos)
-        if self.take_keyword("ORDER"):
-            self.expect_keyword("BY")
+        elif self.value() == "HAVING":
+            raise Unsupported("HAVING without GROUP BY", self.offset())
+        if self.take("ORDER"):
+            self.expect("BY")
             query.order_by = self.order_list()
-        for word in ("UNION", "INTERSECT", "EXCEPT", "LIMIT"):
-            if self.at_keyword(word):
-                raise Unsupported(word, self.peek().pos)
+        if (word := self.value()) in ("UNION", "INTERSECT", "EXCEPT", "LIMIT"):
+            raise Unsupported(word, self.offset())
         self.depth -= 1
         return query
 
     def select_list(self) -> list[SelectItem]:
-        if self.take_punct("*"):
+        if self.take("*"):
             return [SelectItem(Star())]
         items = [self.select_item()]
-        while self.take_punct(","):
+        while self.take(","):
             items.append(self.select_item())
         return items
 
     def select_item(self) -> SelectItem:
         expr = self.simple_expr()
-        alias = None
-        if self.take_keyword("AS"):
-            alias = self.ident("select alias")
+        alias = self.ident("select alias") if self.take("AS") else None
         return SelectItem(expr, alias)
 
     def simple_expr(self):
         """Column reference, constant, or count aggregate; no arithmetic."""
-        token = self.peek()
-        if token.kind == "keyword" and token.value in UNSUPPORTED_AGGREGATES:
-            raise Unsupported(f"aggregate {token.value}", token.pos)
-        if self.take_keyword("COUNT"):
-            self.expect_punct("(")
-            if self.take_punct("*"):
+        kind, value, pos = self.tokens[self.pos]
+        if kind == "ident":
+            expr = self.column_ref()
+        elif kind == "number":
+            self.pos += 1
+            expr = Constant(int(value))
+        elif kind == "string":
+            self.pos += 1
+            expr = Constant(value[1:-1].replace("''", "'"))
+        elif value == "COUNT":
+            self.pos += 1
+            self.expect("(")
+            if self.take("*"):
                 expr = CountStar()
-            elif self.take_keyword("DISTINCT"):
+            elif self.take("DISTINCT"):
                 expr = CountDistinct(self.column_ref())
             else:
-                raise Unsupported("count over a plain expression", self.peek().pos)
-            self.expect_punct(")")
-            return self.no_arithmetic(expr)
-        if token.kind == "number":
-            self.advance()
-            return self.no_arithmetic(Constant(int(token.value)))
-        if token.kind == "string":
-            self.advance()
-            return self.no_arithmetic(Constant(token.value[1:-1].replace("''", "'")))
-        if token.kind == "ident":
-            return self.no_arithmetic(self.column_ref())
-        raise SyntaxError_(
-            f"expected expression, found {token.value!r}", token.pos, ("expression",)
-        )
-
-    def no_arithmetic(self, expr):
-        token = self.peek()
-        if token.kind == "arith" or (token.kind == "punct" and token.value == "*"):
-            raise Unsupported("arithmetic expressions", token.pos)
+                raise Unsupported("count over a plain expression", self.offset())
+            self.expect(")")
+        elif value in UNSUPPORTED_AGGREGATES:
+            raise Unsupported(f"aggregate {value}", pos)
+        else:
+            self.fail("expression", ("expression",))
+        kind, value, pos = self.tokens[self.pos]
+        if kind == "arith" or value == "*":
+            raise Unsupported("arithmetic expressions", pos)
         return expr
 
     def column_ref(self) -> ColumnRef:
         first = self.ident("column reference")
-        if self.take_punct("."):
+        if self.take("."):
             return ColumnRef(first, self.ident("column name"))
         return ColumnRef(None, first)
 
     def column_list(self) -> list[ColumnRef]:
         cols = [self.column_ref()]
-        while self.take_punct(","):
+        while self.take(","):
             cols.append(self.column_ref())
         return cols
 
     def from_list(self) -> list[FromItem]:
         items = [self.from_item()]
-        while self.take_punct(","):
+        while self.take(","):
             items.append(self.from_item())
-        if self.at_keyword("JOIN", "INNER", "LEFT", "RIGHT", "FULL", "OUTER"):
-            raise Unsupported("explicit JOIN syntax", self.peek().pos)
+        if self.value() in ("JOIN", "INNER", "LEFT", "RIGHT", "FULL", "OUTER"):
+            raise Unsupported("explicit JOIN syntax", self.offset())
         return items
 
     def from_item(self) -> FromItem:
         relation = self.ident("relation name")
-        alias = relation
-        if self.peek().kind == "ident":
-            alias = self.advance().value
+        kind, alias, _ = self.tokens[self.pos]
+        if kind != "ident":
+            return FromItem(relation, relation)
+        self.pos += 1
         return FromItem(relation, alias)
 
     def conjunction(self) -> list:
         preds = [self.predicate()]
-        while True:
-            if self.take_keyword("AND"):
-                preds.append(self.predicate())
-            elif self.at_keyword("OR"):
-                raise Unsupported("OR", self.peek().pos)
-            else:
-                return preds
+        while self.take("AND"):
+            preds.append(self.predicate())
+        if self.value() == "OR":
+            raise Unsupported("OR", self.offset())
+        return preds
 
     def predicate(self):
-        if self.take_keyword("NOT"):
-            if self.take_keyword("EXISTS"):
+        if self.take("NOT"):
+            if self.take("EXISTS"):
                 return Exists(self.parenthesized_query(), negated=True)
-            if self.at_keyword("IN"):
-                raise Unsupported("NOT IN", self.peek().pos)
-            raise Unsupported("NOT over a general predicate", self.peek().pos)
-        if self.take_keyword("EXISTS"):
+            if self.value() == "IN":
+                raise Unsupported("NOT IN", self.offset())
+            raise Unsupported("NOT over a general predicate", self.offset())
+        if self.take("EXISTS"):
             return Exists(self.parenthesized_query())
         lhs = self.simple_expr()
-        if self.at_keyword("NOT"):
-            raise Unsupported("NOT IN", self.peek().pos)
-        if self.take_keyword("IN"):
+        kind, value, pos = self.tokens[self.pos]
+        if value == "NOT":
+            raise Unsupported("NOT IN", pos)
+        if value == "IN":
+            self.pos += 1
             if not isinstance(lhs, ColumnRef):
                 raise SyntaxError_(
-                    "IN requires a column reference on its left",
-                    self.peek().pos,
+                    "IN requires a column reference on its left", self.offset()
                 )
             return InSubquery(lhs, self.parenthesized_query())
-        for word in ("LIKE", "BETWEEN", "IS"):
-            if self.at_keyword(word):
-                raise Unsupported(word, self.peek().pos)
-        token = self.peek()
-        if token.kind != "op":
-            raise SyntaxError_(
-                f"expected comparison operator, found {token.value!r}",
-                token.pos,
-                ("=", "!=", "<", "<=", ">", ">="),
-            )
-        op = self.advance().value
-        if op == "<>":
-            op = "!="
-        if self.take_keyword("ALL"):
+        if value in ("LIKE", "BETWEEN", "IS"):
+            raise Unsupported(value, pos)
+        if kind != "op":
+            self.fail("comparison operator", ("=", "!=", "<", "<=", ">", ">="))
+        self.pos += 1
+        op = "!=" if value == "<>" else value
+        if self.take("ALL"):
             return CompareAll(lhs, op, self.parenthesized_query())
-        if self.at_keyword("ANY", "SOME"):
-            raise Unsupported(f"{self.peek().value} quantifier", self.peek().pos)
-        if self.peek().kind == "punct" and self.peek().value == "(":
+        _, value, pos = self.tokens[self.pos]
+        if value in ("ANY", "SOME"):
+            raise Unsupported(f"{value} quantifier", pos)
+        if value == "(":
             return Compare(lhs, op, ScalarSubquery(self.parenthesized_query()))
-        rhs = self.simple_expr()
-        return Compare(lhs, op, rhs)
+        return Compare(lhs, op, self.simple_expr())
 
     def parenthesized_query(self) -> Query:
-        self.expect_punct("(")
+        self.expect("(")
         query = self.parse_query()
-        self.expect_punct(")")
+        self.expect(")")
         return query
 
     def order_list(self) -> list:
         items = []
         while True:
             col = self.column_ref()
-            direction = "asc"
-            if self.take_keyword("DESC"):
-                direction = "desc"
-            elif self.take_keyword("ASC"):
-                direction = "asc"
-            items.append((col, direction))
-            if not self.take_punct(","):
+            if self.take("DESC"):
+                items.append((col, "desc"))
+            else:
+                self.take("ASC")
+                items.append((col, "asc"))
+            if not self.take(","):
                 return items
 
 
 def parse_sql(text: str) -> Query:
     """Parse one SELECT statement; raises SyntaxError_ or Unsupported."""
-    tokens = tokenize(text)
-    parser = Parser(tokens)
+    parser = Parser(tokenize(text))
     query = parser.parse_query()
-    end = parser.peek()
-    if end.kind != "eof":
+    kind, value, pos = parser.tokens[parser.pos]
+    if kind != "eof":
         raise SyntaxError_(
-            f"unexpected trailing input {end.value!r}", end.pos, ("end of input",)
+            f"unexpected trailing input {value!r}", pos, ("end of input",)
         )
     return query
 

@@ -507,6 +507,8 @@ def _same_value_frame(qg, graph, motif) -> str | None:
             return None
     if any(n.where_part for n in qg.nodes) or qg.nested or qg.having_misc:
         return None
+    if sum(len(n.having_part) for n in qg.nodes) != 1:  # the motif's own only
+        return None
     if any(not e.fk_backed for e in qg.joins if not e.crosses_nesting):
         return None
     group_rel = graph.relation(qg.node(group_alias).relation)
@@ -738,6 +740,8 @@ def _scalar_child(query, child: QueryGraph, graph, outer_refs) -> str:
             for edge in child.joins
         ] + node.where_part
         conditions = [lexicalize_predicate(p, graph, refs, heading=False) for p in preds]
+        motifs = rewriter.detect_motifs(child)
+        conditions += [_nested_phrase(e, motifs, graph, refs) for e in child.nested]
         if conditions:
             return f"the number of {rel.noun_plural} for which {listed(conditions)}"
         return f"the number of {rel.noun_plural}"

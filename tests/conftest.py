@@ -22,9 +22,9 @@ def upper_alias_refs(text: str) -> str:
     upper-cased (`m.title` becomes `M.title`); FROM lists are kept."""
     chars = list(text)
     tokens = parser.tokenize(text)
-    for token, nxt in zip(tokens, tokens[1:]):
-        if token.kind == "ident" and (nxt.kind, nxt.value) == ("punct", "."):
-            chars[token.pos:token.pos + len(token.value)] = token.value.upper()
+    for (kind, value, pos), nxt in zip(tokens, tokens[1:]):
+        if kind == "ident" and nxt[:2] == ("punct", "."):
+            chars[pos:pos + len(value)] = value.upper()
     return "".join(chars)
 
 

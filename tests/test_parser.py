@@ -182,3 +182,112 @@ class TestTotality:
                 assert 0 <= err.position <= len(text)
             except Unsupported:
                 pass
+
+
+_NEST = "select a from T where a in ("
+_OPS = ("=", "!=", "<", "<=", ">", ">=")
+
+
+class TestErrorContract:
+    """Every raise site of the lexer and parser: error type, message,
+    position and expected set, exactly."""
+
+    @pytest.mark.parametrize(
+        "sql,error,message,position,expected",
+        [
+            # lexer
+            ("select  \t§ from T", SyntaxError_, "unexpected character '§'", 9, ()),
+            ("select a\xa0\u2003§ from T", SyntaxError_, "unexpected character '§'", 10, ()),
+            ("select 'é' § from T", SyntaxError_, "unexpected character '§'", 11, ()),
+            ("select a§ from T", SyntaxError_, "unexpected character '§'", 8, ()),
+            ("select a from T;", SyntaxError_, "unexpected character ';'", 15, ()),
+            ("select a from T where a ! b", SyntaxError_, "unexpected character '!'", 24, ()),
+            ("select a from T t where t.a = 'abc", SyntaxError_,
+             "unexpected character \"'\"", 30, ()),
+            # trailing input
+            ("select a from T t x \t\n", SyntaxError_, "unexpected trailing input 'x'", 18,
+             ("end of input",)),
+            ("select a from T t where t.a = 1)", SyntaxError_,
+             "unexpected trailing input ')'", 31, ("end of input",)),
+            ("select a from T where a in (select b from U where b = 'x'' y') z",
+             SyntaxError_, "unexpected trailing input 'z'", 63, ("end of input",)),
+            # missing keyword or punctuation
+            ("", SyntaxError_, "expected SELECT, found ''", 0, ("SELECT",)),
+            ("select a where a = 1", SyntaxError_, "expected FROM, found 'WHERE'", 9,
+             ("FROM",)),
+            ("select a from T group a", SyntaxError_, "expected BY, found 'a'", 22, ("BY",)),
+            ("select a from T order a", SyntaxError_, "expected BY, found 'a'", 22, ("BY",)),
+            ("select count * from T", SyntaxError_, "expected '(', found '*'", 13, ("(",)),
+            ("select count(* from T", SyntaxError_, "expected ')', found 'FROM'", 15,
+             (")",)),
+            ("select a from T where a in (select b from U", SyntaxError_,
+             "expected ')', found ''", 43, (")",)),
+            # missing identifier or expression
+            ("select a from where", SyntaxError_, "expected relation name, found 'WHERE'",
+             14, ("relation name",)),
+            ("select t. from T t", SyntaxError_, "expected column name, found 'FROM'", 10,
+             ("column name",)),
+            ("select a from T where a = b.", SyntaxError_, "expected column name, found ''",
+             28, ("column name",)),
+            ("select a as from T", SyntaxError_, "expected select alias, found 'FROM'", 12,
+             ("select alias",)),
+            ("select from T", SyntaxError_, "expected expression, found 'FROM'", 7,
+             ("expression",)),
+            ("select a from T where a = 1 and", SyntaxError_, "expected expression, found ''",
+             31, ("expression",)),
+            # predicates
+            ("select a from T where a b", SyntaxError_,
+             "expected comparison operator, found 'b'", 24, _OPS),
+            ("select a from T where 1 in (select b from U)", SyntaxError_,
+             "IN requires a column reference on its left", 27, ()),
+            # unsupported constructs
+            ("select distinct a from T", Unsupported, "SELECT DISTINCT", 16, None),
+            ("select a from T having a = 1", Unsupported, "HAVING without GROUP BY", 16, None),
+            ("select a from T union select b from U", Unsupported, "UNION", 16, None),
+            ("select a from T intersect select b from U", Unsupported, "INTERSECT", 16, None),
+            ("select a from T except select b from U", Unsupported, "EXCEPT", 16, None),
+            ("select a from T limit 5", Unsupported, "LIMIT", 16, None),
+            ("select sum(a) from T", Unsupported, "aggregate SUM", 7, None),
+            ("select avg(a) from T", Unsupported, "aggregate AVG", 7, None),
+            ("select min(a) from T", Unsupported, "aggregate MIN", 7, None),
+            ("select max(a) from T", Unsupported, "aggregate MAX", 7, None),
+            ("select count(a) from T", Unsupported, "count over a plain expression", 13, None),
+            ("select a + 1 from T", Unsupported, "arithmetic expressions", 9, None),
+            ("select a - 1 from T", Unsupported, "arithmetic expressions", 9, None),
+            ("select a * 2 from T", Unsupported, "arithmetic expressions", 9, None),
+            ("select a from T join U on a = b", Unsupported, "explicit JOIN syntax", 16, None),
+            ("select a from T, U left join V", Unsupported, "explicit JOIN syntax", 19, None),
+            ("select a from T where a = 1 or b = 2", Unsupported, "OR", 28, None),
+            ("select a from T where not in (select b from U)", Unsupported, "NOT IN", 26,
+             None),
+            ("select a from T where a not in (select b from U)", Unsupported, "NOT IN", 24,
+             None),
+            ("select a from T where not a = 1", Unsupported, "NOT over a general predicate",
+             26, None),
+            ("select a from T where a like 'x'", Unsupported, "LIKE", 24, None),
+            ("select a from T where a between 1 and 2", Unsupported, "BETWEEN", 24, None),
+            ("select a from T where a is null", Unsupported, "IS", 24, None),
+            ("select a from T where a = any (select b from U)", Unsupported,
+             "ANY quantifier", 26, None),
+            ("select a from T where a = some (select b from U)", Unsupported,
+             "SOME quantifier", 26, None),
+            # nesting
+            (_NEST * parser.MAX_NESTING + "select a from T" + ")" * parser.MAX_NESTING,
+             SyntaxError_, "query nesting too deep", parser.MAX_NESTING * len(_NEST), ()),
+        ],
+    )
+    def test_raise_site(self, sql, error, message, position, expected):
+        with pytest.raises(SqlError) as err:
+            parser.parse_sql(sql)
+        assert type(err.value) is error
+        assert err.value.position == position
+        if error is Unsupported:
+            assert err.value.construct == message
+            assert str(err.value) == f"unsupported construct: {message} at offset {position}"
+        else:
+            assert str(err.value) == f"{message} at offset {position}"
+            assert err.value.expected == expected
+
+    def test_nesting_at_the_limit_parses(self):
+        depth = parser.MAX_NESTING - 1
+        parser.parse_sql(_NEST * depth + "select a from T" + ")" * depth)

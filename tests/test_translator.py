@@ -259,6 +259,39 @@ class TestEdges:
             "cast entry)."
         )
 
+    def test_same_value_frame_keeps_a_second_having_condition(self, movie_graph):
+        ast = parser.parse_sql(
+            "select a.id, a.name from MOVIES m, CAST c, ACTOR a "
+            "where m.id = c.mid and c.aid = a.id group by a.id, a.name "
+            "having count(distinct m.year) = 1 and count(distinct m.title) > 2"
+        )
+        parser.resolve_names(ast, movie_graph)
+        result = translate(QG.build(ast, movie_graph), movie_graph)
+        # "Find actors whose movies are all in the same year" drops the titles.
+        assert result.style == "procedural"
+        steps = result.text.split("\n")
+        assert steps[3:5] == [
+            "4. Keep groups where the number of distinct years of the movie is 1.",
+            "5. Keep groups where the number of distinct titles of the movie is "
+            "larger than 2.",
+        ]
+
+    def test_count_scalar_says_its_nested_predicates(self, movie_graph):
+        ast = parser.parse_sql(
+            "select m.id, m.title, count(*) from MOVIES m, CAST c "
+            "where m.id = c.mid group by m.id, m.title "
+            "having 1 < (select count(*) from GENRE g where g.mid = m.id "
+            "and g.mid in (select c2.mid from CAST c2 where c2.role = 'Chris'))"
+        )
+        parser.resolve_names(ast, movie_graph)
+        steps = translate(QG.build(ast, movie_graph), movie_graph).text.split("\n")
+        assert steps[3] == (
+            "4. Keep groups where 1 is less than the number of genres for which "
+            "the mid of the genre is the id of the movie and the mid of the genre "
+            "is among (consider each cast entry (c2); keep combinations where the "
+            "role of the cast entry is Chris; report the mid of the cast entry)."
+        )
+
 
 class TestProceduralWording:
     """Exact text of procedural steps that no golden covers."""
