@@ -188,7 +188,10 @@ class Parser:
             expr = self.column_ref()
         elif kind == "number":
             self.pos += 1
-            expr = Constant(int(value))
+            try:
+                expr = Constant(int(value))
+            except ValueError:  # more digits than int() converts (4300 by default)
+                raise SyntaxError_("integer constant too long", pos) from None
         elif kind == "string":
             self.pos += 1
             expr = Constant(value[1:-1].replace("''", "'"))

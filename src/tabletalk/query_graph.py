@@ -32,11 +32,13 @@ class QueryNode(Record):
 
 
 class QueryJoinEdge(Record):
-    from_ref: tuple  # (alias, attribute)
-    to_ref: tuple
-    op: str
+    pred: Compare  # resolved column-to-column comparison; crossing: child side first
     fk_backed: bool = False
     crosses_nesting: bool = False
+
+    @property
+    def ends(self) -> tuple[str, str]:
+        return self.pred.lhs.alias, self.pred.rhs.alias
 
 
 class NestedQuery(Record):
@@ -140,26 +142,16 @@ def _place_compare(qg, graph, pred: Compare, site, local):
         return
     if len(refs) == 2 and refs[0].alias != refs[1].alias:
         lhs, rhs = refs
-        op = pred.op
         crossing = not (lhs.alias in local and rhs.alias in local)
         if crossing and lhs.alias not in local and rhs.alias in local:
             # Keep the child-local side first on crossing edges.
-            lhs, rhs = rhs, lhs
-            op = _MIRROR[op]
+            pred = Compare(rhs, _MIRROR[pred.op], lhs)
         fk = (
-            op == "="
+            pred.op == "="
             and not crossing
             and graph.fk_backed(lhs.relation, lhs.column, rhs.relation, rhs.column)
         )
-        qg.joins.append(
-            QueryJoinEdge(
-                (lhs.alias, lhs.column),
-                (rhs.alias, rhs.column),
-                op,
-                fk_backed=fk,
-                crosses_nesting=crossing,
-            )
-        )
+        qg.joins.append(QueryJoinEdge(pred, fk_backed=fk, crosses_nesting=crossing))
         return
     # Alias-local: constant comparison or same-alias attribute comparison.
     node = qg.node(refs[0].alias) if refs else None
@@ -199,7 +191,7 @@ def shape(qg: QueryGraph) -> ShapeReport:
     for edge in qg.joins:
         if edge.crosses_nesting:
             continue
-        for alias, _ in (edge.from_ref, edge.to_ref):
+        for alias in edge.ends:
             degrees[alias] += 1
     relations = [n.relation for n in qg.nodes]
     multi = len(set(relations)) < len(relations)
@@ -228,7 +220,7 @@ def _has_cycle(qg: QueryGraph) -> bool:
     for edge in qg.joins:
         if edge.crosses_nesting:
             continue
-        a, b = edge.from_ref[0], edge.to_ref[0]
+        a, b = edge.ends
         if by_alias[a].relation == by_alias[b].relation:
             continue  # self-join edge: multi-instance evidence, not a cycle
         ra, rb = find(a), find(b)
@@ -304,9 +296,10 @@ def _emit_level(qg: QueryGraph, lines, prefix, counter, outer_ids):
         if edge.crosses_nesting:
             continue
         style = "solid" if edge.fk_backed else "bold"
+        src, dst = edge.ends
         lines.append(
-            f'  "{node_id(edge.from_ref[0])}" -> "{node_id(edge.to_ref[0])}" '
-            f'[label="{_escape(_edge_label(edge))}", style={style}];'
+            f'  "{node_id(src)}" -> "{node_id(dst)}" '
+            f'[label="{_escape(edge.pred.render())}", style={style}];'
         )
     for entry in qg.nested:
         counter[0] += 1
@@ -325,18 +318,11 @@ def _emit_level(qg: QueryGraph, lines, prefix, counter, outer_ids):
         for edge in entry.child.joins:
             if not edge.crosses_nesting:
                 continue
-            src = f"{child_prefix}{edge.from_ref[0]}"
-            dst_id = ids.get(edge.to_ref[0], node_id(edge.to_ref[0]))
+            src, dst = edge.ends
             lines.append(
-                f'  "{src}" -> "{dst_id}" '
-                f'[style=dotted, label="{_escape(_edge_label(edge))}"];'
+                f'  "{child_prefix}{src}" -> "{ids.get(dst, node_id(dst))}" '
+                f'[style=dotted, label="{_escape(edge.pred.render())}"];'
             )
-
-
-def _edge_label(edge: QueryJoinEdge) -> str:
-    a = ".".join(edge.from_ref)
-    b = ".".join(edge.to_ref)
-    return f"{a} {edge.op} {b}"
 
 
 def _escape(text: str) -> str:

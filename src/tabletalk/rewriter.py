@@ -149,7 +149,7 @@ def _detect_division(qg: QueryGraph) -> list[Motif]:
             for edge in inner.joins:
                 if not edge.crosses_nesting:
                     continue
-                target = edge.to_ref[0]
+                target = edge.ends[1]
                 if target in outer_aliases:
                     hit_outer = True
                 if target in middle_aliases:

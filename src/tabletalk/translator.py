@@ -10,7 +10,6 @@ procedural steps, so every parseable query yields text.
 
 from __future__ import annotations
 
-import json
 import re
 
 from . import query_graph as qgraph
@@ -26,7 +25,6 @@ from .ast_nodes import (
     pred_refs,
 )
 from .classifier import QueryClass, classify
-from .errors import MalformedDocument
 from .query_graph import QueryGraph, QueryNode
 from .record import Record, field
 from .schema import SUBJECT_SLOT, SchemaGraph
@@ -162,15 +160,6 @@ def _binding(node: QueryNode, attribute: str) -> Compare | None:
     return next((pred for pred in node.where_part if _binds(pred, attribute)), None)
 
 
-def _edge_predicate(edge, from_relation, to_relation) -> Compare:
-    """The comparison a query join edge stands for."""
-    return Compare(
-        ColumnRef(edge.from_ref[0], edge.from_ref[1], from_relation),
-        edge.op,
-        ColumnRef(edge.to_ref[0], edge.to_ref[1], to_relation),
-    )
-
-
 # --- predicate lexicalization -------------------------------------------
 
 def lexicalize_predicate(
@@ -222,17 +211,12 @@ def _attribute_phrase(graph, refs, alias, relation, column) -> str:
 
 # --- branch discovery ----------------------------------------------------
 
-class _Branch(Record):
-    chain: list[str]  # aliases, starting at the branch root
-    edges: list  # fk edges along the chain
-
-
 def _fk_adjacency(qg: QueryGraph):
     adj: dict[str, list] = {n.alias: [] for n in qg.nodes}
     for edge in qg.joins:
         if edge.crosses_nesting or not edge.fk_backed:
             continue
-        a, b = edge.from_ref[0], edge.to_ref[0]
+        a, b = edge.ends
         adj[a].append((edge, b))
         adj[b].append((edge, a))
     return adj
@@ -245,7 +229,7 @@ def _is_relay(qg: QueryGraph, alias: str) -> bool:
     for edge in qg.joins:
         if edge.crosses_nesting or edge.fk_backed:
             continue
-        if alias in (edge.from_ref[0], edge.to_ref[0]):
+        if alias in edge.ends:
             return False
     return True
 
@@ -255,9 +239,9 @@ def _at_route_end(qg, graph, chain) -> bool:
     return any(phrase.route == relations for phrase in graph.phrases)
 
 
-def _chains(qg, graph, adj, start: str, claimed: set, claim) -> list[_Branch]:
-    """Chains from one node: each runs through relay nodes and stops at a
-    declared phrase route, an informative node, or a fan-out.
+def _chains(qg, graph, adj, start: str, claimed: set, claim) -> list[list[str]]:
+    """Alias chains from one node: each runs through relay nodes and stops
+    at a declared phrase route, an informative node, or a fan-out.
 
     A step over (edge, node) is taken only if `claim(edge, node)` is not in
     `claimed` yet, and taking it adds that key: the root-NP pipeline claims
@@ -269,7 +253,6 @@ def _chains(qg, graph, adj, start: str, claimed: set, claim) -> list[_Branch]:
             continue
         claimed.add(claim(edge, nxt))
         chain = [start, nxt]
-        edges = [edge]
         tail = nxt
         while _is_relay(qg, tail) and not _at_route_end(qg, graph, chain):
             onward = [(e, n) for e, n in adj[tail] if claim(e, n) not in claimed]
@@ -278,37 +261,27 @@ def _chains(qg, graph, adj, start: str, claimed: set, claim) -> list[_Branch]:
             edge2, nxt2 = onward[0]
             claimed.add(claim(edge2, nxt2))
             chain.append(nxt2)
-            edges.append(edge2)
             tail = nxt2
-        chains.append(_Branch(chain, edges))
+        chains.append(chain)
     return chains
 
 
-def _match_phrase(graph: SchemaGraph, qg: QueryGraph, branch: _Branch):
-    """Longest declared phrase route prefixing this branch's relations."""
-    relations = [qg.node(a).relation for a in branch.chain]
-    best = None
-    for phrase in graph.phrases:
-        route = phrase.route
-        if len(route) <= len(relations) and relations[: len(route)] == route:
-            if best is None or len(route) > len(best[0]):
-                best = (route, phrase)
-    if best is None:
-        return None, None
-    route, phrase = best
-    target_alias = branch.chain[len(route) - 1]
-    return phrase, target_alias
+def _match_phrase(graph: SchemaGraph, qg: QueryGraph, chain: list[str]):
+    """Longest declared phrase whose route prefixes this chain's relations."""
+    relations = [qg.node(a).relation for a in chain]
+    matches = [p for p in graph.phrases if relations[: len(p.route)] == p.route]
+    return max(matches, key=lambda p: len(p.route), default=None)  # first longest
 
 
-def _branch_informative(qg: QueryGraph, branch: _Branch) -> bool:
+def _branch_informative(qg: QueryGraph, chain: list[str]) -> bool:
     """A branch earns a phrase only if it constrains the result."""
-    return any(qg.node(a).where_part for a in branch.chain[1:])
+    return any(qg.node(a).where_part for a in chain[1:])
 
 
-def _render_phrase(phrase, graph, qg, refs, branch: _Branch):
+def _render_phrase(phrase, graph, qg, refs, chain: list[str]):
     """Instantiate a translation phrase; returns (text, is_premodifier)."""
     by_relation = {}
-    for alias in branch.chain:
+    for alias in chain:
         by_relation.setdefault(qg.node(alias).relation, alias)
     premod = False
     out = []
@@ -382,14 +355,14 @@ def _translate_root_np(qg, graph, cls, notes) -> TranslationResult:
     adj = _fk_adjacency(qg)
     queue = [root]  # breadth-first: each chain's last node is expanded in turn
     while queue:
-        for branch in _chains(qg, graph, adj, queue.pop(0), visited, lambda e, n: n):
-            queue.append(branch.chain[-1])
-            if not _branch_informative(qg, branch):
+        for chain in _chains(qg, graph, adj, queue.pop(0), visited, lambda e, n: n):
+            queue.append(chain[-1])
+            if not _branch_informative(qg, chain):
                 continue
-            phrase, _ = _match_phrase(graph, qg, branch)
+            phrase = _match_phrase(graph, qg, chain)
             if phrase is None:
                 continue
-            text, premod = _render_phrase(phrase, graph, qg, refs, branch)
+            text, premod = _render_phrase(phrase, graph, qg, refs, chain)
             (premods if premod else postmods).append(text)
 
     head_pred = refs.heading_constant(root)
@@ -429,44 +402,40 @@ def _sort_phrase(qg, graph, refs) -> str:
 
 
 def _leftover_conditions(qg, graph, refs) -> list[str]:
+    """Non-key joins, unconsumed WHERE parts and ownerless (constant-only)
+    WHERE conjuncts of a flat query level."""
     out = []
     for edge in qg.joins:
         if edge.crosses_nesting or edge.fk_backed:
             continue
-        pred = _edge_predicate(
-            edge, qg.node(edge.from_ref[0]).relation, qg.node(edge.to_ref[0]).relation
-        )
-        out.append(lexicalize_predicate(pred, graph, refs, heading=False))
+        out.append(lexicalize_predicate(edge.pred, graph, refs, heading=False))
     for node in qg.nodes:
         for pred in node.where_part:
             if id(pred) in refs.consumed_preds:
                 continue
             out.append(lexicalize_predicate(pred, graph, refs))
+    for pred in qg.having_misc:
+        out.append(lexicalize_predicate(pred, graph, refs, heading=False))
     return out
 
 
-def _translate_itemized(qg, graph, cls, notes, patterns=None) -> TranslationResult:
+def _translate_itemized(qg, graph, cls, notes) -> TranslationResult:
     refs = _References(qg, graph)
-    motif_text = _match_user_pattern(qg, graph, patterns) if patterns else None
     items: list[str] = []
-    if motif_text is not None:
-        items.append(motif_text)
-        notes = notes + ["user motif pattern applied"]
-    else:
-        consumed: set[int] = set()
-        adj = _fk_adjacency(qg)
-        for ref in _projection_refs(qg):
-            owner = qg.node(ref.alias)
-            attr = graph.attribute(owner.relation, ref.column)
-            item = f"the {attr.noun_singular} of {refs.mention(ref.alias)}"
-            for branch in _chains(qg, graph, adj, ref.alias, consumed, lambda e, n: id(e)):
-                phrase, _ = _match_phrase(graph, qg, branch)
-                if phrase is None:
-                    continue
-                text, premod = _render_phrase(phrase, graph, qg, refs, branch)
-                if not premod:
-                    item += f" {text}"
-            items.append(item)
+    consumed: set[int] = set()
+    adj = _fk_adjacency(qg)
+    for ref in _projection_refs(qg):
+        owner = qg.node(ref.alias)
+        attr = graph.attribute(owner.relation, ref.column)
+        item = f"the {attr.noun_singular} of {refs.mention(ref.alias)}"
+        for chain in _chains(qg, graph, adj, ref.alias, consumed, lambda e, n: id(e)):
+            phrase = _match_phrase(graph, qg, chain)
+            if phrase is None:
+                continue
+            text, premod = _render_phrase(phrase, graph, qg, refs, chain)
+            if not premod:
+                item += f" {text}"
+        items.append(item)
     items.extend(_leftover_conditions(qg, graph, refs))
     text = "Find " + ", and ".join(items)
     sort = _sort_phrase(qg, graph, refs)
@@ -482,7 +451,7 @@ def _division_frame(qg, graph, motif) -> str | None:
     if len(qg.nodes) != 1 or qg.joins or len(qg.nested) != 1:
         return None
     node = qg.nodes[0]
-    if node.where_part or node.having_part or qg.order_note:
+    if node.where_part or node.having_part or qg.having_misc or qg.order_note:
         return None
     heading = graph.relation(node.relation).heading_attribute
     for ref in _projection_refs(qg):
@@ -527,63 +496,6 @@ def superlative_word(graph: SchemaGraph, motif) -> str:
     return "smallest" if motif.params["direction"] == "min" else "largest"
 
 
-# --- user-supplied motif patterns ----------------------------------------
-
-def load_motif_patterns(source) -> list[dict]:
-    """Optional pattern file: JSON list of {shape, phrase} entries."""
-    if hasattr(source, "read"):
-        doc = json.load(source)
-    elif isinstance(source, str) and source.lstrip().startswith("["):
-        doc = json.loads(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    if not isinstance(doc, list):
-        raise MalformedDocument("motif pattern file must be a JSON list")
-    for entry in doc:
-        if "shape" not in entry or "phrase" not in entry:
-            raise MalformedDocument("pattern entries need shape and phrase keys")
-    return doc
-
-
-def _match_user_pattern(qg, graph, patterns) -> str | None:
-    """Match {relation, count, via} shapes: N instances of one relation all
-    reaching a shared instance of another, with heading projections."""
-    for entry in patterns:
-        shape_spec = entry["shape"]
-        relation = graph.relation(shape_spec["relation"]).name
-        count = shape_spec.get("count", 2)
-        via = graph.relation(shape_spec["via"]).name
-        instances = [n.alias for n in qg.nodes if n.relation == relation]
-        hubs = [n.alias for n in qg.nodes if n.relation == via]
-        if len(instances) != count or len(hubs) != 1:
-            continue
-        adj = _fk_adjacency(qg)
-        hub = hubs[0]
-        if not all(_reaches(adj, a, hub) for a in instances):
-            continue
-        heading = graph.relation(relation).heading_attribute
-        proj = _projection_refs(qg)
-        if len(proj) == count and all(
-            r.attribute == heading and r.alias in instances for r in proj
-        ):
-            return entry["phrase"]
-    return None
-
-
-def _reaches(adj, start, goal) -> bool:
-    seen = {start}
-    stack = [start]
-    while stack:
-        for _, nxt in adj[stack.pop()]:
-            if nxt == goal:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
-
-
 # --- procedural fallback ---------------------------------------------------
 
 def translate_procedural(
@@ -593,6 +505,13 @@ def translate_procedural(
 
     A given `cls` must come from `classify(qg)`: its motifs are reused.
     """
+    steps = _procedural_steps(qg, graph, cls)
+    text = "\n".join(f"{i}. {s}." for i, s in enumerate(steps, start=1))
+    return TranslationResult(text, "procedural", cls, [])
+
+
+def _procedural_steps(qg, graph, cls=None) -> list[str]:
+    """The imperative steps, in order, each without its final period."""
     motifs = cls.motifs if cls is not None else rewriter.detect_motifs(qg)
     refs = _References(qg, graph)
     steps: list[str] = []
@@ -603,36 +522,25 @@ def translate_procedural(
 
     def flush_follow():
         if pending:
-            steps.append("For each " + ", and for each ".join(pending) + ".")
+            steps.append("For each " + ", and for each ".join(pending))
             pending.clear()
 
     for node in qg.nodes:
         link = _fk_link(qg, node.alias, placed, consumed_edges)
         if link is None:
             flush_follow()
-            steps.append(
-                f"Consider each {refs.noun(node.alias)} ({node.alias})."
-            )
+            steps.append(f"Consider each {refs.noun(node.alias)} ({node.alias})")
         else:
             edge, prev = link
             consumed_edges.add(id(edge))
-            prev_noun = refs.noun(prev)
-            rel = graph.relation(qg.node(node.alias).relation)
-            if pending:
-                pending.append(
-                    f"{prev_noun}, its {rel.noun_plural} ({node.alias})"
-                )
-            else:
-                pending.append(
-                    f"{prev_noun}, bring in its {rel.noun_plural} ({node.alias})"
-                )
+            rel = graph.relation(node.relation)
+            verb = "" if pending else "bring in "
+            pending.append(f"{refs.noun(prev)}, {verb}its {rel.noun_plural} ({node.alias})")
         placed.append(node.alias)
     flush_follow()
 
     where_preds = [
-        _edge_predicate(
-            edge, qg.node(edge.from_ref[0]).relation, qg.node(edge.to_ref[0]).relation
-        )
+        edge.pred
         for edge in qg.joins
         if not edge.crosses_nesting and id(edge) not in consumed_edges
     ]
@@ -648,14 +556,14 @@ def translate_procedural(
                 _attribute_phrase(graph, refs, a, qg.node(a).relation, c)
                 for a, c in qg.group_note
             ]
-            steps.append(f"Group the combinations by {listed(cols)}.")
+            steps.append(f"Group the combinations by {listed(cols)}")
         conditions = [lexicalize_predicate(p, graph, refs, heading=False) for p in preds]
         conditions += [
             _nested_phrase(entry, motifs, graph, refs)
             for entry in qg.nested
             if entry.site == site
         ]
-        steps.extend(f"Keep {rows} where {c}." for c in conditions)
+        steps.extend(f"Keep {rows} where {c}" for c in conditions)
 
     if qg.order_note:
         cols = [
@@ -663,24 +571,22 @@ def translate_procedural(
             + f" ({'descending' if d == 'desc' else 'ascending'})"
             for a, c, d in qg.order_note
         ]
-        steps.append(f"Sort the results by {listed(cols)}.")
+        steps.append(f"Sort the results by {listed(cols)}")
 
     report = [
         "every column" if isinstance(item.expr, Star)
         else _operand_phrase(item.expr, graph, refs)
         for item in qg.projections
     ]
-    steps.append(f"Report {listed(report)}.")
-
-    text = "\n".join(f"{i}. {s}" for i, s in enumerate(steps, start=1))
-    return TranslationResult(text, "procedural", cls, [])
+    steps.append(f"Report {listed(report)}")
+    return steps
 
 
 def _fk_link(qg, alias, placed, consumed):
     for edge in qg.joins:
         if edge.crosses_nesting or not edge.fk_backed or id(edge) in consumed:
             continue
-        a, b = edge.from_ref[0], edge.to_ref[0]
+        a, b = edge.ends
         if alias == a and b in placed:
             return edge, b
         if alias == b and a in placed:
@@ -733,12 +639,7 @@ def _scalar_child(query, child: QueryGraph, graph, outer_refs) -> str:
         node = child.nodes[0]
         rel = graph.relation(node.relation)
         refs = _child_refs(child, graph, outer_refs)
-        preds = [
-            _edge_predicate(
-                edge, node.relation, _target_relation(child, outer_refs.qg, edge.to_ref[0])
-            )
-            for edge in child.joins
-        ] + node.where_part
+        preds = [edge.pred for edge in child.joins] + node.where_part
         conditions = [lexicalize_predicate(p, graph, refs, heading=False) for p in preds]
         motifs = rewriter.detect_motifs(child)
         conditions += [_nested_phrase(e, motifs, graph, refs) for e in child.nested]
@@ -756,28 +657,15 @@ def _child_refs(child, graph, outer_refs) -> _References:
     return refs
 
 
-def _target_relation(child, outer_qg, alias):
-    node = child.node(alias) or outer_qg.node(alias)
-    return node.relation if node else None
-
-
 def _inline_child(child: QueryGraph, graph) -> str:
-    inner = translate_procedural(child, graph)
-    steps = []
-    for line in inner.text.split("\n"):
-        step = line.split(". ", 1)[1] if ". " in line else line
-        step = step.rstrip(".")
-        steps.append(step[:1].lower() + step[1:])
-    return "(" + "; ".join(steps) + ")"
+    steps = _procedural_steps(child, graph)
+    return "(" + "; ".join(s[:1].lower() + s[1:] for s in steps) + ")"
 
 
 # --- top-level dispatch -----------------------------------------------------
 
 def translate(
-    qg: QueryGraph,
-    graph: SchemaGraph,
-    cls: QueryClass | None = None,
-    motif_patterns: list | None = None,
+    qg: QueryGraph, graph: SchemaGraph, cls: QueryClass | None = None
 ) -> TranslationResult:
     """Dispatch on the taxonomy class; never returns empty text.
 
@@ -792,13 +680,13 @@ def translate(
         flat_ast = rewriter.flatten(qg.query)
         flat_qg = qgraph.build(flat_ast, graph)
         notes.append("uncorrelated IN nesting flattened before translation")
-        inner = translate(flat_qg, graph, motif_patterns=motif_patterns)
+        inner = translate(flat_qg, graph)
         return TranslationResult(inner.text, inner.style, cls, notes + inner.notes)
 
     if label in ("Path", "Subgraph", "GraphCyclic", "GraphMultiInstance"):
         report = qgraph.shape(qg)
         if report.multi_instance:
-            return _translate_itemized(qg, graph, cls, notes, motif_patterns)
+            return _translate_itemized(qg, graph, cls, notes)
         return _translate_root_np(qg, graph, cls, notes)
 
     if label == "NestedGeneral":

@@ -217,6 +217,7 @@ def test_criterion_6_property_suites(movie_graph, movie_db, corpus_graphs):
             pass
 
     # classifier: totality and uniqueness on generated SPJ graphs.
+    from tabletalk.ast_nodes import ColumnRef, Compare
     from tabletalk.query_graph import QueryGraph, QueryJoinEdge, QueryNode
 
     relations = ["MOVIE", "GENRE", "DIRECTOR", "CAST", "ACTOR"]
@@ -229,9 +230,8 @@ def test_criterion_6_property_suites(movie_graph, movie_db, corpus_graphs):
             if n < 2:
                 break
             a, b = rng.sample(range(n), 2)
-            qg.joins.append(
-                QueryJoinEdge((f"t{a}", "k"), (f"t{b}", "k"), "=", True)
-            )
+            pred = Compare(ColumnRef(f"t{a}", "k"), "=", ColumnRef(f"t{b}", "k"))
+            qg.joins.append(QueryJoinEdge(pred, fk_backed=True))
         label = classifier.classify(qg).label
         assert label in classifier.LABELS
 

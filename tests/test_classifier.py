@@ -5,6 +5,7 @@ import pytest
 from conftest import CORPUS_NAMES, corpus_sql
 
 from tabletalk import classifier, parser, query_graph as QG, rewriter, translator
+from tabletalk.ast_nodes import ColumnRef, Compare
 from tabletalk.classifier import LABELS, classify
 from tabletalk.errors import NotFlattenable
 from tabletalk.query_graph import QueryGraph, QueryJoinEdge, QueryNode
@@ -99,6 +100,11 @@ class TestAgreesWithRewriter:
             assert name == "outer_constant"
 
 
+def _edge(a: str, b: str, column: str, op: str, fk: bool) -> QueryJoinEdge:
+    pred = Compare(ColumnRef(a, column), op, ColumnRef(b, column))
+    return QueryJoinEdge(pred, fk_backed=fk)
+
+
 def _random_spj_graph(rng: random.Random) -> QueryGraph:
     relations = ["MOVIE", "GENRE", "DIRECTOR", "CAST", "ACTOR"]
     qg = QueryGraph()
@@ -110,12 +116,7 @@ def _random_spj_graph(rng: random.Random) -> QueryGraph:
         if a == b:
             continue
         qg.joins.append(
-            QueryJoinEdge(
-                (f"t{a}", "k"),
-                (f"t{b}", "k"),
-                rng.choice(["=", "=", ">"]),
-                fk_backed=rng.random() < 0.7,
-            )
+            _edge(f"t{a}", f"t{b}", "k", rng.choice(["=", "=", ">"]), rng.random() < 0.7)
         )
     return qg
 
@@ -139,14 +140,10 @@ class TestProperties:
             for i, rel in enumerate(chosen):
                 qg.nodes.append(QueryNode(f"t{i}", rel))
             for i in range(n - 1):
-                qg.joins.append(
-                    QueryJoinEdge((f"t{i}", "k"), (f"t{i+1}", "k"), "=", True)
-                )
+                qg.joins.append(_edge(f"t{i}", f"t{i+1}", "k", "=", True))
             assert classify(qg).label == "Path"
             a, b = rng.sample(range(n), 2)
-            qg.joins.append(
-                QueryJoinEdge((f"t{a}", "j"), (f"t{b}", "j"), "=", False)
-            )
+            qg.joins.append(_edge(f"t{a}", f"t{b}", "j", "=", False))
             after = classify(qg)
             if after.label == "Path":
                 assert classifier._is_simple_path(qg)

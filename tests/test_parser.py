@@ -240,6 +240,8 @@ class TestErrorContract:
              "expected comparison operator, found 'b'", 24, _OPS),
             ("select a from T where 1 in (select b from U)", SyntaxError_,
              "IN requires a column reference on its left", 27, ()),
+            pytest.param("select a from T where a = " + "1" * 5000, SyntaxError_,
+                         "integer constant too long", 26, (), id="5000-digit constant"),
             # unsupported constructs
             ("select distinct a from T", Unsupported, "SELECT DISTINCT", 16, None),
             ("select a from T having a = 1", Unsupported, "HAVING without GROUP BY", 16, None),

@@ -20,8 +20,8 @@ class TestBuild:
         assert relations.count("CAST") == 2 and relations.count("ACTOR") == 2
         nonfk = [e for e in qg.joins if not e.fk_backed]
         assert len(nonfk) == 1
-        assert nonfk[0].op == ">"
-        assert {nonfk[0].from_ref[0], nonfk[0].to_ref[0]} == {"a1", "a2"}
+        assert nonfk[0].pred.op == ">"
+        assert set(nonfk[0].ends) == {"a1", "a2"}
 
     def test_q7_nested_child_under_compare_having(self, corpus_graphs):
         qg = corpus_graphs["q7"]
@@ -32,8 +32,7 @@ class TestBuild:
         assert [n.relation for n in entry.child.nodes] == ["GENRE"]
         crossing = [e for e in entry.child.joins if e.crosses_nesting]
         assert len(crossing) == 1
-        assert crossing[0].from_ref == ("g", "mid")
-        assert crossing[0].to_ref == ("m", "id")
+        assert crossing[0].pred.render() == "g.mid = m.id"
 
     def test_crossing_edge_keeps_the_child_side_first(self, movie_graph):
         ast = parser.parse_sql(
@@ -42,7 +41,8 @@ class TestBuild:
         )
         parser.resolve_names(ast, movie_graph)
         (edge,) = QG.build(ast, movie_graph).nested[0].child.joins
-        assert (edge.from_ref, edge.op, edge.to_ref) == (("c", "mid"), ">", ("m", "id"))
+        assert edge.pred.render() == "c.mid > m.id"
+        assert (edge.pred.lhs.relation, edge.pred.rhs.relation) == ("CAST", "MOVIE")
         assert edge.crosses_nesting
 
     def test_two_scalar_subqueries_nest_only_the_left_one(self, movie_graph):
@@ -102,10 +102,9 @@ class TestBuild:
             for edge in qg.joins:
                 if edge.crosses_nesting:
                     continue
-                a = qg.node(edge.from_ref[0])
-                b = qg.node(edge.to_ref[0])
-                expected = edge.op == "=" and movie_graph.fk_backed(
-                    a.relation, edge.from_ref[1], b.relation, edge.to_ref[1]
+                a, b = edge.pred.lhs, edge.pred.rhs
+                expected = edge.pred.op == "=" and movie_graph.fk_backed(
+                    a.relation, a.column, b.relation, b.column
                 )
                 assert edge.fk_backed == expected, name
 

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from conftest import CORPUS_NAMES, built, corpus_sql
@@ -10,7 +8,6 @@ from tabletalk.classifier import classify
 from tabletalk.translator import (
     LEXICON,
     lexicalize_predicate,
-    load_motif_patterns,
     translate,
     translate_procedural,
 )
@@ -292,6 +289,30 @@ class TestEdges:
             "role of the cast entry is Chris; report the mid of the cast entry)."
         )
 
+    @pytest.mark.parametrize(
+        "sql,label",
+        [
+            ("select m.title from MOVIES m where 1 = 2", "Path"),
+            ("select m.title from MOVIES m where m.id in "
+             "(select g.mid from GENRE g where 1 = 2)", "NestedFlattenable"),
+        ],
+    )
+    def test_constant_only_conjunct_is_said(self, movie_graph, sql, label):
+        ast = parser.parse_sql(sql)
+        parser.resolve_names(ast, movie_graph)
+        qg = QG.build(ast, movie_graph)
+        result = translate(qg, movie_graph)
+        assert result.class_used.label == label
+        assert result.text == "Find the titles of movies where 1 is 2"
+
+    def test_division_frame_declines_a_constant_only_conjunct(self, movie_graph):
+        ast = parser.parse_sql(corpus_sql("q6") + " and 1 = 2")
+        parser.resolve_names(ast, movie_graph)
+        result = translate(QG.build(ast, movie_graph), movie_graph)
+        # "Find movies that have all genres" would drop the 1 = 2.
+        assert result.style == "procedural"
+        assert "1 is 2" in result.text
+
 
 class TestProceduralWording:
     """Exact text of procedural steps that no golden covers."""
@@ -341,6 +362,26 @@ class TestProceduralWording:
             "movie).\n"
             "3. Report the title of the movie.",
         ),
+        "inlined_constant_ending_in_a_period": (
+            "select m.title from MOVIES m where exists (select c.mid from CAST c, "
+            "ACTOR a where c.aid = a.id and a.name = 'Sammy Davis Jr.')",
+            "1. Consider each movie (m).\n"
+            "2. Keep combinations where at least one row exists in (consider each "
+            "cast entry (c); for each cast entry, bring in its actors (a); keep "
+            "combinations where the name of the actor is Sammy Davis Jr.; report "
+            "the mid of the cast entry).\n"
+            "3. Report the title of the movie.",
+        ),
+        # Both columns of the child's comparison belong to the outer query.
+        "count_scalar_over_two_outer_aliases": (
+            "select c1.aid from CAST c1, ACTOR a2 where c1.aid = a2.id and 0 > "
+            "(select count(*) from GENRE g3 where c1.role > a2.name)",
+            "1. Consider each cast entry (c1).\n"
+            "2. For each cast entry, bring in its actors (a2).\n"
+            "3. Keep combinations where 0 is larger than the number of genres for "
+            "which the role of the cast entry is larger than the name of the actor.\n"
+            "4. Report the aid of the cast entry.",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -382,27 +423,6 @@ class TestMotifsOncePerLevel:
     def test_procedural_without_a_class_does_not_classify(self, movie_graph, corpus_graphs):
         result = translate_procedural(corpus_graphs["q7"], movie_graph)
         assert result.class_used is None
-
-
-class TestMotifPatternFile:
-    def test_q3_natural_phrase_via_pattern(self, movie_graph, corpus_graphs, tmp_path):
-        patterns = [
-            {
-                "shape": {"relation": "ACTOR", "count": 2, "via": "MOVIE"},
-                "phrase": "pairs of actors who have played in the same movie",
-            }
-        ]
-        path = tmp_path / "motifs.json"
-        path.write_text(json.dumps(patterns))
-        loaded = load_motif_patterns(str(path))
-        result = translate(
-            corpus_graphs["q3"], movie_graph, motif_patterns=loaded
-        )
-        assert result.text == (
-            "Find pairs of actors who have played in the same movie, and the "
-            "id of the first actor is larger than the id of the second actor"
-        )
-        assert any("user motif" in n for n in result.notes)
 
 
 @pytest.mark.parametrize(
