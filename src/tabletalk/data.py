@@ -1,6 +1,9 @@
 """Desk-scale table storage: CSV loading, join navigation, ranking.
 
-Whole tables live in memory, which is the point at this scale.  A
+Whole tables live in memory, which is the point at this scale.  A row
+holds its cells in one immutable tuple, in declared attribute order,
+read through a {attribute: position} map that every row of a loaded
+table shares; `Row.values` is a fresh dict, never the row itself.  A
 Database is immutable after load and safe to share: replace a table,
 never mutate it in place.  `follow_join` reads a hash index per
 (relation, attribute) that the Database builds the first time the pair
@@ -30,22 +33,48 @@ from .record import Record, field
 from .schema import JoinEdge, SchemaGraph
 
 
-class Row(Record):
-    """One tuple; values keyed by declared attribute name, in order."""
+class Row:
+    """One tuple: its cells in declared attribute order, read by name.
 
-    relation: str
-    values: dict[str, object]
+    `cells` is an immutable tuple and `positions` maps each attribute to
+    its index in it; every row of a loaded table shares one `positions`
+    map, which is never mutated.  `Row(relation, values)` builds its own
+    map from the dict's order, and `values` returns a fresh dict, so
+    changing it leaves the row as it was.  Rows compare by relation and
+    values, as their repr shows them, and are unhashable.
+    """
+
+    __slots__ = ("relation", "cells", "positions")
+    __hash__ = None
+
+    def __init__(self, relation: str, values: dict[str, object]):
+        self.relation = relation
+        self.cells = tuple(values.values())
+        self.positions = {attribute: i for i, attribute in enumerate(values)}
+
+    @property
+    def values(self) -> dict[str, object]:
+        return dict(zip(self.positions, self.cells))
 
     def cell(self, attribute: str):
         """The value of an attribute, named in its declared spelling."""
         try:
-            return self.values[attribute]
+            return self.cells[self.positions[attribute]]
         except KeyError:
             raise UnknownAttribute(f"{self.relation} has no attribute {attribute!r}") from None
 
+    def __eq__(self, other):
+        if other.__class__ is not Row:
+            return NotImplemented
+        return self.relation == other.relation and self.values == other.values
+
+    def __repr__(self):
+        return f"Row(relation={self.relation!r}, values={self.values!r})"
+
 
 class Database(Record):
-    """Tables keyed by declared relation name.
+    """Tables keyed by declared relation name; each a list of rows whose
+    cells are immutable, so only replacing a table changes one.
 
     Two structures are built lazily, never at load: a join index per
     (relation, attribute) looked up, and a rank order per (relation,
@@ -149,8 +178,7 @@ def _load_table(graph: SchemaGraph, relation: str, text) -> list[Row]:
         raise HeaderMismatch(
             f"{relation}: header {header} does not match declared attributes {declared}"
         )
-    position = {attr.name: col for col, attr in enumerate(columns)}
-    raw_rows = []
+    body = []
     for lineno, cells in enumerate(rows[1:], start=2):
         if not cells:
             continue  # blank line
@@ -159,32 +187,35 @@ def _load_table(graph: SchemaGraph, relation: str, text) -> list[Row]:
                 f"{relation}: row at line {lineno} has {len(cells)} cells, "
                 f"expected {len(header)}"
             )
-        raw_rows.append(cells)
-    # Column typing: integer iff every non-empty cell parses as an integer.
-    is_int = []
-    for col in range(len(header)):
-        cells = [r[col] for r in raw_rows if r[col] != ""]
-        is_int.append(bool(cells) and all(_is_int(c) for c in cells))
+        body.append(cells)
+    if not body:
+        return []
+    by_name = dict(zip([attr.name for attr in columns], zip(*body)))
+    typed = []
+    for name in declared:  # declared attribute order
+        column = by_name[name]
+        if _is_int_column(column):
+            typed.append([int(cell) if cell else None for cell in column])
+        else:
+            typed.append([cell or None for cell in column])
+    positions = {name: i for i, name in enumerate(declared)}
     table = []
-    for cells in raw_rows:
-        values = {}
-        for name in declared:  # declared attribute order
-            col = position[name]
-            cell = cells[col]
-            if cell == "":
-                values[name] = None
-            elif is_int[col]:
-                values[name] = int(cell)
-            else:
-                values[name] = cell
-        table.append(Row(relation, values))
+    new = object.__new__  # Row.__init__ would build a positions map per row
+    for cells in zip(*typed):
+        row = new(Row)
+        row.relation, row.cells, row.positions = relation, cells, positions
+        table.append(row)
     return table
 
 
-def _is_int(text: str) -> bool:
-    """An optional sign followed by ASCII digits, nothing else."""
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    return digits.isascii() and digits.isdigit()
+def _is_int_column(cells) -> bool:
+    """Integer typing: some cell is non-empty, and each non-empty one is an
+    optional sign followed by ASCII digits, nothing else."""
+    return (
+        any(cells)
+        and all((cell[1:] if cell[0] in "+-" else cell).isdigit() for cell in cells if cell)
+        and "".join(cells).isascii()
+    )
 
 
 def follow_join(db: Database, edge: JoinEdge, row: Row) -> list[Row]:

@@ -333,8 +333,7 @@ def _project(item: SelectItem, env, group):
     expr = item.expr
     if isinstance(expr, ColumnRef):
         if expr.column == "*":
-            row = env[expr.alias]
-            return tuple(row.values.values())
+            return env[expr.alias].cells
         return _value(expr, env)
     if isinstance(expr, CountStar):
         if group is None:

@@ -1,9 +1,10 @@
 """Query graph: one node per tuple variable, join edges, nested children.
 
 Predicates are partitioned exactly once: alias-local constant comparisons
-go to their node's WHERE part, two-alias comparisons become join edges,
-aggregate comparisons go to HAVING parts, and subquery connectors become
-nested child graphs.  A predicate in a child that references an enclosing
+go to their node's WHERE part, WHERE comparisons of constants alone to the
+level's `where_misc`, two-alias comparisons become join edges, aggregate
+comparisons go to HAVING parts, and subquery connectors become nested
+child graphs.  A predicate in a child that references an enclosing
 alias becomes a join edge flagged as crossing the nesting boundary.
 """
 
@@ -55,7 +56,8 @@ class QueryGraph(Record):
     order_note: list | None = None  # [(alias, attribute, direction)]
     nested: list[NestedQuery] = field(factory=list)
     projections: list = field(factory=list)
-    having_misc: list = field(factory=list)  # ownerless having preds
+    where_misc: list = field(factory=list)  # constant-only WHERE preds
+    having_misc: list = field(factory=list)  # other ownerless preds
     query: Query | None = None
 
     def node(self, alias: str) -> QueryNode | None:
@@ -152,6 +154,9 @@ def _place_compare(qg, graph, pred: Compare, site, local):
             and graph.fk_backed(lhs.relation, lhs.column, rhs.relation, rhs.column)
         )
         qg.joins.append(QueryJoinEdge(pred, fk_backed=fk, crosses_nesting=crossing))
+        return
+    if not refs and not aggregates:
+        qg.where_misc.append(pred)
         return
     # Alias-local: constant comparison or same-alias attribute comparison.
     node = qg.node(refs[0].alias) if refs else None

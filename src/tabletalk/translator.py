@@ -402,8 +402,8 @@ def _sort_phrase(qg, graph, refs) -> str:
 
 
 def _leftover_conditions(qg, graph, refs) -> list[str]:
-    """Non-key joins, unconsumed WHERE parts and ownerless (constant-only)
-    WHERE conjuncts of a flat query level."""
+    """Non-key joins, unconsumed WHERE parts and ownerless conjuncts
+    (constant-only ones first) of a flat query level."""
     out = []
     for edge in qg.joins:
         if edge.crosses_nesting or edge.fk_backed:
@@ -414,7 +414,7 @@ def _leftover_conditions(qg, graph, refs) -> list[str]:
             if id(pred) in refs.consumed_preds:
                 continue
             out.append(lexicalize_predicate(pred, graph, refs))
-    for pred in qg.having_misc:
+    for pred in qg.where_misc + qg.having_misc:
         out.append(lexicalize_predicate(pred, graph, refs, heading=False))
     return out
 
@@ -451,7 +451,7 @@ def _division_frame(qg, graph, motif) -> str | None:
     if len(qg.nodes) != 1 or qg.joins or len(qg.nested) != 1:
         return None
     node = qg.nodes[0]
-    if node.where_part or node.having_part or qg.having_misc or qg.order_note:
+    if node.where_part or node.having_part or qg.where_misc or qg.having_misc or qg.order_note:
         return None
     heading = graph.relation(node.relation).heading_attribute
     for ref in _projection_refs(qg):
@@ -474,7 +474,7 @@ def _same_value_frame(qg, graph, motif) -> str | None:
     for ref in _projection_refs(qg):
         if ref.alias != group_alias:
             return None
-    if any(n.where_part for n in qg.nodes) or qg.nested or qg.having_misc:
+    if any(n.where_part for n in qg.nodes) or qg.nested or qg.where_misc or qg.having_misc:
         return None
     if sum(len(n.having_part) for n in qg.nodes) != 1:  # the motif's own only
         return None
@@ -545,6 +545,7 @@ def _procedural_steps(qg, graph, cls=None) -> list[str]:
         if not edge.crosses_nesting and id(edge) not in consumed_edges
     ]
     where_preds += [pred for node in qg.nodes for pred in node.where_part]
+    where_preds += qg.where_misc
     having_preds = [pred for node in qg.nodes for pred in node.having_part]
     having_preds += qg.having_misc
     for rows, site, preds in (

@@ -1,4 +1,10 @@
+import csv
+import io
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
 
@@ -14,6 +20,7 @@ from tabletalk.data import (
 from tabletalk.errors import (
     HeaderMismatch,
     RaggedRow,
+    TabletalkError,
     UnknownAttribute,
     UnknownRelation,
     WrongRelation,
@@ -330,7 +337,7 @@ class TestSelectTuples:
 
 
 class TestColumnTyping:
-    @pytest.mark.parametrize("cell", ["1_000", " 7 ", "\u0663", "+", "1.0", "0x1"])
+    @pytest.mark.parametrize("cell", ["1_000", " 7 ", "\u0663", "+", "+-1", "1.0", "0x1"])
     def test_only_signed_ascii_digits_make_an_integer_column(self, movie_graph, cell):
         slice_ = dict(WOODY_SLICE)
         slice_["ACTOR"] = f'id,name\n"{cell}",X\n'
@@ -341,3 +348,152 @@ class TestColumnTyping:
         slice_["ACTOR"] = "id,name\n-3,X\n+4,Y\n007,Z\n"
         ids = [r.cell("id") for r in load_data(movie_graph, slice_).table("ACTOR")]
         assert ids == [-3, 4, 7]
+
+
+class TestRowShape:
+    def test_a_loaded_row_has_no_instance_dict(self, woody_db):
+        row = woody_db.table("DIRECTOR")[0]
+        assert not hasattr(row, "__dict__")
+        with pytest.raises(AttributeError):
+            row.extra = 1
+
+    def test_rows_of_a_table_share_one_position_map(self, movie_db):
+        for name, rows in movie_db.tables.items():
+            assert len({id(row.positions) for row in rows}) <= 1, name
+        assert movie_db.table("MOVIE")[0].positions is movie_db.table("MOVIE")[-1].positions
+
+    def test_cells_are_a_tuple_in_declared_order(self, movie_graph, woody_db):
+        for name, rows in woody_db.tables.items():
+            declared = [a.name for a in movie_graph.attributes_of(name)]
+            for row in rows:
+                assert type(row.cells) is tuple
+                assert row.cells == tuple(row.cell(a) for a in declared)
+                assert list(row.values) == declared
+        # The CSV lists bdate before blocation; the schema declares it last.
+        assert woody_db.table("DIRECTOR")[0].cells == (
+            1, "Woody Allen", "Brooklyn, New York, USA", "December 1, 1935"
+        )
+
+    def test_values_is_a_fresh_copy(self, movie_graph):
+        db = load_data(movie_graph, WOODY_SLICE)
+        for row in (db.table("MOVIE")[0], Row("MOVIE", {"id": 1, "title": "Scoop"})):
+            values = row.values
+            values["title"] = "Sleeper"
+            values["extra"] = 1
+            assert row.values is not values
+            assert row.cell("title") != "Sleeper"
+            with pytest.raises(UnknownAttribute):
+                row.cell("extra")
+
+    def test_repr_equality_and_hash_are_unchanged(self, woody_db):
+        row = woody_db.table("MOVIE")[0]
+        assert repr(row) == (
+            "Row(relation='MOVIE', values={'id': 1, 'title': 'Match Point', 'year': 2005})"
+        )
+        built = Row("MOVIE", {"id": 1, "title": "Match Point", "year": 2005})
+        reordered = Row("MOVIE", {"year": 2005, "title": "Match Point", "id": 1})
+        assert row == built == reordered
+        assert row != Row("MOVIE", {"id": 1, "title": "Match Point", "year": 2006})
+        assert row != Row("GENRE", {"id": 1, "title": "Match Point", "year": 2005})
+        assert row != Row("MOVIE", {"id": 1, "title": "Match Point"})
+        assert row != ("MOVIE", {"id": 1, "title": "Match Point", "year": 2005})
+        for value in (row, built):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
+
+
+# --- loader property test ---------------------------------------------------
+
+INT_CELLS = ["", "+4", "-3", "007", "0", "12"]
+OTHER_CELLS = INT_CELLS + ["\u0661\u0662", "1_000", " 7 ", "--2", "a,b", "two\nlines", "-", "x"]
+
+
+def _reference_table(graph, relation, text):
+    """The documented loading rule, spelled out row by row.
+
+    The header names every declared attribute once, in any order and
+    case, around any spaces.  Blank lines are skipped; any other record
+    must have one cell per header column, else RaggedRow names its line
+    (counted in CSV records, so a quoted newline does not add one).  An
+    empty cell is null; a column is integer when it has a non-empty cell
+    and each one is an optional sign and ASCII digits.  Each row lists its
+    cells in declared order.
+    """
+    records = list(csv.reader(io.StringIO(text)))
+    if not records:
+        return []
+    header = [h.strip() for h in records[0]]
+    declared = [a.name for a in graph.attributes_of(relation)]
+    spelled = {name.upper(): name for name in declared}
+    names = [spelled.get(h.upper()) for h in header]
+    if None in names or sorted(names) != sorted(declared):
+        raise HeaderMismatch(
+            f"{relation}: header {header} does not match declared attributes {declared}"
+        )
+    body = []
+    for number, record in enumerate(records[1:], start=2):
+        if record == []:
+            continue
+        if len(record) != len(header):
+            raise RaggedRow(
+                f"{relation}: row at line {number} has {len(record)} cells, "
+                f"expected {len(header)}"
+            )
+        body.append(dict(zip(names, record)))
+    integer = {
+        name: any(row[name] for row in body)
+        and all(re.fullmatch("[+-]?[0-9]+", row[name]) for row in body if row[name])
+        for name in declared
+    }
+    return [
+        {name: None if row[name] == "" else int(row[name]) if integer[name] else row[name]
+         for name in declared}
+        for row in body
+    ]
+
+
+@st.composite
+def director_csvs(draw):
+    """DIRECTOR CSV text: shuffled mixed-case header, typed and edge cells,
+    blank and ragged lines, and now and then a header that does not fit."""
+    names = draw(st.permutations(["id", "name", "blocation", "bdate"]))
+    header = [
+        "".join(c.upper() if draw(st.booleans()) else c for c in name) for name in names
+    ]
+    if draw(st.integers(0, 9)) == 0:
+        header[draw(st.integers(0, 3))] = draw(st.sampled_from(["title", "ID", ""]))
+    pools = [draw(st.sampled_from([INT_CELLS, OTHER_CELLS])) for _ in header]
+    records = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 11))
+        if kind == 0:
+            records.append([])  # a blank line
+        elif kind == 1:
+            width = draw(st.sampled_from([1, 3, 5]))
+            records.append([draw(st.sampled_from(OTHER_CELLS)) for _ in range(width)])
+        else:
+            records.append([draw(st.sampled_from(pool)) for pool in pools])
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(records)
+    return out.getvalue() + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def _outcome(load):
+    try:
+        return "rows", load()
+    except TabletalkError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(director_csvs())
+@settings(max_examples=300, deadline=None)
+def test_loader_follows_the_documented_rule(movie_graph, text):
+    def typed(rows):
+        return [[(name, type(v), v) for name, v in row.items()] for row in rows]
+
+    def loaded():
+        db = load_data(movie_graph, dict(WOODY_SLICE, DIRECTOR=text))
+        return typed(row.values for row in db.table("DIRECTOR"))
+
+    want = _outcome(lambda: typed(_reference_table(movie_graph, "DIRECTOR", text)))
+    assert _outcome(loaded) == want

@@ -92,7 +92,7 @@ class TestBuild:
             placed = (
                 sum(len(n.where_part) + len(n.having_part) for n in qg.nodes)
                 + len([e for e in qg.joins if not e.crosses_nesting])
-                + len(qg.having_misc)
+                + len(qg.where_misc) + len(qg.having_misc)
                 + len(qg.nested)
             )
             assert placed == ast_preds, name

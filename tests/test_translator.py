@@ -313,6 +313,24 @@ class TestEdges:
         assert result.style == "procedural"
         assert "1 is 2" in result.text
 
+    @pytest.mark.parametrize(
+        "sql,step",
+        [
+            ("select m.title from MOVIES m where 1 = 2",
+             "1. Consider each movie (m).\n"
+             "2. Keep combinations where 1 is 2.\n"
+             "3. Report the title of the movie."),
+            (corpus_sql("q6") + " and 1 = 2", "2. Keep combinations where 1 is 2."),
+        ],
+    )
+    def test_constant_only_conjunct_is_a_where_step(self, movie_graph, sql, step):
+        # No GROUP BY: the conjunct filters combinations, not groups.
+        ast = parser.parse_sql(sql)
+        parser.resolve_names(ast, movie_graph)
+        text = translate_procedural(QG.build(ast, movie_graph), movie_graph).text
+        assert step in text
+        assert "groups" not in text
+
 
 class TestProceduralWording:
     """Exact text of procedural steps that no golden covers."""
