@@ -12,11 +12,20 @@ is looked up, so a join costs O(matches) once the index exists.
 sorts once per (relation, attribute, direction) on the first ranked
 lookup; `rank_rows` picks the top k of any other list of rows without
 sorting it.
+
+`load_data` pauses CPython's cyclic garbage collector while it runs and
+then restores the caller's setting.  Everything a load builds is acyclic
+(rows, tuples of int, str and None, one shared position map per table,
+lists), and reference counting still frees its temporaries at once, so
+the collections that the many new rows would trigger could free nothing:
+each walked the whole growing heap to find no cycle.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import gc
 import heapq
 import io
 import os
@@ -139,11 +148,32 @@ class RankSpec(Record):
         return cls(None, False)
 
 
+def _collector_paused(func):
+    """Run `func` with the cyclic garbage collector off, then turn it back
+    on only if it was on before, so a caller's own pause survives."""
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def load_data(graph: SchemaGraph, source) -> Database:
     """Load one CSV per relation from a directory or a name->text mapping.
 
     File names and headers may use any case (and relation aliases); tables
-    and rows are keyed by the declared spellings.
+    and rows are keyed by the declared spellings.  The cyclic garbage
+    collector is paused for the call, since the rows it builds hold no
+    cycles (see the module docstring); the caller's setting, on or off, is
+    restored on return and on every error.
     """
     if isinstance(source, dict):
         streams = dict(source)

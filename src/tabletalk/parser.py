@@ -331,7 +331,9 @@ def resolve_names(query: Query, graph) -> Query:
     (`canonical`), and each ColumnRef its declared relation and attribute
     names plus the alias as its FROM item spells it, so a resolved query
     renders `M.title` as `m.title` over `FROM MOVIE m`.  The relation and
-    column names the query used stay for rendering.
+    column names the query used stay for rendering.  A count(*) or
+    count(distinct ...) compared in a WHERE conjunct, at any level, raises
+    SqlError: it belongs in HAVING.
     """
     _resolve_query(query, graph, ())
     return query
@@ -351,6 +353,10 @@ def _resolve_query(query: Query, graph, outer_scopes):
     scopes = (scope,) + outer_scopes
     for ref in query.column_refs():
         _resolve_ref(ref, graph, scopes)
+    for pred in query.where:  # a count is of a group's rows, so HAVING only
+        for side in (getattr(pred, "lhs", None), getattr(pred, "rhs", None)):
+            if isinstance(side, (CountStar, CountDistinct)):
+                raise SqlError(f"aggregate {side.render()} in WHERE; use HAVING")
     for _, _, child in query.subqueries():
         _resolve_query(child, graph, scopes)
 

@@ -155,11 +155,11 @@ def _place_compare(qg, graph, pred: Compare, site, local):
         )
         qg.joins.append(QueryJoinEdge(pred, fk_backed=fk, crosses_nesting=crossing))
         return
-    if not refs and not aggregates:
+    if not refs:  # resolve_names keeps aggregates out of WHERE
         qg.where_misc.append(pred)
         return
     # Alias-local: constant comparison or same-alias attribute comparison.
-    node = qg.node(refs[0].alias) if refs else None
+    node = qg.node(refs[0].alias)
     if node is not None:
         node.where_part.append(pred)
     else:

@@ -640,7 +640,7 @@ def _scalar_child(query, child: QueryGraph, graph, outer_refs) -> str:
         node = child.nodes[0]
         rel = graph.relation(node.relation)
         refs = _child_refs(child, graph, outer_refs)
-        preds = [edge.pred for edge in child.joins] + node.where_part
+        preds = [edge.pred for edge in child.joins] + node.where_part + child.where_misc
         conditions = [lexicalize_predicate(p, graph, refs, heading=False) for p in preds]
         motifs = rewriter.detect_motifs(child)
         conditions += [_nested_phrase(e, motifs, graph, refs) for e in child.nested]

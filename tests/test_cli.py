@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -68,6 +69,20 @@ class TestNarrateCommand:
             "and the actor A1 who is Greek."
         )
 
+    def test_ragged_data_is_an_input_error(self, tmp_path):
+        data = tmp_path / "movies"
+        shutil.copytree(DATA, data)
+        with (data / "MOVIE.csv").open("a", encoding="utf-8") as fh:
+            fh.write("4,Scoop\n")
+        lineno = len((data / "MOVIE.csv").read_text(encoding="utf-8").splitlines())
+        proc = run_cli("narrate", "--schema", SCHEMA, "--data", str(data))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"MOVIE: row at line {lineno} has 2 cells, expected 3"
+        ]
+
     def test_missing_data_is_a_usage_error(self):
         proc = run_cli("narrate", "--schema", SCHEMA)
         assert proc.returncode == 1
@@ -126,6 +141,15 @@ class TestExplainCommand:
         proc = run_cli("explain", "select nothing sensible", "--schema", SCHEMA)
         assert proc.returncode == 2
         assert proc.stderr.strip()
+
+    def test_aggregate_in_where_is_an_input_error(self):
+        proc = run_cli(
+            "explain", "select m.title from MOVIES m where count(*) > 1", "--schema", SCHEMA
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == ["aggregate count(*) in WHERE; use HAVING"]
 
     def test_unknown_schema_file_is_an_input_error(self):
         proc = run_cli("explain", "select m.title from MOVIE m", "--schema", "/nope.json")

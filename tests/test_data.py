@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import re
 
@@ -400,6 +401,69 @@ class TestRowShape:
         for value in (row, built):
             with pytest.raises(TypeError, match="unhashable"):
                 hash(value)
+
+
+class TestCollectorPause:
+    """`load_data` runs with the cyclic collector off and restores the
+    caller's setting on every exit."""
+
+    @pytest.fixture(autouse=True)
+    def collector_restored(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+
+    def test_no_collection_runs_while_a_large_table_loads(self, movie_graph):
+        source = dict(WOODY_SLICE)
+        source["CAST"] = "mid,aid,role\n" + "".join(
+            f"{i % 3 + 1},{i},Role {i}\n" for i in range(20_000)
+        )
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()  # empties generation 0, so no call before the pause starts one
+        gc.callbacks.append(hook)
+        try:
+            db = load_data(movie_graph, source)
+        finally:
+            gc.callbacks.remove(hook)
+        assert len(db.table("CAST")) == 20_000
+        assert starts == []
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize(
+        "relation,text,error",
+        [
+            ("ACTOR", "id,name\n1,Brad Pitt\n2\n", RaggedRow),
+            ("ACTOR", "id,fullname\n", HeaderMismatch),
+            ("SIDECHANNEL", "x\n1\n", UnknownRelation),
+        ],
+    )
+    def test_collector_is_on_again_after_an_error(self, movie_graph, relation, text, error):
+        bad = dict(WOODY_SLICE)
+        bad[relation] = text
+        with pytest.raises(error):
+            load_data(movie_graph, bad)
+        assert gc.isenabled()
+
+    def test_collector_is_on_again_after_a_missing_directory(self, movie_graph, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_data(movie_graph, str(tmp_path / "missing"))
+        assert gc.isenabled()
+
+    def test_a_callers_pause_is_kept(self, movie_graph):
+        bad = dict(WOODY_SLICE)
+        bad["ACTOR"] = "id,name\n2\n"
+        gc.disable()
+        load_data(movie_graph, WOODY_SLICE)
+        assert not gc.isenabled()
+        with pytest.raises(RaggedRow):
+            load_data(movie_graph, bad)
+        assert not gc.isenabled()
 
 
 # --- loader property test ---------------------------------------------------

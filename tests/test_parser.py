@@ -119,6 +119,40 @@ class TestResolve:
         with pytest.raises(SqlError):
             parser.resolve_names(ast, movie_graph)
 
+    @pytest.mark.parametrize(
+        "sql,aggregate",
+        [
+            ("select m.title from MOVIES m where count(*) > 1", "count(*)"),
+            ("select m.title from MOVIES m where 1 < count(distinct m.year)",
+             "count(distinct m.year)"),
+            ("select m.title from MOVIES m where count(*) >= all "
+             "(select g.mid from GENRE g)", "count(*)"),
+            ("select m.title from MOVIES m where m.id in (select g.mid from GENRE g "
+             "where count(*) > 1 group by g.mid)", "count(*)"),
+            ("select m.title from MOVIES m where exists (select * from GENRE g "
+             "where g.mid = m.id and count(distinct g.genre) = 2)",
+             "count(distinct g.genre)"),
+        ],
+        ids=["top", "distinct", "all", "in-child", "exists-child"],
+    )
+    def test_aggregate_in_where_is_rejected(self, movie_graph, sql, aggregate):
+        ast = parser.parse_sql(sql)
+        with pytest.raises(SqlError) as info:
+            parser.resolve_names(ast, movie_graph)
+        assert str(info.value) == f"aggregate {aggregate} in WHERE; use HAVING"
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "select m.title from MOVIES m where 1 < "
+            "(select count(*) from GENRE g where g.mid = m.id)",
+            "select m.id, count(*) from MOVIES m group by m.id having count(*) > 1",
+        ],
+        ids=["scalar-select-list", "having"],
+    )
+    def test_aggregate_outside_where_resolves(self, movie_graph, sql):
+        parser.resolve_names(parser.parse_sql(sql), movie_graph)
+
     def test_dpt_alternate_name(self, emp_graph):
         ast = resolved("emp", emp_graph)
         dept = next(i for i in ast.from_items if i.alias == "d")

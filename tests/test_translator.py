@@ -331,6 +331,20 @@ class TestEdges:
         assert step in text
         assert "groups" not in text
 
+    def test_count_scalar_says_its_constant_only_conjunct(self, movie_graph):
+        ast = parser.parse_sql(
+            "select m.title from MOVIES m where 1 < (select count(*) from GENRE g "
+            "where g.mid = m.id and 1 = 2)"
+        )
+        parser.resolve_names(ast, movie_graph)
+        result = translate(QG.build(ast, movie_graph), movie_graph)
+        assert result.text == (
+            "1. Consider each movie (m).\n"
+            "2. Keep combinations where 1 is less than the number of genres for "
+            "which the mid of the genre is the id of the movie and 1 is 2.\n"
+            "3. Report the title of the movie."
+        )
+
 
 class TestProceduralWording:
     """Exact text of procedural steps that no golden covers."""
