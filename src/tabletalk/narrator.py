@@ -12,6 +12,14 @@ One breadth-first traversal feeds pattern detection, the mode choice
 and the walk.  The walk follows single steps from the start; a split
 realizes its branches and ends the walk, so relations beyond it are not
 narrated, though they count in `detect_patterns` and `fallback_mode`.
+
+What narration reads of a relation's schema (its steps with their relay
+hops resolved, its clause templates in weight order, its mode verdict)
+is derived once per graph, on the relation's first narration, and kept
+on the graph.  As with the graph's lookup index, a graph edited after
+that is not seen; load a new one instead.  A narration left with no
+sentence and no other diagnostic says that its start has nothing to
+narrate.
 """
 
 from __future__ import annotations
@@ -69,6 +77,14 @@ class _Step(Record):
         return [rel for _, rel in self.hops[:-1]]
 
 
+class _Facts(Record):
+    """What narration reads of one relation's schema."""
+
+    steps: list  # [_Step, ...] leaving the relation
+    clauses: list  # compiled projection templates, heaviest attribute first
+    wide: bool  # over two clause attributes and no long template
+
+
 # A traversal node; fresh steps reach new relations, back steps old ones.
 _Visit = namedtuple("_Visit", "node fresh back")
 
@@ -102,10 +118,33 @@ def _resolve(graph: SchemaGraph, plan: NarrationPlan) -> _Plan:
     if rank is not None and rank.attribute is not None:
         found = (graph.find_attribute(r.name, rank.attribute) for r in graph.relations)
         ranks = {a.relation: RankSpec(a.name, rank.descending) for a in found if a}
-    return _Plan(start, plan.tuple_budget, allowed, ranks)
+    return _Plan(start, max(plan.tuple_budget, 0), allowed, ranks)
 
 
-def _steps_from(graph: SchemaGraph, relation: str) -> list[_Step]:
+def _facts(graph: SchemaGraph, relation: str) -> _Facts:
+    """The relation's facts, derived on its first narration and kept on the
+    graph; like `SchemaGraph._index()`, later edits to the graph are not seen."""
+    facts = graph.narration.get(relation)
+    if facts is None:
+        facts = graph.narration[relation] = _derive(graph, relation)
+    return facts
+
+
+def _derive(graph: SchemaGraph, relation: str) -> _Facts:
+    rel = graph.relation(relation)
+    attrs = graph.attributes_of(relation)
+    clauses = []
+    for attr in sorted(attrs, key=lambda a: -a.weight):  # stable: ties keep order
+        proj = graph.projection(relation, attr.name)
+        if not attr.is_heading and proj is not None and not proj.is_default:
+            clauses.append(graph.compiled[proj.template])
+    keys = graph.key_attributes(relation)
+    clause_attrs = [a for a in attrs if not a.is_heading and a.name not in keys]
+    wide = len(clause_attrs) > 2 and not rel.long_template
+    return _Facts(_derive_steps(graph, relation), clauses, wide)
+
+
+def _derive_steps(graph: SchemaGraph, relation: str) -> list[_Step]:
     """Narration steps leaving `relation`: templated edges and relay paths."""
     steps = []
     for edge in graph.joins:
@@ -135,6 +174,10 @@ def _steps_from(graph: SchemaGraph, relation: str) -> list[_Step]:
                 )
             )
     return steps
+
+
+def _steps_from(graph: SchemaGraph, relation: str) -> list[_Step]:
+    return _facts(graph, relation).steps
 
 
 def _traversal(graph: SchemaGraph, plan: _Plan) -> list[_Visit]:
@@ -191,18 +234,8 @@ def fallback_mode(graph: SchemaGraph, plan: NarrationPlan) -> str:
 
 
 def _fallback_mode(graph: SchemaGraph, traversal: list[_Visit]) -> str:
-    if any(len(visit.fresh) > 2 for visit in traversal):
+    if any(len(fresh) > 2 or _facts(graph, node).wide for node, fresh, _ in traversal):
         return "procedural"
-    for name, _, _ in traversal:
-        rel = graph.relation(name)
-        keys = graph.key_attributes(name)
-        clause_attrs = [
-            a
-            for a in graph.attributes_of(name)
-            if not a.is_heading and a.name not in keys
-        ]
-        if len(clause_attrs) > 2 and not rel.long_template:
-            return "procedural"
     return "declarative"
 
 
@@ -222,6 +255,12 @@ def narrate(graph: SchemaGraph, db: Database, plan: NarrationPlan) -> Narrative:
         sentences.append(_finish(clause))
 
     _walk(graph, db, rplan, mode, traversal, [entity], sentences, diagnostics)
+    if not sentences and not diagnostics:
+        if _facts(graph, start).steps:  # every one outside the relation filter
+            note = "no clause or template to narrate, and the filter excludes its steps"
+        else:
+            note = "no clause, template or templated step to narrate"
+        diagnostics.append(f"relation {start} has {note}")
     return Narrative(sentences, mode, diagnostics)
 
 
@@ -248,18 +287,11 @@ def _relation_clauses(graph, relation, row, mode) -> list[str]:
 
 def _attribute_clauses(graph, relation, row) -> list[str]:
     """Instantiated non-heading attribute templates, heaviest first."""
-    ordered = sorted(
-        enumerate(graph.attributes_of(relation)), key=lambda p: (-p[1].weight, p[0])
-    )
-    out = []
-    for _, attr in ordered:
-        if attr.is_heading:
-            continue
-        proj = graph.projection(relation, attr.name)
-        if proj is None or proj.is_default:
-            continue
-        out.append(_fill(graph, proj.template, {relation: [row]}))
-    return out
+    bindings = {relation: [row]}
+    return [
+        templates.instantiate(expr, bindings, graph)
+        for expr in _facts(graph, relation).clauses
+    ]
 
 
 def _walk(graph, db, plan, mode, traversal, rows, sentences, diagnostics):
@@ -269,11 +301,9 @@ def _walk(graph, db, plan, mode, traversal, rows, sentences, diagnostics):
         if len(steps) != 1:
             return
         step = steps[0]
-        target_rows, bindings = _follow(db, plan, step, rows)
+        reached, target_rows, bindings = _follow(db, plan, step, rows)
         if not target_rows:
-            diagnostics.append(
-                f"no {step.target} tuples reachable from {relation}; step skipped"
-            )
+            diagnostics.append(_skipped(plan, relation, step, reached, "step"))
             return
         text = _step_template(step, mode)
         if text:
@@ -292,11 +322,9 @@ def _split(graph, db, plan, mode, relation, steps, rows, sentences, diagnostics)
     hub = graph.relation(relation)
     subject = rows[0].cell(hub.heading_attribute) if rows else None
     for step in steps:
-        target_rows, bindings = _follow(db, plan, step, rows)
+        reached, target_rows, bindings = _follow(db, plan, step, rows)
         if not target_rows:
-            diagnostics.append(
-                f"no {step.target} tuples reachable from {relation}; branch skipped"
-            )
+            diagnostics.append(_skipped(plan, relation, step, reached, "branch"))
             continue
         text = _step_template(step, mode)
         if not text:
@@ -326,8 +354,19 @@ def _step_template(step: _Step, mode: str) -> str | None:
     return step.template
 
 
-def _follow(db, plan: _Plan, step: _Step, rows) -> tuple[list[Row], dict]:
-    """The step's target tuples (ranked, within budget) and its bindings."""
+def _skipped(plan: _Plan, relation: str, step: _Step, reached, what: str) -> str:
+    """Why a step or branch narrates no tuple: none reached, or a zero budget."""
+    if reached:
+        return (
+            f"tuple budget {plan.tuple_budget} admits no {step.target} tuples "
+            f"from {relation}; {what} skipped"
+        )
+    return f"no {step.target} tuples reachable from {relation}; {what} skipped"
+
+
+def _follow(db, plan: _Plan, step: _Step, rows) -> tuple[list[Row], list[Row], dict]:
+    """The step's reached tuples, those narrated (ranked, within budget)
+    and its bindings."""
     bindings = {step.source: rows}
     current = rows
     for edge, rel_name in step.hops:
@@ -343,7 +382,7 @@ def _follow(db, plan: _Plan, step: _Step, rows) -> tuple[list[Row], dict]:
         current = found
     target_rows = rank_rows(current, plan.ranks.get(step.target), plan.tuple_budget)
     bindings[step.target] = target_rows
-    return target_rows, bindings
+    return current, target_rows, bindings
 
 
 def fuse_split(texts: list[str], subject: str) -> str | None:

@@ -85,6 +85,8 @@ class SchemaGraph(Record):
     # Template text -> expression compiled at load, names resolved.
     compiled: dict = field(factory=dict, shown=False)
     _names: _Names | None = field(None, init=False, shown=False)
+    # Relation -> facts the narrator derives on first use; see narrator.py.
+    narration: dict = field(factory=dict, init=False, shown=False)
 
     # -- lookups: fold the argument once, then read a dict ----------------
 

@@ -69,6 +69,31 @@ class TestNarrateCommand:
             "and the actor A1 who is Greek."
         )
 
+    def test_an_empty_narration_carries_a_note(self):
+        args = ("narrate", "--schema", str(FIXTURES / "emp.schema.json"),
+                "--data", str(FIXTURES / "emp"))
+        proc = run_cli(*args)
+        assert proc.returncode == 0
+        assert proc.stdout == "\n"
+        assert proc.stderr.splitlines() == [
+            "note: relation EMP has no clause, template or templated step to narrate"
+        ]
+        envelope = json.loads(run_cli(*args, "--output", "json").stdout)
+        assert envelope["result"] == ""
+        assert envelope["diagnostics"] == [
+            "relation EMP has no clause, template or templated step to narrate"
+        ]
+
+    def test_zero_max_tuples_note_names_the_budget(self):
+        proc = run_cli(
+            "narrate", "--schema", SCHEMA, "--data", DATA, "--max-tuples", "0"
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("Woody Allen was born")
+        assert proc.stderr.splitlines() == [
+            "note: tuple budget 0 admits no MOVIE tuples from DIRECTOR; step skipped"
+        ]
+
     def test_ragged_data_is_an_input_error(self, tmp_path):
         data = tmp_path / "movies"
         shutil.copytree(DATA, data)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 
@@ -636,3 +637,164 @@ class TestShortAndLongTemplates:
         db = load_data(graph, {"R": "h,x,y\nH,1,2\n"})
         narrative = narrate(graph, db, NarrationPlan(mode="declarative"))
         assert narrative.text == "H bbb 2 aaa 1."
+
+
+NOTHING_TO_NARRATE = "relation {} has no clause, template or templated step to narrate"
+
+
+class TestNothingToNarrate:
+    @pytest.mark.parametrize("mode", ["auto", "declarative", "procedural"])
+    @pytest.mark.parametrize(
+        "fixture,start,named",
+        [
+            ("movie", "GENRE", "GENRE"),
+            ("movie", "cast", "CAST"),
+            ("movie", "ACTOR", "ACTOR"),
+            ("movie", "DIRECTED", "DIRECTED"),
+            ("split", "ACTOR", "ACTOR"),
+            ("split", "DIRECTOR", "DIRECTOR"),
+            ("emp", None, "EMP"),
+        ],
+    )
+    def test_an_empty_narration_names_its_start(self, request, fixture, start, named, mode):
+        graph = request.getfixturevalue(f"{fixture}_graph")
+        db = request.getfixturevalue(f"{fixture}_db")
+        narrative = narrate(graph, db, NarrationPlan(start_relation=start, mode=mode))
+        assert narrative.sentences == []
+        assert narrative.diagnostics == [NOTHING_TO_NARRATE.format(named)]
+
+    def test_a_start_with_sentences_gets_no_note(self, split_graph, split_db):
+        assert narrate(split_graph, split_db, NarrationPlan()).diagnostics == []
+
+    def test_steps_left_out_by_the_filter_are_named(self, split_graph, split_db):
+        plan = NarrationPlan(relation_filter=frozenset({"MOVIE"}))
+        narrative = narrate(split_graph, split_db, plan)
+        assert narrative.sentences == []
+        assert narrative.diagnostics == [
+            "relation MOVIE has no clause or template to narrate, "
+            "and the filter excludes its steps"
+        ]
+
+
+def _movie_tables(**replaced):
+    texts = {path.stem: path.read_text() for path in (FIXTURES / "movies").glob("*.csv")}
+    texts.update(replaced)
+    return texts
+
+
+class TestSkippedStepNotes:
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_a_zero_budget_note_names_the_budget(self, movie_graph, movie_db, budget):
+        narrative = narrate(movie_graph, movie_db, NarrationPlan(tuple_budget=budget))
+        assert narrative.diagnostics == [
+            "tuple budget 0 admits no MOVIE tuples from DIRECTOR; step skipped"
+        ]
+
+    def test_a_zero_budget_skips_each_split_branch_by_name(self, split_graph, split_db):
+        narrative = narrate(split_graph, split_db, NarrationPlan(tuple_budget=0))
+        assert narrative.sentences == []
+        assert narrative.diagnostics == [
+            f"tuple budget 0 admits no {rel} tuples from MOVIE; branch skipped"
+            for rel in ("DIRECTOR", "ACTOR")
+        ]
+
+    @pytest.mark.parametrize("budget", [0, 3])
+    def test_an_unreachable_step_says_so_at_any_budget(self, movie_graph, budget):
+        db = load_data(movie_graph, _movie_tables(DIRECTED="mid,did\n"))
+        narrative = narrate(movie_graph, db, NarrationPlan(tuple_budget=budget))
+        assert narrative.sentences == [
+            "Woody Allen was born in Brooklyn, New York, USA on December 1, 1935."
+        ]
+        assert narrative.diagnostics == [
+            "no MOVIE tuples reachable from DIRECTOR; step skipped"
+        ]
+
+
+def _plans(graph, ranks):
+    """Every start (and the default) in each mode, budgets 0-3, each rank."""
+    starts = [None] + [rel.name for rel in graph.relations]
+    return [
+        NarrationPlan(start_relation=start, mode=mode, tuple_budget=budget, rank=rank)
+        for start in starts
+        for mode in ("auto", "declarative", "procedural")
+        for budget in range(4)
+        for rank in ranks
+    ]
+
+
+FIXTURE_RANKS = {
+    "movies": [RankSpec("id", True), RankSpec("name"), RankSpec("year", True),
+               RankSpec("title", True)],
+    "split": [RankSpec("title", True), RankSpec("dname")],
+    "emp": [RankSpec("sal", True), RankSpec("name")],
+}
+
+
+class TestSchemaFacts:
+    """The narrator derives each relation's facts once per graph."""
+
+    def test_a_second_narration_derives_nothing(self, monkeypatch):
+        graph = schema.load_schema(FIXTURES / "movies.schema.json")
+        db = load_data(graph, FIXTURES / "movies")
+        plan = NarrationPlan(mode="procedural")
+        derived, looked_up = [], []
+
+        def counting(module, name, log):
+            original = getattr(module, name)
+
+            def counted(*args):
+                log.append((name, args[1]))
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("_derive", "_derive_steps"):
+            counting(narrator, name, derived)
+        for name in ("attributes_of", "projection", "key_attributes", "joins_between"):
+            counting(schema.SchemaGraph, name, looked_up)
+        first = narrate(graph, db, plan)
+        assert sorted(derived) == [
+            ("_derive", "DIRECTOR"), ("_derive", "MOVIE"),
+            ("_derive_steps", "DIRECTOR"), ("_derive_steps", "MOVIE"),
+        ]
+        assert looked_up
+        del derived[:], looked_up[:]
+        assert narrate(graph, db, plan) == first
+        assert derived == []
+        assert looked_up == []
+
+    @pytest.mark.parametrize("name", ["movies", "split", "emp"])
+    def test_warm_and_fresh_graphs_narrate_alike(self, name):
+        path = FIXTURES / f"{name}.schema.json"
+        graph = schema.load_schema(path)
+        db = load_data(graph, FIXTURES / name)
+        for plan in _plans(graph, [None, RankSpec.load_order()] + FIXTURE_RANKS[name]):
+            once = narrate(graph, db, plan)
+            assert narrate(graph, db, plan) == once
+            assert narrate(schema.load_schema(path), db, plan) == once
+
+    def test_graphs_keep_their_own_facts(self):
+        doc = TestDeepTraversal.DOC
+        other = json.loads(json.dumps(doc))
+        other["joins"][2]["template"] = '{STUDIO.sname} + " made " + {FILM.title}'
+        awards = "The films won Best Song and Best Score."
+        texts = [["Pixmount produced Alpha and Beta.", awards], ["Pixmount made Alpha.", awards]]
+        docs = [json.dumps(doc), json.dumps(other)]
+        live = [schema.loads(text) for text in docs]
+        assert [graph.narration for graph in live] == [{}, {}]
+        for i in range(6):
+            graph = live[i % 2]
+            db = load_data(graph, TestDeepTraversal.DATA)
+            assert narrate(graph, db, NarrationPlan()).sentences == texts[i % 2]
+            gc.collect()
+        # The facts live on each graph, not in a table that a graph loaded
+        # later at a freed graph's address could read.
+        for graph in live:
+            assert sorted(graph.narration) == ["AWARD", "FILM", "STUDIO"]
+        # A graph freed before the next is loaded may leave it its address.
+        for i in range(6):
+            graph = schema.loads(docs[i % 2])
+            db = load_data(graph, TestDeepTraversal.DATA)
+            assert narrate(graph, db, NarrationPlan()).sentences == texts[i % 2]
+            del graph, db
+            gc.collect()
