@@ -8,17 +8,22 @@ product.  Comparisons are null-rejecting (a null cell satisfies no
 predicate, mirroring SQL's treatment closely enough for the supported
 subset).
 
-Within one `evaluate` call each query block is planned once, and two
-shortcuts save repeated work without changing any result or its row
-order.  A level with a conjunct `x.a = <constant>`, or `x.a = y.b` with y
-bound at an earlier level or outside the query, reads only the rows the
-Database's join index holds for that value, in load order, instead of
-the whole table; every conjunct of the level is still checked.  A
-subquery's result is kept under the values of its free column references
-(those naming an alias that no FROM list inside it binds), so it runs
-once per distinct outer value.  Nothing outlives the call, since ASTs
-are mutable.  The tests and the benchmark check results against sqlite3,
-independently of this module.
+One bottom-up walk per `evaluate` call plans every query block and finds
+its free column references (those naming an alias that no FROM list
+inside it binds).  Shortcuts then save repeated work without changing
+any result or its row order.  A level with a conjunct `x.a = <constant>`,
+or `x.a = y.b` with y bound at an earlier level or outside the query,
+reads only the rows the Database's join index holds for that value, in
+load order; every conjunct of the level is still checked.  A subquery's
+answer is kept per distinct value of its free column references, in the
+form its connector needs: EXISTS keeps a bool, found by binding the
+child only up to the first binding that passes WHERE (a semi-join,
+unless the child groups or aggregates); IN keeps the set of the child's
+one column; a scalar or ALL comparison keeps the child's rows.  So
+EXISTS never raises an SqlError that only a binding after its witness
+would (a two-value scalar subquery); SQL engines short-circuit it too.
+Nothing outlives the call, since ASTs are mutable.  The tests and the
+benchmark check results against sqlite3, independently of this module.
 """
 
 from __future__ import annotations
@@ -52,7 +57,9 @@ class ResultSet(Record):
 
 def evaluate(ast: Query, db: Database) -> ResultSet:
     """Evaluate a name-resolved query against loaded tables."""
-    return _Evaluation(db).query(ast, {})
+    run = _Evaluation(db)
+    run.plan(ast)
+    return run.query(ast, {})
 
 
 class _Plan(Record):
@@ -64,35 +71,45 @@ class _Plan(Record):
     items: list[SelectItem]  # select items with stars expanded
     columns: list[str]
     grouped: bool
+    free: list[ColumnRef]  # one per column read from enclosing queries
 
 
 class _Evaluation:
     """One evaluate call: a plan per query block, and each subquery's
-    result per distinct value of its free column references."""
+    answer per connector and distinct value of its free column references."""
 
     def __init__(self, db: Database):
         self.db = db
-        # Both by id(): the AST being evaluated keeps every block alive.
+        # By id(): the AST being evaluated keeps every block alive.
         self.plans: dict[int, _Plan] = {}
-        self.memo: dict[int, tuple[list[ColumnRef], dict]] = {}
+        self.memo: dict[tuple[int, str], dict] = {}
 
     def plan(self, query: Query) -> _Plan:
+        """Plan `query` and every block nested in it, children first, so a
+        block's free references are its own plus its children's."""
         plan = self.plans.get(id(query))
-        if plan is None:
-            aliases = [item.alias for item in query.from_items]
-            checks = _placed(query.where, aliases)
-            levels = [
-                self._level(item, alias, checks[i])
-                for i, (item, alias) in enumerate(zip(query.from_items, aliases))
-            ]
-            plan = self.plans[id(query)] = _Plan(
-                aliases,
-                levels,
-                checks,
-                _expand_star(query),
-                _output_columns(query),
-                bool(query.group_by) or _has_aggregate(query),
-            )
+        if plan is not None:  # a hand-built AST may share one block
+            return plan
+        refs = list(query.column_refs())
+        for _, _, child in query.subqueries():
+            refs += self.plan(child).free
+        aliases = [item.alias for item in query.from_items]
+        free = {(ref.alias, ref.attribute): ref
+                for ref in refs if ref.alias not in aliases}
+        checks = _placed(query.where, aliases)
+        levels = [
+            self._level(item, alias, checks[i])
+            for i, (item, alias) in enumerate(zip(query.from_items, aliases))
+        ]
+        plan = self.plans[id(query)] = _Plan(
+            aliases,
+            levels,
+            checks,
+            _expand_star(query),
+            _output_columns(query),
+            bool(query.group_by) or _has_aggregate(query),
+            list(free.values()),
+        )
         return plan
 
     def _level(self, item, alias: str, checks: list) -> tuple:
@@ -116,7 +133,7 @@ class _Evaluation:
         return table, None, None
 
     def query(self, query: Query, outer_env: dict) -> ResultSet:
-        plan = self.plan(query)
+        plan = self.plans[id(query)]
         envs = self._bindings(plan, outer_env)
         if plan.grouped:
             return self._grouped(query, plan, envs, outer_env)
@@ -126,21 +143,28 @@ class _Evaluation:
             keyed.append((_order_key(query, env), out_row))
         return ResultSet(plan.columns, _ordered(query, keyed))
 
-    def _bindings(self, plan: _Plan, outer_env: dict) -> list[dict]:
-        """The FROM bindings that satisfy WHERE, in cross-product order."""
+    def _bindings(self, plan: _Plan, outer_env: dict, first=False) -> list[dict]:
+        """The FROM bindings that satisfy WHERE, in cross-product order;
+        with `first`, only the first of them."""
         envs, env = [], dict(outer_env)
         last = len(plan.levels) - 1
 
-        def bind(level):
+        def bind(level):  # True once `first` has its binding
             alias, checks = plan.aliases[level], plan.checks[level]
             for row in _rows(plan.levels[level], env):
                 env[alias] = row
-                if not all(self._pred(p, env) for p in checks):
-                    continue
-                if level < last:
-                    bind(level + 1)
+                for pred in checks:
+                    if not self._pred(pred, env):
+                        break
                 else:
-                    envs.append(dict(env))
+                    if level < last:
+                        if bind(level + 1):
+                            return True
+                    else:
+                        envs.append(dict(env))
+                        if first:
+                            return True
+            return False
 
         bind(0)
         return envs
@@ -163,18 +187,29 @@ class _Evaluation:
                 keyed.append((_order_key(query, rep), out_row))
         return ResultSet(plan.columns, _ordered(query, keyed))
 
-    def _subquery(self, query: Query, env: dict) -> ResultSet:
-        """A nested block's result, computed once per call for each
-        distinct value of its free column references in `env`."""
-        entry = self.memo.get(id(query))
-        if entry is None:
-            entry = self.memo[id(query)] = (_free_refs(query), {})
-        refs, results = entry
-        key = tuple(_value(ref, env) for ref in refs)
-        result = results.get(key)
-        if result is None:
-            result = results[key] = self.query(query, env)
-        return result
+    def _subquery(self, query: Query, connector: str, env: dict):
+        """A nested block's answer under `connector`, computed once per
+        call for each distinct value of its free column references in
+        `env`: a bool for "exists" (negated or not), a set of values for
+        "in", else the block's ResultSet.  Keyed by connector too, so a
+        block shared by two connectors never mixes the forms."""
+        plan = self.plans[id(query)]
+        answers = self.memo.get((id(query), connector))
+        if answers is None:
+            answers = self.memo[id(query), connector] = {}
+        key = tuple(_value(ref, env) for ref in plan.free)
+        answer = answers.get(key)
+        if answer is None:
+            if connector == "in":  # resolve_names allows one column only
+                answer = {row[0] for row in self.query(query, env).rows}
+            elif connector != "exists":
+                answer = self.query(query, env)
+            elif plan.grouped:
+                answer = bool(self.query(query, env).rows)
+            else:
+                answer = bool(self._bindings(plan, env, first=True))
+            answers[key] = answer
+        return answer
 
     def _operand(self, expr, env, group=None):
         if isinstance(expr, ColumnRef):
@@ -190,7 +225,7 @@ class _Evaluation:
                 raise SqlError("count(distinct ...) outside HAVING")
             return _count_distinct(expr, group)
         if isinstance(expr, ScalarSubquery):
-            result = self._subquery(expr.query, env)
+            result = self._subquery(expr.query, "compare_scalar", env)
             if not result.rows:
                 return None
             if len(result.rows) > 1 or len(result.rows[0]) != 1:
@@ -207,14 +242,12 @@ class _Evaluation:
             needle = _value(pred.column, env)
             if needle is None:
                 return False
-            result = self._subquery(pred.query, env)
-            return any(row[0] == needle for row in result.rows)
+            return needle in self._subquery(pred.query, "in", env)
         if isinstance(pred, Exists):
-            result = self._subquery(pred.query, env)
-            return (not result.rows) if pred.negated else bool(result.rows)
+            return self._subquery(pred.query, "exists", env) != pred.negated
         if isinstance(pred, CompareAll):
             lhs = self._operand(pred.lhs, env, group)
-            result = self._subquery(pred.query, env)
+            result = self._subquery(pred.query, "compare_all", env)
             # ALL over an empty result is vacuously true (SQL semantics).
             return all(_compare(lhs, pred.op, row[0]) for row in result.rows)
         raise SqlError(f"cannot evaluate predicate {pred!r}")
@@ -245,17 +278,6 @@ def _probe(pred, alias: str):
     return None
 
 
-def _free_refs(query: Query) -> list[ColumnRef]:
-    """One reference per column `query` reads, at any depth, through an
-    alias that no FROM list inside it binds."""
-    refs = list(query.column_refs())
-    for _, _, child in query.subqueries():
-        refs += _free_refs(child)
-    own = {item.alias for item in query.from_items}
-    free = {(ref.alias, ref.attribute): ref for ref in refs}
-    return [ref for (alias, _), ref in free.items() if alias not in own]
-
-
 def _placed(where: list, aliases: list[str]) -> list[list]:
     """WHERE conjuncts by the FROM level after which each is checked.
 
@@ -265,14 +287,17 @@ def _placed(where: list, aliases: list[str]) -> list[list]:
     """
     depth = {alias: i for i, alias in enumerate(aliases)}
     checks = [[] for _ in aliases]
+    last = len(aliases) - 1
     for pred in where:
-        sides = (pred.lhs, pred.rhs) if isinstance(pred, Compare) else ()
-        if sides and not any(isinstance(side, ScalarSubquery) for side in sides):
-            levels = [depth.get(side.alias, 0)
-                      for side in sides if isinstance(side, ColumnRef)]
-            checks[max(levels, default=0)].append(pred)
-        else:
-            checks[-1].append(pred)
+        level = last
+        if isinstance(pred, Compare) and not (
+            isinstance(pred.lhs, ScalarSubquery) or isinstance(pred.rhs, ScalarSubquery)
+        ):
+            level = 0
+            for side in (pred.lhs, pred.rhs):
+                if isinstance(side, ColumnRef):
+                    level = max(level, depth.get(side.alias, 0))
+        checks[level].append(pred)
     return checks
 
 

@@ -50,6 +50,9 @@ KEYWORDS = {
 
 UNSUPPORTED_AGGREGATES = {"SUM", "AVG", "MIN", "MAX"}
 
+# Connectors whose child must select one column, as errors name them.
+ONE_COLUMN_CONNECTORS = {"in": "IN", "compare_all": "ALL", "compare_scalar": "scalar"}
+
 MAX_NESTING = 64
 
 _TOKEN_RE = re.compile(
@@ -333,7 +336,8 @@ def resolve_names(query: Query, graph) -> Query:
     renders `M.title` as `m.title` over `FROM MOVIE m`.  The relation and
     column names the query used stay for rendering.  A count(*) or
     count(distinct ...) compared in a WHERE conjunct, at any level, raises
-    SqlError: it belongs in HAVING.
+    SqlError: it belongs in HAVING.  So does an IN, ALL or scalar
+    subquery whose select list is not exactly one column (`*` included).
     """
     _resolve_query(query, graph, ())
     return query
@@ -357,7 +361,12 @@ def _resolve_query(query: Query, graph, outer_scopes):
         for side in (getattr(pred, "lhs", None), getattr(pred, "rhs", None)):
             if isinstance(side, (CountStar, CountDistinct)):
                 raise SqlError(f"aggregate {side.render()} in WHERE; use HAVING")
-    for _, _, child in query.subqueries():
+    for _, connector, child in query.subqueries():
+        label = ONE_COLUMN_CONNECTORS.get(connector)
+        items = child.select_items
+        if label and (len(items) != 1 or isinstance(items[0].expr, Star)):
+            what = "*" if isinstance(items[0].expr, Star) else f"{len(items)} columns"
+            raise SqlError(f"{label} subquery must select one column, not {what}")
         _resolve_query(child, graph, scopes)
 
 

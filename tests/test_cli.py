@@ -176,6 +176,19 @@ class TestExplainCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == ["aggregate count(*) in WHERE; use HAVING"]
 
+    def test_two_column_in_subquery_is_an_input_error(self):
+        proc = run_cli(
+            "explain",
+            "select m.title from MOVIES m where m.id in (select g.mid, g.genre from GENRE g)",
+            "--schema", SCHEMA,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "IN subquery must select one column, not 2 columns"
+        ]
+
     def test_unknown_schema_file_is_an_input_error(self):
         proc = run_cli("explain", "select m.title from MOVIE m", "--schema", "/nope.json")
         assert proc.returncode == 2

@@ -249,6 +249,17 @@ class TestPredicatePlacement:
         with pytest.raises(SqlError, match="more than one value"):
             _run(sql, movie_graph, db)
 
+    def test_exists_stops_before_a_binding_that_would_raise(self, movie_graph, db):
+        # The first cast row (aid 1) is a witness; the second (aid 2) would
+        # make the scalar subquery return two values, as IN, which reads
+        # the whole child, finds.
+        child = ("select c.mid from CAST c "
+                 "where c.aid = (select a.id from ACTOR a where a.id <= c.aid)")
+        sql = f"select m.title from MOVIES m where exists ({child})"
+        assert _run(sql, movie_graph, db) == [("A",), ("B",), ("C",)]
+        with pytest.raises(SqlError, match="more than one value"):
+            _run(f"select m.title from MOVIES m where m.id in ({child})", movie_graph, db)
+
     def test_subquery_conjunct_is_skipped_once_every_binding_is_filtered(
         self, movie_graph, db
     ):
@@ -300,10 +311,14 @@ class TestSubqueryMemo:
     def test_correlated_subquery_runs_once_per_distinct_outer_value(
         self, movie_graph, db, reads
     ):
-        # Five movies but three distinct years (2005, 1999, null).
+        # Five movies but three distinct years (2005, 1999, null).  EXISTS
+        # stops at its first witness: 2005 and 1999 each find one at the
+        # first CAST row, and the null year, which no aid differs from,
+        # scans all four.  Run per movie, without the memo, it reads
+        # 1 + 1 + 1 + 4 + 4 = 11.
         sql = "select m.title from MOVIES m where exists (select c.role from CAST c where c.aid != m.year)"
         assert _run(sql, movie_graph, db) == [("A",), ("B",), ("C",)]
-        assert reads["CAST", "aid"] == 3 * 4
+        assert reads["CAST", "aid"] == 1 + 1 + 4
 
     @pytest.mark.parametrize("sql, rows", [
         # The innermost m is the inner MOVIES, so the middle query is keyed
@@ -325,6 +340,70 @@ class TestSubqueryMemo:
     ], ids=["shadowing", "two_level", "having_shared_key", "null_outer_value"])
     def test_results_per_key(self, movie_graph, db, sql, rows):
         assert _run(sql, movie_graph, db) == rows
+
+    @pytest.mark.parametrize("keyword, rows", [
+        ("exists", [("A",), ("C",), ("D",)]),
+        ("not exists", [("B",), ("E",)]),
+    ])
+    def test_exists_reads_its_child_up_to_the_first_witness(
+        self, movie_graph, db, reads, keyword, rows
+    ):
+        # Movie 1 has three genres, but the first is its witness; movies 3
+        # and 4 have one each, and 2 and 5 (a null id) have none to read.
+        # Evaluated whole, the child reads all five genres.
+        sql = (f"select m.title from MOVIES m where {keyword} (select g.genre "
+               "from GENRE g where g.mid = m.id and g.genre != 'x')")
+        assert _run(sql, movie_graph, db) == rows
+        assert reads["GENRE", "genre"] == 3
+
+    def test_uncorrelated_exists_stops_at_its_witness(self, movie_graph, db, reads):
+        # Cast row y, the second, is the first with a role after 'x'.
+        sql = "select m.title from MOVIES m where exists (select * from CAST c where c.role > 'x')"
+        assert len(_run(sql, movie_graph, db)) == 5
+        assert reads["CAST", "role"] == 2
+
+    @pytest.mark.parametrize("sql, rows", [
+        ("select m.title from MOVIES m where m.id in (select c.mid from CAST c)",
+         [("A",), ("B",)]),
+        # C's null year is in no set, though the set holds a null.
+        ("select m.title from MOVIES m where m.year in (select m2.year from MOVIES m2)",
+         [("A",), ("B",)]),
+        ("select m.title from MOVIES m where m.id in "
+         "(select c.mid from CAST c where c.role != m.title)",
+         [("A",), ("B",)]),
+    ], ids=["uncorrelated", "null_needle", "correlated"])
+    def test_in_over_duplicate_and_null_values(self, movie_graph, sql, rows):
+        # CAST.mid holds 1 twice, a null and a dangling 9; each movie that
+        # matches comes out once.
+        db = _movie_db(movie_graph, MOVIE="1,A,2005\n2,B,2005\n3,C,\n",
+                       CAST="1,1,x\n1,2,y\n,3,z\n9,4,w\n2,5,v\n")
+        assert _run(sql, movie_graph, db) == rows
+
+    @pytest.mark.parametrize("keyword, rows", [
+        ("exists", [("A",)]),
+        ("not exists", [("B",), ("C",)]),
+    ])
+    def test_grouped_exists_child_is_evaluated_whole(self, movie_graph, keyword, rows):
+        # Movie 2 has one cast row: it passes WHERE but not HAVING, so it
+        # is no witness.
+        db = _movie_db(movie_graph, MOVIE="1,A,2005\n2,B,1999\n3,C,1999\n",
+                       CAST="1,1,x\n2,2,y\n1,3,z\n")
+        sql = (f"select m.title from MOVIES m where {keyword} (select c.mid from CAST c "
+               "where c.mid = m.id group by c.mid having count(*) > 1)")
+        assert _run(sql, movie_graph, db) == rows
+
+    @pytest.mark.parametrize("sql", [
+        "select m.title from MOVIES m where exists ({child}) and m.id in ({child})",
+        "select m.title from MOVIES m where m.id in ({child}) and not exists ({child})",
+        "select m.title from MOVIES m where m.year >= all ({child}) and m.id in ({child})",
+    ], ids=["exists_then_in", "in_then_not_exists", "all_then_in"])
+    def test_one_block_under_two_connectors(self, movie_graph, db, sql):
+        child = "select c.mid from CAST c where c.role != 'x'"
+        separate = parser.resolve_names(parser.parse_sql(sql.format(child=child)), movie_graph)
+        shared = parser.resolve_names(parser.parse_sql(sql.format(child=child)), movie_graph)
+        shared.where[1].query = shared.where[0].query
+        assert shared.where[0].query is shared.where[1].query
+        assert evaluate(shared, db).rows == evaluate(separate, db).rows
 
 
 # --- differential check against sqlite3 ---------------------------------
@@ -360,6 +439,26 @@ EXTRA_SQL = {
         "select a.name from ACTOR a where not exists (select * from CAST c where "
         "c.aid = a.id and not exists (select * from MOVIES m where m.id = c.mid "
         "and m.year = 2005))"
+    ),
+    # IN over a column with duplicate and dangling values.
+    "in_dangling": "select m.title from MOVIES m where m.id in (select c.mid from CAST c)",
+    "correlated_in": (
+        "select m.title, m.year from MOVIES m where m.id in (select c.mid from "
+        "CAST c where c.role = m.title)"
+    ),
+    # EXISTS over a grouped child: a binding passing WHERE is no witness yet.
+    "exists_grouped_having": (
+        "select m.title from MOVIES m where exists (select c.mid from CAST c "
+        "where c.mid = m.id group by c.mid having count(*) > 1)"
+    ),
+    "exists_order_by": (
+        "select m.title from MOVIES m where exists (select c.role from CAST c "
+        "where c.mid = m.id order by c.role desc)"
+    ),
+    # Most movies share their title with several later ones.
+    "not_exists_many_witnesses": (
+        "select m.title, m.year from MOVIES m where not exists (select * from "
+        "MOVIES m2 where m2.title = m.title and m2.year > m.year)"
     ),
 }
 

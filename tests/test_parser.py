@@ -153,6 +153,39 @@ class TestResolve:
     def test_aggregate_outside_where_resolves(self, movie_graph, sql):
         parser.resolve_names(parser.parse_sql(sql), movie_graph)
 
+    @pytest.mark.parametrize(
+        "sql,message",
+        [
+            ("select m.title from MOVIES m where m.id in (select * from GENRE g)",
+             "IN subquery must select one column, not *"),
+            ("select m.title from MOVIES m where m.id in "
+             "(select g.mid, g.genre from GENRE g)",
+             "IN subquery must select one column, not 2 columns"),
+            ("select m.title from MOVIES m where m.year <= all "
+             "(select m2.year, m2.id from MOVIES m2)",
+             "ALL subquery must select one column, not 2 columns"),
+            ("select m.title from MOVIES m where m.year = "
+             "(select m2.year, m2.id from MOVIES m2 where m2.id = m.id)",
+             "scalar subquery must select one column, not 2 columns"),
+            ("select m.title from MOVIES m where m.year < (select * from MOVIES m2)",
+             "scalar subquery must select one column, not *"),
+            ("select m.title from MOVIES m where exists (select * from GENRE g "
+             "where g.mid in (select c.mid, c.aid from CAST c))",
+             "IN subquery must select one column, not 2 columns"),
+        ],
+        ids=["in-star", "in-two", "all-two", "scalar-two", "scalar-star", "nested-in"],
+    )
+    def test_compared_subquery_must_select_one_column(self, movie_graph, sql, message):
+        ast = parser.parse_sql(sql)
+        with pytest.raises(SqlError) as info:
+            parser.resolve_names(ast, movie_graph)
+        assert str(info.value) == message
+
+    def test_exists_child_may_select_anything(self, movie_graph):
+        sql = ("select m.title from MOVIES m where exists "
+               "(select g.mid, g.genre from GENRE g where g.mid = m.id)")
+        parser.resolve_names(parser.parse_sql(sql), movie_graph)
+
     def test_dpt_alternate_name(self, emp_graph):
         ast = resolved("emp", emp_graph)
         dept = next(i for i in ast.from_items if i.alias == "d")
