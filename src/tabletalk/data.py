@@ -3,9 +3,12 @@
 Whole tables live in memory, which is the point at this scale.  A row
 holds its cells in one immutable tuple, in declared attribute order,
 read through a {attribute: position} map that every row of a loaded
-table shares; `Row.values` is a fresh dict, never the row itself.  A
-Database is immutable after load and safe to share: replace a table,
-never mutate it in place.  `follow_join` reads a hash index per
+table shares; `Row.values` is a fresh dict, never the row itself.
+`load_data` reads each file as UTF-8, after an optional byte-order mark,
+and passes each column through a table of its distinct cells, so equal
+cells of a column share one str or int object, typed and converted
+once.  A Database is immutable after load and safe to share: replace a
+table, never mutate it in place.  `follow_join` reads a hash index per
 (relation, attribute) that the Database builds the first time the pair
 is looked up, so a join costs O(matches) once the index exists.
 `select_tuples` slices a whole table's rank order, which the Database
@@ -32,14 +35,16 @@ import os
 from operator import itemgetter
 
 from .errors import (
+    DuplicateTable,
     HeaderMismatch,
+    NotUtf8,
     RaggedRow,
     UnknownAttribute,
     UnknownRelation,
     WrongRelation,
 )
 from .record import Record, field
-from .schema import JoinEdge, SchemaGraph
+from .schema import JoinEdge, SchemaGraph, decode_utf8
 
 
 class Row:
@@ -170,64 +175,84 @@ def load_data(graph: SchemaGraph, source) -> Database:
     """Load one CSV per relation from a directory or a name->text mapping.
 
     File names and headers may use any case (and relation aliases); tables
-    and rows are keyed by the declared spellings.  The cyclic garbage
-    collector is paused for the call, since the rows it builds hold no
-    cycles (see the module docstring); the caller's setting, on or off, is
-    restored on return and on every error.
+    and rows are keyed by the declared spellings, and two files for one
+    relation are an error.  Files and bytes are read as UTF-8, after an
+    optional byte-order mark.  Equal cells of a column share one object.
+    The cyclic garbage collector is paused for the call, since the rows it
+    builds hold no cycles (see the module docstring); the caller's setting,
+    on or off, is restored on return and on every error.
     """
-    if isinstance(source, dict):
-        streams = dict(source)
-    else:
-        streams = {}
-        for entry in sorted(os.listdir(source)):
-            if entry.lower().endswith(".csv"):
-                with open(os.path.join(source, entry), "r", encoding="utf-8") as fh:
-                    streams[entry[:-4]] = fh.read()
     db = Database()
     for rel in graph.relations:
         db.tables[rel.name] = []
-    for name, text in streams.items():
+    loaded_from = {}
+    for name, label, text in _sources(source):
         rel = graph.find_relation(name)
         if rel is None:
             raise UnknownRelation(f"data file for undeclared relation {name!r}")
+        if rel.name in loaded_from:
+            raise DuplicateTable(
+                f"data files {loaded_from[rel.name]!r} and {label!r} "
+                f"both hold relation {rel.name}"
+            )
+        loaded_from[rel.name] = label
         db.tables[rel.name] = _load_table(graph, rel.name, text)
     return db
 
 
-def _load_table(graph: SchemaGraph, relation: str, text) -> list[Row]:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows:
+def _sources(source):
+    """(relation name, label, text) for each data file: a mapping's items,
+    or a directory's CSV files in name order, each read when reached."""
+    if isinstance(source, dict):
+        for name, text in source.items():
+            if isinstance(text, bytes):
+                text = decode_utf8(text, name, NotUtf8)
+            yield name, name, text
+        return
+    for entry in sorted(os.listdir(source)):
+        if entry.lower().endswith(".csv"):
+            path = os.path.join(source, entry)
+            with open(path, "rb") as fh:
+                text = decode_utf8(fh.read(), path, NotUtf8)
+            if "\r" in text:  # every line end reads as "\n", as in text mode
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            yield entry[:-4], path, text
+
+
+def _load_table(graph: SchemaGraph, relation: str, text: str) -> list[Row]:
+    records = list(csv.reader(io.StringIO(text)))
+    if not records:
         return []
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in records[0]]
     declared = [a.name for a in graph.attributes_of(relation)]
     columns = [graph.find_attribute(relation, h) for h in header]
     if None in columns or sorted(a.name for a in columns) != sorted(declared):
         raise HeaderMismatch(
             f"{relation}: header {header} does not match declared attributes {declared}"
         )
-    body = []
-    for lineno, cells in enumerate(rows[1:], start=2):
-        if not cells:
-            continue  # blank line
-        if len(cells) != len(header):
-            raise RaggedRow(
-                f"{relation}: row at line {lineno} has {len(cells)} cells, "
-                f"expected {len(header)}"
-            )
-        body.append(cells)
+    width = len(header)
+    body = list(filter(None, records[1:]))  # a blank line is an empty record
+    if set(map(len, body)) - {width}:
+        # Lines are counted in CSV records, blank ones included.
+        lineno, cells = next(
+            (n, r) for n, r in enumerate(records, start=1) if r and len(r) != width
+        )
+        raise RaggedRow(
+            f"{relation}: row at line {lineno} has {len(cells)} cells, expected {width}"
+        )
     if not body:
         return []
     by_name = dict(zip([attr.name for attr in columns], zip(*body)))
+    del records, body  # the columns hold the cells now
     typed = []
     for name in declared:  # declared attribute order
-        column = by_name[name]
-        if _is_int_column(column):
-            typed.append([int(cell) if cell else None for cell in column])
-        else:
-            typed.append([cell or None for cell in column])
+        cells = by_name.pop(name)
+        values = {"": None}  # each distinct cell once; an empty one is null
+        cells = list(map(values.setdefault, cells, cells))
+        if _is_int_column(values):
+            numbers = {cell: int(cell) for cell in values if cell}
+            cells = list(map(numbers.get, cells))
+        typed.append(cells)
     positions = {name: i for i, name in enumerate(declared)}
     table = []
     new = object.__new__  # Row.__init__ would build a positions map per row

@@ -63,6 +63,14 @@ class RaggedRow(TabletalkError):
     pass
 
 
+class NotUtf8(TabletalkError):
+    pass
+
+
+class DuplicateTable(TabletalkError):
+    pass
+
+
 class WrongRelation(TabletalkError):
     pass
 

@@ -199,7 +199,19 @@ def load_schema(source) -> SchemaGraph:
     return graph
 
 
+def decode_utf8(raw: bytes, name, error: type) -> str:
+    """`raw` read as UTF-8 after an optional byte-order mark; a byte that
+    is not UTF-8 raises `error`, naming `name` and the byte's offset."""
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # The codec strips a byte-order mark before decoding the rest.
+        offset = exc.start + len(raw) - len(exc.object)
+        raise error(f"{name}: not UTF-8 at byte offset {offset} ({exc.reason})") from None
+
+
 def _read_document(source) -> dict:
+    name = getattr(source, "name", "annotation document")
     if hasattr(source, "read"):
         raw = source.read()
     elif isinstance(source, (bytes, bytearray)):
@@ -207,10 +219,11 @@ def _read_document(source) -> dict:
     elif isinstance(source, str) and source.lstrip().startswith("{"):
         raw = source
     else:
+        name = source
         with open(source, "rb") as fh:
             raw = fh.read()
     if isinstance(raw, (bytes, bytearray)):
-        raw = raw.decode("utf-8")
+        raw = decode_utf8(raw, name, MalformedDocument)
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:

@@ -108,6 +108,41 @@ class TestNarrateCommand:
             f"MOVIE: row at line {lineno} has 2 cells, expected 3"
         ]
 
+    def test_byte_order_mark_narrates_the_same_text(self, tmp_path):
+        data = tmp_path / "movies"
+        shutil.copytree(DATA, data)
+        movie = data / "MOVIE.csv"
+        movie.write_bytes(b"\xef\xbb\xbf" + movie.read_bytes())
+        want = run_cli("narrate", "--schema", SCHEMA, "--data", DATA)
+        proc = run_cli("narrate", "--schema", SCHEMA, "--data", str(data))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout == want.stdout
+
+    @pytest.mark.parametrize("case", ["latin1-data", "latin1-schema", "duplicate"])
+    def test_unreadable_input_is_an_input_error(self, tmp_path, case):
+        data = tmp_path / "movies"
+        shutil.copytree(DATA, data)
+        schema = tmp_path / "movies.schema.json"
+        shutil.copy(SCHEMA, schema)
+        if case == "latin1-data":
+            (data / "ACTOR.csv").write_bytes(b"id,name\n1,Beyonc\xe9\n")
+            line = f"{data / 'ACTOR.csv'}: not UTF-8 at byte offset 16 (invalid continuation byte)"
+        elif case == "latin1-schema":
+            raw = schema.read_bytes()
+            schema.write_bytes(raw.replace(b'"movie"', b'"m\xf6vie"', 1))
+            at = raw.index(b'"movie"') + 2
+            line = f"{schema}: not UTF-8 at byte offset {at} (invalid start byte)"
+        else:
+            (data / "movie.csv").write_text("id,title,year\n1,Other,1999\n", encoding="utf-8")
+            line = (f"data files {str(data / 'MOVIE.csv')!r} and "
+                    f"{str(data / 'movie.csv')!r} both hold relation MOVIE")
+        proc = run_cli("narrate", "--schema", str(schema), "--data", str(data))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [line]
+
     def test_missing_data_is_a_usage_error(self):
         proc = run_cli("narrate", "--schema", SCHEMA)
         assert proc.returncode == 1

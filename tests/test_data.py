@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES
 
+from tabletalk import schema
 from tabletalk.data import (
     Database,
     RankSpec,
@@ -19,7 +20,10 @@ from tabletalk.data import (
     select_tuples,
 )
 from tabletalk.errors import (
+    DuplicateTable,
     HeaderMismatch,
+    MalformedDocument,
+    NotUtf8,
     RaggedRow,
     TabletalkError,
     UnknownAttribute,
@@ -56,6 +60,13 @@ class TestLoad:
         bad = dict(WOODY_SLICE)
         bad["ACTOR"] = "id,name\n1,Brad Pitt\n2\n"
         with pytest.raises(RaggedRow, match="line 3"):
+            load_data(movie_graph, bad)
+
+    def test_ragged_row_after_blank_lines_names_its_file_line(self, movie_graph):
+        # Guard: blank lines count towards the line number, as they always did.
+        bad = dict(WOODY_SLICE)
+        bad["ACTOR"] = "id,name\n1,Brad Pitt\n\n\n2,Morgan Freeman\n\n3\n4,X\n"
+        with pytest.raises(RaggedRow, match="^ACTOR: row at line 7 has 1 cells, expected 2$"):
             load_data(movie_graph, bad)
 
     def test_header_mismatch(self, movie_graph):
@@ -349,6 +360,123 @@ class TestColumnTyping:
         slice_["ACTOR"] = "id,name\n-3,X\n+4,Y\n007,Z\n"
         ids = [r.cell("id") for r in load_data(movie_graph, slice_).table("ACTOR")]
         assert ids == [-3, 4, 7]
+
+
+class TestSharedCells:
+    """Equal cells of a loaded column are one object, typed once."""
+
+    CAST = "mid,aid,role\n" + "".join(
+        f"{1000 + i % 3},{5000 + i},{'Lead' if i % 2 else 'Extra'}\n" for i in range(30)
+    )
+    GENRE = "mid,genre\n" + "".join(
+        f"{1000 + i % 4},{('drama', 'comedy', 'crime')[i % 3]}\n" for i in range(24)
+    )
+
+    @pytest.mark.parametrize("layout", ["mapping", "directory"])
+    def test_a_repeated_value_is_one_object(self, movie_graph, tmp_path, layout):
+        tables = dict(WOODY_SLICE, CAST=self.CAST, GENRE=self.GENRE)
+        source = tables
+        if layout == "directory":
+            source = tmp_path
+            for name, text in tables.items():
+                (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+        db = load_data(movie_graph, source)
+        for relation, attribute, kind in [
+            ("CAST", "mid", int), ("CAST", "role", str), ("GENRE", "genre", str),
+            ("GENRE", "mid", int), ("CAST", "aid", int),
+        ]:
+            column = [row.cell(attribute) for row in db.table(relation)]
+            assert {type(cell) for cell in column} == {kind}
+            assert len({id(cell) for cell in column}) == len(set(column))
+        assert len(set(row.cell("mid") for row in db.table("CAST"))) == 3
+
+    def test_nulls_and_typing_follow_the_distinct_cells(self, movie_graph):
+        source = dict(WOODY_SLICE)
+        source["CAST"] = "mid,aid,role\n1000,,x\n,7,\n1000,,x\n007,7,\n"
+        rows = [row.cells for row in load_data(movie_graph, source).table("CAST")]
+        assert rows == [(1000, None, "x"), (None, 7, None), (1000, None, "x"), (7, 7, None)]
+        assert rows[0][0] is rows[2][0] and rows[0][2] is rows[2][2]
+
+
+def _copy_movies(tmp_path):
+    data = tmp_path / "movies"
+    data.mkdir()
+    for path in (FIXTURES / "movies").iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    return data
+
+
+class TestEncoding:
+    """Data and schema files are UTF-8, with or without a byte-order mark."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_a_byte_order_mark_is_skipped(self, movie_graph, movie_db, tmp_path):
+        data = _copy_movies(tmp_path)
+        for path in data.iterdir():
+            path.write_bytes(self.BOM + path.read_bytes())
+        assert load_data(movie_graph, data) == movie_db
+        source = dict(WOODY_SLICE, MOVIE=self.BOM + WOODY_SLICE["MOVIE"].encode())
+        assert load_data(movie_graph, source) == load_data(movie_graph, WOODY_SLICE)
+
+    @pytest.mark.parametrize("bom", [b"", BOM])
+    def test_a_latin1_data_file_names_file_and_offset(self, movie_graph, tmp_path, bom):
+        data = _copy_movies(tmp_path)
+        raw = bom + b"id,name\n1,Beyonc\xe9\n"
+        (data / "ACTOR.csv").write_bytes(raw)
+        path = str(data / "ACTOR.csv")
+        message = f"{path}: not UTF-8 at byte offset {raw.index(0xE9)} (invalid continuation byte)"
+        with pytest.raises(NotUtf8) as caught:
+            load_data(movie_graph, data)
+        assert str(caught.value) == message
+        with pytest.raises(NotUtf8, match=f"^ACTOR: not UTF-8 at byte offset {raw.index(0xE9)} "):
+            load_data(movie_graph, dict(WOODY_SLICE, ACTOR=raw))
+
+    def test_a_latin1_schema_names_file_and_offset(self, tmp_path):
+        raw = b'{"relations": [], "note": "caf\xe9"}'
+        path = tmp_path / "latin1.schema.json"
+        path.write_bytes(raw)
+        at = raw.index(0xE9)
+        with pytest.raises(MalformedDocument) as caught:
+            schema.load_schema(path)
+        assert str(caught.value) == f"{path}: not UTF-8 at byte offset {at} (invalid continuation byte)"
+        with pytest.raises(MalformedDocument, match=f"not UTF-8 at byte offset {at + 3} "):
+            schema.load_schema(self.BOM + raw)
+
+    def test_a_schema_with_a_byte_order_mark_loads(self, movie_graph, tmp_path):
+        raw = self.BOM + (FIXTURES / "movies.schema.json").read_bytes()
+        path = tmp_path / "bom.schema.json"
+        path.write_bytes(raw)
+        assert schema.load_schema(path) == movie_graph
+        assert schema.load_schema(raw) == movie_graph
+
+    def test_a_file_reads_any_line_end_as_a_newline(self, movie_graph, tmp_path):
+        # Guard: as in text mode, "\r" and "\r\n" end lines, also inside quotes.
+        data = _copy_movies(tmp_path)
+        (data / "ACTOR.csv").write_bytes(b'id,name\r1,"Brad\r\nPitt"\r\n2,X\r')
+        cells = [row.cells for row in load_data(movie_graph, data).table("ACTOR")]
+        assert cells == [(1, "Brad\nPitt"), (2, "X")]
+
+
+class TestDuplicateFiles:
+    @pytest.mark.parametrize("other", ["movie.csv", "MOVIES.csv", "Movie.CSV"])
+    def test_two_files_for_one_relation_are_an_error(self, movie_graph, tmp_path, other):
+        data = _copy_movies(tmp_path)
+        (data / other).write_text("id,title,year\n1,Other,1999\n", encoding="utf-8")
+        first, second = sorted(["MOVIE.csv", other])
+        with pytest.raises(DuplicateTable) as caught:
+            load_data(movie_graph, data)
+        assert str(caught.value) == (
+            f"data files {str(data / first)!r} and {str(data / second)!r} "
+            "both hold relation MOVIE"
+        )
+
+    def test_two_mapping_keys_for_one_relation_are_an_error(self, movie_graph):
+        source = dict(WOODY_SLICE, movies="id,title,year\n1,Other,1999\n")
+        with pytest.raises(
+            DuplicateTable, match="^data files 'MOVIE' and 'movies' both hold relation MOVIE$"
+        ):
+            load_data(movie_graph, source)
 
 
 class TestRowShape:
