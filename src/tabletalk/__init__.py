@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "classifier": ("QueryClass", "classify"),
     "data": ("Database", "RankSpec", "Row", "follow_join", "load_data", "select_tuples"),
-    "evaluator": ("ResultSet", "evaluate", "random_database"),
+    "evaluator": ("ResultSet", "evaluate"),
     "narrator": ("NarrationPlan", "Narrative", "detect_patterns", "fallback_mode", "narrate"),
     "parser": ("parse_sql", "render_sql", "resolve_names"),
     "query_graph": ("QueryGraph", "build", "shape"),

@@ -5,12 +5,16 @@ holds its cells in one immutable tuple, in declared attribute order,
 read through a {attribute: position} map that every row of a loaded
 table shares; `Row.values` is a fresh dict, never the row itself.
 `load_data` reads each file as UTF-8, after an optional byte-order mark,
-and passes each column through a table of its distinct cells, so equal
-cells of a column share one str or int object, typed and converted
-once.  A Database is immutable after load and safe to share: replace a
-table, never mutate it in place.  `follow_join` reads a hash index per
-(relation, attribute) that the Database builds the first time the pair
-is looked up, so a join costs O(matches) once the index exists.
+with any line end as a newline, and passes each column through a table
+of its distinct cells, so equal cells of a column share one str or int
+object, typed and converted once.  Typing runs as C-level passes over
+the distinct cells: one test of their joined string accepts a column of
+plain ASCII digits, only a column it rejects is checked cell by cell
+(for signs), and an integer column's cells are converted by one
+`map(int, ...)`.  A Database is immutable after load and safe to share:
+replace a table, never mutate it in place.  `follow_join` reads a hash
+index per (relation, attribute) that the Database builds the first time
+the pair is looked up, so a join costs O(matches) once the index exists.
 `select_tuples` slices a whole table's rank order, which the Database
 sorts once per (relation, attribute, direction) on the first ranked
 lookup; `rank_rows` picks the top k of any other list of rows without
@@ -37,6 +41,7 @@ from operator import itemgetter
 from .errors import (
     DuplicateTable,
     HeaderMismatch,
+    MalformedCsv,
     NotUtf8,
     RaggedRow,
     UnknownAttribute,
@@ -177,7 +182,10 @@ def load_data(graph: SchemaGraph, source) -> Database:
     File names and headers may use any case (and relation aliases); tables
     and rows are keyed by the declared spellings, and two files for one
     relation are an error.  Files and bytes are read as UTF-8, after an
-    optional byte-order mark.  Equal cells of a column share one object.
+    optional byte-order mark, and any line end reads as a newline.  A
+    record that the csv module rejects raises MalformedCsv, naming the
+    file or mapping key and the line.  Equal cells of a column share one
+    object.
     The cyclic garbage collector is paused for the call, since the rows it
     builds hold no cycles (see the module docstring); the caller's setting,
     on or off, is restored on return and on every error.
@@ -196,7 +204,7 @@ def load_data(graph: SchemaGraph, source) -> Database:
                 f"both hold relation {rel.name}"
             )
         loaded_from[rel.name] = label
-        db.tables[rel.name] = _load_table(graph, rel.name, text)
+        db.tables[rel.name] = _load_table(graph, rel.name, label, text)
     return db
 
 
@@ -204,23 +212,33 @@ def _sources(source):
     """(relation name, label, text) for each data file: a mapping's items,
     or a directory's CSV files in name order, each read when reached."""
     if isinstance(source, dict):
-        for name, text in source.items():
-            if isinstance(text, bytes):
-                text = decode_utf8(text, name, NotUtf8)
-            yield name, name, text
+        for name, raw in source.items():
+            yield name, name, _text(raw, name)
         return
     for entry in sorted(os.listdir(source)):
         if entry.lower().endswith(".csv"):
             path = os.path.join(source, entry)
             with open(path, "rb") as fh:
-                text = decode_utf8(fh.read(), path, NotUtf8)
-            if "\r" in text:  # every line end reads as "\n", as in text mode
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
+                text = _text(fh.read(), path)
             yield entry[:-4], path, text
 
 
-def _load_table(graph: SchemaGraph, relation: str, text: str) -> list[Row]:
-    records = list(csv.reader(io.StringIO(text)))
+def _text(raw, label) -> str:
+    """A data file's text: bytes are read as UTF-8 after an optional
+    byte-order mark, and every line end reads as "\n", as in text mode."""
+    text = decode_utf8(raw, label, NotUtf8) if isinstance(raw, bytes) else raw
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _load_table(graph: SchemaGraph, relation: str, label: str, text: str) -> list[Row]:
+    reader = csv.reader(io.StringIO(text))
+    try:
+        records = list(reader)
+    except csv.Error as exc:  # a field past csv.field_size_limit(), say
+        raise MalformedCsv(f"{label}: line {reader.line_num}: {exc}") from None
+    del reader  # and the copy of the text its StringIO holds
     if not records:
         return []
     header = [h.strip() for h in records[0]]
@@ -249,9 +267,11 @@ def _load_table(graph: SchemaGraph, relation: str, text: str) -> list[Row]:
         cells = by_name.pop(name)
         values = {"": None}  # each distinct cell once; an empty one is null
         cells = list(map(values.setdefault, cells, cells))
-        if _is_int_column(values):
-            numbers = {cell: int(cell) for cell in values if cell}
-            cells = list(map(numbers.get, cells))
+        del values[""]  # the distinct non-empty cells remain
+        digits = "".join(values)
+        if digits.isdigit() and digits.isascii() or _is_int_column(values):
+            numbers = dict(zip(values, map(int, values)))
+            cells = list(map(numbers.get, cells))  # a null stays None
         typed.append(cells)
     positions = {name: i for i, name in enumerate(declared)}
     table = []

@@ -63,6 +63,10 @@ class RaggedRow(TabletalkError):
     pass
 
 
+class MalformedCsv(TabletalkError):
+    pass
+
+
 class NotUtf8(TabletalkError):
     pass
 

@@ -6,29 +6,36 @@ names is bound; conjuncts holding a subquery wait for the last level.
 Rows therefore come out in the lexicographic order of the full cross
 product.  Comparisons are null-rejecting (a null cell satisfies no
 predicate, mirroring SQL's treatment closely enough for the supported
-subset).
+subset), and an int never compares with a str.
 
-One bottom-up walk per `evaluate` call plans every query block and finds
-its free column references (those naming an alias that no FROM list
-inside it binds).  Shortcuts then save repeated work without changing
-any result or its row order.  A level with a conjunct `x.a = <constant>`,
+One bottom-up pass per `evaluate` call plans every query block.  It finds
+the block's free column references (those naming an alias that no FROM
+list inside it binds), and it decodes each plain comparison, one of
+columns and constants only, once per call into a flat check: an alias
+and attribute or a constant per side, and an operator function, which
+the binding loop applies directly.  Only conjuncts holding a subquery go
+through the general predicate code.  So a hand-built AST with an unknown
+operator, or with an alias that no block binds, raises SqlError before
+any row is read.  Shortcuts then save repeated work without changing
+any result or its row order.  A level with a check `x.a = <constant>`,
 or `x.a = y.b` with y bound at an earlier level or outside the query,
 reads only the rows the Database's join index holds for that value, in
-load order; every conjunct of the level is still checked.  A subquery's
-answer is kept per distinct value of its free column references, in the
-form its connector needs: EXISTS keeps a bool, found by binding the
-child only up to the first binding that passes WHERE (a semi-join,
-unless the child groups or aggregates); IN keeps the set of the child's
-one column; a scalar or ALL comparison keeps the child's rows.  So
-EXISTS never raises an SqlError that only a binding after its witness
-would (a two-value scalar subquery); SQL engines short-circuit it too.
-Nothing outlives the call, since ASTs are mutable.  The tests and the
-benchmark check results against sqlite3, independently of this module.
+load order, and skips that check, which each of them passes.  A
+subquery's answer is kept per distinct value of its free column
+references, in the form its connector needs: EXISTS keeps a bool, found
+by binding the child only up to the first binding that passes WHERE (a
+semi-join, unless the child groups or aggregates); IN keeps the set of
+the child's one column; a scalar or ALL comparison keeps the child's
+rows.  So EXISTS never raises an SqlError that only a binding after its
+witness would (a two-value scalar subquery); SQL engines short-circuit
+it too.  Nothing outlives the call, since ASTs are mutable.  The tests
+and the benchmark check results against sqlite3, independently of this
+module.
 """
 
 from __future__ import annotations
 
-import random
+import operator
 
 from .ast_nodes import (
     ColumnRef,
@@ -38,16 +45,16 @@ from .ast_nodes import (
     CountDistinct,
     CountStar,
     Exists,
+    FromItem,
     InSubquery,
     Query,
     ScalarSubquery,
     SelectItem,
     Star,
 )
-from .data import Database, Row
+from .data import Database
 from .errors import SqlError
 from .record import Record, field
-from .schema import SchemaGraph
 
 
 class ResultSet(Record):
@@ -58,16 +65,16 @@ class ResultSet(Record):
 def evaluate(ast: Query, db: Database) -> ResultSet:
     """Evaluate a name-resolved query against loaded tables."""
     run = _Evaluation(db)
-    run.plan(ast)
+    for ref in run.plan(ast).free:
+        _value(ref, {})  # raises: no block encloses the outermost one
     return run.query(ast, {})
 
 
 class _Plan(Record):
     """What evaluating one query block needs, derived once per call."""
 
-    aliases: list[str]  # in FROM order
-    levels: list[tuple]  # per FROM item, see _Evaluation._level
-    checks: list[list]  # WHERE conjuncts by level, see _placed
+    levels: list[tuple]  # per FROM item, in order; see _Evaluation._level
+    nested: list  # WHERE conjuncts holding a subquery, for the last level
     items: list[SelectItem]  # select items with stars expanded
     columns: list[str]
     grouped: bool
@@ -85,52 +92,96 @@ class _Evaluation:
         self.memo: dict[tuple[int, str], dict] = {}
 
     def plan(self, query: Query) -> _Plan:
-        """Plan `query` and every block nested in it, children first, so a
-        block's free references are its own plus its children's."""
+        """Plan `query` and every block nested in it, children first, in
+        one pass over the block's select items, conjuncts and keys.
+
+        A WHERE comparison of columns and constants becomes a flat check
+        (alias, attribute, operator, alias, attribute), where a constant
+        side has alias None and its value for attribute.  It is filed at
+        the level of the deepest alias of this block it names (outer
+        aliases and constants are ready at level 0), in declared order.
+        Any other conjunct waits for the last level, after its checks.  A
+        block's free references are its own plus its children's.
+        """
         plan = self.plans.get(id(query))
         if plan is not None:  # a hand-built AST may share one block
             return plan
-        refs = list(query.column_refs())
-        for _, _, child in query.subqueries():
-            refs += self.plan(child).free
-        aliases = [item.alias for item in query.from_items]
-        free = {(ref.alias, ref.attribute): ref
-                for ref in refs if ref.alias not in aliases}
-        checks = _placed(query.where, aliases)
-        levels = [
-            self._level(item, alias, checks[i])
-            for i, (item, alias) in enumerate(zip(query.from_items, aliases))
-        ]
+        depth = {item.alias: i for i, item in enumerate(query.from_items)}
+        checks, nested, refs = [[] for _ in query.from_items], [], []
+        items, columns = [], []
+        grouped = bool(query.group_by or query.having)
+        for item in query.select_items:
+            expr = item.expr
+            self._read(expr, refs)
+            if isinstance(expr, Star):
+                items += [SelectItem(ColumnRef(f.alias, "*")) for f in query.from_items]
+            else:
+                items.append(item)
+                grouped = grouped or isinstance(expr, (CountStar, CountDistinct))
+            columns.append(item.alias or (
+                expr.column if isinstance(expr, ColumnRef) else expr.render()
+            ))
+        for pred in query.where:
+            sides = [self._read(expr, refs) for expr in _operands(pred)]
+            if isinstance(pred, Compare) and None not in sides:
+                (a, x), (b, y) = sides
+                level = max(depth.get(a, 0), depth.get(b, 0))
+                checks[level].append((a, x, _operator(pred.op), b, y))
+            else:
+                nested.append(pred)
+        for pred in query.having:
+            for expr in _operands(pred):
+                self._read(expr, refs)
+        refs += query.group_by
+        refs += [col for col, _ in query.order_by]
+        free = {(ref.alias, ref.attribute): ref for ref in refs if ref.alias not in depth}
+        levels = list(map(self._level, query.from_items, checks))
         plan = self.plans[id(query)] = _Plan(
-            aliases,
-            levels,
-            checks,
-            _expand_star(query),
-            _output_columns(query),
-            bool(query.group_by) or _has_aggregate(query),
-            list(free.values()),
+            levels, nested, items, columns, grouped, list(free.values())
         )
         return plan
 
-    def _level(self, item, alias: str, checks: list) -> tuple:
-        """(rows, index, other) for one FROM level.
+    def _read(self, expr, refs: list):
+        """Add the column references `expr` reads to `refs`, with the free
+        ones of a subquery; return its flat side, (alias, attribute) or
+        (None, value), or None if it is not a column or a constant."""
+        if isinstance(expr, ColumnRef):
+            refs.append(expr)
+            return expr.alias, expr.attribute
+        if isinstance(expr, Constant):
+            return None, expr.value
+        if isinstance(expr, CountDistinct):
+            refs.append(expr.column)
+        elif isinstance(expr, ScalarSubquery):
+            refs += self.plan(expr.query).free
+        elif isinstance(expr, Query):
+            refs += self.plan(expr).free
+        return None
 
-        Without an index the level reads `rows`.  A conjunct
-        `alias.a = <constant>` narrows `rows` to the constant's index
-        entry; a conjunct `alias.a = other` keeps the index of `a`, looked
-        up per binding with the value of the column reference `other`.
+    def _level(self, item: FromItem, checks: list) -> tuple:
+        """(alias, checks, rows, index, other, attribute) for one FROM item.
+
+        Without an index the level reads `rows`.  The first check
+        `alias.a = <constant>` or `alias.a = other.b`, other another
+        alias, picks the index of `a` instead: the constant's entry
+        becomes `rows`, or the entry for the cell `other.b` is looked up
+        per binding.  The index leaves null cells out and a dict never
+        matches an int with a str, so it holds exactly the rows that
+        `_compare` lets through, and that check is left out of `checks`.
         """
-        table = self.db.table(item.canonical)
-        for pred in checks:
-            probe = _probe(pred, alias)
-            if probe is None:
+        alias, table = item.alias, self.db.table(item.canonical)
+        for check in checks:
+            a, x, op, b, y = check
+            if op is not operator.eq:
                 continue
-            attribute, other = probe
-            index = self.db._index(item.canonical, attribute)
-            if isinstance(other, Constant):
-                return index.get(other.value, ()), None, None
-            return table, index, other
-        return table, None, None
+            for own, attribute, other, value in ((a, x, b, y), (b, y, a, x)):
+                if own == alias != other:
+                    index = self.db._index(item.canonical, attribute)
+                    checks = [c for c in checks if c is not check]
+                    if other is None:
+                        return alias, checks, index.get(value, ()), None, None, None
+                    return alias, checks, table, index, other, value
+        return alias, checks, table, None, None, None
 
     def query(self, query: Query, outer_env: dict) -> ResultSet:
         plan = self.plans[id(query)]
@@ -147,20 +198,24 @@ class _Evaluation:
         """The FROM bindings that satisfy WHERE, in cross-product order;
         with `first`, only the first of them."""
         envs, env = [], dict(outer_env)
-        last = len(plan.levels) - 1
+        levels, nested = plan.levels, plan.nested
+        last = len(levels) - 1
 
         def bind(level):  # True once `first` has its binding
-            alias, checks = plan.aliases[level], plan.checks[level]
-            for row in _rows(plan.levels[level], env):
+            alias, checks, rows, index, other, attribute = levels[level]
+            if index is not None:
+                rows = index.get(env[other].cell(attribute), ())
+            for row in rows:
                 env[alias] = row
-                for pred in checks:
-                    if not self._pred(pred, env):
+                for a, x, op, b, y in checks:
+                    lhs = x if a is None else env[a].cell(x)
+                    if not _compare(lhs, op, y if b is None else env[b].cell(y)):
                         break
                 else:
                     if level < last:
                         if bind(level + 1):
                             return True
-                    else:
+                    elif not nested or all(self._pred(pred, env) for pred in nested):
                         envs.append(dict(env))
                         if first:
                             return True
@@ -237,7 +292,7 @@ class _Evaluation:
         if isinstance(pred, Compare):
             lhs = self._operand(pred.lhs, env, group)
             rhs = self._operand(pred.rhs, env, group)
-            return _compare(lhs, pred.op, rhs)
+            return _compare(lhs, _operator(pred.op), rhs)
         if isinstance(pred, InSubquery):
             needle = _value(pred.column, env)
             if needle is None:
@@ -247,58 +302,24 @@ class _Evaluation:
             return self._subquery(pred.query, "exists", env) != pred.negated
         if isinstance(pred, CompareAll):
             lhs = self._operand(pred.lhs, env, group)
+            op = _operator(pred.op)
             result = self._subquery(pred.query, "compare_all", env)
             # ALL over an empty result is vacuously true (SQL semantics).
-            return all(_compare(lhs, pred.op, row[0]) for row in result.rows)
+            return all(_compare(lhs, op, row[0]) for row in result.rows)
         raise SqlError(f"cannot evaluate predicate {pred!r}")
 
 
-def _rows(level: tuple, env: dict):
-    rows, index, other = level
-    return rows if index is None else index.get(_value(other, env), ())
-
-
-def _probe(pred, alias: str):
-    """(attribute, other side) when `pred` is `alias.attribute = other`,
-    other a constant or a column of another alias; else None.
-
-    The index leaves null cells out and a dict never matches an int with
-    a str, so the rows it holds for a value are exactly those `_compare`
-    lets through.
-    """
-    if not isinstance(pred, Compare) or pred.op != "=":
-        return None
-    for own, other in ((pred.lhs, pred.rhs), (pred.rhs, pred.lhs)):
-        if not (isinstance(own, ColumnRef) and own.alias == alias):
-            continue
-        if isinstance(other, Constant) or (
-            isinstance(other, ColumnRef) and other.alias != alias
-        ):
-            return own.attribute, other
-    return None
-
-
-def _placed(where: list, aliases: list[str]) -> list[list]:
-    """WHERE conjuncts by the FROM level after which each is checked.
-
-    A comparison waits for the deepest alias of this query it names (outer
-    aliases and constants are ready at level 0); a conjunct holding a
-    subquery waits for the last level.  Declared order is kept per level.
-    """
-    depth = {alias: i for i, alias in enumerate(aliases)}
-    checks = [[] for _ in aliases]
-    last = len(aliases) - 1
-    for pred in where:
-        level = last
-        if isinstance(pred, Compare) and not (
-            isinstance(pred.lhs, ScalarSubquery) or isinstance(pred.rhs, ScalarSubquery)
-        ):
-            level = 0
-            for side in (pred.lhs, pred.rhs):
-                if isinstance(side, ColumnRef):
-                    level = max(level, depth.get(side.alias, 0))
-        checks[level].append(pred)
-    return checks
+def _operands(pred) -> tuple:
+    """A predicate's operands, the block of a subquery connector included."""
+    if isinstance(pred, Compare):
+        return pred.lhs, pred.rhs
+    if isinstance(pred, CompareAll):
+        return pred.lhs, pred.query
+    if isinstance(pred, InSubquery):
+        return pred.column, pred.query
+    if isinstance(pred, Exists):
+        return (pred.query,)
+    return ()
 
 
 def _ordered(query, keyed):
@@ -320,38 +341,6 @@ def _sort_token(value):
 
 def _order_key(query, env):
     return tuple(_value(col, env) for col, _ in query.order_by)
-
-
-def _has_aggregate(query: Query) -> bool:
-    for item in query.select_items:
-        if isinstance(item.expr, (CountStar, CountDistinct)):
-            return True
-    return bool(query.having)
-
-
-def _expand_star(query: Query):
-    items = []
-    for item in query.select_items:
-        if isinstance(item.expr, Star):
-            for from_item in query.from_items:
-                items.append(SelectItem(ColumnRef(from_item.alias, "*")))
-        else:
-            items.append(item)
-    return items
-
-
-def _output_columns(query: Query) -> list[str]:
-    cols = []
-    for item in query.select_items:
-        if item.alias:
-            cols.append(item.alias)
-        elif isinstance(item.expr, ColumnRef):
-            cols.append(item.expr.column)
-        elif isinstance(item.expr, Star):
-            cols.append("*")
-        else:
-            cols.append(item.expr.render())
-    return cols
 
 
 def _project(item: SelectItem, env, group):
@@ -389,92 +378,27 @@ def _value(ref: ColumnRef, env):
     return row.cell(ref.attribute)
 
 
+_OPERATORS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _operator(op: str):
+    try:
+        return _OPERATORS[op]
+    except KeyError:
+        raise SqlError(f"unknown operator {op!r}") from None
+
+
 def _compare(lhs, op, rhs) -> bool:
+    """`op(lhs, rhs)` under the null rule and the int-vs-str rule."""
     if lhs is None or rhs is None:
         return False
     if isinstance(lhs, int) != isinstance(rhs, int):
         return False  # mismatched types never compare
-    if op == "=":
-        return lhs == rhs
-    if op == "!=":
-        return lhs != rhs
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == ">":
-        return lhs > rhs
-    if op == ">=":
-        return lhs >= rhs
-    raise SqlError(f"unknown operator {op!r}")
-
-
-# --- random databases for property tests --------------------------------
-
-SYMBOLS = ("v0", "v1", "v2", "v3")
-DANGLING_CHANCE = 0.2
-
-
-def random_database(graph: SchemaGraph, seed: int, max_rows: int) -> Database:
-    """Deterministic random tables respecting declared key attributes.
-
-    Primary-key cells are unique integers; foreign-key cells reference an
-    existing key with probability 0.8 (else dangle); every other cell is
-    drawn from a four-symbol domain.
-    """
-    rng = random.Random(seed)
-    pk_attrs: dict[str, set] = {r.name: set() for r in graph.relations}
-    fk_targets: dict[tuple, tuple] = {}
-    for edge in graph.joins:
-        pk_attrs[edge.to_relation].add(edge.to_key)
-        fk_targets[(edge.from_relation, edge.from_key)] = (edge.to_relation, edge.to_key)
-
-    db = Database()
-    for rel in _topological(graph):
-        n = rng.randint(0, max_rows) if max_rows > 0 else 0
-        pk_pool = rng.sample(range(1, max(10 * max_rows, 10) + 1), n) if n else []
-        rows = []
-        for i in range(n):
-            values = {}
-            for attr in graph.attributes_of(rel.name):
-                key = (rel.name, attr.name)
-                if attr.name in pk_attrs[rel.name]:
-                    values[attr.name] = pk_pool[i]
-                elif key in fk_targets:
-                    values[attr.name] = _fk_value(rng, db, fk_targets[key])
-                else:
-                    values[attr.name] = rng.choice(SYMBOLS)
-            rows.append(Row(rel.name, values))
-        db.tables[rel.name] = rows
-    return db
-
-
-def _fk_value(rng, db, target):
-    rel, key = target
-    pool = [
-        row.cell(key)
-        for row in db.tables.get(rel, [])
-        if row.cell(key) is not None
-    ]
-    if pool and rng.random() >= DANGLING_CHANCE:
-        return rng.choice(pool)
-    return rng.randint(1000, 9999)  # dangling
-
-
-def _topological(graph: SchemaGraph):
-    """Referenced (PK-side) relations first so FK pools exist when drawn."""
-    names = [r.name for r in graph.relations]
-    deps = {name: set() for name in names}
-    for edge in graph.joins:
-        if edge.from_relation != edge.to_relation:
-            deps[edge.from_relation].add(edge.to_relation)
-    ordered = []
-    remaining = dict(deps)
-    while remaining:
-        ready = sorted(n for n, d in remaining.items() if not (d & remaining.keys()))
-        if not ready:
-            ready = sorted(remaining)  # FK cycle: fall back to name order
-        for name in ready:
-            ordered.append(name)
-            del remaining[name]
-    return [graph.relation(n) for n in ordered]
+    return op(lhs, rhs)

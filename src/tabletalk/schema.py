@@ -21,6 +21,7 @@ from .errors import (
 from .record import Record, field
 
 SUBJECT_SLOT = "SUBJECT"
+BOM = "\ufeff"  # a byte-order mark as text
 
 
 class RelationNode(Record):
@@ -216,7 +217,7 @@ def _read_document(source) -> dict:
         raw = source.read()
     elif isinstance(source, (bytes, bytearray)):
         raw = bytes(source)
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
+    elif isinstance(source, str) and source.removeprefix(BOM).lstrip().startswith("{"):
         raw = source
     else:
         name = source
@@ -224,6 +225,7 @@ def _read_document(source) -> dict:
             raw = fh.read()
     if isinstance(raw, (bytes, bytearray)):
         raw = decode_utf8(raw, name, MalformedDocument)
+    raw = raw.removeprefix(BOM)  # as decode_utf8 drops it from bytes
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:

@@ -9,6 +9,7 @@ import time
 from collections import Counter
 
 from conftest import FIXTURES, resolved
+from random_db import random_database
 
 from tabletalk import (
     classifier,
@@ -146,7 +147,7 @@ def test_criterion_5_flattening_soundness(movie_graph):
     flat = rewriter.flatten(q5)
     start = time.perf_counter()
     for seed in range(100):
-        db = evaluator.random_database(movie_graph, seed, 5)
+        db = random_database(movie_graph, seed, 5)
         r5 = Counter(evaluator.evaluate(q5, db).rows)
         rf = Counter(evaluator.evaluate(flat, db).rows)
         r1 = Counter(evaluator.evaluate(q1, db).rows)

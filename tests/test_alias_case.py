@@ -5,6 +5,7 @@ draws, classifies and evaluates exactly like the original."""
 import pytest
 
 from conftest import CORPUS_NAMES, corpus_sql, upper_alias_refs
+from random_db import random_database
 
 from tabletalk import classifier, evaluator, parser, query_graph, translator
 
@@ -14,7 +15,7 @@ def outputs(text, graph, db):
     qg = query_graph.build(ast, graph)
     cls = classifier.classify(qg)
     result = translator.translate(qg, graph, cls)
-    databases = [db] + [evaluator.random_database(graph, seed, 6) for seed in (1, 2)]
+    databases = [db] + [random_database(graph, seed, 6) for seed in (1, 2)]
     return (
         query_graph.emit_dot(qg),
         cls.label,

@@ -119,7 +119,7 @@ class TestNarrateCommand:
         assert proc.stderr == ""
         assert proc.stdout == want.stdout
 
-    @pytest.mark.parametrize("case", ["latin1-data", "latin1-schema", "duplicate"])
+    @pytest.mark.parametrize("case", ["latin1-data", "latin1-schema", "duplicate", "long-cell"])
     def test_unreadable_input_is_an_input_error(self, tmp_path, case):
         data = tmp_path / "movies"
         shutil.copytree(DATA, data)
@@ -133,6 +133,9 @@ class TestNarrateCommand:
             schema.write_bytes(raw.replace(b'"movie"', b'"m\xf6vie"', 1))
             at = raw.index(b'"movie"') + 2
             line = f"{schema}: not UTF-8 at byte offset {at} (invalid start byte)"
+        elif case == "long-cell":
+            (data / "ACTOR.csv").write_text("id,name\n1," + "x" * 140_000 + "\n", encoding="utf-8")
+            line = f"{data / 'ACTOR.csv'}: line 2: field larger than field limit (131072)"
         else:
             (data / "movie.csv").write_text("id,title,year\n1,Other,1999\n", encoding="utf-8")
             line = (f"data files {str(data / 'MOVIE.csv')!r} and "

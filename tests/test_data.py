@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
+from random_db import random_database
 
 from tabletalk import schema
 from tabletalk.data import (
@@ -30,7 +31,6 @@ from tabletalk.errors import (
     UnknownRelation,
     WrongRelation,
 )
-from tabletalk.evaluator import random_database
 
 # Minimal slice: one director and their three films.
 WOODY_SLICE = {
@@ -450,12 +450,50 @@ class TestEncoding:
         assert schema.load_schema(path) == movie_graph
         assert schema.load_schema(raw) == movie_graph
 
+    def test_a_schema_string_with_a_byte_order_mark_loads(self, movie_graph):
+        text = (FIXTURES / "movies.schema.json").read_text(encoding="utf-8")
+        assert schema.load_schema("\ufeff" + text) == movie_graph
+        assert schema.load_schema("\ufeff  " + text) == movie_graph
+
     def test_a_file_reads_any_line_end_as_a_newline(self, movie_graph, tmp_path):
         # Guard: as in text mode, "\r" and "\r\n" end lines, also inside quotes.
         data = _copy_movies(tmp_path)
         (data / "ACTOR.csv").write_bytes(b'id,name\r1,"Brad\r\nPitt"\r\n2,X\r')
         cells = [row.cells for row in load_data(movie_graph, data).table("ACTOR")]
         assert cells == [(1, "Brad\nPitt"), (2, "X")]
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("encode", [False, True], ids=["str", "bytes"])
+    def test_mapping_text_reads_any_line_end_as_a_newline(self, movie_graph, encode):
+        text = 'id,name\n1,"Brad\nPitt"\n2,X\n'
+        tables = []
+        for end in ("\n", "\r\n", "\r"):
+            actor = text.replace("\n", end)
+            source = dict(WOODY_SLICE, ACTOR=actor.encode() if encode else actor)
+            tables.append(load_data(movie_graph, source).table("ACTOR"))
+        assert [row.cells for row in tables[0]] == [(1, "Brad\nPitt"), (2, "X")]
+        assert tables[1] == tables[0] and tables[2] == tables[0]
+
+
+class TestMalformedCsv:
+    """A record the csv module rejects is an input error that names the
+    file or mapping key and the line."""
+
+    ACTOR = "id,name\n1,X\n2," + "x" * 140_000 + "\n"
+    MESSAGE = "line 3: field larger than field limit (131072)"
+
+    def test_an_overlong_cell_names_file_and_line(self, movie_graph, tmp_path):
+        limit = csv.field_size_limit()
+        data = _copy_movies(tmp_path)
+        (data / "ACTOR.csv").write_text(self.ACTOR, encoding="utf-8")
+        with pytest.raises(TabletalkError) as caught:
+            load_data(movie_graph, data)
+        assert str(caught.value) == f"{data / 'ACTOR.csv'}: {self.MESSAGE}"
+        with pytest.raises(TabletalkError) as caught:
+            load_data(movie_graph, dict(WOODY_SLICE, ACTOR=self.ACTOR))
+        assert str(caught.value) == f"ACTOR: {self.MESSAGE}"
+        assert csv.field_size_limit() == limit
 
 
 class TestDuplicateFiles:

@@ -9,17 +9,33 @@ from pathlib import Path
 import pytest
 
 from conftest import CORPUS_NAMES, corpus_sql, resolved
+from random_db import random_database
 
 from tabletalk import parser, rewriter, schema
+from tabletalk.ast_nodes import (
+    ColumnRef,
+    Compare,
+    Constant,
+    CountStar,
+    FromItem,
+    Query,
+    ScalarSubquery,
+    SelectItem,
+)
 from tabletalk.data import Row, load_data
 from tabletalk.errors import SqlError
-from tabletalk.evaluator import evaluate, random_database
+from tabletalk.evaluator import evaluate
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def _run(sql, graph, db):
     return evaluate(parser.resolve_names(parser.parse_sql(sql), graph), db).rows
+
+
+def _col(alias, attribute):
+    """A column reference as resolve_names leaves it."""
+    return ColumnRef(alias, attribute, attribute=attribute)
 
 
 def _movie_db(graph, **tables):
@@ -35,6 +51,20 @@ def _movie_db(graph, **tables):
     return load_data(
         graph, {name: head + "\n" + tables.get(name, "") for name, head in headers.items()}
     )
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Cells read from now on, by (relation, attribute)."""
+    counts = Counter()
+    cell = Row.cell
+
+    def counted(row, attribute):
+        counts[row.relation, attribute] += 1
+        return cell(row, attribute)
+
+    monkeypatch.setattr(Row, "cell", counted)
+    return counts
 
 
 class TestCorpusResults:
@@ -229,6 +259,14 @@ class TestPredicatePlacement:
         for graph, data, sql, rows in cases:
             assert _run(sql, graph, data) == rows, sql
 
+    def test_the_check_that_picks_an_index_is_not_read_again(self, movie_graph, reads):
+        db = _movie_db(movie_graph, MOVIE="1,A,2005\n2,B,1999\n", CAST="1,1,x\n2,7,y\n1,2,z\n")
+        sql = "select m.title, c.role from MOVIES m, CAST c where m.id = c.mid"
+        assert _run(sql, movie_graph, db) == [("A", "x"), ("A", "z"), ("B", "y")]
+        # Building the index of CAST.mid reads each cast row once, and each
+        # movie's id is read once to look up its cast rows.
+        assert (reads["CAST", "mid"], reads["MOVIE", "id"]) == (3, 2)
+
     def test_int_column_never_equals_a_str_constant(self, movie_graph, db):
         sql = "select m.title from MOVIES m where m.year = '2005'"
         assert _run(sql, movie_graph, db) == []
@@ -272,6 +310,60 @@ class TestPredicatePlacement:
         assert _run(sql, movie_graph, db) == []
 
 
+class TestSqlErrors:
+    """Hand-built ASTs that resolve_names would reject still raise SqlError
+    when evaluated over tables where the bad part is reached."""
+
+    @pytest.fixture(scope="class")
+    def db(self, movie_graph):
+        return _movie_db(movie_graph, MOVIE="1,A,2005\n2,B,1999\n")
+
+    @staticmethod
+    def _movies(where=(), select=None):
+        """select <select or m.title> from MOVIE m where <where>"""
+        return Query(
+            select_items=[SelectItem(select or _col("m", "title"))],
+            from_items=[FromItem("MOVIE", "m", canonical="MOVIE")],
+            where=list(where),
+        )
+
+    @pytest.mark.parametrize("where, select", [
+        ([Compare(_col("x", "id"), "=", Constant(1))], None),
+        ([Compare(_col("m", "id"), "=", _col("x", "id"))], None),
+        ([], _col("x", "title")),
+    ], ids=["where_constant", "where_join", "select"])
+    def test_unbound_alias(self, db, where, select):
+        with pytest.raises(SqlError, match="alias 'x' not bound during evaluation"):
+            evaluate(self._movies(where, select), db)
+
+    def test_unknown_comparison_operator(self, db):
+        ast = self._movies([Compare(_col("m", "id"), "<>", Constant(1))])
+        with pytest.raises(SqlError, match="unknown operator '<>'"):
+            evaluate(ast, db)
+
+    @pytest.mark.parametrize("where, message", [
+        ([Compare(_col("x", "id"), "=", Constant(1))], "alias 'x' not bound"),
+        ([Compare(_col("m", "id"), "<>", Constant(1))], "unknown operator '<>'"),
+    ], ids=["unbound_alias", "unknown_operator"])
+    def test_planning_raises_before_any_row_is_read(self, movie_graph, where, message):
+        with pytest.raises(SqlError, match=message):
+            evaluate(self._movies(where), _movie_db(movie_graph))
+
+    def test_count_star_in_where(self, db):
+        ast = self._movies([Compare(CountStar(), ">", Constant(0))])
+        with pytest.raises(SqlError, match=r"count\(\*\) outside HAVING"):
+            evaluate(ast, db)
+
+    def test_scalar_subquery_with_two_rows_outside_exists(self, db):
+        inner = Query(
+            select_items=[SelectItem(_col("m2", "year"))],
+            from_items=[FromItem("MOVIE", "m2", canonical="MOVIE")],
+        )
+        ast = self._movies([Compare(_col("m", "year"), "=", ScalarSubquery(inner))])
+        with pytest.raises(SqlError, match="scalar subquery returned more than one value"):
+            evaluate(ast, db)
+
+
 class TestSubqueryMemo:
     """Within one evaluate call a subquery runs once for each distinct value
     of the columns it reads from enclosing queries."""
@@ -285,19 +377,6 @@ class TestSubqueryMemo:
             GENRE="1,action\n1,drama\n1,comedy\n3,drama\n4,comedy\n",
             ACTOR="1,P\n2,Q\n7,R\n",
         )
-
-    @pytest.fixture
-    def reads(self, monkeypatch):
-        """Cells read from now on, by (relation, attribute)."""
-        counts = Counter()
-        cell = Row.cell
-
-        def counted(row, attribute):
-            counts[row.relation, attribute] += 1
-            return cell(row, attribute)
-
-        monkeypatch.setattr(Row, "cell", counted)
-        return counts
 
     def test_uncorrelated_subquery_runs_once_per_call(self, movie_graph, db, reads):
         # Only the subquery reads CAST.role: one pass over 4 rows per call.

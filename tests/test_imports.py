@@ -108,7 +108,7 @@ PUBLIC = {
     "TranslationResult", "build", "classify", "detect_motifs", "detect_patterns",
     "emit_dot", "evaluate", "fallback_mode", "flatten", "follow_join",
     "instantiate", "lexicalize_predicate", "load_data", "load_schema",
-    "merge_common", "narrate", "parse_sql", "parse_template", "random_database",
+    "merge_common", "narrate", "parse_sql", "parse_template",
     "render_sql", "resolve_names", "select_tuples", "serialize", "shape",
     "translate", "translate_procedural", "validate",
 }

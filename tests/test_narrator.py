@@ -6,10 +6,10 @@ import json
 import pytest
 
 from conftest import FIXTURES
+from random_db import random_database
 from tabletalk import data, narrator, schema
 from tabletalk.data import RankSpec, load_data
 from tabletalk.errors import UnknownStart
-from tabletalk.evaluator import random_database
 from tabletalk.narrator import NarrationPlan, detect_patterns, fallback_mode, narrate
 
 WOODY_DECLARATIVE = (

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from conftest import CORPUS_NAMES, ROOT, corpus_sql, resolved
+from random_db import random_database
 
 from tabletalk import evaluator, parser, query_graph as QG, rewriter
 from tabletalk.ast_nodes import Compare, InSubquery
@@ -84,7 +85,7 @@ class TestFlatten:
         assert len(flat.from_items) == 3
         # Oracle: the naive evaluator agrees on 100 random databases.
         for seed in range(100):
-            db = evaluator.random_database(emp_graph, seed, 5)
+            db = random_database(emp_graph, seed, 5)
             got = Counter(evaluator.evaluate(flat, db).rows)
             want = Counter(evaluator.evaluate(nested, db).rows)
             assert got == want, seed
