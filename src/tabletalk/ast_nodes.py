@@ -120,6 +120,9 @@ class Query(Record):
     group_by: list[ColumnRef] = field(factory=list)
     having: list = field(factory=list)
     order_by: list = field(factory=list)  # (ColumnRef, "asc"|"desc")
+    # The evaluator's plan of this block, made on its first evaluation and
+    # kept; see evaluator.py.
+    plan: object = field(None, init=False, shown=False)
 
     def render(self) -> str:
         parts = [

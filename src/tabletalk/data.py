@@ -242,8 +242,9 @@ def _load_table(graph: SchemaGraph, relation: str, label: str, text: str) -> lis
     if not records:
         return []
     header = [h.strip() for h in records[0]]
-    declared = [a.name for a in graph.attributes_of(relation)]
-    columns = [graph.find_attribute(relation, h) for h in header]
+    names = graph._index()  # `relation` is declared: skip find_relation
+    declared = [a.name for a in names.by_relation.get(relation, ())]
+    columns = [names.attributes.get((relation, h.upper())) for h in header]
     if None in columns or sorted(a.name for a in columns) != sorted(declared):
         raise HeaderMismatch(
             f"{relation}: header {header} does not match declared attributes {declared}"

@@ -8,29 +8,33 @@ product.  Comparisons are null-rejecting (a null cell satisfies no
 predicate, mirroring SQL's treatment closely enough for the supported
 subset), and an int never compares with a str.
 
-One bottom-up pass per `evaluate` call plans every query block.  It finds
-the block's free column references (those naming an alias that no FROM
-list inside it binds), and it decodes each plain comparison, one of
-columns and constants only, once per call into a flat check: an alias
-and attribute or a constant per side, and an operator function, which
-the binding loop applies directly.  Only conjuncts holding a subquery go
-through the general predicate code.  So a hand-built AST with an unknown
-operator, or with an alias that no block binds, raises SqlError before
-any row is read.  Shortcuts then save repeated work without changing
-any result or its row order.  A level with a check `x.a = <constant>`,
-or `x.a = y.b` with y bound at an earlier level or outside the query,
-reads only the rows the Database's join index holds for that value, in
-load order, and skips that check, which each of them passes.  A
-subquery's answer is kept per distinct value of its free column
-references, in the form its connector needs: EXISTS keeps a bool, found
-by binding the child only up to the first binding that passes WHERE (a
-semi-join, unless the child groups or aggregates); IN keeps the set of
-the child's one column; a scalar or ALL comparison keeps the child's
-rows.  So EXISTS never raises an SqlError that only a binding after its
-witness would (a two-value scalar subquery); SQL engines short-circuit
-it too.  Nothing outlives the call, since ASTs are mutable.  The tests
-and the benchmark check results against sqlite3, independently of this
-module.
+The first evaluation of a name-resolved query plans every block in one
+bottom-up pass and keeps each plan on its block (`Query.plan`), so later
+calls reuse it against any database: a block edited after its first
+evaluation is not seen.  A block that resolve_names has not annotated
+raises SqlError and keeps no plan.  A plan holds nothing tied to a
+database: the block's free column references (those naming an alias
+that no FROM list inside it binds), and each plain comparison, one of
+columns and constants only, decoded into a flat check: an alias and
+attribute or a constant per side, and an operator function, which the
+binding loop applies directly.  Only conjuncts holding a subquery go
+through the general predicate code.  So a hand-built AST with an
+unknown operator, or with an alias that no block binds, raises SqlError
+before any row is read.  Shortcuts then save repeated work without
+changing any result or its row order.  A level with a check `x.a =
+<constant>`, or `x.a = y.b` with y bound at an earlier level or outside
+the query, reads only the rows the Database's join index holds for that
+value, in load order, and skips that check, which each of them passes;
+each call ties the levels to its database's tables and indexes first.
+A subquery's answer is kept for the call, per distinct value of its
+free column references, in the form its connector needs: EXISTS keeps a
+bool, found by binding the child only up to the first binding that
+passes WHERE (a semi-join, unless the child groups or aggregates); IN
+keeps the set of the child's one column; a scalar or ALL comparison
+keeps the child's rows.  So EXISTS never raises an SqlError that only a
+binding after its witness would (a two-value scalar subquery); SQL
+engines short-circuit it too.  The tests and the benchmark check
+results against sqlite3, independently of this module.
 """
 
 from __future__ import annotations
@@ -64,128 +68,150 @@ class ResultSet(Record):
 
 def evaluate(ast: Query, db: Database) -> ResultSet:
     """Evaluate a name-resolved query against loaded tables."""
-    run = _Evaluation(db)
-    for ref in run.plan(ast).free:
+    for ref in (ast.plan or _plan(ast)).free:
         _value(ref, {})  # raises: no block encloses the outermost one
-    return run.query(ast, {})
+    return _Evaluation(db, ast).query(ast, {})
 
 
 class _Plan(Record):
-    """What evaluating one query block needs, derived once per call."""
+    """What evaluating one query block needs, whatever the database."""
 
-    levels: list[tuple]  # per FROM item, in order; see _Evaluation._level
+    levels: list[tuple]  # per FROM item, in order; see _level
     nested: list  # WHERE conjuncts holding a subquery, for the last level
     items: list[SelectItem]  # select items with stars expanded
     columns: list[str]
     grouped: bool
     free: list[ColumnRef]  # one per column read from enclosing queries
+    blocks: list[Query]  # every block nested in this one, at any depth
+
+
+def _plan(query: Query) -> _Plan:
+    """Plan `query` and every block nested in it that has no plan yet,
+    children first, in one pass over the block's select items, conjuncts
+    and keys, and keep each plan on its block.
+
+    A WHERE comparison of columns and constants becomes a flat check
+    (alias, attribute, operator, alias, attribute), where a constant
+    side has alias None and its value for attribute.  It is filed at
+    the level of the deepest alias of this block it names (outer
+    aliases and constants are ready at level 0), in declared order.
+    Any other conjunct waits for the last level, after its checks.  A
+    block's free references are its own plus its children's.  A block
+    that resolve_names has not annotated raises before its plan is kept.
+    """
+    depth = {item.alias: i for i, item in enumerate(query.from_items)}
+    checks, nested, refs, blocks = [[] for _ in query.from_items], [], [], []
+    items, columns = [], []
+    grouped = bool(query.group_by or query.having)
+    for item in query.select_items:
+        expr = item.expr
+        _read(expr, refs, blocks)
+        if isinstance(expr, Star):
+            items += [SelectItem(ColumnRef(f.alias, "*")) for f in query.from_items]
+        else:
+            items.append(item)
+            grouped = grouped or isinstance(expr, (CountStar, CountDistinct))
+        columns.append(item.alias or (
+            expr.column if isinstance(expr, ColumnRef) else expr.render()
+        ))
+    for pred in query.where:
+        sides = [_read(expr, refs, blocks) for expr in _operands(pred)]
+        if isinstance(pred, Compare) and None not in sides:
+            (a, x), (b, y) = sides
+            level = max(depth.get(a, 0), depth.get(b, 0))
+            checks[level].append((a, x, _operator(pred.op), b, y))
+        else:
+            nested.append(pred)
+    for pred in query.having:
+        for expr in _operands(pred):
+            _read(expr, refs, blocks)
+    refs += query.group_by
+    refs += [col for col, _ in query.order_by]
+    free = {(ref.alias, ref.attribute): ref for ref in refs if ref.alias not in depth}
+    levels = list(map(_level, query.from_items, checks))
+    query.plan = plan = _Plan(
+        levels, nested, items, columns, grouped, list(free.values()), blocks
+    )
+    return plan
+
+
+def _read(expr, refs: list, blocks: list):
+    """Add the column references `expr` reads to `refs`, with the free
+    ones of a subquery, and its blocks to `blocks`; return its flat side,
+    (alias, attribute) or (None, value), or None if it is not a column or
+    a constant."""
+    if isinstance(expr, ColumnRef):
+        refs.append(expr)
+        return expr.alias, expr.attribute
+    if isinstance(expr, Constant):
+        return None, expr.value
+    if isinstance(expr, CountDistinct):
+        refs.append(expr.column)
+    elif isinstance(expr, (ScalarSubquery, Query)):
+        child = expr.query if isinstance(expr, ScalarSubquery) else expr
+        plan = child.plan or _plan(child)
+        refs += plan.free
+        blocks += [child, *plan.blocks]
+    return None
+
+
+def _level(item: FromItem, checks: list) -> tuple:
+    """(alias, relation, checks, attribute, other, value) for one FROM item.
+
+    The first check `alias.a = <constant>` or `alias.a = other.b`, other
+    another alias, is the level's index probe on attribute `a`: the
+    level reads the rows the index holds for the constant (other None,
+    value the constant) or, per binding, for the cell `other.b` (value
+    b).  The index leaves null cells out and a dict never matches an int
+    with a str, so it holds exactly the rows that `_compare` lets
+    through, and that check is left out of `checks`.  Without a probe,
+    attribute is None and the level reads the whole table.
+    """
+    if item.canonical is None:
+        raise SqlError("query is not name-resolved: call resolve_names first")
+    for check in checks:
+        a, x, op, b, y = check
+        if op is not operator.eq:
+            continue
+        for own, attribute, other, value in ((a, x, b, y), (b, y, a, x)):
+            if own == item.alias != other:
+                rest = [c for c in checks if c is not check]
+                return item.alias, item.canonical, rest, attribute, other, value
+    return item.alias, item.canonical, checks, None, None, None
 
 
 class _Evaluation:
-    """One evaluate call: a plan per query block, and each subquery's
-    answer per connector and distinct value of its free column references."""
+    """One evaluate call: every block's levels bound to this database, and
+    each subquery's answer per connector and distinct value of its free
+    column references."""
 
-    def __init__(self, db: Database):
+    def __init__(self, db: Database, ast: Query):
         self.db = db
         # By id(): the AST being evaluated keeps every block alive.
-        self.plans: dict[int, _Plan] = {}
+        self.levels: dict[int, list[tuple]] = {}
+        for block in (ast, *ast.plan.blocks):
+            self.levels[id(block)] = self._bound(block.plan.levels)
         self.memo: dict[tuple[int, str], dict] = {}
 
-    def plan(self, query: Query) -> _Plan:
-        """Plan `query` and every block nested in it, children first, in
-        one pass over the block's select items, conjuncts and keys.
-
-        A WHERE comparison of columns and constants becomes a flat check
-        (alias, attribute, operator, alias, attribute), where a constant
-        side has alias None and its value for attribute.  It is filed at
-        the level of the deepest alias of this block it names (outer
-        aliases and constants are ready at level 0), in declared order.
-        Any other conjunct waits for the last level, after its checks.  A
-        block's free references are its own plus its children's.
-        """
-        plan = self.plans.get(id(query))
-        if plan is not None:  # a hand-built AST may share one block
-            return plan
-        depth = {item.alias: i for i, item in enumerate(query.from_items)}
-        checks, nested, refs = [[] for _ in query.from_items], [], []
-        items, columns = [], []
-        grouped = bool(query.group_by or query.having)
-        for item in query.select_items:
-            expr = item.expr
-            self._read(expr, refs)
-            if isinstance(expr, Star):
-                items += [SelectItem(ColumnRef(f.alias, "*")) for f in query.from_items]
-            else:
-                items.append(item)
-                grouped = grouped or isinstance(expr, (CountStar, CountDistinct))
-            columns.append(item.alias or (
-                expr.column if isinstance(expr, ColumnRef) else expr.render()
-            ))
-        for pred in query.where:
-            sides = [self._read(expr, refs) for expr in _operands(pred)]
-            if isinstance(pred, Compare) and None not in sides:
-                (a, x), (b, y) = sides
-                level = max(depth.get(a, 0), depth.get(b, 0))
-                checks[level].append((a, x, _operator(pred.op), b, y))
-            else:
-                nested.append(pred)
-        for pred in query.having:
-            for expr in _operands(pred):
-                self._read(expr, refs)
-        refs += query.group_by
-        refs += [col for col, _ in query.order_by]
-        free = {(ref.alias, ref.attribute): ref for ref in refs if ref.alias not in depth}
-        levels = list(map(self._level, query.from_items, checks))
-        plan = self.plans[id(query)] = _Plan(
-            levels, nested, items, columns, grouped, list(free.values())
-        )
-        return plan
-
-    def _read(self, expr, refs: list):
-        """Add the column references `expr` reads to `refs`, with the free
-        ones of a subquery; return its flat side, (alias, attribute) or
-        (None, value), or None if it is not a column or a constant."""
-        if isinstance(expr, ColumnRef):
-            refs.append(expr)
-            return expr.alias, expr.attribute
-        if isinstance(expr, Constant):
-            return None, expr.value
-        if isinstance(expr, CountDistinct):
-            refs.append(expr.column)
-        elif isinstance(expr, ScalarSubquery):
-            refs += self.plan(expr.query).free
-        elif isinstance(expr, Query):
-            refs += self.plan(expr).free
-        return None
-
-    def _level(self, item: FromItem, checks: list) -> tuple:
-        """(alias, checks, rows, index, other, attribute) for one FROM item.
-
-        Without an index the level reads `rows`.  The first check
-        `alias.a = <constant>` or `alias.a = other.b`, other another
-        alias, picks the index of `a` instead: the constant's entry
-        becomes `rows`, or the entry for the cell `other.b` is looked up
-        per binding.  The index leaves null cells out and a dict never
-        matches an int with a str, so it holds exactly the rows that
-        `_compare` lets through, and that check is left out of `checks`.
-        """
-        alias, table = item.alias, self.db.table(item.canonical)
-        for check in checks:
-            a, x, op, b, y = check
-            if op is not operator.eq:
+    def _bound(self, levels: list[tuple]) -> list[tuple]:
+        """Each planned level as (alias, checks, rows, index, other,
+        attribute), tied to this database's table, its index entry for a
+        constant probe, or its index for a probe on another alias's cell."""
+        bound, db = [], self.db
+        for alias, relation, checks, attribute, other, value in levels:
+            if attribute is None:
+                bound.append((alias, checks, db.table(relation), None, None, None))
                 continue
-            for own, attribute, other, value in ((a, x, b, y), (b, y, a, x)):
-                if own == alias != other:
-                    index = self.db._index(item.canonical, attribute)
-                    checks = [c for c in checks if c is not check]
-                    if other is None:
-                        return alias, checks, index.get(value, ()), None, None, None
-                    return alias, checks, table, index, other, value
-        return alias, checks, table, None, None, None
+            index = db._index(relation, attribute)
+            if other is None:
+                bound.append((alias, checks, index.get(value, ()), None, None, None))
+            else:
+                bound.append((alias, checks, None, index, other, value))
+        return bound
 
     def query(self, query: Query, outer_env: dict) -> ResultSet:
-        plan = self.plans[id(query)]
-        envs = self._bindings(plan, outer_env)
+        plan = query.plan
+        envs = self._bindings(query, outer_env)
         if plan.grouped:
             return self._grouped(query, plan, envs, outer_env)
         keyed = []
@@ -194,35 +220,36 @@ class _Evaluation:
             keyed.append((_order_key(query, env), out_row))
         return ResultSet(plan.columns, _ordered(query, keyed))
 
-    def _bindings(self, plan: _Plan, outer_env: dict, first=False) -> list[dict]:
+    def _bindings(self, query: Query, outer_env: dict, first=False) -> list[dict]:
         """The FROM bindings that satisfy WHERE, in cross-product order;
         with `first`, only the first of them."""
-        envs, env = [], dict(outer_env)
-        levels, nested = plan.levels, plan.nested
-        last = len(levels) - 1
-
-        def bind(level):  # True once `first` has its binding
-            alias, checks, rows, index, other, attribute = levels[level]
-            if index is not None:
-                rows = index.get(env[other].cell(attribute), ())
-            for row in rows:
-                env[alias] = row
-                for a, x, op, b, y in checks:
-                    lhs = x if a is None else env[a].cell(x)
-                    if not _compare(lhs, op, y if b is None else env[b].cell(y)):
-                        break
-                else:
-                    if level < last:
-                        if bind(level + 1):
-                            return True
-                    elif not nested or all(self._pred(pred, env) for pred in nested):
-                        envs.append(dict(env))
-                        if first:
-                            return True
-            return False
-
-        bind(0)
+        envs = []
+        self._bind(self.levels[id(query)], 0, dict(outer_env), envs, query.plan.nested, first)
         return envs
+
+    def _bind(self, levels, level, env, envs, nested, first) -> bool:
+        """Bind `levels[level:]` depth-first in `env`, adding a copy of each
+        whole binding that passes WHERE to `envs`; True once `first` has
+        its binding."""
+        alias, checks, rows, index, other, attribute = levels[level]
+        if index is not None:
+            rows = index.get(env[other].cell(attribute), ())
+        last = level == len(levels) - 1
+        for row in rows:
+            env[alias] = row
+            for a, x, op, b, y in checks:
+                lhs = x if a is None else env[a].cell(x)
+                if not _compare(lhs, op, y if b is None else env[b].cell(y)):
+                    break
+            else:
+                if not last:
+                    if self._bind(levels, level + 1, env, envs, nested, first):
+                        return True
+                elif not nested or all(self._pred(pred, env) for pred in nested):
+                    envs.append(dict(env))
+                    if first:
+                        return True
+        return False
 
     def _grouped(self, query, plan, envs, outer_env) -> ResultSet:
         groups: dict[tuple, list] = {}
@@ -248,7 +275,7 @@ class _Evaluation:
         `env`: a bool for "exists" (negated or not), a set of values for
         "in", else the block's ResultSet.  Keyed by connector too, so a
         block shared by two connectors never mixes the forms."""
-        plan = self.plans[id(query)]
+        plan = query.plan
         answers = self.memo.get((id(query), connector))
         if answers is None:
             answers = self.memo[id(query), connector] = {}
@@ -262,7 +289,7 @@ class _Evaluation:
             elif plan.grouped:
                 answer = bool(self.query(query, env).rows)
             else:
-                answer = bool(self._bindings(plan, env, first=True))
+                answer = bool(self._bindings(query, env, first=True))
             answers[key] = answer
         return answer
 

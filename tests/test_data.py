@@ -72,8 +72,18 @@ class TestLoad:
     def test_header_mismatch(self, movie_graph):
         bad = dict(WOODY_SLICE)
         bad["ACTOR"] = "id,fullname\n"
-        with pytest.raises(HeaderMismatch):
+        message = r"^ACTOR: header \['id', 'fullname'\] does not match declared attributes \['id', 'name'\]$"
+        with pytest.raises(HeaderMismatch, match=message):
             load_data(movie_graph, bad)
+
+    def test_each_file_resolves_its_relation_once(self, movie_graph, monkeypatch):
+        names = []
+        find = schema.SchemaGraph.find_relation
+        monkeypatch.setattr(
+            schema.SchemaGraph, "find_relation", lambda graph, name: names.append(name) or find(graph, name)
+        )
+        load_data(movie_graph, FIXTURES / "movies")
+        assert sorted(names) == sorted(path.stem for path in (FIXTURES / "movies").glob("*.csv"))
 
     def test_unknown_relation_file(self, movie_graph):
         bad = dict(WOODY_SLICE)

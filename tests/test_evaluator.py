@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import random
@@ -11,7 +12,7 @@ import pytest
 from conftest import CORPUS_NAMES, corpus_sql, resolved
 from random_db import random_database
 
-from tabletalk import parser, rewriter, schema
+from tabletalk import evaluator, parser, rewriter, schema
 from tabletalk.ast_nodes import (
     ColumnRef,
     Compare,
@@ -483,6 +484,74 @@ class TestSubqueryMemo:
         shared.where[1].query = shared.where[0].query
         assert shared.where[0].query is shared.where[1].query
         assert evaluate(shared, db).rows == evaluate(separate, db).rows
+
+
+def _blocks(query):
+    """`query` and every block nested in it, at any depth."""
+    yield query
+    for _, _, child in query.subqueries():
+        yield from _blocks(child)
+
+
+def _shared_child(movie_graph):
+    """One block under two connectors, EXISTS and IN."""
+    child = "select c.mid from CAST c where c.role != 'x'"
+    sql = f"select m.title from MOVIES m where exists ({child}) and m.id in ({child})"
+    ast = parser.resolve_names(parser.parse_sql(sql), movie_graph)
+    ast.where[1].query = ast.where[0].query
+    return ast
+
+
+class TestKeptPlan:
+    """A block's plan is made on its first evaluation and kept on it."""
+
+    def test_an_unresolved_query_raises_until_it_is_resolved(self, movie_graph, movie_db):
+        ast = parser.parse_sql(corpus_sql("q5"))
+        with pytest.raises(SqlError, match="call resolve_names first"):
+            evaluate(ast, movie_db)
+        assert [block.plan for block in _blocks(ast)] == [None, None, None]
+        parser.resolve_names(ast, movie_graph)
+        assert evaluate(ast, movie_db).rows == [("Seven",)]
+
+    def test_a_block_is_planned_once_across_calls(self, movie_graph, movie_db, monkeypatch):
+        made = []
+        plan = evaluator._Plan
+        monkeypatch.setattr(evaluator, "_Plan", lambda *args: made.append(args) or plan(*args))
+        ast = resolved("q5", movie_graph)
+        for _ in range(2):
+            assert evaluate(ast, movie_db).rows == [("Seven",)]
+        assert len(made) == 3
+
+    def test_the_kept_plan_holds_nothing_tied_to_a_database(self, movie_graph, movie_db):
+        # Each kept AST is first evaluated over the fixture, then over
+        # random databases, and must answer as a fresh copy does.
+        fresh = {name: (lambda name=name: resolved(name, movie_graph)) for name in CORPUS_NAMES}
+        fresh["flatten(q5)"] = lambda: rewriter.flatten(resolved("q5", movie_graph))
+        fresh["shared_child"] = lambda: _shared_child(movie_graph)
+        kept = {name: make() for name, make in fresh.items()}
+        dbs = [movie_db] + [random_database(movie_graph, seed, 6) for seed in range(24)]
+        nonempty = 0
+        for i, db in enumerate(dbs):
+            for name, make in fresh.items():
+                rows = evaluate(kept[name], db).rows
+                assert rows == evaluate(make(), db).rows, (i, name)
+                nonempty += bool(rows)
+        assert all(block.plan is not None for ast in kept.values() for block in _blocks(ast))
+        assert nonempty >= 50, nonempty  # 86 of the 275 pairs
+
+    def test_evaluation_leaves_no_cyclic_garbage(self, movie_graph, movie_db):
+        asts = {name: resolved(name, movie_graph) for name in CORPUS_NAMES}
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for ast in asts.values():
+                evaluate(ast, movie_db)
+            evaluate(rewriter.flatten(asts["q5"]), movie_db)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 # --- differential check against sqlite3 ---------------------------------

@@ -33,3 +33,46 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def self_referring_closures(source: str) -> list[str]:
+    """Functions defined inside a function that name themselves.  Each
+    such function reaches itself through its closure cell: a reference
+    cycle that only the cyclic garbage collector frees."""
+    found = []
+    _visit(ast.parse(source), "", False, found)
+    return found
+
+
+def _visit(node, path: str, in_function: bool, found: list):
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            _visit(child, path, in_function, found)
+            continue
+        name = f"{path}.{child.name}" if path else child.name
+        is_function = not isinstance(child, ast.ClassDef)
+        if in_function and is_function and any(
+            isinstance(n, ast.Name) and n.id == child.name for n in ast.walk(child)
+        ):
+            found.append(f"{name} (line {child.lineno})")
+        _visit(child, name, in_function or is_function, found)
+
+
+def test_the_check_sees_a_self_referring_closure():
+    source = (
+        "def walk(n):\n"
+        "    def step(k):\n"
+        "        return step(k - 1) if k else walk\n"
+        "    def done():\n"
+        "        return step\n"
+        "    return step(n)\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return self.m\n"
+    )
+    assert self_referring_closures(source) == ["walk.step (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_nested_function_refers_to_itself(path):
+    assert self_referring_closures(path.read_text(encoding="utf-8")) == []
