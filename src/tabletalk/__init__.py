@@ -14,7 +14,7 @@ _EXPORTS = {
     "data": ("Database", "RankSpec", "Row", "follow_join", "load_data", "select_tuples"),
     "evaluator": ("ResultSet", "evaluate"),
     "narrator": ("NarrationPlan", "Narrative", "detect_patterns", "fallback_mode", "narrate"),
-    "parser": ("parse_sql", "render_sql", "resolve_names"),
+    "parser": ("parse_sql", "resolve_names"),
     "query_graph": ("QueryGraph", "build", "shape"),
     "rewriter": ("Motif", "detect_motifs", "flatten"),
     "schema": ("SchemaGraph", "emit_dot", "load_schema", "serialize", "validate"),

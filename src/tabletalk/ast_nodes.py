@@ -16,6 +16,9 @@ class ColumnRef(Record):
     column: str  # as written in the query
     relation: str | None = None  # canonical relation, set by resolve_names
     attribute: str | None = None  # canonical column, set by resolve_names
+    # Blocks out to the FROM item it binds, 0 for its own; set by resolve_names.
+    # It follows from where the reference sits: not in repr or equality.
+    level: int = field(0, shown=False)
 
     def render(self) -> str:
         return f"{self.alias}.{self.column}" if self.alias else self.column
@@ -149,15 +152,16 @@ class Query(Record):
         for pred in self.having:
             yield from pred_subqueries(pred, "having")
 
-    def column_refs(self):
+    def column_refs(self) -> list[ColumnRef]:
         """Every column reference in this query level (not in subqueries)."""
-        for item in self.select_items:
-            yield from _expr_refs(item.expr)
-        for pred in self.where + self.having:
-            yield from pred_refs(pred)
-        yield from self.group_by
-        for col, _ in self.order_by:
-            yield col
+        refs = [ref for item in self.select_items if (ref := _expr_ref(item.expr))]
+        for pred in self.where:
+            refs += pred_refs(pred)
+        for pred in self.having:
+            refs += pred_refs(pred)
+        refs += self.group_by
+        refs += [col for col, _ in self.order_by]
+        return refs
 
 
 def pred_subqueries(pred, site):
@@ -174,19 +178,20 @@ def pred_subqueries(pred, site):
                 yield site, "compare_scalar", side.query
 
 
-def _expr_refs(expr):
+def _expr_ref(expr) -> ColumnRef | None:
     if isinstance(expr, ColumnRef):
-        yield expr
-    elif isinstance(expr, CountDistinct):
-        yield expr.column
+        return expr
+    if isinstance(expr, CountDistinct):
+        return expr.column
+    return None
 
 
-def pred_refs(pred):
-    """Yield the column references of one predicate, outside subqueries."""
+def pred_refs(pred) -> list[ColumnRef]:
+    """The column references of one predicate, outside subqueries."""
     if isinstance(pred, Compare):
-        for side in (pred.lhs, pred.rhs):
-            yield from _expr_refs(side)
-    elif isinstance(pred, CompareAll):
-        yield from _expr_refs(pred.lhs)
-    elif isinstance(pred, InSubquery):
-        yield pred.column
+        return [ref for side in (pred.lhs, pred.rhs) if (ref := _expr_ref(side))]
+    if isinstance(pred, CompareAll):
+        return [ref] if (ref := _expr_ref(pred.lhs)) else []
+    if isinstance(pred, InSubquery):
+        return [pred.column]
+    return []

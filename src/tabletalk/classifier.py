@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 from . import rewriter
-from .query_graph import QueryGraph, shape
+from .query_graph import QueryGraph, ShapeReport, shape
 from .record import Record, field
 
 LABELS = (
@@ -23,6 +23,8 @@ class QueryClass(Record):
     label: str
     evidence: list[str] = field(factory=list)
     motifs: list[rewriter.Motif] = field(factory=list)
+    # The graph's shape as classify found it; translate reads it from here.
+    shape: ShapeReport | None = field(None, shown=False)
 
 
 def classify(qg: QueryGraph) -> QueryClass:
@@ -31,15 +33,18 @@ def classify(qg: QueryGraph) -> QueryClass:
     Higher-order motifs are checked before the aggregate test because a
     query like `having count(distinct year) = 1` is an ordinary aggregate
     only syntactically: the count stands for an "all the same" reading.
-    The motifs found on this query level ride along for translation.
+    The motifs found on this query level and its shape ride along for
+    translation.
     """
     motifs = rewriter.detect_motifs(qg)
-    label, evidence = _label(qg, motifs)
-    return QueryClass(label, evidence, motifs)
-
-
-def _label(qg: QueryGraph, motifs: list[rewriter.Motif]) -> tuple[str, list[str]]:
     report = shape(qg)
+    label, evidence = _label(qg, motifs, report)
+    return QueryClass(label, evidence, motifs, report)
+
+
+def _label(
+    qg: QueryGraph, motifs: list[rewriter.Motif], report: ShapeReport
+) -> tuple[str, list[str]]:
     higher = [m for m in motifs if m.kind in rewriter.HIGHER_ORDER_KINDS]
     if higher:
         evidence = [f"{m.kind} motif at {m.anchor}" for m in higher]

@@ -244,7 +244,8 @@ def _load_table(graph: SchemaGraph, relation: str, label: str, text: str) -> lis
     header = [h.strip() for h in records[0]]
     names = graph._index()  # `relation` is declared: skip find_relation
     declared = [a.name for a in names.by_relation.get(relation, ())]
-    columns = [names.attributes.get((relation, h.upper())) for h in header]
+    named = names.attributes[relation]
+    columns = [named.get(h.upper()) for h in header]
     if None in columns or sorted(a.name for a in columns) != sorted(declared):
         raise HeaderMismatch(
             f"{relation}: header {header} does not match declared attributes {declared}"
@@ -269,8 +270,7 @@ def _load_table(graph: SchemaGraph, relation: str, label: str, text: str) -> lis
         values = {"": None}  # each distinct cell once; an empty one is null
         cells = list(map(values.setdefault, cells, cells))
         del values[""]  # the distinct non-empty cells remain
-        digits = "".join(values)
-        if digits.isdigit() and digits.isascii() or _is_int_column(values):
+        if _is_int_column(values):
             numbers = dict(zip(values, map(int, values)))
             cells = list(map(numbers.get, cells))  # a null stays None
         typed.append(cells)
@@ -286,11 +286,15 @@ def _load_table(graph: SchemaGraph, relation: str, label: str, text: str) -> lis
 
 def _is_int_column(cells) -> bool:
     """Integer typing: some cell is non-empty, and each non-empty one is an
-    optional sign followed by ASCII digits, nothing else."""
-    return (
-        any(cells)
-        and all((cell[1:] if cell[0] in "+-" else cell).isdigit() for cell in cells if cell)
-        and "".join(cells).isascii()
+    optional sign followed by ASCII digits, nothing else.  Decided on the
+    joined cells with the signs taken out; only a column that holds a sign
+    checks that it leads each cell."""
+    joined = "".join(cells)
+    digits = joined.replace("-", "").replace("+", "")
+    if not (digits.isdigit() and digits.isascii()):
+        return False
+    return len(digits) == len(joined) or all(
+        (cell[1:] if cell[0] in "+-" else cell).isdigit() for cell in cells if cell
     )
 
 

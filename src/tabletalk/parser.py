@@ -10,11 +10,16 @@ Grammar in docs/sql-subset.md.
 Aliases are matched case-insensitively, as in SQL, and only here:
 `resolve_names` gives every column reference the alias spelling of the
 FROM item it binds, so later stages compare aliases as plain strings.
+It also decides scope, once: each reference's `level` says how many
+query blocks out that FROM item is (0: its own block, k: k blocks out).
+Nothing else writes `level`; the query graph, the rewriter and the
+translator read it instead of looking the alias up again.
 """
 
 from __future__ import annotations
 
 import re
+import string
 
 from .ast_nodes import (
     ColumnRef,
@@ -57,18 +62,23 @@ MAX_NESTING = 64
 
 _TOKEN_RE = re.compile(
     r"""
-    \s*(?:
-        (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct>[(),.*])
-      | (?P<op><=|>=|<>|!=|=|<|>)
-      | (?P<number>\d+)
-      | (?P<string>'(?:[^']|'')*')
-      | (?P<arith>[+\-/%])
-      | (?P<bad>.)
+    (\s*)
+    ( [A-Za-z_][A-Za-z0-9_]*        # ident or keyword
+    | [(),.*]                       # punct
+    | <=|>=|<>|!=|=|<|>             # op
+    | \d+                           # number
+    | '(?:[^']|'')*'                # string
+    | [+\-/%]                       # arith
     )
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE,
 )
+
+# A token's kind by its first character; `\d` also matches digits outside
+# ASCII, and a number is the only token that can start with one.
+_KINDS = dict.fromkeys(string.ascii_letters + "_", "ident") | {"'": "string"}
+_KINDS |= dict.fromkeys("(),.*", "punct") | dict.fromkeys("<>=!", "op")
+_KINDS |= dict.fromkeys(string.digits, "number") | dict.fromkeys("+-/%", "arith")
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -76,22 +86,26 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
 
     kind is ident, keyword (value upper-cased), number, string (quotes
     kept), op, punct or arith; pos is a character offset.  The list ends
-    with ("eof", "", len(text)).
+    with ("eof", "", len(text)).  Offsets are summed from the lengths of
+    spaces and tokens; `findall` skips a character that starts no token, so
+    then the sum falls short, and only then is it found, to raise at it.
     """
     tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        value = match[kind]
-        pos = match.start(kind)
-        if kind == "ident":
-            upper = value.upper()
-            if upper in KEYWORDS:
-                kind, value = "keyword", upper
-        elif kind == "bad":
-            if value.isspace():  # only at the end: `\s*` left `bad` one space
-                break
-            raise SyntaxError_(f"unexpected character {value!r}", pos)
-        tokens.append((kind, value, pos))
+    end = 0
+    for space, value in _TOKEN_RE.findall(text):
+        start = end + len(space)
+        end = start + len(value)
+        kind = _KINDS.get(value[0], "number")
+        if kind == "ident" and (upper := value.upper()) in KEYWORDS:
+            kind, value = "keyword", upper
+        tokens.append((kind, value, start))
+    if end != len(text.rstrip()):
+        pos = 0
+        while (match := _TOKEN_RE.match(text, pos)) is not None:
+            pos = match.end()
+        rest = text[pos:]
+        pos += len(rest) - len(rest.lstrip())
+        raise SyntaxError_(f"unexpected character {text[pos]!r}", pos)
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -319,44 +333,46 @@ def parse_sql(text: str) -> Query:
     return query
 
 
-def render_sql(query: Query) -> str:
-    return query.render()
-
-
 # --- name resolution ---------------------------------------------------
 
 def resolve_names(query: Query, graph) -> Query:
-    """Qualify and check every column reference against the schema.
+    """Qualify and check every column reference against the schema, and
+    record where it binds.
 
     Correlated references resolve through enclosing query scopes, inner
-    scope first; aliases match case-insensitively.  The query is annotated
-    in place and returned: each FromItem gets its relation's declared name
-    (`canonical`), and each ColumnRef its declared relation and attribute
-    names plus the alias as its FROM item spells it, so a resolved query
-    renders `M.title` as `m.title` over `FROM MOVIE m`.  The relation and
-    column names the query used stay for rendering.  A count(*) or
-    count(distinct ...) compared in a WHERE conjunct, at any level, raises
-    SqlError: it belongs in HAVING.  So does an IN, ALL or scalar
-    subquery whose select list is not exactly one column (`*` included).
+    scope first; aliases and column names match case-insensitively.  The
+    query is annotated in place and returned: each FromItem gets its
+    relation's declared name (`canonical`), and each ColumnRef its declared
+    relation and attribute names, the alias as its FROM item spells it (so
+    a resolved query renders `M.title` as `m.title` over `FROM MOVIE m`)
+    and its `level`: 0 when that FROM item is in the reference's own query
+    block, k when it is k blocks out.  This is the only place `level` is
+    written.  The relation and column names the query used stay for
+    rendering.  A count(*) or count(distinct ...) compared in a WHERE
+    conjunct, at any level, raises SqlError: it belongs in HAVING.  So does
+    an IN, ALL or scalar subquery whose select list is not exactly one
+    column (`*` included).
     """
-    _resolve_query(query, graph, ())
+    _resolve_query(query, graph._index(), ())
     return query
 
 
-def _resolve_query(query: Query, graph, outer_scopes):
+def _resolve_query(query: Query, names, outer_scopes):
+    # A scope maps each folded alias to its FROM item and the item's
+    # attributes by folded name, read from the schema's name index.
     scope = {}
     for item in query.from_items:
-        rel = graph.find_relation(item.relation)
+        rel = names.relations.get(item.relation.upper())
         if rel is None:
             raise UnknownRelation(f"unknown relation {item.relation!r}")
         item.canonical = rel.name
         key = item.alias.upper()
         if key in scope:
             raise SqlError(f"duplicate alias {item.alias!r} in FROM")
-        scope[key] = item
+        scope[key] = (item, names.attributes[rel.name])
     scopes = (scope,) + outer_scopes
     for ref in query.column_refs():
-        _resolve_ref(ref, graph, scopes)
+        _resolve_ref(ref, scopes)
     for pred in query.where:  # a count is of a group's rows, so HAVING only
         for side in (getattr(pred, "lhs", None), getattr(pred, "rhs", None)):
             if isinstance(side, (CountStar, CountDistinct)):
@@ -367,35 +383,32 @@ def _resolve_query(query: Query, graph, outer_scopes):
         if label and (len(items) != 1 or isinstance(items[0].expr, Star)):
             what = "*" if isinstance(items[0].expr, Star) else f"{len(items)} columns"
             raise SqlError(f"{label} subquery must select one column, not {what}")
-        _resolve_query(child, graph, scopes)
+        _resolve_query(child, names, scopes)
 
 
-def _resolve_ref(ref: ColumnRef, graph, scopes):
-    if ref.alias is not None:
-        for scope in scopes:
-            item = scope.get(ref.alias.upper())
-            if item is not None:
-                attr = graph.find_attribute(item.canonical, ref.column)
-                if attr is None:
-                    raise UnknownColumn(
-                        f"relation {item.relation} has no column {ref.column!r}"
-                    )
-                ref.alias, ref.relation, ref.attribute = item.alias, item.canonical, attr.name
-                return
-        raise UnknownRelation(f"unknown alias {ref.alias!r}")
-    for scope in scopes:
-        owners = [
-            (item, attr)
-            for item in scope.values()
-            if (attr := graph.find_attribute(item.canonical, ref.column)) is not None
-        ]
-        if len(owners) > 1:
-            raise AmbiguousColumn(
-                f"column {ref.column!r} matches aliases "
-                f"{sorted(item.alias for item, _ in owners)}"
-            )
+def _resolve_ref(ref: ColumnRef, scopes):
+    column = ref.column.upper()
+    alias = ref.alias.upper() if ref.alias is not None else None
+    for level, scope in enumerate(scopes):
+        if alias is None:
+            owners = [(item, attrs[column]) for item, attrs in scope.values() if column in attrs]
+            if len(owners) > 1:
+                raise AmbiguousColumn(
+                    f"column {ref.column!r} matches aliases "
+                    f"{sorted(item.alias for item, _ in owners)}"
+                )
+        elif alias in scope:
+            item, attrs = scope[alias]
+            if column not in attrs:
+                raise UnknownColumn(f"relation {item.relation} has no column {ref.column!r}")
+            owners = [(item, attrs[column])]
+        else:
+            continue
         if owners:
-            item, attr = owners[0]
+            [(item, attr)] = owners
             ref.alias, ref.relation, ref.attribute = item.alias, item.canonical, attr.name
+            ref.level = level
             return
+    if alias is not None:
+        raise UnknownRelation(f"unknown alias {ref.alias!r}")
     raise UnknownColumn(f"column {ref.column!r} matches no relation in scope")

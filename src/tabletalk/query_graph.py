@@ -1,11 +1,15 @@
 """Query graph: one node per tuple variable, join edges, nested children.
 
-Predicates are partitioned exactly once: alias-local constant comparisons
-go to their node's WHERE part, WHERE comparisons of constants alone to the
-level's `where_misc`, two-alias comparisons become join edges, aggregate
-comparisons go to HAVING parts, and subquery connectors become nested
-child graphs.  A predicate in a child that references an enclosing
-alias becomes a join edge flagged as crossing the nesting boundary.
+Predicates are partitioned exactly once, by the `level` that
+`resolve_names` recorded on each column reference (0: bound in this
+block, k: k blocks out).  A WHERE comparison of local references goes to
+its node's WHERE part (one alias) or becomes a join edge (two); one of
+constants alone goes to `where_misc`; one naming a local and an
+enclosing alias is a join edge crossing the nesting boundary, local side
+first; one naming only enclosing aliases is an *outer condition*
+(`outer`), which makes the block correlated as a crossing edge does.
+HAVING comparisons go to the HAVING part of the node they count or name,
+others to `having_misc`; subquery connectors become nested child graphs.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .ast_nodes import (
     CountStar,
     Query,
     SelectItem,
+    pred_refs,
     pred_subqueries,
 )
 from .record import Record, field
@@ -57,7 +62,8 @@ class QueryGraph(Record):
     nested: list[NestedQuery] = field(factory=list)
     projections: list = field(factory=list)
     where_misc: list = field(factory=list)  # constant-only WHERE preds
-    having_misc: list = field(factory=list)  # other ownerless preds
+    outer: list = field(factory=list)  # WHERE preds naming only enclosing aliases
+    having_misc: list = field(factory=list)  # ownerless HAVING preds
     query: Query | None = None
 
     def node(self, alias: str) -> QueryNode | None:
@@ -74,14 +80,13 @@ class QueryGraph(Record):
         return out
 
     def is_correlated(self) -> bool:
-        """True when any descendant references an enclosing alias."""
-        for entry in self.nested:
-            child = entry.child
-            if any(e.crosses_nesting for e in child.joins):
-                return True
-            if child.is_correlated():
-                return True
-        return False
+        """True when this block or one nested in it, at any depth, names an
+        alias of a block that encloses it."""
+        return (
+            bool(self.outer)
+            or any(e.crosses_nesting for e in self.joins)
+            or any(entry.child.is_correlated() for entry in self.nested)
+        )
 
 
 def build(ast: Query, graph: SchemaGraph) -> QueryGraph:
@@ -89,16 +94,15 @@ def build(ast: Query, graph: SchemaGraph) -> QueryGraph:
     qg = QueryGraph(query=ast)
     for item in ast.from_items:
         qg.nodes.append(QueryNode(item.alias, item.canonical or item.relation))
-    local = tuple(n.alias for n in qg.nodes)
 
     for item in ast.select_items:
         qg.projections.append(item)
         _note_projection(qg, item)
 
     for pred in ast.where:
-        _place(qg, graph, pred, "where", local)
+        _place(qg, graph, pred, "where")
     for pred in ast.having:
-        _place(qg, graph, pred, "having", local)
+        _place(qg, graph, pred, "having")
 
     if ast.group_by:
         qg.group_note = [(c.alias, c.column) for c in ast.group_by]
@@ -119,19 +123,19 @@ def _note_projection(qg: QueryGraph, item: SelectItem):
             node.select_part.append((f"count(distinct {expr.column.column})", item.alias))
 
 
-def _place(qg, graph, pred, site, local):
+def _place(qg, graph, pred, site):
     # A Compare with a scalar subquery on both sides nests only its left one.
     for _, connector, query in pred_subqueries(pred, site):
         child = build(query, graph)
         qg.nested.append(NestedQuery(connector, site, pred, child))
         return
-    _place_compare(qg, graph, pred, site, local)
+    _place_compare(qg, graph, pred, site)
 
 
-def _place_compare(qg, graph, pred: Compare, site, local):
+def _place_compare(qg, graph, pred: Compare, site):
     refs = [s for s in (pred.lhs, pred.rhs) if isinstance(s, ColumnRef)]
-    aggregates = [s for s in (pred.lhs, pred.rhs) if isinstance(s, (CountStar, CountDistinct))]
     if site == "having":
+        aggregates = [s for s in (pred.lhs, pred.rhs) if isinstance(s, (CountStar, CountDistinct))]
         owner = None
         if aggregates and isinstance(aggregates[0], CountDistinct):
             owner = qg.node(aggregates[0].column.alias)
@@ -142,28 +146,23 @@ def _place_compare(qg, graph, pred: Compare, site, local):
         else:
             qg.having_misc.append(pred)
         return
-    if len(refs) == 2 and refs[0].alias != refs[1].alias:
+    if not refs:  # resolve_names keeps aggregates out of WHERE
+        qg.where_misc.append(pred)
+    elif all(ref.level for ref in refs):
+        qg.outer.append(pred)
+    elif len(refs) == 1 or refs[0].alias == refs[1].alias:
+        qg.node(refs[0].alias).where_part.append(pred)
+    else:
         lhs, rhs = refs
-        crossing = not (lhs.alias in local and rhs.alias in local)
-        if crossing and lhs.alias not in local and rhs.alias in local:
-            # Keep the child-local side first on crossing edges.
+        crossing = bool(lhs.level or rhs.level)
+        if lhs.level:  # keep the child-local side first on crossing edges
             pred = Compare(rhs, _MIRROR[pred.op], lhs)
         fk = (
             pred.op == "="
             and not crossing
-            and graph.fk_backed(lhs.relation, lhs.column, rhs.relation, rhs.column)
+            and graph.fk_backed(lhs.relation, lhs.attribute, rhs.relation, rhs.attribute)
         )
         qg.joins.append(QueryJoinEdge(pred, fk_backed=fk, crosses_nesting=crossing))
-        return
-    if not refs:  # resolve_names keeps aggregates out of WHERE
-        qg.where_misc.append(pred)
-        return
-    # Alias-local: constant comparison or same-alias attribute comparison.
-    node = qg.node(refs[0].alias)
-    if node is not None:
-        node.where_part.append(pred)
-    else:
-        qg.having_misc.append(pred)
 
 
 _MIRROR = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
@@ -258,21 +257,23 @@ def _pred_has_aggregate(pred) -> bool:
 
 def emit_dot(qg: QueryGraph) -> str:
     """Record-shaped node per tuple variable; dashed edges into nested
-    children, each child in its own NQ<i> cluster."""
+    children, each child in its own NQ<i> cluster.  Dotted edges show
+    correlation: a crossing edge from its child node to the enclosing one,
+    and an outer condition from the child's first node to each enclosing
+    node it names."""
     lines = ["digraph query {", "  rankdir=LR;", "  node [shape=record];"]
     counter = [0]
-    _emit_level(qg, lines, "", counter, {})
+    _emit_level(qg, lines, ("",), counter)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _emit_level(qg: QueryGraph, lines, prefix, counter, outer_ids):
+def _emit_level(qg: QueryGraph, lines, prefixes, counter):
+    """`prefixes[k]` is the node id prefix of the block k levels out."""
+    prefix = prefixes[0]
+
     def node_id(alias):
         return f"{prefix}{alias}"
-
-    # Aliases visible here: this level's nodes shadow enclosing ones.
-    ids = dict(outer_ids)
-    ids.update({n.alias: node_id(n.alias) for n in qg.nodes})
 
     for node in qg.nodes:
         parts = [f"<<FROM>> {node.relation} {node.alias}"]
@@ -312,7 +313,7 @@ def _emit_level(qg: QueryGraph, lines, prefix, counter, outer_ids):
         child_prefix = f"{name}."
         lines.append(f"  subgraph cluster_{name} {{")
         lines.append(f'    label="{name} ({entry.connector})";')
-        _emit_level(entry.child, lines, child_prefix, counter, ids)
+        _emit_level(entry.child, lines, (child_prefix, *prefixes), counter)
         lines.append("  }")
         if qg.nodes and entry.child.nodes:
             lines.append(
@@ -323,11 +324,17 @@ def _emit_level(qg: QueryGraph, lines, prefix, counter, outer_ids):
         for edge in entry.child.joins:
             if not edge.crosses_nesting:
                 continue
-            src, dst = edge.ends
+            src, dst = edge.pred.lhs, edge.pred.rhs  # dst.level blocks out of the child
             lines.append(
-                f'  "{child_prefix}{src}" -> "{ids.get(dst, node_id(dst))}" '
+                f'  "{child_prefix}{src.alias}" -> "{prefixes[dst.level - 1]}{dst.alias}" '
                 f'[style=dotted, label="{_escape(edge.pred.render())}"];'
             )
+        for pred in entry.child.outer:
+            anchor = f"{child_prefix}{entry.child.nodes[0].alias}"
+            label = _escape(pred.render())
+            ends = dict.fromkeys(f"{prefixes[ref.level - 1]}{ref.alias}" for ref in pred_refs(pred))
+            for end in ends:
+                lines.append(f'  "{anchor}" -> "{end}" [style=dotted, label="{label}"];')
 
 
 def _escape(text: str) -> str:

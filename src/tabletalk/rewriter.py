@@ -35,7 +35,8 @@ def flattenable(query: Query) -> str | None:
 
     Every subquery, at any depth, must be an IN in WHERE whose child
     selects one plain column, has no GROUP BY, HAVING or ORDER BY, and
-    names no alias outside its own FROM list (Kim's type-N nesting).
+    names no alias outside its own FROM list, that is, has no reference
+    whose `level` is above 0 (Kim's type-N nesting).
     """
     for site, connector, child in query.subqueries():
         if connector != "in":
@@ -50,9 +51,8 @@ def flattenable(query: Query) -> str | None:
         select = child.select_items
         if len(select) != 1 or not isinstance(select[0].expr, ColumnRef):
             return "IN-subquery must select exactly one plain column"
-        local = {item.alias for item in child.from_items}
         for ref in child.column_refs():
-            if ref.alias not in local:
+            if ref.level:
                 return f"correlated reference {ref.render()} blocks flattening"
     return None
 
@@ -64,7 +64,9 @@ def flatten(ast: Query) -> Query:
     input must be name-resolved and is left untouched: the result has
     lists of its own, builds anew each FROM item it renames and each
     conjunct or column that names one, and shares every other node.
-    Raises NotFlattenable with the reason from `flattenable`.
+    Every reference of a flattenable query binds in its own block, so each
+    keeps its `level` of 0 where it lands.  Raises NotFlattenable with the
+    reason from `flattenable`.
     """
     reason = flattenable(ast)
     if reason is not None:
@@ -135,26 +137,16 @@ def _detect_division(qg: QueryGraph) -> list[Motif]:
     """Double NOT EXISTS whose innermost query is correlated to both the
     outer query and the middle query's range."""
     out = []
-    outer_aliases = {n.alias for n in qg.nodes}
     for entry in qg.nested:
         if entry.connector != "not_exists":
             continue
         middle = entry.child
-        middle_aliases = {n.alias for n in middle.nodes}
         for inner_entry in middle.nested:
             if inner_entry.connector != "not_exists":
                 continue
-            inner = inner_entry.child
-            hit_outer = hit_middle = False
-            for edge in inner.joins:
-                if not edge.crosses_nesting:
-                    continue
-                target = edge.ends[1]
-                if target in outer_aliases:
-                    hit_outer = True
-                if target in middle_aliases:
-                    hit_middle = True
-            if hit_outer and hit_middle and qg.nodes and middle.nodes:
+            # The outer end of a crossing edge binds 1 (middle) or 2 blocks out.
+            levels = {e.pred.rhs.level for e in inner_entry.child.joins if e.crosses_nesting}
+            if {1, 2} <= levels and qg.nodes and middle.nodes:
                 out.append(
                     Motif(
                         "Division",
@@ -216,8 +208,7 @@ def _detect_superlative_all(qg: QueryGraph) -> list[Motif]:
         else:
             continue
         child = entry.child
-        correlated = any(e.crosses_nesting for e in child.joins) or child.is_correlated()
-        if not correlated:
+        if not child.is_correlated():
             continue
         select = child.query.select_items if child.query else []
         if len(select) != 1 or not isinstance(select[0].expr, ColumnRef):

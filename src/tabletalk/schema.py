@@ -89,7 +89,7 @@ class SchemaGraph(Record):
     # Relation -> facts the narrator derives on first use; see narrator.py.
     narration: dict = field(factory=dict, init=False, shown=False)
 
-    # -- lookups: fold the argument once, then read a dict ----------------
+    # -- lookups: a declared name reads one dict; any other is folded once --
 
     def _index(self) -> "_Names":
         """Built on first lookup; lists edited after that are not seen here,
@@ -99,7 +99,7 @@ class SchemaGraph(Record):
         return self._names
 
     def relation(self, name: str) -> RelationNode:
-        rel = self.find_relation(name)
+        rel = self._index().relations.get(name) or self.find_relation(name)
         if rel is None:
             raise DanglingReference(f"unknown relation {name!r}")
         return rel
@@ -114,10 +114,11 @@ class SchemaGraph(Record):
         rel = self.find_relation(relation)
         if rel is None:
             return None
-        return self._index().attributes.get((rel.name, name.upper()))
+        return self._index().attributes[rel.name].get(name.upper())
 
     def attribute(self, relation: str, name: str) -> AttributeNode:
-        attr = self.find_attribute(relation, name)
+        declared = self._index().attributes.get(relation, {}).get(name)
+        attr = declared or self.find_attribute(relation, name)
         if attr is None:
             raise DanglingReference(f"unknown attribute {relation}.{name}")
         return attr
@@ -148,36 +149,37 @@ class SchemaGraph(Record):
         ]
 
     def fk_backed(self, rel_a: str, attr_a: str, rel_b: str, attr_b: str) -> bool:
-        """True when the attribute pair matches a declared join edge."""
-        a = self.find_attribute(rel_a, attr_a)
-        b = self.find_attribute(rel_b, attr_b)
-        if a is None or b is None:
-            return False
-        pair = (a.relation, a.name, b.relation, b.name)
-        return any(
-            pair == (e.from_relation, e.from_key, e.to_relation, e.to_key)
-            or pair == (e.to_relation, e.to_key, e.from_relation, e.from_key)
-            for e in self.joins
-        )
+        """True when the pair of declared attributes, in either order, is the
+        two keys of a declared join edge."""
+        return (rel_a, attr_a, rel_b, attr_b) in self._index().key_pairs
 
 
 class _Names:
-    """Declared nodes keyed by case-folded name (relations also by alias);
-    the first declaration of a name wins."""
+    """Declared nodes keyed by declared and by case-folded name (relations
+    also by alias; attributes per declared relation); the first declaration
+    of a name wins.  Also every join edge's key pair, both ways round."""
 
     def __init__(self, graph: SchemaGraph):
         self.relations: dict[str, RelationNode] = {}
+        self.attributes: dict[str, dict[str, AttributeNode]] = {}
         for rel in graph.relations:
             for name in (rel.name, *rel.alt_names):
                 self.relations.setdefault(name.upper(), rel)
-        self.attributes: dict[tuple, AttributeNode] = {}
+            self.relations.setdefault(rel.name, rel)
+            self.attributes.setdefault(rel.name, {})
         self.by_relation: dict[str, list[AttributeNode]] = {}
         for attr in graph.attributes:
-            self.attributes.setdefault((attr.relation, attr.name.upper()), attr)
+            named = self.attributes.setdefault(attr.relation, {})
+            named.setdefault(attr.name.upper(), attr)
+            named.setdefault(attr.name, attr)
             self.by_relation.setdefault(attr.relation, []).append(attr)
         self.projections: dict[tuple, ProjectionEdge] = {}
         for proj in graph.projections:
             self.projections.setdefault((proj.relation, proj.attribute.upper()), proj)
+        self.key_pairs: set[tuple[str, str, str, str]] = set()
+        for e in graph.joins:
+            self.key_pairs.add((e.from_relation, e.from_key, e.to_relation, e.to_key))
+            self.key_pairs.add((e.to_relation, e.to_key, e.from_relation, e.from_key))
 
 
 # --- loading -----------------------------------------------------------
@@ -283,6 +285,7 @@ def _build_graph(doc: dict) -> SchemaGraph:
                 text=_require(phrase_doc, "text"),
             )
         )
+    graph._names = None  # `declared` indexed the graph before its joins
     return graph
 
 

@@ -80,27 +80,38 @@ def _ordinal(i: int) -> str:
 
 
 class _References:
-    """Referring expressions with instance counts and mention history."""
+    """Referring expressions with instance counts and mention history.
 
-    def __init__(self, qg: QueryGraph, graph: SchemaGraph):
+    A tuple variable is named by its alias and the number of query blocks
+    out it is bound, a column reference's `level`.  `outer` is the state of
+    the enclosing block, which words the tuple variables bound there.
+    Ordinals ("the second movie") number one relation's tuple variables in
+    this block alone; with `shared`, in this block and the enclosing ones
+    together, as one FROM list with this block's first.
+    """
+
+    def __init__(
+        self, qg: QueryGraph, graph: SchemaGraph,
+        outer: "_References | None" = None, shared: bool = False,
+    ):
         self.qg = qg
         self.graph = graph
+        self.outer = outer
+        self.shared = shared
         counts: dict[str, int] = {}
-        self.index: dict[str, int] = {}
-        for node in qg.nodes:
-            counts[node.relation] = counts.get(node.relation, 0) + 1
-            self.index[node.alias] = counts[node.relation]
+        self.index: dict[tuple, tuple] = {}  # (level, alias) -> (relation, ordinal)
+        level, refs = 0, self
+        while refs is not None:
+            for node in refs.qg.nodes:
+                counts[node.relation] = counts.get(node.relation, 0) + 1
+                self.index[level, node.alias] = node.relation, counts[node.relation]
+            level, refs = level + 1, refs.outer if shared else None
         self.counts = counts
         self.mentioned: set[str] = set()
         self.consumed_preds: set[int] = set()
 
     def noun(self, alias: str) -> str:
-        node = self.qg.node(alias)
-        return self.graph.relation(node.relation).noun_singular
-
-    def instances(self, alias: str) -> int:
-        node = self.qg.node(alias)
-        return self.counts.get(node.relation, 1)
+        return self.graph.relation(self.index[0, alias][0]).noun_singular
 
     def heading_constant(self, alias: str) -> Compare | None:
         node = self.qg.node(alias)
@@ -115,33 +126,42 @@ class _References:
             self.consumed_preds.add(id(pred))
             self.mentioned.add(alias)
             return f"the {self.noun(alias)} {pred.rhs.value}"
-        noun = self.noun(alias)
+        relation, ordinal = self.index[0, alias]
+        noun = self.graph.relation(relation).noun_singular
         first_time = alias not in self.mentioned
         self.mentioned.add(alias)
         if first_time:
-            if self.instances(alias) > 1 and self.index[alias] > 1:
+            if self.counts[relation] > 1 and ordinal > 1:
                 return f"another {noun}"
             return _indefinite(noun)
-        if self.instances(alias) > 1:
-            return f"the {_ordinal(self.index[alias])} {noun}"
+        if self.counts[relation] > 1:
+            return f"the {_ordinal(ordinal)} {noun}"
         return f"the {noun}"
 
-    def in_predicate(self, alias: str) -> str:
+    def in_predicate(self, alias: str, level: int = 0) -> str:
         """Reference inside a comparison: ordinals whenever ambiguous."""
+        if level and not self.shared:
+            return self.outer.in_predicate(alias, level - 1)
         self.mentioned.add(alias)
-        noun = self.noun(alias)
-        if self.instances(alias) > 1:
-            return f"the {_ordinal(self.index[alias])} {noun}"
+        relation, ordinal = self.index[level, alias]
+        noun = self.graph.relation(relation).noun_singular
+        if self.counts[relation] > 1:
+            return f"the {_ordinal(ordinal)} {noun}"
         return f"the {noun}"
 
 
 def _plain_refs(graph: SchemaGraph, pred) -> _References:
-    """Reference state for standalone predicate lexicalization."""
-    qg = QueryGraph()
+    """Reference state for standalone predicate lexicalization: one block
+    state for each level the predicate's references are bound at."""
+    blocks: dict[int, QueryGraph] = {}
     for ref in pred_refs(pred):
+        qg = blocks.setdefault(ref.level, QueryGraph())
         if ref.alias and qg.node(ref.alias) is None and ref.relation:
             qg.nodes.append(QueryNode(ref.alias, ref.relation))
-    return _References(qg, graph)
+    refs = None
+    for level in range(max(blocks, default=0), -1, -1):
+        refs = _References(blocks.get(level, QueryGraph()), graph, refs)
+    return refs
 
 
 def _binds(pred, attribute: str) -> bool:
@@ -190,7 +210,9 @@ def _operand_phrase(expr, graph, refs) -> str:
     if isinstance(expr, Constant):
         return str(expr.value)
     if isinstance(expr, ColumnRef):
-        return _attribute_phrase(graph, refs, expr.alias, expr.relation, expr.column)
+        return _attribute_phrase(
+            graph, refs, expr.alias, expr.relation, expr.column, expr.level
+        )
     if isinstance(expr, CountStar):
         return "the number of rows in each group"
     if isinstance(expr, CountDistinct):
@@ -198,15 +220,15 @@ def _operand_phrase(expr, graph, refs) -> str:
         attr = graph.attribute(col.relation, col.column)
         return (
             f"the number of distinct {attr.noun_plural} of "
-            f"{refs.in_predicate(col.alias)}"
+            f"{refs.in_predicate(col.alias, col.level)}"
         )
     raise ValueError(f"cannot word operand {expr!r}")
 
 
-def _attribute_phrase(graph, refs, alias, relation, column) -> str:
+def _attribute_phrase(graph, refs, alias, relation, column, level=0) -> str:
     """"the <attribute> of <tuple variable>", as in "the title of the movie"."""
     attr = graph.attribute(relation, column)
-    return f"the {attr.noun_singular} of {refs.in_predicate(alias)}"
+    return f"the {attr.noun_singular} of {refs.in_predicate(alias, level)}"
 
 
 # --- branch discovery ----------------------------------------------------
@@ -510,10 +532,11 @@ def translate_procedural(
     return TranslationResult(text, "procedural", cls, [])
 
 
-def _procedural_steps(qg, graph, cls=None) -> list[str]:
-    """The imperative steps, in order, each without its final period."""
+def _procedural_steps(qg, graph, cls=None, outer=None) -> list[str]:
+    """The imperative steps, in order, each without its final period;
+    `outer` is the enclosing block's reference state for a nested block."""
     motifs = cls.motifs if cls is not None else rewriter.detect_motifs(qg)
-    refs = _References(qg, graph)
+    refs = _References(qg, graph, outer)
     steps: list[str] = []
     consumed_edges: set[int] = set()
 
@@ -545,7 +568,7 @@ def _procedural_steps(qg, graph, cls=None) -> list[str]:
         if not edge.crosses_nesting and id(edge) not in consumed_edges
     ]
     where_preds += [pred for node in qg.nodes for pred in node.where_part]
-    where_preds += qg.where_misc
+    where_preds += qg.where_misc + qg.outer
     having_preds = [pred for node in qg.nodes for pred in node.having_part]
     having_preds += qg.having_misc
     for rows, site, preds in (
@@ -610,15 +633,15 @@ def _nested_phrase(entry, motifs, graph, refs) -> str:
                 return f"{lhs} is the {word} such {attr.noun_singular}"
         return (
             f"{lhs} {LEXICON[pred.op]} every value from "
-            f"{_inline_child(child, graph)}"
+            f"{_inline_child(child, graph, refs)}"
         )
     if entry.connector == "in":
         needle = _operand_phrase(pred.column, graph, refs)
-        return f"{needle} is among {_inline_child(child, graph)}"
+        return f"{needle} is among {_inline_child(child, graph, refs)}"
     if entry.connector == "exists":
-        return f"at least one row exists in {_inline_child(child, graph)}"
+        return f"at least one row exists in {_inline_child(child, graph, refs)}"
     if entry.connector == "not_exists":
-        return f"no row exists in {_inline_child(child, graph)}"
+        return f"no row exists in {_inline_child(child, graph, refs)}"
     if entry.connector == "compare_scalar":
         lhs = pred.lhs
         rhs = pred.rhs
@@ -627,7 +650,7 @@ def _nested_phrase(entry, motifs, graph, refs) -> str:
             return f"{left} {LEXICON[pred.op]} {_scalar_child(rhs.query, child, graph, refs)}"
         left = _scalar_child(lhs.query, child, graph, refs)
         return f"{left} {LEXICON[pred.op]} {_operand_phrase(rhs, graph, refs)}"
-    return f"a nested condition holds over {_inline_child(child, graph)}"
+    return f"a nested condition holds over {_inline_child(child, graph, refs)}"
 
 
 def _scalar_child(query, child: QueryGraph, graph, outer_refs) -> str:
@@ -639,27 +662,20 @@ def _scalar_child(query, child: QueryGraph, graph, outer_refs) -> str:
     ):
         node = child.nodes[0]
         rel = graph.relation(node.relation)
-        refs = _child_refs(child, graph, outer_refs)
-        preds = [edge.pred for edge in child.joins] + node.where_part + child.where_misc
+        refs = _References(child, graph, outer_refs, shared=True)
+        preds = [edge.pred for edge in child.joins] + node.where_part
+        preds += child.where_misc + child.outer
         conditions = [lexicalize_predicate(p, graph, refs, heading=False) for p in preds]
         motifs = rewriter.detect_motifs(child)
         conditions += [_nested_phrase(e, motifs, graph, refs) for e in child.nested]
         if conditions:
             return f"the number of {rel.noun_plural} for which {listed(conditions)}"
         return f"the number of {rel.noun_plural}"
-    return f"the single value produced by {_inline_child(child, graph)}"
+    return f"the single value produced by {_inline_child(child, graph, outer_refs)}"
 
 
-def _child_refs(child, graph, outer_refs) -> _References:
-    merged = QueryGraph()
-    merged.nodes = list(child.nodes) + list(outer_refs.qg.nodes)
-    refs = _References(merged, graph)
-    refs.mentioned |= outer_refs.mentioned
-    return refs
-
-
-def _inline_child(child: QueryGraph, graph) -> str:
-    steps = _procedural_steps(child, graph)
+def _inline_child(child: QueryGraph, graph, outer_refs) -> str:
+    steps = _procedural_steps(child, graph, outer=outer_refs)
     return "(" + "; ".join(s[:1].lower() + s[1:] for s in steps) + ")"
 
 
@@ -670,7 +686,9 @@ def translate(
 ) -> TranslationResult:
     """Dispatch on the taxonomy class; never returns empty text.
 
-    A given `cls` must come from `classify(qg)`: its motifs are reused.
+    A given `cls` must come from `classify(qg)`: its motifs are reused, and
+    the join-graph pipelines read the shape it carries (`cls.shape`)
+    rather than work it out again.
     """
     if cls is None:
         cls = classify(qg)
@@ -685,8 +703,7 @@ def translate(
         return TranslationResult(inner.text, inner.style, cls, notes + inner.notes)
 
     if label in ("Path", "Subgraph", "GraphCyclic", "GraphMultiInstance"):
-        report = qgraph.shape(qg)
-        if report.multi_instance:
+        if cls.shape.multi_instance:
             return _translate_itemized(qg, graph, cls, notes)
         return _translate_root_np(qg, graph, cls, notes)
 

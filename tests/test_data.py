@@ -359,7 +359,9 @@ class TestSelectTuples:
 
 
 class TestColumnTyping:
-    @pytest.mark.parametrize("cell", ["1_000", " 7 ", "\u0663", "+", "+-1", "1.0", "0x1"])
+    @pytest.mark.parametrize(
+        "cell", ["1_000", " 7 ", "\u0663", "\u00b2", "+", "-", "+-1", "1-2", "7+", "1.0", "0x1"]
+    )
     def test_only_signed_ascii_digits_make_an_integer_column(self, movie_graph, cell):
         slice_ = dict(WOODY_SLICE)
         slice_["ACTOR"] = f'id,name\n"{cell}",X\n'
@@ -370,6 +372,19 @@ class TestColumnTyping:
         slice_["ACTOR"] = "id,name\n-3,X\n+4,Y\n007,Z\n"
         ids = [r.cell("id") for r in load_data(movie_graph, slice_).table("ACTOR")]
         assert ids == [-3, 4, 7]
+
+    @pytest.mark.parametrize("cells", [["12", "x"], ["-3", "x"], ["-3", "4-"], ["5", "+"]])
+    def test_one_text_cell_keeps_the_column_text(self, movie_graph, cells):
+        slice_ = dict(WOODY_SLICE)
+        slice_["ACTOR"] = "id,name\n" + "".join(f"{c},N\n" for c in cells)
+        ids = [r.cell("id") for r in load_data(movie_graph, slice_).table("ACTOR")]
+        assert ids == cells
+
+    def test_blank_cells_are_null_in_an_integer_column(self, movie_graph):
+        slice_ = dict(WOODY_SLICE)
+        slice_["ACTOR"] = "id,name\n,X\n-2,Y\n"
+        ids = [r.cell("id") for r in load_data(movie_graph, slice_).table("ACTOR")]
+        assert ids == [None, -2]
 
 
 class TestSharedCells:

@@ -109,7 +109,7 @@ PUBLIC = {
     "emit_dot", "evaluate", "fallback_mode", "flatten", "follow_join",
     "instantiate", "lexicalize_predicate", "load_data", "load_schema",
     "merge_common", "narrate", "parse_sql", "parse_template",
-    "render_sql", "resolve_names", "select_tuples", "serialize", "shape",
+    "resolve_names", "select_tuples", "serialize", "shape",
     "translate", "translate_procedural", "validate",
 }
 

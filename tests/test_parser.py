@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS_NAMES, corpus_sql, resolved
 
@@ -76,7 +78,7 @@ class TestParse:
         for name in CORPUS_NAMES + ["emp"]:
             graph = emp_graph if name == "emp" else movie_graph
             ast = resolved(name, graph)
-            again = parser.parse_sql(parser.render_sql(ast))
+            again = parser.parse_sql(ast.render())
             parser.resolve_names(again, graph)
             assert again == ast, name
 
@@ -192,6 +194,49 @@ class TestResolve:
         assert dept.canonical == "DEPT"
 
 
+class TestLevels:
+    """`resolve_names` records, on each reference, how many query blocks
+    out its FROM item is."""
+
+    THREE_DEEP = (
+        "select m.title from MOVIE m where exists "
+        "(select c.mid from CAST c where c.mid = m.id and exists "
+        "(select a.id from ACTOR a where a.id = c.aid and a.name = title "
+        "and role = 'Lead' and M.year > 2000))"
+    )
+
+    def test_every_reference_of_a_three_deep_correlated_query(self, movie_graph):
+        ast = parser.parse_sql(self.THREE_DEEP)
+        parser.resolve_names(ast, movie_graph)
+        child = ast.where[0].query
+        grandchild = child.where[1].query
+
+        def levels(query):
+            return [(r.alias, r.attribute, r.level) for r in query.column_refs()]
+
+        assert levels(ast) == [("m", "title", 0)]
+        assert levels(child) == [("c", "mid", 0), ("c", "mid", 0), ("m", "id", 1)]
+        assert levels(grandchild) == [
+            ("a", "id", 0),
+            ("a", "id", 0), ("c", "aid", 1),
+            ("a", "name", 0), ("m", "title", 2),
+            ("c", "role", 1),
+            ("m", "year", 2),
+        ]
+
+    def test_an_inner_alias_shadows_an_outer_one_case_insensitively(self, movie_graph):
+        ast = parser.parse_sql(
+            "select m.title from MOVIE m where m.id in "
+            "(select M.mid from GENRE M where m.genre = 'drama')"
+        )
+        parser.resolve_names(ast, movie_graph)
+        child = ast.where[0].query
+        assert [(r.alias, r.relation, r.level) for r in child.column_refs()] == [
+            ("M", "GENRE", 0), ("M", "GENRE", 0),
+        ]
+        assert ast.where[0].column.level == 0
+
+
 class TestCanonicalAliases:
     """After resolution each reference carries its FROM item's spelling."""
 
@@ -249,6 +294,65 @@ class TestTotality:
                 assert 0 <= err.position <= len(text)
             except Unsupported:
                 pass
+
+
+# The grammar's token alphabet: keywords in any case, identifiers, numbers
+# (a non-ASCII digit included), strings with doubled quotes, and every
+# punctuation, operator and arithmetic token.
+_KEYWORD = st.sampled_from(sorted(parser.KEYWORDS)).flatmap(
+    lambda word: st.tuples(*(st.sampled_from([c.lower(), c]) for c in word)).map("".join)
+)
+_TOKEN = st.one_of(
+    _KEYWORD,
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True),
+    st.from_regex(r"[0-9\u0663]{1,4}", fullmatch=True),
+    st.from_regex(r"'([^']|''){0,5}'", fullmatch=True),
+    st.sampled_from(["(", ")", ",", ".", "*", "<=", ">=", "<>", "!=", "=", "<", ">"]),
+    st.sampled_from(["+", "-", "/", "%"]),
+)
+_SPACE = st.text(alphabet=" \t\n\r\x0b\x0c\xa0\u2003", max_size=3)
+
+
+class TestLexer:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(_SPACE, _TOKEN), max_size=25), _SPACE)
+    def test_each_token_is_the_text_at_its_offset(self, pairs, tail):
+        text = "".join(space + token for space, token in pairs) + tail
+        tokens = parser.tokenize(text)
+        assert tokens[-1] == ("eof", "", len(text))
+        end = 0
+        for kind, value, pos in tokens[:-1]:
+            covered = text[pos:pos + len(value)]
+            assert (covered.upper() if kind == "keyword" else covered) == value
+            assert text[end:pos].strip() == ""  # only spaces between tokens
+            end = pos + len(value)
+        assert text[end:].strip() == ""
+
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [
+            ("select a from T t where t.a = 'abc", "unexpected character \"'\"", 30),
+            ("a 'b  \n", "unexpected character \"'\"", 2),
+            ("select a from T where a ! b", "unexpected character '!'", 24),
+            ("a !", "unexpected character '!'", 2),
+            ('select a from T where a = "b"', "unexpected character '\"'", 26),
+            ("select a from T;", "unexpected character ';'", 15),
+            ("a ; \t", "unexpected character ';'", 2),
+            ("\u2003;", "unexpected character ';'", 1),
+        ],
+    )
+    def test_error_message_and_offset(self, text, message, position):
+        with pytest.raises(SyntaxError_) as err:
+            parser.tokenize(text)
+        assert str(err.value) == f"{message} at offset {position}"
+        assert err.value.position == position
+        assert err.value.expected == ()
+
+    @pytest.mark.parametrize("text", ["", " ", "a \t\n", "a\u2003\xa0", "'x' "])
+    def test_trailing_whitespace_ends_at_eof(self, text):
+        tokens = parser.tokenize(text)
+        assert tokens[-1] == ("eof", "", len(text))
+        assert [value for _, value, _ in tokens[:-1]] == text.split()
 
 
 _NEST = "select a from T where a in ("

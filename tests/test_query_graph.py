@@ -1,5 +1,30 @@
+import re
+
+import pytest
+
+from conftest import CORPUS_NAMES, built
+
 from tabletalk import parser, query_graph as QG
 from tabletalk.ast_nodes import Constant, ScalarSubquery
+
+# A subquery predicate that names only outer aliases, one and two of them
+# (ROADMAP item 3).
+ONE_OUTER_ALIAS = (
+    "select g1.mid from GENRE g1 where g1.mid in "
+    "(select m2.id from MOVIES m2, DIRECTED d3 "
+    "where m2.id = d3.mid and g1.genre < g1.genre and m2.year >= 2003 "
+    "group by m2.id having count(*) > 1)"
+)
+TWO_OUTER_ALIASES = (
+    "select g1.genre from GENRE g1, MOVIES m2 where g1.mid = m2.id and g1.mid in "
+    "(select m3.id from MOVIES m3 where m2.title != g1.genre and m3.title = 'King Kong')"
+)
+
+
+def built_sql(sql, graph):
+    ast = parser.parse_sql(sql)
+    parser.resolve_names(ast, graph)
+    return QG.build(ast, graph)
 
 
 class TestBuild:
@@ -104,9 +129,28 @@ class TestBuild:
                     continue
                 a, b = edge.pred.lhs, edge.pred.rhs
                 expected = edge.pred.op == "=" and movie_graph.fk_backed(
-                    a.relation, a.column, b.relation, b.column
+                    a.relation, a.attribute, b.relation, b.attribute
                 )
                 assert edge.fk_backed == expected, name
+
+    def test_fk_set_is_built_with_the_joins(self, movie_graph):
+        # The name index is first built while the joins are still being read.
+        assert movie_graph.fk_backed("CAST", "mid", "MOVIE", "id")
+        assert movie_graph.fk_backed("MOVIE", "id", "CAST", "mid")
+        assert not movie_graph.fk_backed("MOVIE", "year", "CAST", "mid")
+
+    @pytest.mark.parametrize(
+        "sql,outer",
+        [(ONE_OUTER_ALIAS, "g1.genre < g1.genre"), (TWO_OUTER_ALIASES, "m2.title != g1.genre")],
+        ids=["one_alias", "two_aliases"],
+    )
+    def test_outer_only_predicates_are_outer_conditions(self, movie_graph, sql, outer):
+        qg = built_sql(sql, movie_graph)
+        child = qg.nested[0].child
+        assert [p.render() for p in child.outer] == [outer]
+        assert child.having_misc == child.query.having  # count(*) > 1 only
+        assert not any(edge.crosses_nesting for edge in child.joins)
+        assert qg.is_correlated()
 
 
 class TestShape:
@@ -148,6 +192,23 @@ class TestDot:
     def test_deterministic(self, corpus_graphs):
         for name, qg in corpus_graphs.items():
             assert QG.emit_dot(qg) == QG.emit_dot(qg), name
+
+    def test_every_edge_end_is_a_declared_node(self, movie_graph, emp_graph):
+        dots = [(QG.emit_dot(built(name, movie_graph)), name) for name in CORPUS_NAMES]
+        dots.append((QG.emit_dot(built("emp", emp_graph)), "emp"))
+        for sql in (ONE_OUTER_ALIAS, TWO_OUTER_ALIASES):
+            dots.append((QG.emit_dot(built_sql(sql, movie_graph)), sql))
+        for dot, name in dots:
+            nodes = set(re.findall(r'^ *"([^"]+)" \[', dot, re.M))
+            ends = re.findall(r'^ *"([^"]+)" -> "([^"]+)"', dot, re.M)
+            assert ends, name
+            assert [end for edge in ends for end in edge if end not in nodes] == [], name
+
+    def test_outer_conditions_draw_dotted_edges_to_outer_nodes(self, movie_graph):
+        dot = QG.emit_dot(built_sql(TWO_OUTER_ALIASES, movie_graph))
+        assert '"NQ1.m3" -> "m2" [style=dotted, label="m2.title != g1.genre"];' in dot
+        assert '"NQ1.m3" -> "g1" [style=dotted, label="m2.title != g1.genre"];' in dot
+        assert '"NQ1.m2"' not in dot
 
     def test_q6_crossing_edges_resolve_through_nested_scopes(self, corpus_graphs):
         dot = QG.emit_dot(corpus_graphs["q6"])

@@ -30,9 +30,9 @@ class TestFlatten:
 
     def test_input_left_untouched(self, movie_graph):
         q5 = resolved("q5", movie_graph)
-        rendered_before = parser.render_sql(q5)
+        rendered_before = q5.render()
         rewriter.flatten(q5)
-        assert parser.render_sql(q5) == rendered_before
+        assert q5.render() == rendered_before
 
     def test_not_exists_is_not_flattenable(self, movie_graph):
         with pytest.raises(NotFlattenable):

@@ -346,6 +346,55 @@ class TestEdges:
         )
 
 
+class TestOuterConditions:
+    """A subquery predicate that names only enclosing aliases is said, and
+    worded by the block that binds them."""
+
+    def translated(self, sql, graph):
+        ast = parser.parse_sql(sql)
+        parser.resolve_names(ast, graph)
+        return translate(QG.build(ast, graph), graph).text
+
+    def test_one_alias_outer_predicate_in_an_in_child(self, movie_graph):
+        text = self.translated(
+            "select g1.mid from GENRE g1 where g1.mid in "
+            "(select m2.id from MOVIES m2, DIRECTED d3 "
+            "where m2.id = d3.mid and g1.genre < g1.genre and m2.year >= 2003 "
+            "group by m2.id having count(*) > 1)",
+            movie_graph,
+        )
+        assert (
+            "keep combinations where the year of the movie is at least 2003; "
+            "keep combinations where the genre of the genre is less than the genre "
+            "of the genre; group the combinations by the id of the movie"
+        ) in text
+
+    def test_count_frame_says_an_outer_only_predicate(self, movie_graph):
+        text = self.translated(
+            "select c2.mid, c2.role from ACTOR a1, CAST c2, MOVIES m3 "
+            "where a1.id = c2.aid and c2.mid = m3.id and 1 >= (select count(*) "
+            "from DIRECTOR d4 where a1.name <= a1.name and c2.aid != m3.id) "
+            "and m3.year <= 1976",
+            movie_graph,
+        )
+        assert (
+            "4. Keep combinations where 1 is at least the number of directors for "
+            "which the name of the actor is at most the name of the actor and the "
+            "aid of the cast entry is not the id of the movie."
+        ) in text
+
+    def test_count_frame_numbers_outer_instances_with_its_own(self, movie_graph):
+        text = self.translated(
+            "select m1.title from MOVIES m1 where 1 != (select count(*) "
+            "from MOVIES m2 where m2.id < m1.year)",
+            movie_graph,
+        )
+        assert (
+            "the number of movies for which the id of the first movie is less than "
+            "the year of the second movie"
+        ) in text
+
+
 class TestProceduralWording:
     """Exact text of procedural steps that no golden covers."""
 
