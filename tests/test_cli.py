@@ -353,3 +353,165 @@ class TestDeterminism:
             for _ in range(2)
         }
         assert len(runs) == 1
+
+
+# The command-line surface, byte for byte: usage lines, help text and the
+# wording of every usage error (exit 1).
+USAGE = {
+    "tabletalk": "usage: tabletalk [-h] {narrate,explain,classify,graph} ...\n",
+    "narrate": (
+        "usage: tabletalk narrate [-h] --schema SCHEMA [--output {text,json}]\n"
+        "                         [--data DATA] [--mode {declarative,procedural,auto}]\n"
+        "                         [--max-tuples K] [--start START]\n"
+    ),
+    "explain": "usage: tabletalk explain [-h] --schema SCHEMA [--output {text,json}] [sql]\n",
+    "classify": "usage: tabletalk classify [-h] --schema SCHEMA [--output {text,json}] [sql]\n",
+    "graph": "usage: tabletalk graph [-h] --schema SCHEMA [--output {text,json,dot}] [sql]\n",
+}
+HELP_OPTION = "  -h, --help            show this help message and exit\n"
+SCHEMA_OPTION = "  --schema SCHEMA       annotation file (JSON)\n"
+HELP = {
+    "tabletalk": (
+        USAGE["tabletalk"] + "\n"
+        "Narrate relational data and explain SQL queries in English.\n\n"
+        "positional arguments:\n"
+        "  {narrate,explain,classify,graph}\n"
+        "    narrate             narrate table contents\n"
+        "    explain             translate a SQL query to English\n"
+        "    classify            print the taxonomy class of a query\n"
+        "    graph               DOT for a query graph, or the schema graph without SQL\n\n"
+        "options:\n" + HELP_OPTION
+    ),
+    "narrate": (
+        USAGE["narrate"] + "\noptions:\n" + HELP_OPTION + SCHEMA_OPTION
+        + "  --output {text,json}\n"
+        "  --data DATA           directory of <RELATION>.csv files\n"
+        "  --mode {declarative,procedural,auto}\n"
+        "  --max-tuples K\n"
+        "  --start START         start relation for narration\n"
+    ),
+    "explain": (
+        USAGE["explain"] + "\npositional arguments:\n"
+        "  sql                   SQL text (or pipe via stdin)\n\n"
+        "options:\n" + HELP_OPTION + SCHEMA_OPTION + "  --output {text,json}\n"
+    ),
+    "classify": (
+        USAGE["classify"] + "\npositional arguments:\n  sql\n\n"
+        "options:\n" + HELP_OPTION + SCHEMA_OPTION + "  --output {text,json}\n"
+    ),
+    "graph": (
+        USAGE["graph"] + "\npositional arguments:\n  sql\n\n"
+        "options:\n" + HELP_OPTION + SCHEMA_OPTION + "  --output {text,json,dot}\n"
+    ),
+}
+NARRATE = ("narrate", "--schema", SCHEMA, "--data", DATA)
+
+
+class TestUsageSurface:
+    @pytest.mark.parametrize("command", list(HELP))
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_prints_the_full_text_and_exits_0(self, command, flag):
+        args = (flag,) if command == "tabletalk" else (command, flag)
+        proc = run_cli(*args)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout == HELP[command]
+
+    def test_help_wins_over_the_flags_before_it(self):
+        proc = run_cli("explain", "--schema", SCHEMA, "-h")
+        assert proc.returncode == 0
+        assert proc.stdout == HELP["explain"]
+
+    def test_narrate_usage_wraps_onto_three_lines(self):
+        lines = USAGE["narrate"].splitlines()
+        assert len(lines) == 3
+        assert max(map(len, lines)) <= 80
+
+    @pytest.mark.parametrize(
+        "args,prog,message",
+        [
+            ((), "tabletalk", "the following arguments are required: command"),
+            (("frob",), "tabletalk",
+             "argument command: invalid choice: 'frob' "
+             "(choose from 'narrate', 'explain', 'classify', 'graph')"),
+            (("narrate",), "narrate", "the following arguments are required: --schema"),
+            (("explain",), "explain", "the following arguments are required: --schema"),
+            (("classify", "--data", DATA), "classify",
+             "the following arguments are required: --schema"),
+            (("graph",), "graph", "the following arguments are required: --schema"),
+            ((*NARRATE, "--mode", "bogus"), "narrate",
+             "argument --mode: invalid choice: 'bogus' "
+             "(choose from 'declarative', 'procedural', 'auto')"),
+            (("explain", "--schema", SCHEMA, "--output", "dot"), "explain",
+             "argument --output: invalid choice: 'dot' (choose from 'text', 'json')"),
+            (("graph", "--schema", SCHEMA, "--output=svg"), "graph",
+             "argument --output: invalid choice: 'svg' (choose from 'text', 'json', 'dot')"),
+            ((*NARRATE, "--max-tuples", "x"), "narrate",
+             "argument --max-tuples: invalid int value: 'x'"),
+            ((*NARRATE, "--max-tuples="), "narrate",
+             "argument --max-tuples: invalid int value: ''"),
+            ((*NARRATE, "--max-tuples"), "narrate",
+             "argument --max-tuples: expected one argument"),
+            (("graph", "--schema"), "graph", "argument --schema: expected one argument"),
+            (("explain", "--schema", SCHEMA, "--output"), "explain",
+             "argument --output: expected one argument"),
+            (("narrate", "--s", SCHEMA), "narrate",
+             "ambiguous option: --s could match --schema, --start"),
+            ((*NARRATE, "--m", "auto"), "narrate",
+             "ambiguous option: --m could match --mode, --max-tuples"),
+            ((*NARRATE, "extra"), "narrate", "unrecognized arguments: extra"),
+            (("explain", "--schema", SCHEMA, "select 1", "select 2", "--bogus"), "explain",
+             "unrecognized arguments: select 2 --bogus"),
+        ],
+        ids=[
+            "no-command", "unknown-command", "narrate-no-schema", "explain-no-schema",
+            "classify-no-schema", "graph-no-schema", "bad-mode", "bad-output",
+            "bad-output-equals", "bad-int", "empty-int", "no-int", "no-schema-value",
+            "no-output-value", "ambiguous-s", "ambiguous-m", "extra-narrate",
+            "extra-explain",
+        ],
+    )
+    def test_each_usage_error_has_its_exact_wording(self, args, prog, message):
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        name = "tabletalk" if prog == "tabletalk" else f"tabletalk {prog}"
+        assert proc.stderr == f"{USAGE[prog]}{name}: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("explain", "--schema=" + SCHEMA, corpus_sql("q1")),
+            ("explain", "--sch", SCHEMA, corpus_sql("q1")),
+            ("explain", corpus_sql("q1"), "--output=text", "--schema", SCHEMA),
+            ("explain", "--schema", SCHEMA, "--", corpus_sql("q1")),
+        ],
+        ids=["equals", "prefix", "sql-first", "double-dash"],
+    )
+    def test_accepted_flag_forms_explain_q1(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 0
+        assert proc.stdout == "Find the titles of movies where the actor Brad Pitt plays\n"
+        assert proc.stderr == "class: Path\n"
+
+    def test_prefix_and_equals_forms_reach_narrate(self):
+        want = run_cli(*NARRATE, "--max-tuples", "1", "--mode", "procedural")
+        got = run_cli("narrate", "--sch=" + SCHEMA, "--data=" + DATA, "--max", "1",
+                      "--mo=procedural")
+        assert want.returncode == got.returncode == 0
+        assert got.stdout == want.stdout
+        assert "Match Point" in got.stdout
+
+    def test_the_last_repeated_flag_wins(self):
+        want = run_cli(*NARRATE, "--max-tuples", "2")
+        got = run_cli(*NARRATE, "--max-tuples", "1", "--max-tuples", "2")
+        assert got.stdout == want.stdout
+        assert got.returncode == 0
+
+    @pytest.mark.parametrize(
+        "flags", [("--max-tuples", "-1"), ("--max-tuples=-1",), ("--max", "-1")]
+    )
+    def test_a_negative_budget_reaches_the_input_check(self, flags):
+        proc = run_cli(*NARRATE, *flags)
+        assert proc.returncode == 2
+        assert proc.stderr == "tabletalk: error: --max-tuples must be 0 or more, got -1\n"
