@@ -12,13 +12,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "classifier": ("QueryClass", "classify"),
     "data": ("Database", "RankSpec", "Row", "follow_join", "load_data", "select_tuples"),
+    "dot": ("emit_dot",),
     "evaluator": ("ResultSet", "evaluate"),
-    "narrator": ("NarrationPlan", "Narrative", "detect_patterns", "fallback_mode", "narrate"),
+    "narrator": ("Clause", "NarrationPlan", "Narrative", "detect_patterns", "fallback_mode",
+                 "merge_common", "narrate"),
     "parser": ("parse_sql", "resolve_names"),
     "query_graph": ("QueryGraph", "build", "shape"),
     "rewriter": ("Motif", "detect_motifs", "flatten"),
-    "schema": ("SchemaGraph", "emit_dot", "load_schema", "serialize", "validate"),
-    "templates": ("Clause", "instantiate", "merge_common", "parse_template"),
+    "schema": ("SchemaGraph", "load_schema", "serialize", "validate"),
+    "templates": ("instantiate", "parse_template"),
     "translator": (
         "TranslationResult", "lexicalize_predicate", "translate", "translate_procedural",
     ),

@@ -113,9 +113,6 @@ class Exists(Record):
         return f"{keyword} ({self.query.render()})"
 
 
-Predicate = Compare | CompareAll | InSubquery | Exists
-
-
 class Query(Record):
     select_items: list[SelectItem] = field(factory=list)
     from_items: list[FromItem] = field(factory=list)

@@ -32,9 +32,10 @@ from .data import Database, RankSpec, Row, follow_join, rank_rows, select_tuples
 from .errors import UnknownStart
 from .record import Record, field
 from .schema import SchemaGraph
-from .templates import Clause, common_prefix, listed, tokenize, trim_articles
+from .templates import listed
 
 TERMINALS = (".", "!", "?")
+_ARTICLES = {"a", "an", "the"}
 
 
 class NarrationPlan(Record):
@@ -282,7 +283,7 @@ def _relation_clauses(graph, relation, row, mode) -> list[str]:
     subject = row.cell(rel.heading_attribute)
     subject_text = "" if subject is None else str(subject)
     clauses = [Clause.from_text(t, subject_text) for t in clause_texts]
-    return [c.text for c in templates.merge_common(clauses)]
+    return [c.text for c in merge_common(clauses)]
 
 
 def _attribute_clauses(graph, relation, row) -> list[str]:
@@ -396,11 +397,11 @@ def fuse_split(texts: list[str], subject: str) -> str | None:
         return None
     if len(texts) == 1:
         return texts[0]
-    token_lists = [tokenize(t) for t in texts]
+    token_lists = [t.split() for t in texts]
     prefix = trim_articles(reduce(common_prefix, token_lists))
     if not prefix:
         return None
-    subject_tokens = tokenize(subject)
+    subject_tokens = subject.split()
     if subject_tokens and not _contains(prefix, subject_tokens):
         return None
     remainders = [" ".join(toks[len(prefix):]) for toks in token_lists]
@@ -410,10 +411,8 @@ def fuse_split(texts: list[str], subject: str) -> str | None:
 
 
 def _contains(haystack: list[str], needle: list[str]) -> bool:
-    for i in range(len(haystack) - len(needle) + 1):
-        if haystack[i : i + len(needle)] == needle:
-            return True
-    return False
+    return any(haystack[i : i + len(needle)] == needle
+               for i in range(len(haystack) - len(needle) + 1))
 
 
 def _finish(text: str) -> str:
@@ -421,3 +420,62 @@ def _finish(text: str) -> str:
     if text and not text.endswith(TERMINALS):
         text += "."
     return text
+
+
+# --- clause merging ----------------------------------------------------
+
+class Clause(Record):
+    tokens: list[str]
+    subject_len: int
+
+    @property
+    def text(self) -> str:
+        return " ".join(self.tokens)
+
+    @classmethod
+    def from_text(cls, text: str, subject: str = "") -> "Clause":
+        tokens = text.split()
+        subj = subject.split()
+        if subj and tokens[: len(subj)] == subj:
+            return cls(tokens, len(subj))
+        # Unknown or mismatched subject: treat the whole clause as subject
+        # so it never fuses on an accidental prefix.
+        return cls(tokens, len(tokens) if subject else 0)
+
+
+def common_prefix(a: list[str], b: list[str]) -> list[str]:
+    size = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return a[:size]
+
+
+def trim_articles(prefix: list[str]) -> list[str]:
+    """Never strand an article at a fusion point."""
+    while prefix and prefix[-1].lower() in _ARTICLES:
+        prefix = prefix[:-1]
+    return prefix
+
+
+def _fusable_prefix(a: Clause, b: Clause):
+    if a.tokens[: a.subject_len] != b.tokens[: b.subject_len]:
+        return None
+    prefix = trim_articles(common_prefix(a.tokens, b.tokens))
+    return prefix if len(prefix) >= max(a.subject_len, 1) else None
+
+
+def merge_common(clauses: list[Clause]) -> list[Clause]:
+    """Fuse adjacent clauses sharing a subject-covering common prefix.
+
+    The fused clause is the shared prefix followed by each clause's
+    remainder in input order.  A single left-to-right pass reaches a
+    fixed point, so the operation is idempotent.
+    """
+    out: list[Clause] = []
+    for clause in clauses:
+        prefix = _fusable_prefix(out[-1], clause) if out else None
+        if prefix is None:
+            out.append(clause)
+        else:
+            prev = out[-1]
+            fused = prefix + prev.tokens[len(prefix):] + clause.tokens[len(prefix):]
+            out[-1] = Clause(fused, prev.subject_len)
+    return out

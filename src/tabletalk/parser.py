@@ -19,7 +19,6 @@ translator read it instead of looking the alias up again.
 from __future__ import annotations
 
 import re
-import string
 
 from .ast_nodes import (
     ColumnRef,
@@ -74,11 +73,11 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# A token's kind by its first character; `\d` also matches digits outside
-# ASCII, and a number is the only token that can start with one.
-_KINDS = dict.fromkeys(string.ascii_letters + "_", "ident") | {"'": "string"}
+# A token's kind by its first character.  Only a number starts with a
+# character not listed: a digit, which `\d` also matches outside ASCII.
+_KINDS = dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident")
 _KINDS |= dict.fromkeys("(),.*", "punct") | dict.fromkeys("<>=!", "op")
-_KINDS |= dict.fromkeys(string.digits, "number") | dict.fromkeys("+-/%", "arith")
+_KINDS |= dict.fromkeys("+-/%", "arith") | {"'": "string"}
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:

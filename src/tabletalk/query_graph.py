@@ -9,7 +9,9 @@ enclosing alias is a join edge crossing the nesting boundary, local side
 first; one naming only enclosing aliases is an *outer condition*
 (`outer`), which makes the block correlated as a crossing edge does.
 HAVING comparisons go to the HAVING part of the node they count or name,
-others to `having_misc`; subquery connectors become nested child graphs.
+others to `having_misc`; one that also names an enclosing alias is listed
+in `having_outer` too, and makes the block correlated.  Subquery
+connectors become nested child graphs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .ast_nodes import (
     CountStar,
     Query,
     SelectItem,
-    pred_refs,
     pred_subqueries,
 )
 from .record import Record, field
@@ -64,6 +65,7 @@ class QueryGraph(Record):
     where_misc: list = field(factory=list)  # constant-only WHERE preds
     outer: list = field(factory=list)  # WHERE preds naming only enclosing aliases
     having_misc: list = field(factory=list)  # ownerless HAVING preds
+    having_outer: list = field(factory=list)  # HAVING preds also naming an enclosing alias
     query: Query | None = None
 
     def node(self, alias: str) -> QueryNode | None:
@@ -83,7 +85,7 @@ class QueryGraph(Record):
         """True when this block or one nested in it, at any depth, names an
         alias of a block that encloses it."""
         return (
-            bool(self.outer)
+            bool(self.outer or self.having_outer)
             or any(e.crosses_nesting for e in self.joins)
             or any(entry.child.is_correlated() for entry in self.nested)
         )
@@ -145,6 +147,8 @@ def _place_compare(qg, graph, pred: Compare, site):
             owner.having_part.append(pred)
         else:
             qg.having_misc.append(pred)
+        if any(ref.level for ref in refs):
+            qg.having_outer.append(pred)
         return
     if not refs:  # resolve_names keeps aggregates out of WHERE
         qg.where_misc.append(pred)
@@ -251,93 +255,3 @@ def _pred_has_aggregate(pred) -> bool:
             isinstance(s, (CountStar, CountDistinct)) for s in (pred.lhs, pred.rhs)
         )
     return False
-
-
-# --- DOT output ---------------------------------------------------------
-
-def emit_dot(qg: QueryGraph) -> str:
-    """Record-shaped node per tuple variable; dashed edges into nested
-    children, each child in its own NQ<i> cluster.  Dotted edges show
-    correlation: a crossing edge from its child node to the enclosing one,
-    and an outer condition from the child's first node to each enclosing
-    node it names."""
-    lines = ["digraph query {", "  rankdir=LR;", "  node [shape=record];"]
-    counter = [0]
-    _emit_level(qg, lines, ("",), counter)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_level(qg: QueryGraph, lines, prefixes, counter):
-    """`prefixes[k]` is the node id prefix of the block k levels out."""
-    prefix = prefixes[0]
-
-    def node_id(alias):
-        return f"{prefix}{alias}"
-
-    for node in qg.nodes:
-        parts = [f"<<FROM>> {node.relation} {node.alias}"]
-        if node.select_part:
-            cols = ", ".join(c for c, _ in node.select_part)
-            parts.append(f"<<SELECT>> {cols}")
-        if node.where_part:
-            preds = " and ".join(p.render() for p in node.where_part)
-            parts.append(f"<<WHERE>> {preds}")
-        if node.having_part:
-            preds = " and ".join(p.render() for p in node.having_part)
-            parts.append(f"<<HAVING>> {preds}")
-        label = _escape("|".join(parts))
-        lines.append(f'  "{node_id(node.alias)}" [label="{label}"];')
-    if qg.group_note:
-        cols = ", ".join(f"{a}.{c}" for a, c in qg.group_note)
-        lines.append(
-            f'  "{prefix}groupby" [shape=note, label="{_escape("<<GROUP BY>> " + cols)}"];'
-        )
-    if qg.order_note:
-        cols = ", ".join(f"{a}.{c} {d}" for a, c, d in qg.order_note)
-        lines.append(
-            f'  "{prefix}orderby" [shape=note, label="{_escape("<<ORDER BY>> " + cols)}"];'
-        )
-    for edge in qg.joins:
-        if edge.crosses_nesting:
-            continue
-        style = "solid" if edge.fk_backed else "bold"
-        src, dst = edge.ends
-        lines.append(
-            f'  "{node_id(src)}" -> "{node_id(dst)}" '
-            f'[label="{_escape(edge.pred.render())}", style={style}];'
-        )
-    for entry in qg.nested:
-        counter[0] += 1
-        name = f"NQ{counter[0]}"
-        child_prefix = f"{name}."
-        lines.append(f"  subgraph cluster_{name} {{")
-        lines.append(f'    label="{name} ({entry.connector})";')
-        _emit_level(entry.child, lines, (child_prefix, *prefixes), counter)
-        lines.append("  }")
-        if qg.nodes and entry.child.nodes:
-            lines.append(
-                f'  "{node_id(qg.nodes[0].alias)}" -> '
-                f'"{child_prefix}{entry.child.nodes[0].alias}" '
-                f'[style=dashed, label="{entry.connector}"];'
-            )
-        for edge in entry.child.joins:
-            if not edge.crosses_nesting:
-                continue
-            src, dst = edge.pred.lhs, edge.pred.rhs  # dst.level blocks out of the child
-            lines.append(
-                f'  "{child_prefix}{src.alias}" -> "{prefixes[dst.level - 1]}{dst.alias}" '
-                f'[style=dotted, label="{_escape(edge.pred.render())}"];'
-            )
-        for pred in entry.child.outer:
-            anchor = f"{child_prefix}{entry.child.nodes[0].alias}"
-            label = _escape(pred.render())
-            ends = dict.fromkeys(f"{prefixes[ref.level - 1]}{ref.alias}" for ref in pred_refs(pred))
-            for end in ends:
-                lines.append(f'  "{anchor}" -> "{end}" [style=dotted, label="{label}"];')
-
-
-def _escape(text: str) -> str:
-    for ch in "{}|<>":
-        text = text.replace(ch, "\\" + ch)
-    return text.replace('"', '\\"')

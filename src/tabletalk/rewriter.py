@@ -207,10 +207,10 @@ def _detect_superlative_all(qg: QueryGraph) -> list[Motif]:
             direction = "max"
         else:
             continue
-        child = entry.child
-        if not child.is_correlated():
-            continue
-        select = child.query.select_items if child.query else []
+        query = entry.child.query
+        if query is None or query.group_by or query.having or not entry.child.is_correlated():
+            continue  # the frame has no room for a child's grouping
+        select = query.select_items
         if len(select) != 1 or not isinstance(select[0].expr, ColumnRef):
             continue
         inner_col = select[0].expr

@@ -508,25 +508,6 @@ def validate(graph: SchemaGraph) -> list[str]:
 
 # --- output ------------------------------------------------------------
 
-def emit_dot(graph: SchemaGraph) -> str:
-    """Render relations and join edges as a deterministic DOT digraph."""
-    lines = ["digraph schema {", "  rankdir=LR;", '  node [shape=box];']
-    for rel in sorted(graph.relations, key=lambda r: r.name):
-        label = f"{rel.name}|{rel.heading_attribute}"
-        lines.append(f'  "{rel.name}" [label="{label}"];')
-    edges = sorted(
-        graph.joins,
-        key=lambda e: (e.from_relation, e.to_relation, e.from_key, e.to_key),
-    )
-    for edge in edges:
-        lines.append(
-            f'  "{edge.from_relation}" -> "{edge.to_relation}" '
-            f'[label="{edge.from_key}={edge.to_key}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def serialize(graph: SchemaGraph) -> str:
     """Inverse of load_schema for validated graphs (round-trip identity)."""
     doc = {"relations": [], "joins": [], "phrases": []}
@@ -537,13 +518,8 @@ def serialize(graph: SchemaGraph) -> str:
             "heading": rel.heading_attribute,
             "weight": rel.weight,
             "attributes": [],
-        }
-        if rel.alt_names:
-            rel_doc["aliases"] = list(rel.alt_names)
-        if rel.short_template:
-            rel_doc["short_template"] = rel.short_template
-        if rel.long_template:
-            rel_doc["long_template"] = rel.long_template
+        } | _given(aliases=list(rel.alt_names), short_template=rel.short_template,
+                   long_template=rel.long_template)
         for attr in graph.attributes:
             if attr.relation != rel.name:
                 continue
@@ -551,36 +527,31 @@ def serialize(graph: SchemaGraph) -> str:
                 "name": attr.name,
                 "weight": attr.weight,
                 "noun": {"singular": attr.noun_singular, "plural": attr.noun_plural},
-            }
-            if attr.temporal:
-                attr_doc["temporal"] = True
+            } | _given(temporal=bool(attr.temporal))
             proj = graph.projection(rel.name, attr.name)
             if proj is not None and not proj.is_default:
                 attr_doc["template"] = proj.template
             rel_doc["attributes"].append(attr_doc)
         doc["relations"].append(rel_doc)
     for edge in graph.joins:
-        edge_doc = {
+        doc["joins"].append({
             "from": edge.from_relation,
             "to": edge.to_relation,
             "from_key": edge.from_key,
             "to_key": edge.to_key,
-        }
-        if edge.template:
-            edge_doc["template"] = edge.template
-        if edge.relative_clause_template:
-            edge_doc["relative_clause"] = edge.relative_clause_template
-        if edge.procedural_template:
-            edge_doc["procedural_template"] = edge.procedural_template
-        doc["joins"].append(edge_doc)
+        } | _given(template=edge.template, relative_clause=edge.relative_clause_template,
+                   procedural_template=edge.procedural_template))
     for path in graph.join_paths:
-        path_doc = {"path": list(path.path), "template": path.template}
-        if path.procedural_template:
-            path_doc["procedural_template"] = path.procedural_template
-        doc["joins"].append(path_doc)
+        doc["joins"].append({"path": list(path.path), "template": path.template}
+                            | _given(procedural_template=path.procedural_template))
     for phrase in graph.phrases:
         doc["phrases"].append({"route": list(phrase.route), "text": phrase.text})
     return json.dumps(doc, indent=2)
+
+
+def _given(**fields) -> dict:
+    """The fields that are set: not None, empty or false."""
+    return {key: value for key, value in fields.items() if value}
 
 
 def loads(text: str) -> SchemaGraph:

@@ -1,4 +1,4 @@
-"""Template mini-language: parsing, instantiation, and clause merging.
+"""Template mini-language: parsing and instantiation.
 
 A template is a '+'-concatenation of parts:
 
@@ -39,8 +39,6 @@ from .record import Record, field
 
 VARIANTS = ("value", "noun", "heading", "ref")
 
-_ARTICLES = {"a", "an", "the"}
-
 
 class Literal(Record):
     text: str
@@ -63,10 +61,6 @@ class ListLoop(Record):
     alias: str
     attribute: str
     arms: list[LoopArm] = field(factory=list)
-
-    @property
-    def guards(self):
-        return [(arm.guard, arm.body) for arm in self.arms]
 
 
 class TemplateExpr(Record):
@@ -223,8 +217,7 @@ def _parse_loop(cur: _Cursor, depth: int) -> ListLoop:
     alias2, _ = second._bound
     if alias2 != alias:
         raise UnknownGuard(f"loop arms bind different aliases: {alias}, {alias2}")
-    loop = ListLoop(name, alias, attr, [first, second])
-    return loop
+    return ListLoop(name, alias, attr, [first, second])
 
 
 def _parse_arm(cur: _Cursor, depth: int) -> LoopArm:
@@ -257,37 +250,6 @@ def _parse_arm(cur: _Cursor, depth: int) -> LoopArm:
     arm = LoopArm(guard, body, joiner)
     arm._bound = (alias, attr)
     return arm
-
-
-def render_template(expr: TemplateExpr) -> str:
-    """Serialize an expression back to template text."""
-    return " + ".join(_render_part(p) for p in expr.parts)
-
-
-def _render_part(part) -> str:
-    if isinstance(part, Literal):
-        escaped = part.text.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(part, Placeholder):
-        inner = part.alias
-        if part.attribute:
-            inner += f".{part.attribute}"
-        if part.variant not in ("value", "ref"):
-            inner += f":{part.variant}"
-        return "{" + inner + "}"
-    if isinstance(part, ListLoop):
-        arms = []
-        for arm in part.arms:
-            joiner = ""
-            if arm.joiner:
-                escaped = arm.joiner.replace("\\", "\\\\").replace('"', '\\"')
-                joiner = f'"{escaped}" + '
-            arms.append(
-                f"[i {arm.guard} arityOf({part.alias}.{part.attribute})] "
-                f"{joiner}{{ {render_template(arm.body)} }}"
-            )
-        return f"DEFINE {part.name} AS " + " ".join(arms)
-    raise TemplateError(f"cannot render part {part!r}")
 
 
 # --- instantiation -----------------------------------------------------
@@ -359,83 +321,10 @@ def _fill(ph: Placeholder, bindings, graph, loop_ctx) -> str:
     return "" if value is None else str(value)
 
 
-# --- clause merging ----------------------------------------------------
+# --- lists ---------------------------------------------------------------
 
 def listed(parts: list[str]) -> str:
     """English list: "A", "A and B", "A, B, and C"."""
     if len(parts) < 3:
         return " and ".join(parts)
     return ", ".join(parts[:-1]) + f", and {parts[-1]}"
-
-
-def tokenize(text: str) -> list[str]:
-    """Tokens are maximal runs of non-space characters."""
-    return text.split()
-
-
-class Clause(Record):
-    tokens: list[str]
-    subject_len: int
-
-    @property
-    def text(self) -> str:
-        return " ".join(self.tokens)
-
-    @classmethod
-    def from_text(cls, text: str, subject: str = "") -> "Clause":
-        tokens = tokenize(text)
-        subj = tokenize(subject)
-        if subj and tokens[: len(subj)] == subj:
-            return cls(tokens, len(subj))
-        # Unknown or mismatched subject: treat the whole clause as subject
-        # so it never fuses on an accidental prefix.
-        return cls(tokens, len(tokens) if subject else 0)
-
-
-def common_prefix(a: list[str], b: list[str]) -> list[str]:
-    out = []
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        out.append(x)
-    return out
-
-
-def trim_articles(prefix: list[str]) -> list[str]:
-    """Never strand an article at a fusion point."""
-    while prefix and prefix[-1].lower() in _ARTICLES:
-        prefix = prefix[:-1]
-    return prefix
-
-
-def _fusable_prefix(a: Clause, b: Clause):
-    if a.tokens[: a.subject_len] != b.tokens[: b.subject_len]:
-        return None
-    prefix = trim_articles(common_prefix(a.tokens, b.tokens))
-    if len(prefix) >= max(a.subject_len, 1):
-        return prefix
-    return None
-
-
-def merge_common(clauses: list[Clause]) -> list[Clause]:
-    """Fuse adjacent clauses sharing a subject-covering common prefix.
-
-    The fused clause is the shared prefix followed by each clause's
-    remainder in input order.  A single left-to-right pass reaches a
-    fixed point, so the operation is idempotent.
-    """
-    out: list[Clause] = []
-    for clause in clauses:
-        if out:
-            prefix = _fusable_prefix(out[-1], clause)
-            if prefix is not None:
-                prev = out[-1]
-                fused = (
-                    prefix
-                    + prev.tokens[len(prefix):]
-                    + clause.tokens[len(prefix):]
-                )
-                out[-1] = Clause(fused, prev.subject_len)
-                continue
-        out.append(clause)
-    return out

@@ -168,11 +168,11 @@ def test_criterion_6_property_suites(movie_graph, movie_db, corpus_graphs):
         )
         subject = [token() for _ in range(rng.randint(1, 2))]
         shared = [token() for _ in range(rng.randint(0, 3))]
-        a = templates.Clause(
+        a = narrator.Clause(
             subject + shared + [token() for _ in range(rng.randint(0, 4))],
             len(subject),
         )
-        b = templates.Clause(
+        b = narrator.Clause(
             subject + shared + [token() for _ in range(rng.randint(0, 4))],
             len(subject),
         )
@@ -180,8 +180,8 @@ def test_criterion_6_property_suites(movie_graph, movie_db, corpus_graphs):
 
     for _ in range(1000):
         a, b = random_clause_pair()
-        merged = templates.merge_common([a, b])
-        again = templates.merge_common(merged)
+        merged = narrator.merge_common([a, b])
+        again = narrator.merge_common(merged)
         assert [c.tokens for c in again] == [c.tokens for c in merged]
         before = sorted(a.tokens + b.tokens)
         if len(merged) == 1:

@@ -7,7 +7,7 @@ import pytest
 from conftest import CORPUS_NAMES, corpus_sql, upper_alias_refs
 from random_db import random_database
 
-from tabletalk import classifier, evaluator, parser, query_graph, translator
+from tabletalk import classifier, dot, evaluator, parser, query_graph, translator
 
 
 def outputs(text, graph, db):
@@ -17,7 +17,7 @@ def outputs(text, graph, db):
     result = translator.translate(qg, graph, cls)
     databases = [db] + [random_database(graph, seed, 6) for seed in (1, 2)]
     return (
-        query_graph.emit_dot(qg),
+        dot.emit_query_dot(qg),
         cls.label,
         cls.evidence,
         result.text,

@@ -149,3 +149,14 @@ class TestProperties:
             if after.label == "Path":
                 assert classifier._is_simple_path(qg)
                 assert not QG.shape(qg).cyclic
+
+
+def test_correlation_through_having_is_evidence(movie_graph):
+    ast = parser.parse_sql(
+        "select m.title from MOVIE m where exists "
+        "(select c.mid from CAST c group by c.mid having count(*) > m.year)"
+    )
+    parser.resolve_names(ast, movie_graph)
+    assert classify(QG.build(ast, movie_graph)).evidence == [
+        "nesting connectors: exists", "at least one subquery is correlated"
+    ]

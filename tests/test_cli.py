@@ -232,6 +232,38 @@ class TestExplainCommand:
         assert proc.returncode == 2
 
 
+class TestClosedStdin:
+    """With file descriptor 0 closed, `sys.stdin` is None: no SQL is piped."""
+
+    @staticmethod
+    def run(*args):
+        return subprocess.run(
+            ["sh", "-c", '"$0" -m tabletalk.cli "$@" <&-', sys.executable, *args],
+            capture_output=True, text=True, timeout=60,
+        )
+
+    @pytest.mark.parametrize("command", ["explain", "classify"])
+    def test_no_sql_is_the_usage_error(self, command):
+        proc = self.run(command, "--schema", SCHEMA)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"{USAGE[command]}tabletalk {command}: error: "
+            "a SQL query is required (argument or stdin)\n"
+        )
+
+    def test_graph_prints_the_schema_graph(self):
+        proc = self.run("graph", "--schema", SCHEMA)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout == run_cli("graph", "--schema", SCHEMA).stdout
+
+    def test_sql_given_as_an_argument_still_runs(self):
+        proc = self.run("explain", "--schema", SCHEMA, corpus_sql("q1"))
+        assert proc.returncode == 0
+        assert proc.stdout == "Find the titles of movies where the actor Brad Pitt plays\n"
+
+
 class TestClassifyCommand:
     def test_q8_label_and_evidence(self):
         proc = run_cli("classify", corpus_sql("q8"), "--schema", SCHEMA)

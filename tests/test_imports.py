@@ -40,11 +40,12 @@ def package(*names):
     return {f"tabletalk.{name}" for name in names}
 
 
-GRAPH = {"tabletalk"} | package("cli", "errors", "record", "schema", "templates")
-QUERY = GRAPH | package("parser", "ast_nodes", "query_graph")
+BASE = {"tabletalk"} | package("cli", "errors", "record", "schema", "templates")
+QUERY = BASE | package("parser", "ast_nodes", "query_graph")
 CLASSIFY = QUERY | package("classifier", "rewriter")
 NOT_NARRATE = package(
-    "parser", "ast_nodes", "query_graph", "classifier", "rewriter", "translator", "evaluator"
+    "parser", "ast_nodes", "query_graph", "classifier", "rewriter", "translator", "evaluator",
+    "dot",
 )
 NOT_EXPLAIN = package("data", "narrator", "evaluator")
 
@@ -53,13 +54,14 @@ SUBCOMMANDS = pytest.mark.parametrize(
     "args,stdin,expected,absent",
     [
         (("narrate", "--schema", SCHEMA, "--data", DATA), "",
-         GRAPH | package("data", "narrator"), NOT_NARRATE),
-        (("graph", "--schema", SCHEMA), "", GRAPH, NOT_NARRATE | NOT_EXPLAIN),
-        (("graph", "--schema", SCHEMA), corpus_sql("q7"), QUERY, NOT_EXPLAIN),
+         BASE | package("data", "narrator"), NOT_NARRATE),
+        (("graph", "--schema", SCHEMA), "", BASE | package("dot"),
+         NOT_NARRATE - package("dot") | NOT_EXPLAIN),
+        (("graph", "--schema", SCHEMA), corpus_sql("q7"), QUERY | package("dot"), NOT_EXPLAIN),
         (("classify", "--schema", SCHEMA), corpus_sql("q8"), CLASSIFY,
-         NOT_EXPLAIN | package("translator")),
+         NOT_EXPLAIN | package("translator", "dot")),
         (("explain", "--schema", SCHEMA), corpus_sql("q1"),
-         CLASSIFY | package("translator"), NOT_EXPLAIN),
+         CLASSIFY | package("translator"), NOT_EXPLAIN | package("dot")),
     ],
     ids=["narrate", "graph-schema", "graph-query", "classify", "explain"],
 )
@@ -80,6 +82,25 @@ def test_each_subcommand_loads_only_what_it_uses(args, stdin, expected, absent):
 @SUBCOMMANDS
 def test_no_subcommand_loads_dataclasses_inspect_or_typing(args, stdin, expected, absent):
     assert not loaded_by(CLI_PROBE, *args, stdin=stdin) & SLOW_STDLIB
+
+
+# Loaded by argparse (`gettext` and `locale` for its messages) and, for
+# `string`, compiled at import: about 6 ms of every subcommand's start.
+PARSER_STDLIB = {"argparse", "gettext", "locale", "string"}
+
+
+@SUBCOMMANDS
+def test_no_subcommand_loads_argparse_gettext_locale_or_string(args, stdin, expected, absent):
+    assert not loaded_by(CLI_PROBE, *args, stdin=stdin) & PARSER_STDLIB
+
+
+@pytest.mark.parametrize("args", [("--help",), ("explain", "-h"), ("frob",)])
+def test_help_and_usage_errors_load_no_parser_stdlib(args):
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_PROBE, *args], capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == (1 if args == ("frob",) else 0)
+    assert not set(json.loads(proc.stdout.splitlines()[-1])) & PARSER_STDLIB
 
 
 def test_bare_import_loads_no_submodule():

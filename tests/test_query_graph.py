@@ -6,6 +6,7 @@ from conftest import CORPUS_NAMES, built
 
 from tabletalk import parser, query_graph as QG
 from tabletalk.ast_nodes import Constant, ScalarSubquery
+from tabletalk.dot import emit_query_dot
 
 # A subquery predicate that names only outer aliases, one and two of them
 # (ROADMAP item 3).
@@ -18,6 +19,11 @@ ONE_OUTER_ALIAS = (
 TWO_OUTER_ALIASES = (
     "select g1.genre from GENRE g1, MOVIES m2 where g1.mid = m2.id and g1.mid in "
     "(select m3.id from MOVIES m3 where m2.title != g1.genre and m3.title = 'King Kong')"
+)
+# Correlated only through its HAVING clause.
+HAVING_OUTER = (
+    "select m.title from MOVIE m where exists "
+    "(select c.mid from CAST c group by c.mid having count(*) > m.year)"
 )
 
 
@@ -152,6 +158,15 @@ class TestBuild:
         assert not any(edge.crosses_nesting for edge in child.joins)
         assert qg.is_correlated()
 
+    def test_an_outer_alias_in_having_makes_the_block_correlated(self, movie_graph):
+        qg = built_sql(HAVING_OUTER, movie_graph)
+        child = qg.nested[0].child
+        assert [p.render() for p in child.having_outer] == ["count(*) > m.year"]
+        assert child.having_misc == child.having_outer  # still a HAVING condition
+        assert child.outer == []
+        assert child.is_correlated() and qg.is_correlated()
+        assert QG.shape(qg).correlated
+
 
 class TestShape:
     def test_q1_path_shape(self, corpus_graphs):
@@ -174,30 +189,30 @@ class TestShape:
 
 class TestDot:
     def test_q1_three_record_nodes(self, corpus_graphs):
-        dot = QG.emit_dot(corpus_graphs["q1"])
+        dot = emit_query_dot(corpus_graphs["q1"])
         assert dot.count("\\<\\<FROM\\>\\>") == 3
         assert "MOVIE m" in dot
 
     def test_q7_nested_cluster(self, corpus_graphs):
-        dot = QG.emit_dot(corpus_graphs["q7"])
+        dot = emit_query_dot(corpus_graphs["q7"])
         assert "subgraph cluster_NQ1" in dot
         assert "GROUP BY" in dot
 
     def test_no_edges_without_predicates(self, movie_graph):
         ast = parser.parse_sql("select m.title from MOVIE m")
         parser.resolve_names(ast, movie_graph)
-        dot = QG.emit_dot(QG.build(ast, movie_graph))
+        dot = emit_query_dot(QG.build(ast, movie_graph))
         assert "->" not in dot
 
     def test_deterministic(self, corpus_graphs):
         for name, qg in corpus_graphs.items():
-            assert QG.emit_dot(qg) == QG.emit_dot(qg), name
+            assert emit_query_dot(qg) == emit_query_dot(qg), name
 
     def test_every_edge_end_is_a_declared_node(self, movie_graph, emp_graph):
-        dots = [(QG.emit_dot(built(name, movie_graph)), name) for name in CORPUS_NAMES]
-        dots.append((QG.emit_dot(built("emp", emp_graph)), "emp"))
-        for sql in (ONE_OUTER_ALIAS, TWO_OUTER_ALIASES):
-            dots.append((QG.emit_dot(built_sql(sql, movie_graph)), sql))
+        dots = [(emit_query_dot(built(name, movie_graph)), name) for name in CORPUS_NAMES]
+        dots.append((emit_query_dot(built("emp", emp_graph)), "emp"))
+        for sql in (ONE_OUTER_ALIAS, TWO_OUTER_ALIASES, HAVING_OUTER):
+            dots.append((emit_query_dot(built_sql(sql, movie_graph)), sql))
         for dot, name in dots:
             nodes = set(re.findall(r'^ *"([^"]+)" \[', dot, re.M))
             ends = re.findall(r'^ *"([^"]+)" -> "([^"]+)"', dot, re.M)
@@ -205,13 +220,17 @@ class TestDot:
             assert [end for edge in ends for end in edge if end not in nodes] == [], name
 
     def test_outer_conditions_draw_dotted_edges_to_outer_nodes(self, movie_graph):
-        dot = QG.emit_dot(built_sql(TWO_OUTER_ALIASES, movie_graph))
+        dot = emit_query_dot(built_sql(TWO_OUTER_ALIASES, movie_graph))
         assert '"NQ1.m3" -> "m2" [style=dotted, label="m2.title != g1.genre"];' in dot
         assert '"NQ1.m3" -> "g1" [style=dotted, label="m2.title != g1.genre"];' in dot
         assert '"NQ1.m2"' not in dot
 
+    def test_an_outer_alias_in_having_draws_a_dotted_edge(self, movie_graph):
+        dot = emit_query_dot(built_sql(HAVING_OUTER, movie_graph))
+        assert '"NQ1.c" -> "m" [style=dotted, label="count(*) \\> m.year"];' in dot
+
     def test_q6_crossing_edges_resolve_through_nested_scopes(self, corpus_graphs):
-        dot = QG.emit_dot(corpus_graphs["q6"])
+        dot = emit_query_dot(corpus_graphs["q6"])
         assert '"NQ2.g2" -> "m"' in dot  # innermost to outer query
         assert '"NQ2.g2" -> "NQ1.g1"' in dot  # innermost to middle query
         assert "cluster_NQ2" in dot

@@ -213,6 +213,17 @@ class TestMotifs:
         for name in ("q1", "q2", "q3", "q4", "q5"):
             assert rewriter.detect_motifs(corpus_graphs[name]) == [], name
 
+    def test_all_over_a_grouping_child_is_not_superlative(self, movie_graph):
+        # Correlated through HAVING; the superlative frame would drop it.
+        ast = parser.parse_sql(
+            "select m.title from MOVIE m where m.year >= all (select m2.year from "
+            "MOVIE m2 group by m2.year having count(*) > m.id)"
+        )
+        parser.resolve_names(ast, movie_graph)
+        qg = QG.build(ast, movie_graph)
+        assert qg.nested[0].child.is_correlated()
+        assert rewriter.detect_motifs(qg) == []
+
     def test_uncorrelated_all_is_not_superlative(self, movie_graph):
         ast = parser.parse_sql(
             "select m.title from MOVIE m where m.year <= all "

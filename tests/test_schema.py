@@ -6,6 +6,7 @@ from conftest import FIXTURES
 
 from tabletalk import evaluator, parser, query_graph, schema, translator
 from tabletalk.data import load_data
+from tabletalk.dot import emit_dot
 from tabletalk.narrator import NarrationPlan, narrate
 from tabletalk.errors import (
     BadTemplate,
@@ -153,26 +154,26 @@ class TestRoundTrip:
 
 class TestDot:
     def test_movie_fixture_counts(self, movie_graph):
-        dot = schema.emit_dot(movie_graph)
+        dot = emit_dot(movie_graph)
         assert dot.count("[label=") == 6 + 5  # 6 nodes, 5 join edges
         assert dot.count("->") == 5
 
     def test_empty_graph_is_header_and_footer(self):
-        dot = schema.emit_dot(schema.SchemaGraph())
+        dot = emit_dot(schema.SchemaGraph())
         assert dot.startswith("digraph schema {")
         assert dot.rstrip().endswith("}")
         assert "->" not in dot
 
     def test_deterministic(self, movie_graph):
-        assert schema.emit_dot(movie_graph) == schema.emit_dot(movie_graph)
+        assert emit_dot(movie_graph) == emit_dot(movie_graph)
 
     def test_distinct_fixtures_render_distinct_graphs(
         self, movie_graph, split_graph, emp_graph
     ):
         outputs = {
-            schema.emit_dot(movie_graph),
-            schema.emit_dot(split_graph),
-            schema.emit_dot(emp_graph),
+            emit_dot(movie_graph),
+            emit_dot(split_graph),
+            emit_dot(emp_graph),
         }
         assert len(outputs) == 3
 
@@ -214,7 +215,7 @@ class TestNamesResolvedAtLoad:
         doc = _respelled_movies("lower-case join endpoint")
         graph = schema.loads(json.dumps(doc))
         assert '"from": "DIRECTED"' in schema.serialize(graph)
-        assert '"DIRECTED" -> "DIRECTOR"' in schema.emit_dot(graph)
+        assert '"DIRECTED" -> "DIRECTOR"' in emit_dot(graph)
 
     def test_validate_reports_a_template_edited_after_load(self, movie_graph):
         base = schema.loads(schema.serialize(movie_graph))

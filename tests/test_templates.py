@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabletalk import templates as T
+from tabletalk import narrator as N, templates as T
 from tabletalk.data import Row
 from tabletalk.errors import (
     EmptyLoopBody,
@@ -46,7 +46,7 @@ class TestParse:
         assert len(expr.parts) == 1
         loop = expr.parts[0]
         assert isinstance(loop, T.ListLoop)
-        assert [g for g, _ in loop.guards] == ["<", "="]
+        assert [arm.guard for arm in loop.arms] == ["<", "="]
         assert loop.alias == "MOVIE"
 
     def test_roundtrip(self):
@@ -54,9 +54,12 @@ class TestParse:
             MOVIE_LIST,
             '"As a director, " + {DIRECTOR.name} + "\'s work includes "',
             '{m.title:noun} + " x " + {m.title:heading}',
+            '"a \\"quoted\\" \\\\ path" + {m}',
         ):
-            rendered = T.render_template(T.parse_template(text))
-            assert T.render_template(T.parse_template(rendered)) == rendered
+            expr = T.parse_template(text)
+            rendered = render(expr)
+            assert T.parse_template(rendered) == expr
+            assert render(T.parse_template(rendered)) == rendered
 
     def test_unbalanced_braces(self):
         with pytest.raises(UnbalancedBraces):
@@ -99,6 +102,32 @@ class TestParse:
                 T.parse_template(text)
             except T.TemplateError:
                 pass
+
+
+def render(expr):
+    """Template text that parses back to `expr`."""
+    return " + ".join(map(_render_part, expr.parts))
+
+
+def _quoted(text):
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _render_part(part):
+    if isinstance(part, T.Literal):
+        return _quoted(part.text)
+    if isinstance(part, T.Placeholder):
+        inner = part.alias + (f".{part.attribute}" if part.attribute else "")
+        if part.variant not in ("value", "ref"):
+            inner += f":{part.variant}"
+        return "{" + inner + "}"
+    arms = [
+        f"[i {arm.guard} arityOf({part.alias}.{part.attribute})] "
+        + (f"{_quoted(arm.joiner)} + " if arm.joiner else "")
+        + f"{{ {render(arm.body)} }}"
+        for arm in part.arms
+    ]
+    return f"DEFINE {part.name} AS " + " ".join(arms)
 
 
 class TestInstantiate:
@@ -179,15 +208,15 @@ def test_instantiate_never_leaks_delimiters(source):
     assert "{" not in out and "}" not in out
 
 
-# --- merge_common --------------------------------------------------------
+# --- merge_common (the narrator's clause merging) -------------------------
 
 def clause(text, subject="S"):
-    return T.Clause.from_text(text, subject)
+    return N.Clause.from_text(text, subject)
 
 
 class TestMergeCommon:
     def test_birth_clauses_fuse(self):
-        merged = T.merge_common(
+        merged = N.merge_common(
             [
                 clause("DNAME was born in BLOCATION", "DNAME"),
                 clause("DNAME was born on BDATE", "DNAME"),
@@ -196,13 +225,13 @@ class TestMergeCommon:
         assert [c.text for c in merged] == ["DNAME was born in BLOCATION on BDATE"]
 
     def test_single_clause_unchanged(self):
-        merged = T.merge_common([clause("S alone here")])
+        merged = N.merge_common([clause("S alone here")])
         assert [c.text for c in merged] == ["S alone here"]
 
     def test_distinct_subjects_do_not_fuse(self):
         a = clause("The movie M1 is long", "The movie M1")
         b = clause("The movie M2 is short", "The movie M2")
-        merged = T.merge_common([a, b])
+        merged = N.merge_common([a, b])
         assert [c.text for c in merged] == [a.text, b.text]
 
 
@@ -215,16 +244,16 @@ def clause_pairs(draw):
     shared = draw(st.lists(_token, min_size=0, max_size=3))
     tail_a = draw(st.lists(_token, min_size=0, max_size=4))
     tail_b = draw(st.lists(_token, min_size=0, max_size=4))
-    a = T.Clause(subject + shared + tail_a, len(subject))
-    b = T.Clause(subject + shared + tail_b, len(subject))
+    a = N.Clause(subject + shared + tail_a, len(subject))
+    b = N.Clause(subject + shared + tail_b, len(subject))
     return a, b
 
 
 @given(clause_pairs())
 @settings(max_examples=1000, deadline=None)
 def test_merge_common_idempotent(pair):
-    once = T.merge_common(list(pair))
-    twice = T.merge_common(once)
+    once = N.merge_common(list(pair))
+    twice = N.merge_common(once)
     assert [c.tokens for c in twice] == [c.tokens for c in once]
 
 
@@ -232,7 +261,7 @@ def test_merge_common_idempotent(pair):
 @settings(max_examples=1000, deadline=None)
 def test_merge_common_conserves_tokens(pair):
     a, b = pair
-    merged = T.merge_common([a, b])
+    merged = N.merge_common([a, b])
     before = sorted(a.tokens + b.tokens)
     if len(merged) == 2:
         assert sorted(merged[0].tokens + merged[1].tokens) == before
