@@ -1,8 +1,9 @@
 import re
+from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS_NAMES, built
+from conftest import CORPUS_NAMES, built, corpus_sql
 
 from tabletalk import parser, query_graph as QG
 from tabletalk.ast_nodes import Constant, ScalarSubquery
@@ -25,6 +26,30 @@ HAVING_OUTER = (
     "select m.title from MOVIE m where exists "
     "(select c.mid from CAST c group by c.mid having count(*) > m.year)"
 )
+
+# Query DOT is pinned byte for byte: the corpus, emp.sql and these.
+DOT_GOLDEN_DIR = Path(__file__).parent / "golden" / "dot"
+DOT_GOLDEN_SQL = {
+    "order_by": "select m.title, m.year from MOVIE m order by m.year desc, m.title",
+    "count_distinct": (
+        "select d.name, count(distinct g.genre) from DIRECTOR d, DIRECTED r, GENRE g "
+        "where d.id = r.did and r.mid = g.mid group by d.name"
+    ),
+    "group_and_order": (
+        "select m.id, m.title, count(*) from MOVIE m, CAST c where m.id = c.mid "
+        "group by m.id, m.title having count(*) > 1 order by m.title desc, m.id"
+    ),
+    # Columns keep the spelling the query gives them, aliases their FROM one.
+    "spelling": "select M.TITLE from MOVIES m group by M.Title order by M.YEAR",
+    # A child's select list naming an enclosing alias adds no SELECT section.
+    "outer_select": (
+        "select m.title from MOVIE m where exists "
+        "(select m.year from CAST c where c.mid = m.id)"
+    ),
+    "one_outer_alias": ONE_OUTER_ALIAS,
+    "two_outer_aliases": TWO_OUTER_ALIASES,
+    "having_outer": HAVING_OUTER,
+}
 
 
 def built_sql(sql, graph):
@@ -187,7 +212,18 @@ class TestShape:
         assert not QG.shape(corpus_graphs["q3"]).cyclic
 
 
+def _dot_golden_graph(name, movie_graph, emp_graph):
+    if name == "emp":
+        return built("emp", emp_graph)
+    return built_sql(DOT_GOLDEN_SQL.get(name) or corpus_sql(name), movie_graph)
+
+
 class TestDot:
+    @pytest.mark.parametrize("name", [*CORPUS_NAMES, "emp", *DOT_GOLDEN_SQL])
+    def test_query_dot_golden(self, name, movie_graph, emp_graph):
+        dot = emit_query_dot(_dot_golden_graph(name, movie_graph, emp_graph))
+        assert dot == (DOT_GOLDEN_DIR / f"{name}.dot").read_text(), name
+
     def test_q1_three_record_nodes(self, corpus_graphs):
         dot = emit_query_dot(corpus_graphs["q1"])
         assert dot.count("\\<\\<FROM\\>\\>") == 3
