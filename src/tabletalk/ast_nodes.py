@@ -47,6 +47,10 @@ class CountDistinct(Record):
 
 
 class Star(Record):
+    # Every column of the FROM list, item by item in declared attribute
+    # order, as resolved ColumnRefs; set by resolve_names.
+    columns: list | None = field(None, init=False, shown=False)
+
     def render(self) -> str:
         return "*"
 
@@ -151,7 +155,7 @@ class Query(Record):
 
     def column_refs(self) -> list[ColumnRef]:
         """Every column reference in this query level (not in subqueries)."""
-        refs = [ref for item in self.select_items if (ref := _expr_ref(item.expr))]
+        refs = [ref for item in self.select_items if (ref := expr_ref(item.expr))]
         for pred in self.where:
             refs += pred_refs(pred)
         for pred in self.having:
@@ -175,7 +179,8 @@ def pred_subqueries(pred, site):
                 yield site, "compare_scalar", side.query
 
 
-def _expr_ref(expr) -> ColumnRef | None:
+def expr_ref(expr) -> ColumnRef | None:
+    """The column a select item or operand reads, counted or not, if any."""
     if isinstance(expr, ColumnRef):
         return expr
     if isinstance(expr, CountDistinct):
@@ -186,9 +191,9 @@ def _expr_ref(expr) -> ColumnRef | None:
 def pred_refs(pred) -> list[ColumnRef]:
     """The column references of one predicate, outside subqueries."""
     if isinstance(pred, Compare):
-        return [ref for side in (pred.lhs, pred.rhs) if (ref := _expr_ref(side))]
+        return [ref for side in (pred.lhs, pred.rhs) if (ref := expr_ref(side))]
     if isinstance(pred, CompareAll):
-        return [ref] if (ref := _expr_ref(pred.lhs)) else []
+        return [ref] if (ref := expr_ref(pred.lhs)) else []
     if isinstance(pred, InSubquery):
         return [pred.column]
     return []

@@ -37,12 +37,18 @@ def emit_query_dot(qg) -> str:
 
 def _emit_level(qg, lines, prefixes, counter):
     """`prefixes[k]` is the node id prefix of the block k levels out."""
-    from .ast_nodes import pred_refs  # loaded with any query graph
+    from .ast_nodes import expr_ref, pred_refs  # loaded with any query graph
 
-    prefix = prefixes[0]
+    prefix, query = prefixes[0], qg.query
+    selected = {}  # alias -> its columns in this block's select list, as written
+    for item in query.select_items:
+        ref = expr_ref(item.expr)
+        if ref and not ref.level:
+            text = ref.column if ref is item.expr else f"count(distinct {ref.column})"
+            selected.setdefault(ref.alias, []).append(text)
     for node in qg.nodes:
         sections = (
-            ("SELECT", ", ", [column for column, _ in node.select_part]),
+            ("SELECT", ", ", selected.get(node.alias, ())),
             ("WHERE", " and ", [pred.render() for pred in node.where_part]),
             ("HAVING", " and ", [pred.render() for pred in node.having_part]),
         )
@@ -50,8 +56,8 @@ def _emit_level(qg, lines, prefixes, counter):
         parts += [f"<<{title}>> {sep.join(items)}" for title, sep, items in sections if items]
         lines.append(f'  "{prefix}{node.alias}" [label="{_escape("|".join(parts))}"];')
     notes = (
-        ("groupby", "GROUP BY", [f"{a}.{c}" for a, c in qg.group_note or ()]),
-        ("orderby", "ORDER BY", [f"{a}.{c} {d}" for a, c, d in qg.order_note or ()]),
+        ("groupby", "GROUP BY", [f"{ref.alias}.{ref.column}" for ref in query.group_by]),
+        ("orderby", "ORDER BY", [f"{ref.alias}.{ref.column} {d}" for ref, d in query.order_by]),
     )
     for name, title, cols in notes:
         if cols:

@@ -53,7 +53,6 @@ from .ast_nodes import (
     InSubquery,
     Query,
     ScalarSubquery,
-    SelectItem,
     Star,
 )
 from .data import Database
@@ -78,7 +77,7 @@ class _Plan(Record):
 
     levels: list[tuple]  # per FROM item, in order; see _level
     nested: list  # WHERE conjuncts holding a subquery, for the last level
-    items: list[SelectItem]  # select items with stars expanded
+    items: list  # select expressions, each star as the columns it stands for
     columns: list[str]
     grouped: bool
     free: list[ColumnRef]  # one per column read from enclosing queries
@@ -105,12 +104,13 @@ def _plan(query: Query) -> _Plan:
     grouped = bool(query.group_by or query.having)
     for item in query.select_items:
         expr = item.expr
+        if isinstance(expr, Star):  # its columns are this block's own
+            items += expr.columns or ()
+            columns += [ref.column for ref in expr.columns or ()]
+            continue
         _read(expr, refs, blocks)
-        if isinstance(expr, Star):
-            items += [SelectItem(ColumnRef(f.alias, "*")) for f in query.from_items]
-        else:
-            items.append(item)
-            grouped = grouped or isinstance(expr, (CountStar, CountDistinct))
+        items.append(expr)
+        grouped = grouped or isinstance(expr, (CountStar, CountDistinct))
         columns.append(item.alias or (
             expr.column if isinstance(expr, ColumnRef) else expr.render()
         ))
@@ -216,7 +216,7 @@ class _Evaluation:
             return self._grouped(query, plan, envs, outer_env)
         keyed = []
         for env in envs:
-            out_row = tuple(_project(item, env, None) for item in plan.items)
+            out_row = tuple(_project(expr, env, None) for expr in plan.items)
             keyed.append((_order_key(query, env), out_row))
         return ResultSet(plan.columns, _ordered(query, keyed))
 
@@ -263,9 +263,7 @@ class _Evaluation:
             members = groups[key]
             rep = dict(members[0]) if members else dict(outer_env)
             if all(self._pred(p, rep, group=members) for p in query.having):
-                out_row = tuple(
-                    _project(item, rep, members) for item in query.select_items
-                )
+                out_row = tuple(_project(expr, rep, members) for expr in plan.items)
                 keyed.append((_order_key(query, rep), out_row))
         return ResultSet(plan.columns, _ordered(query, keyed))
 
@@ -370,11 +368,8 @@ def _order_key(query, env):
     return tuple(_value(col, env) for col, _ in query.order_by)
 
 
-def _project(item: SelectItem, env, group):
-    expr = item.expr
+def _project(expr, env, group):
     if isinstance(expr, ColumnRef):
-        if expr.column == "*":
-            return env[expr.alias].cells
         return _value(expr, env)
     if isinstance(expr, CountStar):
         if group is None:

@@ -346,7 +346,8 @@ def resolve_names(query: Query, graph) -> Query:
     a resolved query renders `M.title` as `m.title` over `FROM MOVIE m`)
     and its `level`: 0 when that FROM item is in the reference's own query
     block, k when it is k blocks out.  This is the only place `level` is
-    written.  The relation and column names the query used stay for
+    written.  A `*` in the select list gets the columns it stands for
+    (`Star.columns`).  The relation and column names the query used stay for
     rendering.  A count(*) or count(distinct ...) compared in a WHERE
     conjunct, at any level, raises SqlError: it belongs in HAVING.  So does
     an IN, ALL or scalar subquery whose select list is not exactly one
@@ -372,6 +373,11 @@ def _resolve_query(query: Query, names, outer_scopes):
     scopes = (scope,) + outer_scopes
     for ref in query.column_refs():
         _resolve_ref(ref, scopes)
+    for star in [item.expr for item in query.select_items if isinstance(item.expr, Star)]:
+        star.columns = [
+            ColumnRef(item.alias, attr.name, item.canonical, attr.name)
+            for item in query.from_items for attr in names.by_relation.get(item.canonical, ())
+        ]
     for pred in query.where:  # a count is of a group's rows, so HAVING only
         for side in (getattr(pred, "lhs", None), getattr(pred, "rhs", None)):
             if isinstance(side, (CountStar, CountDistinct)):

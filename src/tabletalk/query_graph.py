@@ -1,5 +1,11 @@
 """Query graph: one node per tuple variable, join edges, nested children.
 
+The graph holds what the resolved block does not say directly: how its
+predicates fall into node parts, join edges and the rest.  What the block
+says itself, its select list, GROUP BY and ORDER BY, is read from the
+block the graph keeps (`QueryGraph.query`), each column reference with
+the binding `resolve_names` gave it.
+
 Predicates are partitioned exactly once, by the `level` that
 `resolve_names` recorded on each column reference (0: bound in this
 block, k: k blocks out).  A WHERE comparison of local references goes to
@@ -16,14 +22,12 @@ connectors become nested child graphs.
 
 from __future__ import annotations
 
-
 from .ast_nodes import (
     ColumnRef,
     Compare,
     CountDistinct,
     CountStar,
     Query,
-    SelectItem,
     pred_subqueries,
 )
 from .record import Record, field
@@ -33,7 +37,6 @@ from .schema import SchemaGraph
 class QueryNode(Record):
     alias: str
     relation: str
-    select_part: list = field(factory=list)  # (attribute, output alias)
     where_part: list = field(factory=list)  # local Compare predicates
     having_part: list = field(factory=list)
 
@@ -58,15 +61,12 @@ class NestedQuery(Record):
 class QueryGraph(Record):
     nodes: list[QueryNode] = field(factory=list)
     joins: list[QueryJoinEdge] = field(factory=list)
-    group_note: list | None = None  # [(alias, attribute)]
-    order_note: list | None = None  # [(alias, attribute, direction)]
     nested: list[NestedQuery] = field(factory=list)
-    projections: list = field(factory=list)
     where_misc: list = field(factory=list)  # constant-only WHERE preds
     outer: list = field(factory=list)  # WHERE preds naming only enclosing aliases
     having_misc: list = field(factory=list)  # ownerless HAVING preds
     having_outer: list = field(factory=list)  # HAVING preds also naming an enclosing alias
-    query: Query | None = None
+    query: Query = field(factory=Query)  # the resolved block
 
     def node(self, alias: str) -> QueryNode | None:
         for node in self.nodes:
@@ -96,33 +96,11 @@ def build(ast: Query, graph: SchemaGraph) -> QueryGraph:
     qg = QueryGraph(query=ast)
     for item in ast.from_items:
         qg.nodes.append(QueryNode(item.alias, item.canonical or item.relation))
-
-    for item in ast.select_items:
-        qg.projections.append(item)
-        _note_projection(qg, item)
-
     for pred in ast.where:
         _place(qg, graph, pred, "where")
     for pred in ast.having:
         _place(qg, graph, pred, "having")
-
-    if ast.group_by:
-        qg.group_note = [(c.alias, c.column) for c in ast.group_by]
-    if ast.order_by:
-        qg.order_note = [(c.alias, c.column, d) for c, d in ast.order_by]
     return qg
-
-
-def _note_projection(qg: QueryGraph, item: SelectItem):
-    expr = item.expr
-    if isinstance(expr, ColumnRef):
-        node = qg.node(expr.alias)
-        if node is not None:
-            node.select_part.append((expr.column, item.alias))
-    elif isinstance(expr, CountDistinct):
-        node = qg.node(expr.column.alias)
-        if node is not None:
-            node.select_part.append((f"count(distinct {expr.column.column})", item.alias))
 
 
 def _place(qg, graph, pred, site):
@@ -204,7 +182,10 @@ def shape(qg: QueryGraph) -> ShapeReport:
     relations = [n.relation for n in qg.nodes]
     multi = len(set(relations)) < len(relations)
     cyclic = _has_cycle(qg)
-    has_aggregate = bool(qg.group_note) or _mentions_aggregate(qg)
+    query = qg.query
+    has_aggregate = bool(query.group_by) or any(
+        isinstance(item.expr, (CountStar, CountDistinct)) for item in query.select_items
+    )
     return ShapeReport(
         degrees=degrees,
         multi_instance=multi,
@@ -237,21 +218,3 @@ def _has_cycle(qg: QueryGraph) -> bool:
         parent[ra] = rb
     return False
 
-
-def _mentions_aggregate(qg: QueryGraph) -> bool:
-    for item in qg.projections:
-        if isinstance(item.expr, (CountStar, CountDistinct)):
-            return True
-    for node in qg.nodes:
-        for pred in node.having_part:
-            if _pred_has_aggregate(pred):
-                return True
-    return any(_pred_has_aggregate(p) for p in qg.having_misc)
-
-
-def _pred_has_aggregate(pred) -> bool:
-    if isinstance(pred, Compare):
-        return any(
-            isinstance(s, (CountStar, CountDistinct)) for s in (pred.lhs, pred.rhs)
-        )
-    return False

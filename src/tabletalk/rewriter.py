@@ -208,7 +208,7 @@ def _detect_superlative_all(qg: QueryGraph) -> list[Motif]:
         else:
             continue
         query = entry.child.query
-        if query is None or query.group_by or query.having or not entry.child.is_correlated():
+        if query.group_by or query.having or not entry.child.is_correlated():
             continue  # the frame has no room for a child's grouping
         select = query.select_items
         if len(select) != 1 or not isinstance(select[0].expr, ColumnRef):

@@ -141,12 +141,7 @@ class SchemaGraph(Record):
     def joins_between(self, a: str, b: str) -> list[JoinEdge]:
         a = self.relation(a).name
         b = self.relation(b).name
-        return [
-            e
-            for e in self.joins
-            if {e.from_relation, e.to_relation} == {a, b}
-            or (a == b and e.from_relation == e.to_relation == a)
-        ]
+        return [e for e in self.joins if {e.from_relation, e.to_relation} == {a, b}]
 
     def fk_backed(self, rel_a: str, attr_a: str, rel_b: str, attr_b: str) -> bool:
         """True when the pair of declared attributes, in either order, is the

@@ -22,6 +22,7 @@ from .ast_nodes import (
     CountStar,
     ScalarSubquery,
     Star,
+    expr_ref,
     pred_refs,
 )
 from .classifier import QueryClass, classify
@@ -246,7 +247,10 @@ def _fk_adjacency(qg: QueryGraph):
 
 def _is_relay(qg: QueryGraph, alias: str) -> bool:
     node = qg.node(alias)
-    if node.where_part or node.select_part or node.having_part:
+    if node.where_part or node.having_part:
+        return False
+    selected = (expr_ref(item.expr) for item in qg.query.select_items)
+    if any(ref and ref.alias == alias and not ref.level for ref in selected):
         return False
     for edge in qg.joins:
         if edge.crosses_nesting or edge.fk_backed:
@@ -339,7 +343,7 @@ def _attribute_slot(graph, refs, alias, attribute) -> str:
 
 def _projection_refs(qg: QueryGraph) -> list[ColumnRef]:
     return [
-        item.expr for item in qg.projections if isinstance(item.expr, ColumnRef)
+        item.expr for item in qg.query.select_items if isinstance(item.expr, ColumnRef)
     ]
 
 
@@ -361,14 +365,13 @@ def _translate_root_np(qg, graph, cls, notes) -> TranslationResult:
 
     proj_phrases = []
     for ref in _projection_refs(qg):
-        owner = qg.node(ref.alias)
-        attr = graph.attribute(owner.relation, ref.column)
+        attr = graph.attribute(ref.relation, ref.attribute)
+        owner_rel = graph.relation(ref.relation)
         if ref.alias == root:
             proj_phrases.append(attr.noun_plural)
-        elif ref.attribute == graph.relation(owner.relation).heading_attribute:
-            proj_phrases.append(graph.relation(owner.relation).noun_plural)
+        elif ref.attribute == owner_rel.heading_attribute:
+            proj_phrases.append(owner_rel.noun_plural)
         else:
-            owner_rel = graph.relation(owner.relation)
             proj_phrases.append(f"{attr.noun_plural} of {owner_rel.noun_plural}")
 
     premods: list[str] = []
@@ -413,12 +416,11 @@ def _translate_root_np(qg, graph, cls, notes) -> TranslationResult:
 
 
 def _sort_phrase(qg, graph, refs) -> str:
-    if not qg.order_note:
+    if not qg.query.order_by:
         return ""
     cols = [
-        _attribute_phrase(graph, refs, a, qg.node(a).relation, c)
-        + (" in descending order" if d == "desc" else "")
-        for a, c, d in qg.order_note
+        _operand_phrase(ref, graph, refs) + (" in descending order" if d == "desc" else "")
+        for ref, d in qg.query.order_by
     ]
     return f"sorted by {listed(cols)}"
 
@@ -447,8 +449,7 @@ def _translate_itemized(qg, graph, cls, notes) -> TranslationResult:
     consumed: set[int] = set()
     adj = _fk_adjacency(qg)
     for ref in _projection_refs(qg):
-        owner = qg.node(ref.alias)
-        attr = graph.attribute(owner.relation, ref.column)
+        attr = graph.attribute(ref.relation, ref.attribute)
         item = f"the {attr.noun_singular} of {refs.mention(ref.alias)}"
         for chain in _chains(qg, graph, adj, ref.alias, consumed, lambda e, n: id(e)):
             phrase = _match_phrase(graph, qg, chain)
@@ -473,7 +474,7 @@ def _division_frame(qg, graph, motif) -> str | None:
     if len(qg.nodes) != 1 or qg.joins or len(qg.nested) != 1:
         return None
     node = qg.nodes[0]
-    if node.where_part or node.having_part or qg.where_misc or qg.having_misc or qg.order_note:
+    if node.where_part or node.having_part or qg.where_misc or qg.having_misc or qg.query.order_by:
         return None
     heading = graph.relation(node.relation).heading_attribute
     for ref in _projection_refs(qg):
@@ -487,12 +488,10 @@ def _division_frame(qg, graph, motif) -> str | None:
 
 def _same_value_frame(qg, graph, motif) -> str | None:
     """Find <group plural> whose <counted plural> are all in the same <attr>."""
-    if qg.group_note is None:
+    groups = {(ref.alias, ref.relation) for ref in qg.query.group_by}
+    if len(groups) != 1:
         return None
-    group_aliases = {alias for alias, _ in qg.group_note}
-    if len(group_aliases) != 1:
-        return None
-    group_alias = next(iter(group_aliases))
+    [(group_alias, group_relation)] = groups
     for ref in _projection_refs(qg):
         if ref.alias != group_alias:
             return None
@@ -502,7 +501,7 @@ def _same_value_frame(qg, graph, motif) -> str | None:
         return None
     if any(not e.fk_backed for e in qg.joins if not e.crosses_nesting):
         return None
-    group_rel = graph.relation(qg.node(group_alias).relation)
+    group_rel = graph.relation(group_relation)
     counted_rel = graph.relation(motif.params["relation"])
     attr = graph.attribute(motif.params["relation"], motif.params["attribute"])
     return (
@@ -548,8 +547,13 @@ def _procedural_steps(qg, graph, cls=None, outer=None) -> list[str]:
             steps.append("For each " + ", and for each ".join(pending))
             pending.clear()
 
+    adj = _fk_adjacency(qg)
     for node in qg.nodes:
-        link = _fk_link(qg, node.alias, placed, consumed_edges)
+        link = next(
+            ((edge, prev) for edge, prev in adj[node.alias]
+             if id(edge) not in consumed_edges and prev in placed),
+            None,
+        )
         if link is None:
             flush_follow()
             steps.append(f"Consider each {refs.noun(node.alias)} ({node.alias})")
@@ -575,11 +579,8 @@ def _procedural_steps(qg, graph, cls=None, outer=None) -> list[str]:
         ("combinations", "where", where_preds),
         ("groups", "having", having_preds),
     ):
-        if site == "having" and qg.group_note:
-            cols = [
-                _attribute_phrase(graph, refs, a, qg.node(a).relation, c)
-                for a, c in qg.group_note
-            ]
+        if site == "having" and qg.query.group_by:
+            cols = [_operand_phrase(ref, graph, refs) for ref in qg.query.group_by]
             steps.append(f"Group the combinations by {listed(cols)}")
         conditions = [lexicalize_predicate(p, graph, refs, heading=False) for p in preds]
         conditions += [
@@ -589,33 +590,21 @@ def _procedural_steps(qg, graph, cls=None, outer=None) -> list[str]:
         ]
         steps.extend(f"Keep {rows} where {c}" for c in conditions)
 
-    if qg.order_note:
+    if qg.query.order_by:
         cols = [
-            _attribute_phrase(graph, refs, a, qg.node(a).relation, c)
+            _operand_phrase(ref, graph, refs)
             + f" ({'descending' if d == 'desc' else 'ascending'})"
-            for a, c, d in qg.order_note
+            for ref, d in qg.query.order_by
         ]
         steps.append(f"Sort the results by {listed(cols)}")
 
     report = [
         "every column" if isinstance(item.expr, Star)
         else _operand_phrase(item.expr, graph, refs)
-        for item in qg.projections
+        for item in qg.query.select_items
     ]
     steps.append(f"Report {listed(report)}")
     return steps
-
-
-def _fk_link(qg, alias, placed, consumed):
-    for edge in qg.joins:
-        if edge.crosses_nesting or not edge.fk_backed or id(edge) in consumed:
-            continue
-        a, b = edge.ends
-        if alias == a and b in placed:
-            return edge, b
-        if alias == b and a in placed:
-            return edge, a
-    return None
 
 
 def _nested_phrase(entry, motifs, graph, refs) -> str:
@@ -647,14 +636,15 @@ def _nested_phrase(entry, motifs, graph, refs) -> str:
         rhs = pred.rhs
         if isinstance(rhs, ScalarSubquery):
             left = _operand_phrase(lhs, graph, refs)
-            return f"{left} {LEXICON[pred.op]} {_scalar_child(rhs.query, child, graph, refs)}"
-        left = _scalar_child(lhs.query, child, graph, refs)
+            return f"{left} {LEXICON[pred.op]} {_scalar_child(child, graph, refs)}"
+        left = _scalar_child(child, graph, refs)
         return f"{left} {LEXICON[pred.op]} {_operand_phrase(rhs, graph, refs)}"
     return f"a nested condition holds over {_inline_child(child, graph, refs)}"
 
 
-def _scalar_child(query, child: QueryGraph, graph, outer_refs) -> str:
+def _scalar_child(child: QueryGraph, graph, outer_refs) -> str:
     """Correlated count(*) scalars read as "the number of X for which ..."."""
+    query = child.query
     if (
         len(child.nodes) == 1
         and len(query.select_items) == 1

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import CORPUS_NAMES, corpus_sql
 
-from tabletalk import classifier, parser, query_graph as QG, rewriter, translator
+from tabletalk import parser, query_graph as QG, rewriter, translator
 from tabletalk.ast_nodes import ColumnRef, Compare
 from tabletalk.classifier import LABELS, classify
 from tabletalk.errors import NotFlattenable
@@ -131,7 +131,7 @@ class TestProperties:
             assert result.label in LABELS
             assert len(result.evidence) >= 1
 
-    def test_adding_an_edge_keeps_path_only_if_still_a_path(self):
+    def test_a_chord_on_a_path_makes_it_cyclic(self):
         rng = random.Random(11)
         relations = ["MOVIE", "GENRE", "DIRECTOR", "CAST", "ACTOR"]
         for _ in range(200):
@@ -145,10 +145,9 @@ class TestProperties:
             assert classify(qg).label == "Path"
             a, b = rng.sample(range(n), 2)
             qg.joins.append(_edge(f"t{a}", f"t{b}", "j", "=", False))
-            after = classify(qg)
-            if after.label == "Path":
-                assert classifier._is_simple_path(qg)
-                assert not QG.shape(qg).cyclic
+            # A non-key edge between two nodes of a path closes a cycle.
+            assert classify(qg).label == "GraphCyclic"
+            assert QG.shape(qg).cyclic
 
 
 def test_correlation_through_having_is_evidence(movie_graph):

@@ -603,6 +603,12 @@ EXTRA_SQL = {
         "select m.title from MOVIES m where exists (select c.role from CAST c "
         "where c.mid = m.id order by c.role desc)"
     ),
+    # A star stands for every column of the FROM list, flat.
+    "star_join": "select * from MOVIES m, GENRE g where m.id = g.mid",
+    "exists_grouped_star": (
+        "select m.title from MOVIES m where exists (select * from CAST c "
+        "where c.mid = m.id group by c.aid)"
+    ),
     # Most movies share their title with several later ones.
     "not_exists_many_witnesses": (
         "select m.title, m.year from MOVIES m where not exists (select * from "
@@ -673,3 +679,10 @@ def test_agrees_with_sqlite_on_larger_databases(movie_graph):
             pairs += 1
             nonempty += bool(rows)
     assert nonempty >= 0.2 * pairs, (nonempty, pairs)
+
+
+def test_a_star_names_every_column_of_the_from_list(movie_graph, movie_db):
+    sql = "select * from MOVIES m, GENRE g where m.id = g.mid"
+    result = evaluate(parser.resolve_names(parser.parse_sql(sql), movie_graph), movie_db)
+    assert result.columns == ["id", "title", "year", "mid", "genre"]  # as sqlite3 names them
+    assert result.rows and {len(row) for row in result.rows} == {5}

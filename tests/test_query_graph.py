@@ -6,7 +6,7 @@ import pytest
 from conftest import CORPUS_NAMES, built, corpus_sql
 
 from tabletalk import parser, query_graph as QG
-from tabletalk.ast_nodes import Constant, ScalarSubquery
+from tabletalk.ast_nodes import Constant, Query, ScalarSubquery
 from tabletalk.dot import emit_query_dot
 
 # A subquery predicate that names only outer aliases, one and two of them
@@ -117,13 +117,19 @@ class TestBuild:
         ]
 
     def test_group_and_order_notes(self, corpus_graphs, movie_graph):
-        assert corpus_graphs["q7"].group_note == [("m", "id"), ("m", "title")]
-        ast = parser.parse_sql(
-            "select m.title from MOVIE m order by m.year desc, m.title"
-        )
-        parser.resolve_names(ast, movie_graph)
-        qg = QG.build(ast, movie_graph)
-        assert qg.order_note == [("m", "year", "desc"), ("m", "title", "asc")]
+        # GROUP BY and ORDER BY are read from the resolved block, bindings and all.
+        group_by = corpus_graphs["q7"].query.group_by
+        assert [(c.alias, c.relation, c.attribute) for c in group_by] == [
+            ("m", "MOVIE", "id"), ("m", "MOVIE", "title")
+        ]
+        qg = built_sql("select m.title from MOVIES M order by m.YEAR desc, m.title", movie_graph)
+        assert [(c.alias, c.relation, c.attribute, d) for c, d in qg.query.order_by] == [
+            ("M", "MOVIE", "year", "desc"), ("M", "MOVIE", "title", "asc")
+        ]
+
+    def test_a_hand_built_graph_holds_an_empty_block(self):
+        qg = QG.QueryGraph(nodes=[QG.QueryNode("m", "MOVIE")])
+        assert qg.query == Query() and not QG.shape(qg).has_aggregate
 
     def test_node_count_conservation(self, corpus_graphs):
         def count_nodes(qg):
@@ -210,6 +216,22 @@ class TestShape:
 
     def test_self_join_edges_do_not_count_as_cycles(self, corpus_graphs):
         assert not QG.shape(corpus_graphs["q3"]).cyclic
+
+    @pytest.mark.parametrize("sql", [
+        "select m.title from MOVIE m group by m.title",
+        "select count(*) from MOVIE m",
+        "select count(distinct m.year) from MOVIE m",
+    ], ids=["group_by", "count", "count_distinct"])
+    def test_a_group_by_or_a_count_alone_is_an_aggregate(self, movie_graph, sql):
+        assert QG.shape(built_sql(sql, movie_graph)).has_aggregate
+
+    def test_a_count_in_a_child_only_is_no_aggregate(self, movie_graph):
+        qg = built_sql(
+            "select m.title from MOVIE m where 1 < "
+            "(select count(*) from CAST c where c.mid = m.id)", movie_graph
+        )
+        assert not QG.shape(qg).has_aggregate
+        assert QG.shape(qg.nested[0].child).has_aggregate
 
 
 def _dot_golden_graph(name, movie_graph, emp_graph):

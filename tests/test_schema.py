@@ -99,6 +99,16 @@ class TestLoad:
         assert results[shouted][1].rows == results[plain][1].rows
         assert results[shouted][1].columns == ["TITLE"]
 
+    def test_joins_between_finds_a_self_join_edge(self):
+        doc = json.loads((FIXTURES / "emp.schema.json").read_text())
+        doc["relations"][0]["attributes"].append({"name": "mgr"})
+        doc["joins"].append({"from": "EMP", "to": "EMP", "from_key": "mgr", "to_key": "eid"})
+        graph = schema.loads(json.dumps(doc))
+        (edge,) = graph.joins_between("emp", "EMP")
+        assert (edge.from_key, edge.to_key) == ("mgr", "eid")
+        assert edge not in graph.joins_between("EMP", "DEPT")
+        assert len(graph.joins_between("DEPT", "EMP")) == 2
+
     def test_weights_default_to_one(self):
         graph = mini()
         assert graph.relation("A").weight == 1
