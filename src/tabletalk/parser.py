@@ -373,11 +373,12 @@ def _resolve_query(query: Query, names, outer_scopes):
     scopes = (scope,) + outer_scopes
     for ref in query.column_refs():
         _resolve_ref(ref, scopes)
-    for star in [item.expr for item in query.select_items if isinstance(item.expr, Star)]:
-        star.columns = [
-            ColumnRef(item.alias, attr.name, item.canonical, attr.name)
-            for item in query.from_items for attr in names.by_relation.get(item.canonical, ())
-        ]
+    for select in query.select_items:
+        if isinstance(select.expr, Star):  # every column of the FROM list
+            select.expr.columns = [
+                ColumnRef(item.alias, attr.name, item.canonical, attr.name)
+                for item in query.from_items for attr in names.by_relation.get(item.canonical, ())
+            ]
     for pred in query.where:  # a count is of a group's rows, so HAVING only
         for side in (getattr(pred, "lhs", None), getattr(pred, "rhs", None)):
             if isinstance(side, (CountStar, CountDistinct)):

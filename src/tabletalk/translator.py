@@ -249,9 +249,10 @@ def _is_relay(qg: QueryGraph, alias: str) -> bool:
     node = qg.node(alias)
     if node.where_part or node.having_part:
         return False
-    selected = (expr_ref(item.expr) for item in qg.query.select_items)
-    if any(ref and ref.alias == alias and not ref.level for ref in selected):
-        return False
+    for item in qg.query.select_items:
+        ref = expr_ref(item.expr)
+        if ref and ref.alias == alias and not ref.level:
+            return False
     for edge in qg.joins:
         if edge.crosses_nesting or edge.fk_backed:
             continue
@@ -366,10 +367,9 @@ def _translate_root_np(qg, graph, cls, notes) -> TranslationResult:
     proj_phrases = []
     for ref in _projection_refs(qg):
         attr = graph.attribute(ref.relation, ref.attribute)
-        owner_rel = graph.relation(ref.relation)
         if ref.alias == root:
             proj_phrases.append(attr.noun_plural)
-        elif ref.attribute == owner_rel.heading_attribute:
+        elif ref.attribute == (owner_rel := graph.relation(ref.relation)).heading_attribute:
             proj_phrases.append(owner_rel.noun_plural)
         else:
             proj_phrases.append(f"{attr.noun_plural} of {owner_rel.noun_plural}")
@@ -549,16 +549,12 @@ def _procedural_steps(qg, graph, cls=None, outer=None) -> list[str]:
 
     adj = _fk_adjacency(qg)
     for node in qg.nodes:
-        link = next(
-            ((edge, prev) for edge, prev in adj[node.alias]
-             if id(edge) not in consumed_edges and prev in placed),
-            None,
-        )
-        if link is None:
+        links = [(e, a) for e, a in adj[node.alias] if id(e) not in consumed_edges and a in placed]
+        if not links:
             flush_follow()
             steps.append(f"Consider each {refs.noun(node.alias)} ({node.alias})")
         else:
-            edge, prev = link
+            edge, prev = links[0]
             consumed_edges.add(id(edge))
             rel = graph.relation(node.relation)
             verb = "" if pending else "bring in "
