@@ -27,8 +27,8 @@ def emit_query_dot(qg) -> str:
     """A QueryGraph in DOT: a record-shaped node per tuple variable, and
     dashed edges into nested children, each in its own NQ<i> cluster.
     Dotted edges show correlation, from a child to each enclosing node it
-    names: from the node of a crossing edge, or from the child's first node
-    for an outer condition or a HAVING comparison."""
+    names: from the local node of a crossing comparison, or from the
+    child's first node for an outer condition or a HAVING comparison."""
     lines = ["digraph query {", "  rankdir=LR;", "  node [shape=record];"]
     _emit_level(qg, lines, ("",), [0])
     lines.append("}")
@@ -64,13 +64,12 @@ def _emit_level(qg, lines, prefixes, counter):
             label = _escape(f"<<{title}>> {', '.join(cols)}")
             lines.append(f'  "{prefix}{name}" [shape=note, label="{label}"];')
     for edge in qg.joins:
-        if not edge.crosses_nesting:
-            src, dst = edge.ends
-            style = "solid" if edge.fk_backed else "bold"
-            lines.append(
-                f'  "{prefix}{src}" -> "{prefix}{dst}" '
-                f'[label="{_escape(edge.pred.render())}", style={style}];'
-            )
+        src, dst = edge.ends
+        style = "solid" if edge.fk_backed else "bold"
+        lines.append(
+            f'  "{prefix}{src}" -> "{prefix}{dst}" '
+            f'[label="{_escape(edge.pred.render())}", style={style}];'
+        )
     for entry in qg.nested:
         counter[0] += 1
         name = f"NQ{counter[0]}"
@@ -84,13 +83,12 @@ def _emit_level(qg, lines, prefixes, counter):
                 f'  "{prefix}{qg.nodes[0].alias}" -> "{child_prefix}{child.nodes[0].alias}" '
                 f'[style=dashed, label="{entry.connector}"];'
             )
-        for edge in child.joins:
-            if edge.crosses_nesting:
-                src, dst = edge.pred.lhs, edge.pred.rhs  # dst.level blocks out of the child
-                lines.append(
-                    f'  "{child_prefix}{src.alias}" -> "{prefixes[dst.level - 1]}{dst.alias}" '
-                    f'[style=dotted, label="{_escape(edge.pred.render())}"];'
-                )
+        for pred in child.crossing:
+            src, dst = pred.lhs, pred.rhs  # dst.level blocks out of the child
+            lines.append(
+                f'  "{child_prefix}{src.alias}" -> "{prefixes[dst.level - 1]}{dst.alias}" '
+                f'[style=dotted, label="{_escape(pred.render())}"];'
+            )
         for pred in child.outer + child.having_outer:
             anchor = f"{child_prefix}{child.nodes[0].alias}"
             label = _escape(pred.render())

@@ -216,7 +216,7 @@ class _Evaluation:
             return self._grouped(query, plan, envs, outer_env)
         keyed = []
         for env in envs:
-            out_row = tuple(_project(expr, env, None) for expr in plan.items)
+            out_row = tuple(self._operand(expr, env) for expr in plan.items)
             keyed.append((_order_key(query, env), out_row))
         return ResultSet(plan.columns, _ordered(query, keyed))
 
@@ -263,7 +263,7 @@ class _Evaluation:
             members = groups[key]
             rep = dict(members[0]) if members else dict(outer_env)
             if all(self._pred(p, rep, group=members) for p in query.having):
-                out_row = tuple(_project(expr, rep, members) for expr in plan.items)
+                out_row = tuple(self._operand(expr, rep, members) for expr in plan.items)
                 keyed.append((_order_key(query, rep), out_row))
         return ResultSet(plan.columns, _ordered(query, keyed))
 
@@ -366,22 +366,6 @@ def _sort_token(value):
 
 def _order_key(query, env):
     return tuple(_value(col, env) for col, _ in query.order_by)
-
-
-def _project(expr, env, group):
-    if isinstance(expr, ColumnRef):
-        return _value(expr, env)
-    if isinstance(expr, CountStar):
-        if group is None:
-            raise SqlError("count(*) outside a grouped query")
-        return len(group)
-    if isinstance(expr, CountDistinct):
-        if group is None:
-            raise SqlError("count(distinct ...) outside a grouped query")
-        return _count_distinct(expr, group)
-    if isinstance(expr, Constant):
-        return expr.value
-    raise SqlError(f"cannot project {expr!r}")
 
 
 def _count_distinct(expr: CountDistinct, group) -> int:

@@ -306,9 +306,7 @@ def _walk(graph, db, plan, mode, traversal, rows, sentences, diagnostics):
         if not target_rows:
             diagnostics.append(_skipped(plan, relation, step, reached, "step"))
             return
-        text = _step_template(step, mode)
-        if text:
-            sentences.append(_finish(_fill(graph, text, bindings)))
+        sentences.append(_finish(_fill(graph, _step_template(step, mode), bindings)))
         if mode == "procedural":
             for row in target_rows:
                 for clause in _attribute_clauses(graph, step.target, row):
@@ -327,10 +325,7 @@ def _split(graph, db, plan, mode, relation, steps, rows, sentences, diagnostics)
         if not target_rows:
             diagnostics.append(_skipped(plan, relation, step, reached, "branch"))
             continue
-        text = _step_template(step, mode)
-        if not text:
-            continue
-        clause = _fill(graph, text, bindings)
+        clause = _fill(graph, _step_template(step, mode), bindings)
         # Declarative mode folds branch content into a relative clause;
         # procedural mode spells it out as separate simple sentences.
         covered = False
@@ -349,7 +344,7 @@ def _split(graph, db, plan, mode, relation, steps, rows, sentences, diagnostics)
     sentences.extend(_finish(t) for t in deferred)
 
 
-def _step_template(step: _Step, mode: str) -> str | None:
+def _step_template(step: _Step, mode: str) -> str:
     if mode == "procedural" and step.procedural_template:
         return step.procedural_template
     return step.template

@@ -9,15 +9,15 @@ the binding `resolve_names` gave it.
 Predicates are partitioned exactly once, by the `level` that
 `resolve_names` recorded on each column reference (0: bound in this
 block, k: k blocks out).  A WHERE comparison of local references goes to
-its node's WHERE part (one alias) or becomes a join edge (two); one of
-constants alone goes to `where_misc`; one naming a local and an
-enclosing alias is a join edge crossing the nesting boundary, local side
-first; one naming only enclosing aliases is an *outer condition*
-(`outer`), which makes the block correlated as a crossing edge does.
-HAVING comparisons go to the HAVING part of the node they count or name,
-others to `having_misc`; one that also names an enclosing alias is listed
-in `having_outer` too, and makes the block correlated.  Subquery
-connectors become nested child graphs.
+its node's WHERE part (one alias) or becomes a join edge (two), so
+`joins` holds this block's joins alone; one of constants alone goes to
+`where_misc`; one naming a local and an enclosing alias is a *crossing*
+comparison (`crossing`), mirrored so that its local side comes first;
+one naming only enclosing aliases is an *outer condition* (`outer`).
+Either makes the block correlated.  HAVING comparisons go to the HAVING
+part of the node they count or name, others to `having_misc`; one that
+also names an enclosing alias is listed in `having_outer` too, and makes
+the block correlated.  Subquery connectors become nested child graphs.
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ class QueryNode(Record):
 
 
 class QueryJoinEdge(Record):
-    pred: Compare  # resolved column-to-column comparison; crossing: child side first
+    pred: Compare  # resolved comparison of two local columns
     fk_backed: bool = False
-    crosses_nesting: bool = False
 
     @property
     def ends(self) -> tuple[str, str]:
@@ -60,7 +59,8 @@ class NestedQuery(Record):
 
 class QueryGraph(Record):
     nodes: list[QueryNode] = field(factory=list)
-    joins: list[QueryJoinEdge] = field(factory=list)
+    joins: list[QueryJoinEdge] = field(factory=list)  # this block's own
+    crossing: list = field(factory=list)  # WHERE Compares of a local and an enclosing column
     nested: list[NestedQuery] = field(factory=list)
     where_misc: list = field(factory=list)  # constant-only WHERE preds
     outer: list = field(factory=list)  # WHERE preds naming only enclosing aliases
@@ -84,10 +84,8 @@ class QueryGraph(Record):
     def is_correlated(self) -> bool:
         """True when this block or one nested in it, at any depth, names an
         alias of a block that encloses it."""
-        return (
-            bool(self.outer or self.having_outer)
-            or any(e.crosses_nesting for e in self.joins)
-            or any(entry.child.is_correlated() for entry in self.nested)
+        return bool(self.crossing or self.outer or self.having_outer) or any(
+            entry.child.is_correlated() for entry in self.nested
         )
 
 
@@ -136,15 +134,15 @@ def _place_compare(qg, graph, pred: Compare, site):
         qg.node(refs[0].alias).where_part.append(pred)
     else:
         lhs, rhs = refs
-        crossing = bool(lhs.level or rhs.level)
-        if lhs.level:  # keep the child-local side first on crossing edges
-            pred = Compare(rhs, _MIRROR[pred.op], lhs)
-        fk = (
-            pred.op == "="
-            and not crossing
-            and graph.fk_backed(lhs.relation, lhs.attribute, rhs.relation, rhs.attribute)
-        )
-        qg.joins.append(QueryJoinEdge(pred, fk_backed=fk, crosses_nesting=crossing))
+        if lhs.level:  # keep the local side first
+            qg.crossing.append(Compare(rhs, _MIRROR[pred.op], lhs))
+        elif rhs.level:
+            qg.crossing.append(pred)
+        else:
+            fk = pred.op == "=" and graph.fk_backed(
+                lhs.relation, lhs.attribute, rhs.relation, rhs.attribute
+            )
+            qg.joins.append(QueryJoinEdge(pred, fk_backed=fk))
 
 
 _MIRROR = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
@@ -175,8 +173,6 @@ def shape(qg: QueryGraph) -> ShapeReport:
     """
     degrees = {n.alias: 0 for n in qg.nodes}
     for edge in qg.joins:
-        if edge.crosses_nesting:
-            continue
         for alias in edge.ends:
             degrees[alias] += 1
     relations = [n.relation for n in qg.nodes]
@@ -207,8 +203,6 @@ def _has_cycle(qg: QueryGraph) -> bool:
 
     by_alias = {n.alias: n for n in qg.nodes}
     for edge in qg.joins:
-        if edge.crosses_nesting:
-            continue
         a, b = edge.ends
         if by_alias[a].relation == by_alias[b].relation:
             continue  # self-join edge: multi-instance evidence, not a cycle

@@ -107,9 +107,6 @@ def _renamed(node, renames: dict):
         if lhs is node.lhs and rhs is node.rhs:
             return node
         return Compare(lhs, node.op, rhs)
-    if isinstance(node, CountDistinct):
-        column = _renamed(node.column, renames)
-        return node if column is node.column else CountDistinct(column)
     if isinstance(node, ColumnRef) and node.alias in renames:
         return ColumnRef(renames[node.alias], node.column, node.relation, node.attribute)
     return node
@@ -144,8 +141,8 @@ def _detect_division(qg: QueryGraph) -> list[Motif]:
         for inner_entry in middle.nested:
             if inner_entry.connector != "not_exists":
                 continue
-            # The outer end of a crossing edge binds 1 (middle) or 2 blocks out.
-            levels = {e.pred.rhs.level for e in inner_entry.child.joins if e.crosses_nesting}
+            # The outer side of a crossing comparison binds 1 (middle) or 2 blocks out.
+            levels = {p.rhs.level for p in inner_entry.child.crossing}
             if {1, 2} <= levels and qg.nodes and middle.nodes:
                 out.append(
                     Motif(

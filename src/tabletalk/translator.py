@@ -109,7 +109,7 @@ class _References:
             level, refs = level + 1, refs.outer if shared else None
         self.counts = counts
         self.mentioned: set[str] = set()
-        self.consumed_preds: set[int] = set()
+        self.said: set[int] = set()  # id() of each predicate the text already says
 
     def noun(self, alias: str) -> str:
         return self.graph.relation(self.index[0, alias][0]).noun_singular
@@ -124,7 +124,7 @@ class _References:
         """Narrative-flow reference: a movie / another actor / the movie."""
         pred = self.heading_constant(alias)
         if pred is not None:
-            self.consumed_preds.add(id(pred))
+            self.said.add(id(pred))
             self.mentioned.add(alias)
             return f"the {self.noun(alias)} {pred.rhs.value}"
         relation, ordinal = self.index[0, alias]
@@ -237,11 +237,10 @@ def _attribute_phrase(graph, refs, alias, relation, column, level=0) -> str:
 def _fk_adjacency(qg: QueryGraph):
     adj: dict[str, list] = {n.alias: [] for n in qg.nodes}
     for edge in qg.joins:
-        if edge.crosses_nesting or not edge.fk_backed:
-            continue
-        a, b = edge.ends
-        adj[a].append((edge, b))
-        adj[b].append((edge, a))
+        if edge.fk_backed:
+            a, b = edge.ends
+            adj[a].append((edge, b))
+            adj[b].append((edge, a))
     return adj
 
 
@@ -254,9 +253,7 @@ def _is_relay(qg: QueryGraph, alias: str) -> bool:
         if ref and ref.alias == alias and not ref.level:
             return False
     for edge in qg.joins:
-        if edge.crosses_nesting or edge.fk_backed:
-            continue
-        if alias in edge.ends:
+        if not edge.fk_backed and alias in edge.ends:
             return False
     return True
 
@@ -336,13 +333,13 @@ def _attribute_slot(graph, refs, alias, attribute) -> str:
     pred = _binding(node, attribute)
     if pred is None:
         return _attribute_phrase(graph, refs, alias, node.relation, attribute)
-    refs.consumed_preds.add(id(pred))
+    refs.said.add(id(pred))
     return str(pred.rhs.value)
 
 
 # --- declarative pipelines ------------------------------------------------
 
-def _projection_refs(qg: QueryGraph) -> list[ColumnRef]:
+def _selected_columns(qg: QueryGraph) -> list[ColumnRef]:
     return [
         item.expr for item in qg.query.select_items if isinstance(item.expr, ColumnRef)
     ]
@@ -350,7 +347,7 @@ def _projection_refs(qg: QueryGraph) -> list[ColumnRef]:
 
 def _pick_root(qg: QueryGraph, graph: SchemaGraph) -> str:
     owners = []
-    for ref in _projection_refs(qg):
+    for ref in _selected_columns(qg):
         if ref.alias not in owners:
             owners.append(ref.alias)
     if not owners:
@@ -365,7 +362,7 @@ def _translate_root_np(qg, graph, cls, notes) -> TranslationResult:
     root_rel = graph.relation(root_node.relation)
 
     proj_phrases = []
-    for ref in _projection_refs(qg):
+    for ref in _selected_columns(qg):
         attr = graph.attribute(ref.relation, ref.attribute)
         if ref.alias == root:
             proj_phrases.append(attr.noun_plural)
@@ -392,14 +389,15 @@ def _translate_root_np(qg, graph, cls, notes) -> TranslationResult:
 
     head_pred = refs.heading_constant(root)
     if head_pred is not None:
-        refs.consumed_preds.add(id(head_pred))
+        refs.said.add(id(head_pred))
         core = " ".join(premods + [root_rel.noun_singular])
         np = f"the {core} {head_pred.rhs.value}"
     else:
         np = " ".join(premods + [root_rel.noun_plural])
     refs.mentioned.add(root)
 
-    conditions = _leftover_conditions(qg, graph, refs)
+    refs.said.update(id(e.pred) for e in qg.joins if e.fk_backed)  # the noun phrase implies them
+    conditions = _conditions(qg, graph, refs, heading=True)
     opening = "Find"
     if proj_phrases:
         opening += f" the {listed(proj_phrases)} of {np}"
@@ -425,33 +423,28 @@ def _sort_phrase(qg, graph, refs) -> str:
     return f"sorted by {listed(cols)}"
 
 
-def _leftover_conditions(qg, graph, refs) -> list[str]:
-    """Non-key joins, unconsumed WHERE parts and ownerless conjuncts
-    (constant-only ones first) of a flat query level."""
-    out = []
-    for edge in qg.joins:
-        if edge.crosses_nesting or edge.fk_backed:
-            continue
-        out.append(lexicalize_predicate(edge.pred, graph, refs, heading=False))
-    for node in qg.nodes:
-        for pred in node.where_part:
-            if id(pred) in refs.consumed_preds:
-                continue
-            out.append(lexicalize_predicate(pred, graph, refs))
-    for pred in qg.where_misc + qg.having_misc:
-        out.append(lexicalize_predicate(pred, graph, refs, heading=False))
-    return out
+def _conditions(qg, graph, refs, heading=False) -> list[str]:
+    """A block's WHERE comparisons, each worded unless `refs.said` holds
+    it: joins, node parts, constant-only ones, then outer conditions."""
+    preds = [edge.pred for edge in qg.joins]
+    preds += [pred for node in qg.nodes for pred in node.where_part]
+    preds += qg.where_misc + qg.outer
+    return [
+        lexicalize_predicate(pred, graph, refs, heading)
+        for pred in preds
+        if id(pred) not in refs.said
+    ]
 
 
 def _translate_itemized(qg, graph, cls, notes) -> TranslationResult:
     refs = _References(qg, graph)
     items: list[str] = []
-    consumed: set[int] = set()
+    claimed: set[int] = set()
     adj = _fk_adjacency(qg)
-    for ref in _projection_refs(qg):
+    for ref in _selected_columns(qg):
         attr = graph.attribute(ref.relation, ref.attribute)
         item = f"the {attr.noun_singular} of {refs.mention(ref.alias)}"
-        for chain in _chains(qg, graph, adj, ref.alias, consumed, lambda e, n: id(e)):
+        for chain in _chains(qg, graph, adj, ref.alias, claimed, lambda e, n: id(e)):
             phrase = _match_phrase(graph, qg, chain)
             if phrase is None:
                 continue
@@ -459,7 +452,8 @@ def _translate_itemized(qg, graph, cls, notes) -> TranslationResult:
             if not premod:
                 item += f" {text}"
         items.append(item)
-    items.extend(_leftover_conditions(qg, graph, refs))
+    refs.said.update(id(e.pred) for e in qg.joins if e.fk_backed)  # the noun phrase implies them
+    items.extend(_conditions(qg, graph, refs, heading=True))
     text = "Find " + ", and ".join(items)
     sort = _sort_phrase(qg, graph, refs)
     if sort:
@@ -477,7 +471,7 @@ def _division_frame(qg, graph, motif) -> str | None:
     if node.where_part or node.having_part or qg.where_misc or qg.having_misc or qg.query.order_by:
         return None
     heading = graph.relation(node.relation).heading_attribute
-    for ref in _projection_refs(qg):
+    for ref in _selected_columns(qg):
         # The frame speaks of whole entities; only heading projections fit.
         if ref.alias != node.alias or ref.attribute != heading:
             return None
@@ -492,14 +486,14 @@ def _same_value_frame(qg, graph, motif) -> str | None:
     if len(groups) != 1:
         return None
     [(group_alias, group_relation)] = groups
-    for ref in _projection_refs(qg):
+    for ref in _selected_columns(qg):
         if ref.alias != group_alias:
             return None
     if any(n.where_part for n in qg.nodes) or qg.nested or qg.where_misc or qg.having_misc:
         return None
     if sum(len(n.having_part) for n in qg.nodes) != 1:  # the motif's own only
         return None
-    if any(not e.fk_backed for e in qg.joins if not e.crosses_nesting):
+    if any(not e.fk_backed for e in qg.joins):
         return None
     group_rel = graph.relation(group_relation)
     counted_rel = graph.relation(motif.params["relation"])
@@ -537,7 +531,6 @@ def _procedural_steps(qg, graph, cls=None, outer=None) -> list[str]:
     motifs = cls.motifs if cls is not None else rewriter.detect_motifs(qg)
     refs = _References(qg, graph, outer)
     steps: list[str] = []
-    consumed_edges: set[int] = set()
 
     placed: list[str] = []
     pending: list[str] = []  # follow-phrases accumulated for one step
@@ -549,42 +542,29 @@ def _procedural_steps(qg, graph, cls=None, outer=None) -> list[str]:
 
     adj = _fk_adjacency(qg)
     for node in qg.nodes:
-        links = [(e, a) for e, a in adj[node.alias] if id(e) not in consumed_edges and a in placed]
+        links = [(e, a) for e, a in adj[node.alias] if id(e.pred) not in refs.said and a in placed]
         if not links:
             flush_follow()
             steps.append(f"Consider each {refs.noun(node.alias)} ({node.alias})")
         else:
             edge, prev = links[0]
-            consumed_edges.add(id(edge))
+            refs.said.add(id(edge.pred))
             rel = graph.relation(node.relation)
             verb = "" if pending else "bring in "
             pending.append(f"{refs.noun(prev)}, {verb}its {rel.noun_plural} ({node.alias})")
         placed.append(node.alias)
     flush_follow()
 
-    where_preds = [
-        edge.pred
-        for edge in qg.joins
-        if not edge.crosses_nesting and id(edge) not in consumed_edges
-    ]
-    where_preds += [pred for node in qg.nodes for pred in node.where_part]
-    where_preds += qg.where_misc + qg.outer
-    having_preds = [pred for node in qg.nodes for pred in node.having_part]
-    having_preds += qg.having_misc
-    for rows, site, preds in (
-        ("combinations", "where", where_preds),
-        ("groups", "having", having_preds),
-    ):
-        if site == "having" and qg.query.group_by:
-            cols = [_operand_phrase(ref, graph, refs) for ref in qg.query.group_by]
-            steps.append(f"Group the combinations by {listed(cols)}")
-        conditions = [lexicalize_predicate(p, graph, refs, heading=False) for p in preds]
-        conditions += [
-            _nested_phrase(entry, motifs, graph, refs)
-            for entry in qg.nested
-            if entry.site == site
-        ]
+    def keep(rows, site, conditions):
+        conditions += [_nested_phrase(e, motifs, graph, refs) for e in qg.nested if e.site == site]
         steps.extend(f"Keep {rows} where {c}" for c in conditions)
+
+    keep("combinations", "where", _conditions(qg, graph, refs))
+    if qg.query.group_by:
+        cols = [_operand_phrase(ref, graph, refs) for ref in qg.query.group_by]
+        steps.append(f"Group the combinations by {listed(cols)}")
+    having = [pred for node in qg.nodes for pred in node.having_part] + qg.having_misc
+    keep("groups", "having", [lexicalize_predicate(p, graph, refs, heading=False) for p in having])
 
     if qg.query.order_by:
         cols = [
@@ -649,9 +629,8 @@ def _scalar_child(child: QueryGraph, graph, outer_refs) -> str:
         node = child.nodes[0]
         rel = graph.relation(node.relation)
         refs = _References(child, graph, outer_refs, shared=True)
-        preds = [edge.pred for edge in child.joins] + node.where_part
-        preds += child.where_misc + child.outer
-        conditions = [lexicalize_predicate(p, graph, refs, heading=False) for p in preds]
+        conditions = [lexicalize_predicate(p, graph, refs, heading=False) for p in child.crossing]
+        conditions += _conditions(child, graph, refs)  # a one-node child has no join
         motifs = rewriter.detect_motifs(child)
         conditions += [_nested_phrase(e, motifs, graph, refs) for e in child.nested]
         if conditions:

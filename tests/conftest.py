@@ -1,3 +1,5 @@
+import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,20 @@ def corpus_sql(name: str) -> str:
 
 
 CORPUS_NAMES = ["q1", "q2", "q3", "q4", "q5", "q6", "q7", "q8", "q9"]
+
+
+def generated_sql(seed, count):
+    """`count` texts of the benchmark's seeded SqlStream, each also with
+    every numbered alias cut to its letter (`m1`, `m2` become `m`), so
+    that nested FROM items collide with outer ones and get renamed."""
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    stream = gen.SqlStream(seed, {name: corpus_sql(name) for name in gen.CORPUS})
+    for _ in range(count):
+        text = stream.next()[1]
+        yield text
+        yield re.sub(r"\b([a-z])\d+\b", r"\1", text)
 
 
 def upper_alias_refs(text: str) -> str:

@@ -614,6 +614,15 @@ EXTRA_SQL = {
         "select m.title, m.year from MOVIES m where not exists (select * from "
         "MOVIES m2 where m2.title = m.title and m2.year > m.year)"
     ),
+    # A scalar subquery that returns no row compares as NULL: never true.
+    "scalar_always_empty": (
+        "select m.title from MOVIES m where m.year != (select m2.year from "
+        "MOVIES m2 where m2.id = 0)"
+    ),
+    "scalar_empty_for_some": (
+        "select m.title, m.year from MOVIES m where m.year >= (select m2.year "
+        "from MOVIES m2 where m2.id = m.id and m2.year > 2000)"
+    ),
 }
 
 

@@ -3,11 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS_NAMES, built, corpus_sql
+from conftest import CORPUS_NAMES, built, corpus_sql, generated_sql
 
 from tabletalk import parser, query_graph as QG
-from tabletalk.ast_nodes import Constant, Query, ScalarSubquery
+from tabletalk.ast_nodes import Compare, Constant, Query, ScalarSubquery
 from tabletalk.dot import emit_query_dot
+from tabletalk.errors import TabletalkError
 
 # A subquery predicate that names only outer aliases, one and two of them
 # (ROADMAP item 3).
@@ -86,9 +87,8 @@ class TestBuild:
         assert entry.connector == "compare_scalar"
         assert entry.site == "having"
         assert [n.relation for n in entry.child.nodes] == ["GENRE"]
-        crossing = [e for e in entry.child.joins if e.crosses_nesting]
-        assert len(crossing) == 1
-        assert crossing[0].pred.render() == "g.mid = m.id"
+        assert entry.child.joins == []
+        assert [pred.render() for pred in entry.child.crossing] == ["g.mid = m.id"]
 
     def test_crossing_edge_keeps_the_child_side_first(self, movie_graph):
         ast = parser.parse_sql(
@@ -96,10 +96,11 @@ class TestBuild:
             "(select c.mid from CAST c where m.id < c.mid)"
         )
         parser.resolve_names(ast, movie_graph)
-        (edge,) = QG.build(ast, movie_graph).nested[0].child.joins
-        assert edge.pred.render() == "c.mid > m.id"
-        assert (edge.pred.lhs.relation, edge.pred.rhs.relation) == ("CAST", "MOVIE")
-        assert edge.crosses_nesting
+        child = QG.build(ast, movie_graph).nested[0].child
+        (pred,) = child.crossing
+        assert pred.render() == "c.mid > m.id"
+        assert (pred.lhs.relation, pred.rhs.relation) == ("CAST", "MOVIE")
+        assert child.joins == []
 
     def test_two_scalar_subqueries_nest_only_the_left_one(self, movie_graph):
         # The parser puts a subquery on the right only; a built AST may not.
@@ -153,17 +154,50 @@ class TestBuild:
             ast_preds = len(ast.where) + len(ast.having)
             placed = (
                 sum(len(n.where_part) + len(n.having_part) for n in qg.nodes)
-                + len([e for e in qg.joins if not e.crosses_nesting])
+                + len(qg.joins) + len(qg.crossing) + len(qg.outer)
                 + len(qg.where_misc) + len(qg.having_misc)
                 + len(qg.nested)
             )
             assert placed == ast_preds, name
 
+    def test_every_block_files_each_conjunct_once(self, movie_graph):
+        # Every WHERE and HAVING conjunct of every block, the corpus's and
+        # generated ones, lands in exactly one place; `having_outer` is a
+        # view of HAVING conditions filed elsewhere, so it does not count.
+        # `joins` holds this block's joins only, and a crossing comparison
+        # has its local side first.
+        texts = [corpus_sql(name) for name in CORPUS_NAMES] + list(generated_sql(2, 500))
+        blocks = crossing = 0
+        for text in texts:
+            try:
+                qg = built_sql(text, movie_graph)
+            except TabletalkError:
+                continue
+            pending = [qg]
+            while pending:
+                block = pending.pop()
+                pending.extend(entry.child for entry in block.nested)
+                conjuncts = block.query.where + block.query.having
+                filed = [pred for node in block.nodes for pred in node.where_part + node.having_part]
+                filed += [edge.pred for edge in block.joins] + block.where_misc + block.outer
+                filed += block.having_misc + [entry.predicate for entry in block.nested]
+                for pred in block.crossing:
+                    assert isinstance(pred, Compare) and not pred.lhs.level and pred.rhs.level
+                    # Filed as written, or mirrored: the same two sides swapped.
+                    filed += [
+                        c for c in conjuncts
+                        if c is pred or (getattr(c, "lhs", None) is pred.rhs and c.rhs is pred.lhs)
+                    ]
+                for edge in block.joins:
+                    assert not edge.pred.lhs.level and not edge.pred.rhs.level, text
+                assert sorted(map(id, filed)) == sorted(map(id, conjuncts)), text
+                blocks += 1
+                crossing += len(block.crossing)
+        assert blocks > 1000 and crossing > 100
+
     def test_fk_backed_matches_schema_key_pairs(self, corpus_graphs, movie_graph):
         for name, qg in corpus_graphs.items():
             for edge in qg.joins:
-                if edge.crosses_nesting:
-                    continue
                 a, b = edge.pred.lhs, edge.pred.rhs
                 expected = edge.pred.op == "=" and movie_graph.fk_backed(
                     a.relation, a.attribute, b.relation, b.attribute
@@ -186,7 +220,7 @@ class TestBuild:
         child = qg.nested[0].child
         assert [p.render() for p in child.outer] == [outer]
         assert child.having_misc == child.query.having  # count(*) > 1 only
-        assert not any(edge.crosses_nesting for edge in child.joins)
+        assert child.crossing == []
         assert qg.is_correlated()
 
     def test_an_outer_alias_in_having_makes_the_block_correlated(self, movie_graph):

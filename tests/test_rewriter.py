@@ -1,14 +1,13 @@
 import copy
-import importlib.util
-import re
 from collections import Counter
 
 import pytest
 
-from conftest import CORPUS_NAMES, ROOT, corpus_sql, resolved
+from conftest import CORPUS_NAMES, ROOT, corpus_sql, generated_sql, resolved
 from random_db import random_database
 
 from tabletalk import evaluator, parser, query_graph as QG, rewriter
+from tabletalk.classifier import classify
 from tabletalk.ast_nodes import Compare, InSubquery
 from tabletalk.errors import NotFlattenable, TabletalkError
 
@@ -124,20 +123,6 @@ def _reference_level(query):
     query.where = new_where
 
 
-def generated_sql(seed, count):
-    """`count` texts of the benchmark's seeded SqlStream, each also with
-    every numbered alias cut to its letter (`m1`, `m2` become `m`), so
-    that nested FROM items collide with outer ones and get renamed."""
-    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    stream = gen.SqlStream(seed, {name: corpus_sql(name) for name in gen.CORPUS})
-    for _ in range(count):
-        text = stream.next()[1]
-        yield text
-        yield re.sub(r"\b([a-z])\d+\b", r"\1", text)
-
-
 def flattenable_inputs(movie_graph, emp_graph):
     texts = [(corpus_sql(name), movie_graph) for name in CORPUS_NAMES]
     texts.append(((ROOT / "fixtures" / "queries" / "emp.sql").read_text(), emp_graph))
@@ -223,6 +208,34 @@ class TestMotifs:
         qg = QG.build(ast, movie_graph)
         assert qg.nested[0].child.is_correlated()
         assert rewriter.detect_motifs(qg) == []
+
+    @pytest.mark.parametrize("sql", [
+        # SuperlativeAll: an ALL comparison that is no min or max of its own column.
+        "select m.title from MOVIE m where m.year = all "
+        "(select m2.year from MOVIE m2 where m2.title = m.title)",
+        "select m.title from MOVIE m where 2000 <= all "
+        "(select m2.year from MOVIE m2 where m2.title = m.title)",
+        "select m.title from MOVIE m where m.year <= all "
+        "(select count(*) from MOVIE m2 where m2.title = m.title)",
+        "select m.title from MOVIE m where m.year <= all "
+        "(select m2.id from MOVIE m2 where m2.title = m.title)",
+        "select m.title from MOVIE m where m.id <= all "
+        "(select a.id from ACTOR a where a.name = m.title)",
+        # Division: both connectors must be NOT EXISTS.
+        "select m.title from MOVIE m where not exists (select * from GENRE g1 where "
+        "exists (select * from GENRE g2 where g2.mid = m.id and g2.genre = g1.genre))",
+        "select m.title from MOVIE m where exists (select * from GENRE g1 where "
+        "not exists (select * from GENRE g2 where g2.mid = m.id and g2.genre = g1.genre))",
+        # SameValue: the distinct count must equal 1.
+        "select a.id from MOVIE m, CAST c, ACTOR a where m.id = c.mid and c.aid = a.id "
+        "group by a.id having count(distinct m.year) = 2",
+    ], ids=[
+        "all_equal", "constant_lhs", "count_child", "other_attribute", "other_relation",
+        "inner_exists", "outer_exists", "distinct_count_two",
+    ])
+    def test_a_near_miss_classifies_with_no_motif(self, movie_graph, sql):
+        qg = QG.build(parser.resolve_names(parser.parse_sql(sql), movie_graph), movie_graph)
+        assert classify(qg).motifs == []
 
     def test_uncorrelated_all_is_not_superlative(self, movie_graph):
         ast = parser.parse_sql(

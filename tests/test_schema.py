@@ -153,6 +153,112 @@ class TestValidate:
         assert schema.validate(base)
 
 
+# MINI with a third relation C, also joined to A, for route checks.
+MINI3 = copy.deepcopy(MINI)
+MINI3["relations"].append({"name": "C", "heading": "w", "attributes": [{"name": "w"}, {"name": "aref"}]})
+MINI3["joins"].append({"from": "C", "to": "A", "from_key": "aref", "to_key": "x"})
+
+
+def _set(path, value):
+    """An edit of MINI3 that sets the item at `path` (keys and indexes)."""
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+def _template(text):
+    return _set(("relations", 0, "attributes", 1, "template"), text)
+
+
+def _phrase(route, text='"x"'):
+    return _set(("phrases",), [{"route": route, "text": text}])
+
+
+LOAD_FINDINGS = {
+    "duplicate_relation": (
+        lambda doc: doc["relations"].append({"name": "a", "heading": "q", "attributes": [{"name": "q"}]}),
+        MalformedDocument, "duplicate relation a",
+    ),
+    "duplicate_attribute": (
+        lambda doc: doc["relations"][0]["attributes"].append({"name": "Y"}),
+        MalformedDocument, "duplicate attribute A.Y",
+    ),
+    "negative_attribute_weight": (
+        _set(("relations", 0, "attributes", 1, "weight"), -1),
+        MalformedDocument, "attribute A.y: negative weight",
+    ),
+    "short_join_path": (
+        lambda doc: doc["joins"].append({"path": ["B", "A"], "template": '"x"'}),
+        MalformedDocument, "join path ['B', 'A'] shorter than 3 relations",
+    ),
+    "short_phrase_route": (
+        _phrase(["A"]), MalformedDocument, "phrase route ['A'] shorter than 2 relations",
+    ),
+    "route_names_unknown_relation": (
+        _phrase(["A", "Z"]), DanglingReference, "phrase route names unknown relation 'Z'",
+    ),
+    "route_without_join_edge": (
+        _phrase(["B", "C"]), MalformedDocument,
+        "phrase route ['B', 'C']: no join edge between B and C",
+    ),
+    "placeholder_names_unknown_relation": (
+        _template("{Z.y}"), DanglingReference,
+        "projection A.y: placeholder names unknown relation 'Z'",
+    ),
+    "placeholder_off_its_route": (
+        _phrase(["B", "A"], "{C}"), DanglingReference,
+        "phrase B-A: placeholder alias 'C' is not on the route",
+    ),
+    "top_level_not_an_object": (
+        None, MalformedDocument, "top level must be a JSON object",
+    ),
+    "missing_required_key": (
+        lambda doc: doc["relations"][0].pop("name"), MalformedDocument,
+        f"missing required key 'name' in {dict(list(MINI3['relations'][0].items())[1:])!r}",
+    ),
+    "loop_without_as": (
+        _template('DEFINE L [i < arityOf(A.y)] { {A.y} } [i = arityOf(A.y)] { {A.y} }'),
+        BadTemplate, "projection A.y: expected AS after DEFINE L",
+    ),
+    "loop_arms_bind_different_aliases": (
+        _template('DEFINE L AS [i < arityOf(A.y)] { {A.y} } [i = arityOf(B.z)] { {B.z} }'),
+        BadTemplate, "projection A.y: loop arms bind different aliases: A, B",
+    ),
+    "loop_without_i": (
+        _template('DEFINE L AS [j < arityOf(A.y)] { {A.y} } [i = arityOf(A.y)] { {A.y} }'),
+        BadTemplate, "projection A.y: expected loop variable 'i' at position 13",
+    ),
+    "loop_without_arity_of": (
+        _template('DEFINE L AS [i < count(A.y)] { {A.y} } [i = arityOf(A.y)] { {A.y} }'),
+        BadTemplate, "projection A.y: expected arityOf at position 17",
+    ),
+}
+
+
+class TestLoadTimeChecks:
+    @pytest.mark.parametrize("edit,kind,message", LOAD_FINDINGS.values(), ids=LOAD_FINDINGS)
+    def test_load_raises_the_first_finding(self, edit, kind, message):
+        doc = copy.deepcopy(MINI3)
+        assert schema.loads(json.dumps(doc)).warnings == []
+        if edit is None:
+            doc = [doc]
+        else:
+            edit(doc)
+        with pytest.raises(kind) as err:
+            schema.loads(json.dumps(doc))
+        assert str(err.value) == message
+
+    def test_a_duplicate_projection_edge_is_reported_after_load(self):
+        # At load an attribute's duplicate always comes first, so this
+        # finding is reached through validate on an edited graph.
+        graph = mini()
+        graph.projections.append(graph.projections[1])
+        assert schema.validate(graph) == ["duplicate projection edge A.y"]
+
+
 class TestRoundTrip:
     def test_serialize_then_load_is_identity(
         self, movie_graph, split_graph, emp_graph
