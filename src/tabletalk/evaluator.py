@@ -12,29 +12,30 @@ The first evaluation of a name-resolved query plans every block in one
 bottom-up pass and keeps each plan on its block (`Query.plan`), so later
 calls reuse it against any database: a block edited after its first
 evaluation is not seen.  A block that resolve_names has not annotated
-raises SqlError and keeps no plan.  A plan holds nothing tied to a
-database: the block's free column references (those naming an alias
-that no FROM list inside it binds), and each plain comparison, one of
-columns and constants only, decoded into a flat check: an alias and
-attribute or a constant per side, and an operator function, which the
-binding loop applies directly.  Only conjuncts holding a subquery go
-through the general predicate code.  So a hand-built AST with an
-unknown operator, or with an alias that no block binds, raises SqlError
-before any row is read.  Shortcuts then save repeated work without
-changing any result or its row order.  A level with a check `x.a =
-<constant>`, or `x.a = y.b` with y bound at an earlier level or outside
-the query, reads only the rows the Database's join index holds for that
-value, in load order, and skips that check, which each of them passes;
-each call ties the levels to its database's tables and indexes first.
-A subquery's answer is kept for the call, per distinct value of its
-free column references, in the form its connector needs: EXISTS keeps a
-bool, found by binding the child only up to the first binding that
-passes WHERE (a semi-join, unless the child groups or aggregates); IN
-keeps the set of the child's one column; a scalar or ALL comparison
-keeps the child's rows.  So EXISTS never raises an SqlError that only a
-binding after its witness would (a two-value scalar subquery); SQL
-engines short-circuit it too.  The tests and the benchmark check
-results against sqlite3, independently of this module.
+raises SqlError and keeps no plan.  A plan is its block decoded once into
+closures over aliases, attributes, constants and child blocks, never a
+database: one per FROM level, fixed to its row source and its flat checks
+(comparisons of columns and constants); one per HAVING conjunct and per
+WHERE conjunct holding a subquery; and readers of (alias, attribute)
+pairs for the select list, the GROUP BY key and the memo key.  The binding loop only calls them, and
+a block that does not group projects each passing binding where it is
+found.  Cells are read through `Row.cell`, looked up at each read.  So a
+hand-built AST with an unknown operator in a flat check, or with an alias
+that no block binds, raises SqlError before any row is read.  Shortcuts
+then save repeated work without changing any result or its row order.  A
+level with a check `x.a = <constant>`, or `x.a = y.b` with y bound at an
+earlier level or outside the query, reads only the rows the Database's
+join index holds for that value, in load order, and skips that check,
+which each of them passes; each call ties the levels to its database's
+tables and indexes first.  A subquery's answer is kept for the call, per
+distinct value of its free column references, in the form its connector
+needs: EXISTS keeps a bool, found by binding the child only up to the
+first binding that passes WHERE (a semi-join, unless the child groups or
+aggregates); IN keeps the set of the child's one column; a scalar or ALL
+comparison keeps the child's rows.  So EXISTS never raises an SqlError
+that only a binding after its witness would (a two-value scalar
+subquery); SQL engines short-circuit it too.  The tests and the benchmark
+check results against sqlite3, independently of this module.
 """
 
 from __future__ import annotations
@@ -75,12 +76,15 @@ def evaluate(ast: Query, db: Database) -> ResultSet:
 class _Plan(Record):
     """What evaluating one query block needs, whatever the database."""
 
-    levels: list[tuple]  # per FROM item, in order; see _level
-    nested: list  # WHERE conjuncts holding a subquery, for the last level
+    levels: list[tuple]  # per FROM item, what _Evaluation._source ties to a database
+    bind: object  # the closure binding the first level; see _stage
+    having: list  # per HAVING conjunct, its closure; see _test
     items: list  # select expressions, each star as the columns it stands for
+    group: object  # reads a binding's GROUP BY key, or None if not grouped
+    project: object  # reads a binding's output row, or None if grouped
     columns: list[str]
-    grouped: bool
     free: list[ColumnRef]  # one per column read from enclosing queries
+    key: object  # reads the cells of free: the block's memo key
     blocks: list[Query]  # every block nested in this one, at any depth
 
 
@@ -94,9 +98,10 @@ def _plan(query: Query) -> _Plan:
     side has alias None and its value for attribute.  It is filed at
     the level of the deepest alias of this block it names (outer
     aliases and constants are ready at level 0), in declared order.
-    Any other conjunct waits for the last level, after its checks.  A
-    block's free references are its own plus its children's.  A block
-    that resolve_names has not annotated raises before its plan is kept.
+    Any other conjunct becomes a closure (see _test) that waits for the
+    last level, after its checks.  A block's free references are its
+    own plus its children's.  A block that resolve_names has not
+    annotated raises before its plan is kept.
     """
     depth = {item.alias: i for i, item in enumerate(query.from_items)}
     checks, nested, refs, blocks = [[] for _ in query.from_items], [], [], []
@@ -121,16 +126,21 @@ def _plan(query: Query) -> _Plan:
             level = max(depth.get(a, 0), depth.get(b, 0))
             checks[level].append((a, x, _operator(pred.op), b, y))
         else:
-            nested.append(pred)
+            nested.append(_test(pred))
     for pred in query.having:
         for expr in _operands(pred):
             _read(expr, refs, blocks)
     refs += query.group_by
     refs += [col for col, _ in query.order_by]
-    free = {(ref.alias, ref.attribute): ref for ref in refs if ref.alias not in depth}
-    levels = list(map(_level, query.from_items, checks))
+    free = list({(r.alias, r.attribute): r for r in refs if r.alias not in depth}.values())
+    levels, bind = [], _leaf(nested)
+    for i in reversed(range(len(query.from_items))):
+        level, bind = _level(i, query.from_items[i], checks[i], bind)
+        levels.insert(0, level)
     query.plan = plan = _Plan(
-        levels, nested, items, columns, grouped, list(free.values()), blocks
+        levels, bind, list(map(_test, query.having)), items,
+        _reader(query.group_by) if grouped else None, None if grouped else _reader(items),
+        columns, free, _reader(free), blocks,
     )
     return plan
 
@@ -155,8 +165,8 @@ def _read(expr, refs: list, blocks: list):
     return None
 
 
-def _level(item: FromItem, checks: list) -> tuple:
-    """(alias, relation, checks, attribute, other, value) for one FROM item.
+def _level(i: int, item: FromItem, checks: list, inner) -> tuple:
+    """(relation, attribute, other, value) for FROM item i, and its closure.
 
     The first check `alias.a = <constant>` or `alias.a = other.b`, other
     another alias, is the level's index probe on attribute `a`: the
@@ -164,8 +174,8 @@ def _level(item: FromItem, checks: list) -> tuple:
     value the constant) or, per binding, for the cell `other.b` (value
     b).  The index leaves null cells out and a dict never matches an int
     with a str, so it holds exactly the rows that `_compare` lets
-    through, and that check is left out of `checks`.  Without a probe,
-    attribute is None and the level reads the whole table.
+    through, and that check is left out of the level's checks.  Without
+    a probe, attribute is None and the level reads the whole table.
     """
     if item.canonical is None:
         raise SqlError("query is not name-resolved: call resolve_names first")
@@ -176,96 +186,130 @@ def _level(item: FromItem, checks: list) -> tuple:
         for own, attribute, other, value in ((a, x, b, y), (b, y, a, x)):
             if own == item.alias != other:
                 rest = [c for c in checks if c is not check]
-                return item.alias, item.canonical, rest, attribute, other, value
-    return item.alias, item.canonical, checks, None, None, None
+                level = item.canonical, attribute, other, value
+                return level, _stage(i, item.alias, rest, other, value, inner)
+    return (item.canonical, None, None, None), _stage(i, item.alias, checks, None, None, inner)
+
+
+def _stage(i: int, alias: str, checks: list, other, attribute, inner):
+    """The closure (evaluation, sources, env, emit) -> bool binding level i:
+    alias to each row of `sources[i]` (or, for a join probe, of its entry
+    for the cell `other.attribute`) that passes `checks`, then `inner`."""
+    if other is None:
+        def scan(ev, sources, env, emit):
+            for row in sources[i]:
+                env[alias] = row
+                for a, x, op, b, y in checks:
+                    if not _compare(x if a is None else env[a].cell(x), op,
+                                    y if b is None else env[b].cell(y)):
+                        break
+                else:
+                    if inner(ev, sources, env, emit):
+                        return True
+            return False
+        return scan
+
+    def probe(ev, sources, env, emit):
+        for row in sources[i].get(env[other].cell(attribute), ()):
+            env[alias] = row
+            for a, x, op, b, y in checks:
+                if not _compare(x if a is None else env[a].cell(x), op,
+                                y if b is None else env[b].cell(y)):
+                    break
+            else:
+                if inner(ev, sources, env, emit):
+                    return True
+        return False
+    return probe
+
+
+def _leaf(nested: list):
+    """The closure after the last level: emit each binding that passes
+    `nested`; emit returns True to stop."""
+    def leaf(ev, sources, env, emit):
+        for test in nested:
+            if not test(ev, env, None):
+                return False
+        return emit(env)
+    return leaf
+
+
+def _test(pred):
+    """A conjunct as a closure (evaluation, env, group) -> bool: IN and
+    EXISTS call _subquery themselves, a scalar or ALL comparison _pred."""
+    if isinstance(pred, InSubquery):
+        column, child = pred.column, pred.query
+        return lambda ev, env, group: (needle := _value(column, env)) is not None and (
+            needle in ev._subquery(child, "in", env))
+    if isinstance(pred, Exists):
+        child, negated = pred.query, pred.negated
+        return lambda ev, env, group: ev._subquery(child, "exists", env) != negated
+    return lambda ev, env, group: ev._pred(pred, env, group)
+
+
+def _reader(exprs: list):
+    """A closure (evaluation, env) -> the values of `exprs`: cells read by
+    (alias, attribute) pairs if all are columns, else through _operand."""
+    if not exprs:
+        return lambda ev, env: ()
+    pairs = [(e.alias, e.attribute) for e in exprs if isinstance(e, ColumnRef)]
+    if len(pairs) < len(exprs):
+        return lambda ev, env: tuple([ev._operand(expr, env) for expr in exprs])
+    if len(pairs) == 1:
+        [(alias, attribute)] = pairs
+        return lambda ev, env: (env[alias].cell(attribute),)
+    return lambda ev, env: tuple([env[a].cell(x) for a, x in pairs])
 
 
 class _Evaluation:
-    """One evaluate call: every block's levels bound to this database, and
+    """One evaluate call: every block's levels tied to this database, and
     each subquery's answer per connector and distinct value of its free
     column references."""
 
     def __init__(self, db: Database, ast: Query):
         self.db = db
         # By id(): the AST being evaluated keeps every block alive.
-        self.levels: dict[int, list[tuple]] = {}
-        for block in (ast, *ast.plan.blocks):
-            self.levels[id(block)] = self._bound(block.plan.levels)
-        self.memo: dict[tuple[int, str], dict] = {}
+        self.sources = {id(block): [self._source(*level) for level in block.plan.levels]
+                        for block in (ast, *ast.plan.blocks)}
+        self.memo: dict[tuple[int, str, tuple], object] = {}
 
-    def _bound(self, levels: list[tuple]) -> list[tuple]:
-        """Each planned level as (alias, checks, rows, index, other,
-        attribute), tied to this database's table, its index entry for a
-        constant probe, or its index for a probe on another alias's cell."""
-        bound, db = [], self.db
-        for alias, relation, checks, attribute, other, value in levels:
-            if attribute is None:
-                bound.append((alias, checks, db.table(relation), None, None, None))
-                continue
-            index = db._index(relation, attribute)
-            if other is None:
-                bound.append((alias, checks, index.get(value, ()), None, None, None))
-            else:
-                bound.append((alias, checks, None, index, other, value))
-        return bound
+    def _source(self, relation, attribute, other, value):
+        """A planned level's rows in this database: its table, its index
+        entry for a constant probe, or its index for a join probe."""
+        if attribute is None:
+            return self.db.table(relation)
+        index = self.db._index(relation, attribute)
+        return index if other is not None else index.get(value, ())
 
     def query(self, query: Query, outer_env: dict) -> ResultSet:
-        plan = query.plan
-        envs = self._bindings(query, outer_env)
-        if plan.grouped:
-            return self._grouped(query, plan, envs, outer_env)
-        keyed = []
-        for env in envs:
-            out_row = tuple(self._operand(expr, env) for expr in plan.items)
-            keyed.append((_order_key(query, env), out_row))
-        return ResultSet(plan.columns, _ordered(query, keyed))
-
-    def _bindings(self, query: Query, outer_env: dict, first=False) -> list[dict]:
-        """The FROM bindings that satisfy WHERE, in cross-product order;
-        with `first`, only the first of them."""
-        envs = []
-        self._bind(self.levels[id(query)], 0, dict(outer_env), envs, query.plan.nested, first)
-        return envs
-
-    def _bind(self, levels, level, env, envs, nested, first) -> bool:
-        """Bind `levels[level:]` depth-first in `env`, adding a copy of each
-        whole binding that passes WHERE to `envs`; True once `first` has
-        its binding."""
-        alias, checks, rows, index, other, attribute = levels[level]
-        if index is not None:
-            rows = index.get(env[other].cell(attribute), ())
-        last = level == len(levels) - 1
-        for row in rows:
-            env[alias] = row
-            for a, x, op, b, y in checks:
-                lhs = x if a is None else env[a].cell(x)
-                if not _compare(lhs, op, y if b is None else env[b].cell(y)):
-                    break
-            else:
-                if not last:
-                    if self._bind(levels, level + 1, env, envs, nested, first):
-                        return True
-                elif not nested or all(self._pred(pred, env) for pred in nested):
-                    envs.append(dict(env))
-                    if first:
-                        return True
-        return False
+        plan, rows = query.plan, []
+        sources, env, project = self.sources[id(query)], dict(outer_env), plan.project
+        if plan.group is not None:
+            plan.bind(self, sources, env, lambda bound: rows.append(dict(bound)))
+            return self._grouped(query, plan, rows, outer_env)
+        if not query.order_by:
+            plan.bind(self, sources, env, lambda bound: rows.append(project(self, bound)))
+            return ResultSet(plan.columns, rows)
+        plan.bind(self, sources, env, lambda bound: rows.append(
+            (_order_key(query, bound), project(self, bound))))
+        return ResultSet(plan.columns, _ordered(query, rows))
 
     def _grouped(self, query, plan, envs, outer_env) -> ResultSet:
         groups: dict[tuple, list] = {}
         for env in envs:
-            key = tuple(_value(col, env) for col in query.group_by)
-            groups.setdefault(key, []).append(env)
+            groups.setdefault(plan.group(self, env), []).append(env)
         if not query.group_by and not groups:
             groups[()] = []  # aggregate over an empty input still yields one row
-        keyed = []
-        for key in groups:
-            members = groups[key]
-            rep = dict(members[0]) if members else dict(outer_env)
-            if all(self._pred(p, rep, group=members) for p in query.having):
-                out_row = tuple(self._operand(expr, rep, members) for expr in plan.items)
-                keyed.append((_order_key(query, rep), out_row))
-        return ResultSet(plan.columns, _ordered(query, keyed))
+        rows = []
+        for members in groups.values():
+            rep = members[0] if members else outer_env
+            for test in plan.having:
+                if not test(self, rep, members):
+                    break
+            else:
+                row = tuple([self._operand(expr, rep, members) for expr in plan.items])
+                rows.append((_order_key(query, rep), row) if query.order_by else row)
+        return ResultSet(plan.columns, _ordered(query, rows) if query.order_by else rows)
 
     def _subquery(self, query: Query, connector: str, env: dict):
         """A nested block's answer under `connector`, computed once per
@@ -274,21 +318,18 @@ class _Evaluation:
         "in", else the block's ResultSet.  Keyed by connector too, so a
         block shared by two connectors never mixes the forms."""
         plan = query.plan
-        answers = self.memo.get((id(query), connector))
-        if answers is None:
-            answers = self.memo[id(query), connector] = {}
-        key = tuple(_value(ref, env) for ref in plan.free)
-        answer = answers.get(key)
+        slot = id(query), connector, plan.key(self, env)
+        answer = self.memo.get(slot)
         if answer is None:
             if connector == "in":  # resolve_names allows one column only
                 answer = {row[0] for row in self.query(query, env).rows}
             elif connector != "exists":
                 answer = self.query(query, env)
-            elif plan.grouped:
+            elif plan.group is not None:
                 answer = bool(self.query(query, env).rows)
-            else:
-                answer = bool(self._bindings(query, env, first=True))
-            answers[key] = answer
+            else:  # stop at the first binding that passes WHERE
+                answer = plan.bind(self, self.sources[id(query)], dict(env), lambda bound: True)
+            self.memo[slot] = answer
         return answer
 
     def _operand(self, expr, env, group=None):
@@ -318,13 +359,6 @@ class _Evaluation:
             lhs = self._operand(pred.lhs, env, group)
             rhs = self._operand(pred.rhs, env, group)
             return _compare(lhs, _operator(pred.op), rhs)
-        if isinstance(pred, InSubquery):
-            needle = _value(pred.column, env)
-            if needle is None:
-                return False
-            return needle in self._subquery(pred.query, "in", env)
-        if isinstance(pred, Exists):
-            return self._subquery(pred.query, "exists", env) != pred.negated
         if isinstance(pred, CompareAll):
             lhs = self._operand(pred.lhs, env, group)
             op = _operator(pred.op)
@@ -369,12 +403,7 @@ def _order_key(query, env):
 
 
 def _count_distinct(expr: CountDistinct, group) -> int:
-    values = {
-        _value(expr.column, env)
-        for env in group
-        if _value(expr.column, env) is not None
-    }
-    return len(values)
+    return len({_value(expr.column, env) for env in group} - {None})
 
 
 def _value(ref: ColumnRef, env):

@@ -344,8 +344,8 @@ def _check(graph: SchemaGraph):
     def report(kind, message):
         findings.append((kind, message))
 
-    relations = {rel.name for rel in graph.relations}
-    seen = set()
+    declared = [rel.name for rel in graph.relations]
+    relations, seen = set(declared), set()
     for rel in graph.relations:
         if rel.name.upper() in seen:
             report(MalformedDocument, f"duplicate relation {rel.name}")
@@ -353,7 +353,8 @@ def _check(graph: SchemaGraph):
         if rel.weight < 0:
             report(MalformedDocument, f"relation {rel.name}: negative weight")
         flagged = [a.name for a in graph.attributes if a.relation == rel.name and a.is_heading]
-        if flagged != [rel.heading_attribute]:
+        # A name declared twice pools both declarations' heading flags.
+        if flagged != [rel.heading_attribute] and declared.count(rel.name) == 1:
             report(
                 MissingHeading,
                 f"relation {rel.name}: heading {rel.heading_attribute!r} must be the "

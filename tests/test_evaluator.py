@@ -95,6 +95,15 @@ class TestCorpusResults:
         assert "Fay Wray" in names  # plays in the 1933 King Kong
         assert "Jessica Lange" not in names  # plays in the 1976 remake
 
+    def test_count_distinct_reads_each_member_cell_once(self, movie_graph, movie_db, reads):
+        # The fixture's 8 genre rows each join a movie, so each is one
+        # group member, and its genre is read once.
+        sql = ("select m.id from MOVIES m, GENRE g where m.id = g.mid "
+               "group by m.id having count(distinct g.genre) = 1")
+        assert _run(sql, movie_graph, movie_db)
+        assert len(movie_db.table("GENRE")) == 8
+        assert reads["GENRE", "genre"] == 8
+
     def test_deterministic(self, movie_graph, movie_db):
         ast = resolved("q2", movie_graph)
         assert evaluate(ast, movie_db) == evaluate(ast, movie_db)
@@ -564,12 +573,14 @@ ACTORS = ("Brad Pitt", "Fay Wray", "Jessica Lange", "Morgan Freeman", "Naomi Wat
 DIRECTORS = ("G. Loucas", "Woody Allen", "Peter Jackson")
 GENRES = ("action", "drama", "comedy")
 ROLES = TITLES + ("Mills", "Ann Darrow")
-# q9's `<= all` written with NOT EXISTS, which sqlite3 supports.
+# q9's `<= all` written with NOT EXISTS, which sqlite3 supports: no row
+# of the child may leave the comparison anything but true, so a null on
+# either side counts against it as SQL's ALL does.
 SQLITE_Q9 = (
     "select a.name from MOVIES m, CAST c, ACTOR a where m.id = c.mid and "
     "c.aid = a.id and not exists (select * from MOVIES m1, MOVIES m2 where "
     "m1.title = m2.title and m2.title = m.title and m1.id != m2.id and "
-    "m1.year < m.year)"
+    "(m.year <= m1.year) is not 1)"
 )
 
 # Non-corpus shapes whose subquery results are keyed on outer values.
@@ -626,9 +637,10 @@ EXTRA_SQL = {
 }
 
 
-def _diff_tables(seed):
+def _diff_tables(seed, nulls=0.0):
     """DIFF_ROWS rows per movie-schema table over domains holding the corpus
-    constants; one foreign key in ten dangles."""
+    constants; one foreign key in ten dangles, and a share `nulls` of the
+    cells that are no key is null."""
     rng = random.Random(seed)
     ids = {rel: rng.sample(range(1, 3 * DIFF_ROWS), DIFF_ROWS)
            for rel in ("MOVIE", "ACTOR", "DIRECTOR")}
@@ -636,7 +648,7 @@ def _diff_tables(seed):
     def ref(rel):
         return rng.choice(ids[rel]) if rng.random() < 0.9 else 9999
 
-    return {
+    tables = {
         "MOVIE": [["id", "title", "year"]]
         + [[i, rng.choice(TITLES), rng.choice(YEARS)] for i in ids["MOVIE"]],
         "ACTOR": [["id", "name"]] + [[i, rng.choice(ACTORS)] for i in ids["ACTOR"]],
@@ -649,6 +661,13 @@ def _diff_tables(seed):
         "GENRE": [["mid", "genre"]]
         + [[ref("MOVIE"), rng.choice(GENRES)] for _ in range(DIFF_ROWS)],
     }
+    blank = random.Random(f"{seed}:nulls")  # leaves rng's draws as they were
+    for rows in tables.values():
+        for row in rows[1:]:
+            for i, name in enumerate(rows[0]):
+                if name not in ("id", "mid", "aid", "did") and blank.random() < nulls:
+                    row[i] = None  # an empty CSV cell; NULL in sqlite3
+    return tables
 
 
 def _csv(rows):
@@ -670,7 +689,8 @@ def _sqlite_rows(tables, sql):
         con.close()
 
 
-def test_agrees_with_sqlite_on_larger_databases(movie_graph):
+@pytest.mark.parametrize("nulls", [0.0, 0.15])
+def test_agrees_with_sqlite_on_larger_databases(movie_graph, nulls):
     queries = {name: (resolved(name, movie_graph), corpus_sql(name))
                for name in CORPUS_NAMES if name != "q9"}
     flat = rewriter.flatten(resolved("q5", movie_graph))
@@ -680,7 +700,7 @@ def test_agrees_with_sqlite_on_larger_databases(movie_graph):
         queries[name] = (parser.resolve_names(parser.parse_sql(sql), movie_graph), sql)
     pairs = nonempty = 0
     for seed in DIFF_SEEDS:
-        tables = _diff_tables(seed)
+        tables = _diff_tables(seed, nulls)
         db = load_data(movie_graph, {name: _csv(rows) for name, rows in tables.items()})
         for name, (ast, sql) in queries.items():
             rows = evaluate(ast, db).rows

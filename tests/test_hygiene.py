@@ -76,3 +76,24 @@ def test_the_check_sees_a_self_referring_closure():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_nested_function_refers_to_itself(path):
     assert self_referring_closures(path.read_text(encoding="utf-8")) == []
+
+
+def text_to_code_calls(source: str) -> list[str]:
+    """Calls of the builtins that turn text into code: exec, eval and
+    compile (a method such as re.compile is not one)."""
+    return [f"{node.func.id} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("exec", "eval", "compile")]
+
+
+def test_the_check_sees_an_exec_call():
+    source = "import re\nre.compile('x')\ndef f(text):\n    exec(text)\n"
+    assert text_to_code_calls(source) == ["exec (line 4)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_sql_or_schema_text_becomes_code(path):
+    # The one exception writes each record class's __init__ from its
+    # field names, which come from the package's own source.
+    found = [call.split()[0] for call in text_to_code_calls(path.read_text(encoding="utf-8"))]
+    assert found == (["exec"] if path.name == "record.py" else [])

@@ -251,6 +251,13 @@ class TestLoadTimeChecks:
             schema.loads(json.dumps(doc))
         assert str(err.value) == message
 
+    def test_a_relation_declared_twice_is_a_duplicate(self):
+        # Both declarations flag x as heading; that is not a heading problem.
+        rel = {"name": "A", "heading": "x", "attributes": [{"name": "x"}]}
+        with pytest.raises(MalformedDocument) as err:
+            schema.loads(json.dumps({"relations": [rel, rel]}))
+        assert str(err.value) == "duplicate relation A"
+
     def test_a_duplicate_projection_edge_is_reported_after_load(self):
         # At load an attribute's duplicate always comes first, so this
         # finding is reached through validate on an edited graph.
