@@ -299,7 +299,10 @@ class _Evaluation:
         for env in envs:
             groups.setdefault(plan.group(self, env), []).append(env)
         if not query.group_by and not groups:
-            groups[()] = []  # aggregate over an empty input still yields one row
+            # An aggregate over an empty input still yields one row, in
+            # which the block's own columns read NULL.
+            groups[()] = []
+            outer_env = {**outer_env, **{item.alias: _NULL_ROW for item in query.from_items}}
         rows = []
         for members in groups.values():
             rep = members[0] if members else outer_env
@@ -404,6 +407,17 @@ def _order_key(query, env):
 
 def _count_distinct(expr: CountDistinct, group) -> int:
     return len({_value(expr.column, env) for env in group} - {None})
+
+
+class _NullRow:
+    """A FROM item's row in the one group of an aggregate over an empty
+    input: every cell reads NULL."""
+
+    def cell(self, attribute):
+        return None
+
+
+_NULL_ROW = _NullRow()
 
 
 def _value(ref: ColumnRef, env):

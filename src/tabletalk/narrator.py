@@ -14,12 +14,16 @@ realizes its branches and ends the walk, so relations beyond it are not
 narrated, though they count in `detect_patterns` and `fallback_mode`.
 
 What narration reads of a relation's schema (its steps with their relay
-hops resolved, its clause templates in weight order, its mode verdict)
+hops resolved, its clause templates in weight order, whether it is wide)
 is derived once per graph, on the relation's first narration, and kept
-on the graph.  As with the graph's lookup index, a graph edited after
-that is not seen; load a new one instead.  A narration left with no
-sentence and no other diagnostic says that its start has nothing to
-narrate.
+on the graph.  So is a start's recipe for each relation filter and rank:
+the names resolved, each relation's rank attribute, the traversal and
+its mode verdict.  A call then only picks the entity, follows joins,
+fills templates and merges clauses; its mode and tuple budget are read
+per call.  As with the graph's lookup index, a graph edited after that
+is not seen; load a new one instead.  An unknown start raises on every
+call.  A narration left with no sentence and no other diagnostic says
+that its start has nothing to narrate.
 """
 
 from __future__ import annotations
@@ -84,42 +88,60 @@ class _Facts(Record):
     steps: list  # [_Step, ...] leaving the relation
     clauses: list  # compiled projection templates, heaviest attribute first
     wide: bool  # over two clause attributes and no long template
+    # (filter, folded rank attribute, descending) -> _Recipe starting here.
+    recipes: dict = field(factory=dict, init=False, shown=False)
 
 
 # A traversal node; fresh steps reach new relations, back steps old ones.
 _Visit = namedtuple("_Visit", "node fresh back")
 
 
-class _Plan(Record):
-    """A NarrationPlan with every name resolved to its declared spelling."""
+class _Recipe(Record):
+    """What narration from one start reads of the schema for one relation
+    filter and rank, whatever the mode, budget and data."""
 
-    start: str
-    tuple_budget: int
-    allowed: frozenset | None  # None: every relation
+    start: str  # declared spelling
     ranks: dict  # relation -> RankSpec; relations lacking the attribute absent
+    traversal: list  # [_Visit, ...] in visit order
+    mode: str  # the verdict of fallback_mode
 
 
-def _resolve(graph: SchemaGraph, plan: NarrationPlan) -> _Plan:
+def _recipe(graph: SchemaGraph, plan: NarrationPlan) -> _Recipe:
+    """The plan's recipe, derived on first use and kept in its start's facts
+    under the plan's names resolved, so spellings of one name share it."""
     if plan.start_relation is not None:
         rel = graph.find_relation(plan.start_relation)
         if rel is None:
             raise UnknownStart(f"unknown start relation {plan.start_relation!r}")
-        start = rel.name
     elif not graph.relations:
         raise UnknownStart("schema graph has no relations")
     else:
-        start = max(graph.relations, key=lambda r: r.weight).name
+        rel = max(graph.relations, key=lambda r: r.weight)
     allowed = None
     if plan.relation_filter is not None:
         found = map(graph.find_relation, plan.relation_filter)
-        allowed = frozenset(rel.name for rel in found if rel is not None)
+        allowed = frozenset(r.name for r in found if r is not None)
+    rank, key = plan.rank, (allowed, None, False)
+    if rank is not None and rank.attribute is not None:
+        folded = rank.attribute.upper()
+        if folded in graph._index().folded_attributes:  # else nothing ranks: load order
+            key = (allowed, folded, rank.descending)
+    recipes = _facts(graph, rel.name).recipes
+    recipe = recipes.get(key)
+    if recipe is None:
+        recipe = recipes[key] = _derive_recipe(graph, rel.name, *key)
+    return recipe
+
+
+def _derive_recipe(graph, start, allowed, attribute, descending) -> _Recipe:
     # Plan-level ranking skips relations that lack the rank attribute.
     ranks = {}
-    rank = plan.rank
-    if rank is not None and rank.attribute is not None:
-        found = (graph.find_attribute(r.name, rank.attribute) for r in graph.relations)
-        ranks = {a.relation: RankSpec(a.name, rank.descending) for a in found if a}
-    return _Plan(start, max(plan.tuple_budget, 0), allowed, ranks)
+    if attribute is not None:
+        found = (graph.find_attribute(r.name, attribute) for r in graph.relations)
+        ranks = {a.relation: RankSpec(a.name, descending) for a in found if a}
+    traversal = _traversal(graph, start, allowed)
+    wide = any(len(fresh) > 2 or _facts(graph, node).wide for node, fresh, _ in traversal)
+    return _Recipe(start, ranks, traversal, "procedural" if wide else "declarative")
 
 
 def _facts(graph: SchemaGraph, relation: str) -> _Facts:
@@ -181,16 +203,16 @@ def _steps_from(graph: SchemaGraph, relation: str) -> list[_Step]:
     return _facts(graph, relation).steps
 
 
-def _traversal(graph: SchemaGraph, plan: _Plan) -> list[_Visit]:
+def _traversal(graph: SchemaGraph, start: str, allowed: frozenset | None) -> list[_Visit]:
     """Breadth-first over the narration steps from the start, in visit order."""
     out = []
-    visited = {plan.start}
-    frontier = [plan.start]
+    visited = {start}
+    frontier = [start]
     while frontier:
         node = frontier.pop(0)
         fresh, back = [], []
         for step in _steps_from(graph, node):
-            if plan.allowed is None or step.target in plan.allowed:
+            if allowed is None or step.target in allowed:
                 (back if step.target in visited else fresh).append(step)
                 # Claimed at once: a second step into it, even from this node, is back.
                 visited.add(step.target)
@@ -202,7 +224,7 @@ def _traversal(graph: SchemaGraph, plan: _Plan) -> list[_Visit]:
 def detect_patterns(graph: SchemaGraph, plan: NarrationPlan) -> list[PatternInstance]:
     """Walk narration steps from the start; report unary/split/join shapes."""
     out: list[PatternInstance] = []
-    for node, fresh, back in _traversal(graph, _resolve(graph, plan)):
+    for node, fresh, back in _recipe(graph, plan).traversal:
         for step in back:
             out.append(PatternInstance("join", [node, step.target], None, step.relays))
         if len(fresh) >= 2:
@@ -231,23 +253,16 @@ def fallback_mode(graph: SchemaGraph, plan: NarrationPlan) -> str:
     """Heuristic mode choice: declarative unless a relation on the traversal
     needs more than two attribute clauses (and has no long template), or a
     split hub fuses more than two branches."""
-    return _fallback_mode(graph, _traversal(graph, _resolve(graph, plan)))
-
-
-def _fallback_mode(graph: SchemaGraph, traversal: list[_Visit]) -> str:
-    if any(len(fresh) > 2 or _facts(graph, node).wide for node, fresh, _ in traversal):
-        return "procedural"
-    return "declarative"
+    return _recipe(graph, plan).mode
 
 
 def narrate(graph: SchemaGraph, db: Database, plan: NarrationPlan) -> Narrative:
-    rplan = _resolve(graph, plan)
-    traversal = _traversal(graph, rplan)
-    mode = plan.mode if plan.mode != "auto" else _fallback_mode(graph, traversal)
-    start = rplan.start
+    recipe = _recipe(graph, plan)
+    mode = plan.mode if plan.mode != "auto" else recipe.mode
+    start, ranks, budget = recipe.start, recipe.ranks, max(plan.tuple_budget, 0)
     diagnostics: list[str] = []
     sentences: list[str] = []
-    rows = select_tuples(db, start, 1, rplan.ranks.get(start))
+    rows = select_tuples(db, start, 1, ranks.get(start))
     if not rows:
         return Narrative([], mode, [f"relation {start} has no rows to narrate"])
     entity = rows[0]
@@ -255,7 +270,7 @@ def narrate(graph: SchemaGraph, db: Database, plan: NarrationPlan) -> Narrative:
     for clause in _relation_clauses(graph, start, entity, mode):
         sentences.append(_finish(clause))
 
-    _walk(graph, db, rplan, mode, traversal, [entity], sentences, diagnostics)
+    _walk(graph, db, ranks, budget, mode, recipe.traversal, [entity], sentences, diagnostics)
     if not sentences and not diagnostics:
         if _facts(graph, start).steps:  # every one outside the relation filter
             note = "no clause or template to narrate, and the filter excludes its steps"
@@ -295,16 +310,16 @@ def _attribute_clauses(graph, relation, row) -> list[str]:
     ]
 
 
-def _walk(graph, db, plan, mode, traversal, rows, sentences, diagnostics):
+def _walk(graph, db, ranks, budget, mode, traversal, rows, sentences, diagnostics):
     for relation, steps, _ in traversal:
         if len(steps) > 1:
-            _split(graph, db, plan, mode, relation, steps, rows, sentences, diagnostics)
+            _split(graph, db, ranks, budget, mode, relation, steps, rows, sentences, diagnostics)
         if len(steps) != 1:
             return
         step = steps[0]
-        reached, target_rows, bindings = _follow(db, plan, step, rows)
+        reached, target_rows, bindings = _follow(db, ranks, budget, step, rows)
         if not target_rows:
-            diagnostics.append(_skipped(plan, relation, step, reached, "step"))
+            diagnostics.append(_skipped(budget, relation, step, reached, "step"))
             return
         sentences.append(_finish(_fill(graph, _step_template(step, mode), bindings)))
         if mode == "procedural":
@@ -314,16 +329,16 @@ def _walk(graph, db, plan, mode, traversal, rows, sentences, diagnostics):
         rows = target_rows
 
 
-def _split(graph, db, plan, mode, relation, steps, rows, sentences, diagnostics):
+def _split(graph, db, ranks, budget, mode, relation, steps, rows, sentences, diagnostics):
     """Realize every branch of a split and fuse them on the shared hub prefix."""
     branch_texts = []
     deferred = []
     hub = graph.relation(relation)
     subject = rows[0].cell(hub.heading_attribute) if rows else None
     for step in steps:
-        reached, target_rows, bindings = _follow(db, plan, step, rows)
+        reached, target_rows, bindings = _follow(db, ranks, budget, step, rows)
         if not target_rows:
-            diagnostics.append(_skipped(plan, relation, step, reached, "branch"))
+            diagnostics.append(_skipped(budget, relation, step, reached, "branch"))
             continue
         clause = _fill(graph, _step_template(step, mode), bindings)
         # Declarative mode folds branch content into a relative clause;
@@ -350,17 +365,17 @@ def _step_template(step: _Step, mode: str) -> str:
     return step.template
 
 
-def _skipped(plan: _Plan, relation: str, step: _Step, reached, what: str) -> str:
+def _skipped(budget: int, relation: str, step: _Step, reached, what: str) -> str:
     """Why a step or branch narrates no tuple: none reached, or a zero budget."""
     if reached:
         return (
-            f"tuple budget {plan.tuple_budget} admits no {step.target} tuples "
+            f"tuple budget {budget} admits no {step.target} tuples "
             f"from {relation}; {what} skipped"
         )
     return f"no {step.target} tuples reachable from {relation}; {what} skipped"
 
 
-def _follow(db, plan: _Plan, step: _Step, rows) -> tuple[list[Row], list[Row], dict]:
+def _follow(db, ranks: dict, budget: int, step: _Step, rows) -> tuple[list[Row], list[Row], dict]:
     """The step's reached tuples, those narrated (ranked, within budget)
     and its bindings."""
     bindings = {step.source: rows}
@@ -376,7 +391,7 @@ def _follow(db, plan: _Plan, step: _Step, rows) -> tuple[list[Row], list[Row], d
         # Relay relations are bound too in case a template mentions them.
         bindings.setdefault(rel_name, found)
         current = found
-    target_rows = rank_rows(current, plan.ranks.get(step.target), plan.tuple_budget)
+    target_rows = rank_rows(current, ranks.get(step.target), budget)
     bindings[step.target] = target_rows
     return current, target_rows, bindings
 

@@ -152,7 +152,8 @@ class SchemaGraph(Record):
 class _Names:
     """Declared nodes keyed by declared and by case-folded name (relations
     also by alias; attributes per declared relation); the first declaration
-    of a name wins.  Also every join edge's key pair, both ways round."""
+    of a name wins.  Also every attribute name folded, whatever its
+    relation, and every join edge's key pair, both ways round."""
 
     def __init__(self, graph: SchemaGraph):
         self.relations: dict[str, RelationNode] = {}
@@ -163,6 +164,7 @@ class _Names:
             self.relations.setdefault(rel.name, rel)
             self.attributes.setdefault(rel.name, {})
         self.by_relation: dict[str, list[AttributeNode]] = {}
+        self.folded_attributes = {attr.name.upper() for attr in graph.attributes}
         for attr in graph.attributes:
             named = self.attributes.setdefault(attr.relation, {})
             named.setdefault(attr.name.upper(), attr)

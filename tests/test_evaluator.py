@@ -710,6 +710,28 @@ def test_agrees_with_sqlite_on_larger_databases(movie_graph, nulls):
     assert nonempty >= 0.2 * pairs, (nonempty, pairs)
 
 
+# Over an empty MOVIE table an aggregate still yields one row, in which
+# the block's own columns read NULL.
+EMPTY_MOVIE_SQL = [
+    "select m.title, count(*) from MOVIES m",
+    "select count(*) from MOVIES m order by m.title",
+    "select m.year, count(distinct m.title) from MOVIES m, CAST c where m.id = c.mid",
+    "select count(*) from MOVIES m group by m.year",
+    "select a.name from ACTOR a where 1 > (select count(*) from MOVIES m where m.id = a.id)",
+    "select a.name from ACTOR a where exists (select m.title, count(*) from MOVIES m "
+    "where m.id = a.id)",
+]
+
+
+@pytest.mark.parametrize("sql", EMPTY_MOVIE_SQL)
+def test_an_aggregate_over_an_empty_table_agrees_with_sqlite(movie_graph, sql):
+    tables = _diff_tables(0)
+    tables["MOVIE"] = tables["MOVIE"][:1]  # the header only
+    db = load_data(movie_graph, {name: _csv(rows) for name, rows in tables.items()})
+    rows = evaluate(parser.resolve_names(parser.parse_sql(sql), movie_graph), db).rows
+    assert Counter(rows) == _sqlite_rows(tables, sql)
+
+
 def test_a_star_names_every_column_of_the_from_list(movie_graph, movie_db):
     sql = "select * from MOVIES m, GENRE g where m.id = g.mid"
     result = evaluate(parser.resolve_names(parser.parse_sql(sql), movie_graph), movie_db)

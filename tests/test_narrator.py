@@ -710,16 +710,29 @@ class TestSkippedStepNotes:
         ]
 
 
-def _plans(graph, ranks):
-    """Every start (and the default) in each mode, budgets 0-3, each rank."""
+def _plans(graph, ranks, relation_filter=None, budgets=range(4)):
+    """Every start (and the default) in each mode, each budget, each rank."""
     starts = [None] + [rel.name for rel in graph.relations]
     return [
-        NarrationPlan(start_relation=start, mode=mode, tuple_budget=budget, rank=rank)
+        NarrationPlan(start_relation=start, mode=mode, tuple_budget=budget, rank=rank,
+                      relation_filter=relation_filter)
         for start in starts
         for mode in ("auto", "declarative", "procedural")
-        for budget in range(4)
+        for budget in budgets
         for rank in ranks
     ]
+
+
+def _answers(graph, db, plan, first):
+    """narrate, detect_patterns and fallback_mode of `plan`, starting with
+    the call at index `first` (mod 3), so each can be the one that meets
+    a fresh graph."""
+    calls = [lambda: narrate(graph, db, plan), lambda: detect_patterns(graph, plan),
+             lambda: fallback_mode(graph, plan)]
+    answers = [None] * 3
+    for k in range(3):
+        answers[(first + k) % 3] = calls[(first + k) % 3]()
+    return answers
 
 
 FIXTURE_RANKS = {
@@ -768,10 +781,16 @@ class TestSchemaFacts:
         path = FIXTURES / f"{name}.schema.json"
         graph = schema.load_schema(path)
         db = load_data(graph, FIXTURES / name)
-        for plan in _plans(graph, [None, RankSpec.load_order()] + FIXTURE_RANKS[name]):
-            once = narrate(graph, db, plan)
-            assert narrate(graph, db, plan) == once
-            assert narrate(schema.load_schema(path), db, plan) == once
+        ranks = [None, RankSpec.load_order()] + FIXTURE_RANKS[name]
+        names = [rel.name for rel in graph.relations]
+        # Each relation alone, and one spelled in lower case beside an unknown name.
+        filters = [frozenset([n]) for n in names] + [frozenset([names[0].lower(), "NOPE"])]
+        plans = _plans(graph, ranks)
+        plans += [p for f in filters for p in _plans(graph, ranks, f, budgets=[3])]
+        for i, plan in enumerate(plans):
+            once = _answers(graph, db, plan, i)
+            assert _answers(graph, db, plan, i + 1) == once
+            assert _answers(schema.load_schema(path), db, plan, i) == once
 
     def test_graphs_keep_their_own_facts(self):
         doc = TestDeepTraversal.DOC
@@ -798,3 +817,83 @@ class TestSchemaFacts:
             assert narrate(graph, db, NarrationPlan()).sentences == texts[i % 2]
             del graph, db
             gc.collect()
+
+
+class TestRecipes:
+    """Each start's traversal, rank resolution and mode verdict are derived
+    once per graph, relation filter and rank."""
+
+    @staticmethod
+    def _fresh():
+        graph = schema.load_schema(FIXTURES / "movies.schema.json")
+        return graph, load_data(graph, FIXTURES / "movies")
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """A log of the calls to `_traversal` and `find_attribute`."""
+        calls = []
+        traversal = narrator._traversal
+        find_attribute = schema.SchemaGraph.find_attribute
+        monkeypatch.setattr(narrator, "_traversal",
+                            lambda *args: calls.append("_traversal") or traversal(*args))
+        monkeypatch.setattr(schema.SchemaGraph, "find_attribute",
+                            lambda *args: calls.append("find_attribute") or find_attribute(*args))
+        return calls
+
+    def test_each_plan_key_is_resolved_once(self, monkeypatch):
+        graph, db = self._fresh()
+        calls = self._counted(monkeypatch)
+        ranks = [None] + FIXTURE_RANKS["movies"]
+        for budget in range(-1, 4):
+            for mode in ("auto", "declarative", "procedural"):
+                for rank in ranks:
+                    plan = NarrationPlan(mode=mode, tuple_budget=budget, rank=rank)
+                    narrate(graph, db, plan)
+                    detect_patterns(graph, plan)
+                    fallback_mode(graph, plan)
+        ranked = len(FIXTURE_RANKS["movies"])
+        assert calls.count("_traversal") == len(ranks)
+        assert calls.count("find_attribute") == ranked * len(graph.relations)
+
+    def test_spellings_of_one_name_share_a_recipe(self, monkeypatch):
+        graph, db = self._fresh()
+        calls = self._counted(monkeypatch)
+        plans = [
+            NarrationPlan(start_relation=start, rank=rank)
+            for start in ("director", "DIRECTOR", "Director")
+            for rank in (RankSpec("YEAR"), RankSpec("year"), RankSpec("Year"))
+        ]
+        texts = {narrate(graph, db, plan).text for plan in plans}
+        assert len(texts) == 1
+        assert calls.count("_traversal") == 1
+        assert calls.count("find_attribute") == len(graph.relations)
+        assert len({id(narrator._recipe(graph, plan)) for plan in plans}) == 1
+        # An alternative name of the start, and a filter in another case.
+        movies = NarrationPlan(start_relation="movies", relation_filter=frozenset(["genre"]))
+        movie = NarrationPlan(start_relation="MOVIE", relation_filter=frozenset(["GENRE"]))
+        assert narrator._recipe(graph, movies) is narrator._recipe(graph, movie)
+
+    def test_an_unknown_start_raises_every_time(self):
+        graph, db = self._fresh()
+        empty = schema.loads(json.dumps({"relations": []}))
+        for _ in range(3):
+            for g, plan in ((graph, NarrationPlan(start_relation="NOPE")), (empty, NarrationPlan())):
+                with pytest.raises(UnknownStart):
+                    narrate(g, db, plan)
+                with pytest.raises(UnknownStart):
+                    detect_patterns(g, plan)
+                with pytest.raises(UnknownStart):
+                    fallback_mode(g, plan)
+
+    @pytest.mark.parametrize("start", [None, "DIRECTOR", "MOVIE", "ACTOR"])
+    def test_a_rank_attribute_that_no_relation_declares_narrates_in_load_order(self, start):
+        graph, db = self._fresh()
+        for mode in ("declarative", "procedural"):
+            for descending in (False, True):
+                plan = NarrationPlan(start_relation=start, mode=mode,
+                                     rank=RankSpec("nope", descending))
+                unranked = NarrationPlan(start_relation=start, mode=mode,
+                                         rank=RankSpec.load_order())
+                assert narrate(graph, db, plan) == narrate(graph, db, unranked)
+                # Unknown spellings add no recipe.
+                assert narrator._recipe(graph, plan) is narrator._recipe(graph, unranked)
