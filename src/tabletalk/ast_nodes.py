@@ -48,7 +48,9 @@ class CountDistinct(Record):
 
 class Star(Record):
     # Every column of the FROM list, item by item in declared attribute
-    # order, as resolved ColumnRefs; set by resolve_names.
+    # order, as resolved ColumnRefs; set by resolve_names.  A query whose
+    # FROM list has items these columns do not cover (a flattened one)
+    # renders them in place of `*`.
     columns: list | None = field(None, init=False, shown=False)
 
     def render(self) -> str:
@@ -130,7 +132,7 @@ class Query(Record):
 
     def render(self) -> str:
         parts = [
-            "select " + ", ".join(item.render() for item in self.select_items),
+            "select " + ", ".join(map(self._render_item, self.select_items)),
             "from " + ", ".join(item.render() for item in self.from_items),
         ]
         if self.where:
@@ -145,6 +147,14 @@ class Query(Record):
                 + ", ".join(f"{c.render()} {d}" for c, d in self.order_by)
             )
         return " ".join(parts)
+
+    def _render_item(self, item: SelectItem) -> str:
+        star = item.expr
+        if isinstance(star, Star) and star.columns is not None and (
+            {ref.alias for ref in star.columns} != {f.alias for f in self.from_items}
+        ):
+            return ", ".join(ref.render() for ref in star.columns)
+        return item.render()
 
     def subqueries(self):
         """Yield (site, connector, child) for every directly nested query."""

@@ -4,6 +4,11 @@ Whole tables live in memory, which is the point at this scale.  A row
 holds its cells in one immutable tuple, in declared attribute order,
 read through a {attribute: position} map that every row of a loaded
 table shares; `Row.values` is a fresh dict, never the row itself.
+A relation's CSV layout, which header column holds each declared
+attribute, is decided once per graph and header row and kept in the
+graph's name index, with one position map per relation that every load
+under that graph shares; a header that does not match the declared
+attributes is rejected on every load and never kept.
 `load_data` reads each file as UTF-8, after an optional byte-order mark,
 with any line end as a newline, and passes each column through a table
 of its distinct cells, so equal cells of a column share one str or int
@@ -22,7 +27,7 @@ sorting it.
 
 `load_data` pauses CPython's cyclic garbage collector while it runs and
 then restores the caller's setting.  Everything a load builds is acyclic
-(rows, tuples of int, str and None, one shared position map per table,
+(rows, tuples of int, str and None, one shared position map per relation,
 lists), and reference counting still frees its temporaries at once, so
 the collections that the many new rows would trigger could free nothing:
 each walked the whole growing heap to find no cycle.
@@ -241,16 +246,8 @@ def _load_table(graph: SchemaGraph, relation: str, label: str, text: str) -> lis
     del reader  # and the copy of the text its StringIO holds
     if not records:
         return []
-    header = [h.strip() for h in records[0]]
-    names = graph._index()  # `relation` is declared: skip find_relation
-    declared = [a.name for a in names.by_relation.get(relation, ())]
-    named = names.attributes[relation]
-    columns = [named.get(h.upper()) for h in header]
-    if None in columns or sorted(a.name for a in columns) != sorted(declared):
-        raise HeaderMismatch(
-            f"{relation}: header {header} does not match declared attributes {declared}"
-        )
-    width = len(header)
+    order, positions = _layout(graph, relation, records[0])
+    width = len(records[0])
     body = list(filter(None, records[1:]))  # a blank line is an empty record
     if set(map(len, body)) - {width}:
         # Lines are counted in CSV records, blank ones included.
@@ -262,11 +259,11 @@ def _load_table(graph: SchemaGraph, relation: str, label: str, text: str) -> lis
         )
     if not body:
         return []
-    by_name = dict(zip([attr.name for attr in columns], zip(*body)))
+    columns = list(zip(*body))
     del records, body  # the columns hold the cells now
     typed = []
-    for name in declared:  # declared attribute order
-        cells = by_name.pop(name)
+    for i in order:  # declared attribute order
+        cells, columns[i] = columns[i], None  # a raw column is freed once typed
         values = {"": None}  # each distinct cell once; an empty one is null
         cells = list(map(values.setdefault, cells, cells))
         del values[""]  # the distinct non-empty cells remain
@@ -274,7 +271,6 @@ def _load_table(graph: SchemaGraph, relation: str, label: str, text: str) -> lis
             numbers = dict(zip(values, map(int, values)))
             cells = list(map(numbers.get, cells))  # a null stays None
         typed.append(cells)
-    positions = {name: i for i, name in enumerate(declared)}
     table = []
     new = object.__new__  # Row.__init__ would build a positions map per row
     for cells in zip(*typed):
@@ -282,6 +278,34 @@ def _load_table(graph: SchemaGraph, relation: str, label: str, text: str) -> lis
         row.relation, row.cells, row.positions = relation, cells, positions
         table.append(row)
     return table
+
+
+def _layout(graph: SchemaGraph, relation: str, row: list[str]) -> tuple[tuple[int, ...], dict]:
+    """How a CSV whose header row is `row` holds `relation`: the header
+    column of each declared attribute, in declared order, and the position
+    map that every row of the relation shares, whatever its header.
+    Decided once per graph, relation and header row, and kept in the
+    graph's name index; a header that does not match the declared
+    attributes raises HeaderMismatch on every load and keeps nothing."""
+    names = graph._index()
+    known, key = names.layouts[relation], tuple(row)  # header row -> layout
+    layout = known.get(key)
+    if layout is not None:
+        return layout
+    header = [h.strip() for h in row]
+    declared = [a.name for a in names.by_relation.get(relation, ())]
+    named = names.attributes[relation]
+    columns = [named.get(h.upper()) for h in header]
+    if None in columns or sorted(a.name for a in columns) != sorted(declared):
+        raise HeaderMismatch(
+            f"{relation}: header {header} does not match declared attributes {declared}"
+        )
+    at = {attr.name: i for i, attr in enumerate(columns)}
+    positions = next(iter(known.values()))[1] if known else {
+        name: i for i, name in enumerate(declared)
+    }
+    layout = known[key] = tuple(at[name] for name in declared), positions
+    return layout
 
 
 def _is_int_column(cells) -> bool:

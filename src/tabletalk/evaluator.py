@@ -26,13 +26,15 @@ then save repeated work without changing any result or its row order.  A
 level with a check `x.a = <constant>`, or `x.a = y.b` with y bound at an
 earlier level or outside the query, reads only the rows the Database's
 join index holds for that value, in load order, and skips that check,
-which each of them passes; each call ties the levels to its database's
-tables and indexes first.  A subquery's answer is kept for the call, per
-distinct value of its free column references, in the form its connector
-needs: EXISTS keeps a bool, found by binding the child only up to the
-first binding that passes WHERE (a semi-join, unless the child groups or
-aggregates); IN keeps the set of the child's one column; a scalar or ALL
-comparison keeps the child's rows.  So EXISTS never raises an SqlError
+which each of them passes; each call first ties every block's levels
+to its database's tables and indexes, one comprehension per block, so a
+missing table raises UnknownRelation even when no row would reach it.
+A subquery's answer is kept for the call, per distinct value of its
+free column references, in the form its connector needs: EXISTS keeps a
+bool, found by binding the child only up to the first binding that
+passes WHERE (a semi-join, unless the child groups or aggregates); IN
+keeps the set of the child's one column; a scalar or ALL comparison
+keeps the child's rows.  So EXISTS never raises an SqlError
 that only a binding after its witness would (a two-value scalar
 subquery); SQL engines short-circuit it too.  The tests and the benchmark
 check results against sqlite3, independently of this module.
@@ -76,7 +78,7 @@ def evaluate(ast: Query, db: Database) -> ResultSet:
 class _Plan(Record):
     """What evaluating one query block needs, whatever the database."""
 
-    levels: list[tuple]  # per FROM item, what _Evaluation._source ties to a database
+    levels: list[tuple]  # per FROM item, (relation, attribute, other, value); see _level
     bind: object  # the closure binding the first level; see _stage
     having: list  # per HAVING conjunct, its closure; see _test
     items: list  # select expressions, each star as the columns it stands for
@@ -267,19 +269,20 @@ class _Evaluation:
     column references."""
 
     def __init__(self, db: Database, ast: Query):
-        self.db = db
-        # By id(): the AST being evaluated keeps every block alive.
-        self.sources = {id(block): [self._source(*level) for level in block.plan.levels]
-                        for block in (ast, *ast.plan.blocks)}
+        # Each planned level's rows in this database: its table, its index
+        # for a join probe, or its index entry for a constant probe.  By
+        # id(): the AST being evaluated keeps every block alive.
+        table, index = db.table, db._index
+        self.sources = {
+            id(block): [
+                table(relation) if attribute is None
+                else index(relation, attribute) if other is not None
+                else index(relation, attribute).get(value, ())
+                for relation, attribute, other, value in block.plan.levels
+            ]
+            for block in (ast, *ast.plan.blocks)
+        }
         self.memo: dict[tuple[int, str, tuple], object] = {}
-
-    def _source(self, relation, attribute, other, value):
-        """A planned level's rows in this database: its table, its index
-        entry for a constant probe, or its index for a join probe."""
-        if attribute is None:
-            return self.db.table(relation)
-        index = self.db._index(relation, attribute)
-        return index if other is not None else index.get(value, ())
 
     def query(self, query: Query, outer_env: dict) -> ResultSet:
         plan, rows = query.plan, []

@@ -177,6 +177,7 @@ class _Names:
         for e in graph.joins:
             self.key_pairs.add((e.from_relation, e.from_key, e.to_relation, e.to_key))
             self.key_pairs.add((e.to_relation, e.to_key, e.from_relation, e.from_key))
+        self.layouts = {rel.name: {} for rel in graph.relations}  # CSV layouts; see data.py
 
 
 # --- loading -----------------------------------------------------------

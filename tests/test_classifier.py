@@ -50,6 +50,18 @@ class TestTaxonomy:
         assert result.label == "Aggregate"
         assert any("GraphCyclic" in line for line in result.evidence)
 
+    @pytest.mark.parametrize("sql, evidence", [
+        ("select m1.title from MOVIES m1, MOVIES m2, MOVIES m3 "
+         "where m1.year = m2.year and m2.title = m3.title", "MOVIE"),
+        ("select m1.title from MOVIES m1, CAST c1, MOVIES m2, CAST c2 "
+         "where m1.id = c1.mid and c1.aid = c2.aid and c2.mid = m2.id", "MOVIE, CAST"),
+    ], ids=["one_relation_thrice", "two_relations_twice"])
+    def test_multi_instance_names_each_repeated_relation_once(self, movie_graph, sql, evidence):
+        ast = parser.resolve_names(parser.parse_sql(sql), movie_graph)
+        result = classify(QG.build(ast, movie_graph))
+        assert result.label == "GraphMultiInstance"
+        assert result.evidence == [f"multiple tuple variables over: {evidence}"]
+
 
 IN_SHAPES = {
     "q5": corpus_sql("q5"),

@@ -594,6 +594,69 @@ class TestRowShape:
                 hash(value)
 
 
+def _movies_with_headers(tmp_path, spell):
+    """A copy of the movie fixture whose CSV columns are rotated by one and
+    whose header names are spelled by `spell`."""
+    data = tmp_path / f"movies-{spell.__name__}"
+    data.mkdir()
+    for path in (FIXTURES / "movies").glob("*.csv"):
+        with path.open(newline="", encoding="utf-8") as fh:
+            header, *body = csv.reader(fh)
+        with (data / path.name).open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(
+                [[spell(h) for h in header[1:] + header[:1]]] + [r[1:] + r[:1] for r in body]
+            )
+    return data
+
+
+class TestLayout:
+    """Each relation's CSV layout is decided once per graph and header row."""
+
+    @staticmethod
+    def _positions(db):
+        return {name: rows[0].positions for name, rows in db.tables.items() if rows}
+
+    def test_loads_under_one_graph_share_one_position_map_per_relation(self, tmp_path):
+        graph = schema.load_schema(FIXTURES / "movies.schema.json")
+        loads = [load_data(graph, FIXTURES / "movies"), load_data(graph, FIXTURES / "movies"),
+                 load_data(graph, _movies_with_headers(tmp_path, str.upper))]
+        first = self._positions(loads[0])
+        assert len(first) == 6
+        for db in loads[1:]:
+            assert self._positions(db).keys() == first.keys()
+            for name, positions in self._positions(db).items():
+                assert positions is first[name], name
+        for name, positions in first.items():  # never mutated
+            declared = [a.name for a in graph.attributes_of(name)]
+            assert positions == {attribute: i for i, attribute in enumerate(declared)}
+
+    @pytest.mark.parametrize("spell", [str.lower, str.upper, str.title])
+    def test_rotated_columns_and_respelled_headers_load_equal_rows(
+        self, movie_graph, movie_db, tmp_path, spell
+    ):
+        db = load_data(movie_graph, _movies_with_headers(tmp_path, spell))
+        assert db == movie_db
+        for name, rows in movie_db.tables.items():
+            assert [row.cells for row in db.table(name)] == [row.cells for row in rows]
+
+    def test_a_bad_header_raises_on_every_load(self):
+        graph = schema.load_schema(FIXTURES / "movies.schema.json")
+        bad = dict(WOODY_SLICE, ACTOR="id,fullname\n1,Brad Pitt\n")
+        message = r"^ACTOR: header \['id', 'fullname'\] does not match declared attributes \['id', 'name'\]$"
+        for _ in range(2):
+            with pytest.raises(HeaderMismatch, match=message):
+                load_data(graph, bad)
+            assert load_data(graph, WOODY_SLICE).table("MOVIE")
+
+    def test_two_graphs_from_one_schema_file_keep_their_own_layouts(self):
+        graphs = [schema.load_schema(FIXTURES / "movies.schema.json") for _ in range(2)]
+        dbs = [load_data(graph, FIXTURES / "movies") for graph in graphs for _ in range(2)]
+        mine, again, theirs, theirs_again = map(self._positions, dbs)
+        for name, positions in mine.items():
+            assert again[name] is positions and theirs_again[name] is theirs[name]
+            assert theirs[name] is not positions and theirs[name] == positions
+
+
 class TestCollectorPause:
     """`load_data` runs with the cyclic collector off and restores the
     caller's setting on every exit."""

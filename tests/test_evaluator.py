@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import random
+import re
 import sqlite3
 from collections import Counter
 from pathlib import Path
@@ -23,8 +24,8 @@ from tabletalk.ast_nodes import (
     ScalarSubquery,
     SelectItem,
 )
-from tabletalk.data import Row, load_data
-from tabletalk.errors import SqlError
+from tabletalk.data import Database, Row, load_data
+from tabletalk.errors import SqlError, UnknownRelation
 from tabletalk.evaluator import evaluate
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -563,6 +564,34 @@ class TestKeptPlan:
                 gc.enable()
 
 
+class TestTying:
+    """Each call ties every block's levels to its database's tables and
+    indexes before it reads a row."""
+
+    @pytest.mark.parametrize("where", ["c.mid = m.id", "c.role = 'Mills'", "c.mid != m.id"])
+    def test_a_missing_table_raises_though_no_row_reaches_it(self, movie_graph, where):
+        sql = f"select m.title from MOVIES m where exists (select * from CAST c where {where})"
+        ast = parser.resolve_names(parser.parse_sql(sql), movie_graph)
+        db = Database({"MOVIE": []})
+        for _ in range(2):
+            with pytest.raises(UnknownRelation, match="^no table loaded for relation 'CAST'$"):
+                evaluate(ast, db)
+        db.tables["CAST"] = []
+        assert evaluate(ast, db).rows == []
+
+    @pytest.mark.parametrize("sql", [
+        "select m.title from MOVIES m",
+        "select m.title from MOVIES m where m.year = 1995",
+        "select m.title from GENRE g, MOVIES m where m.id = g.mid",
+    ])
+    def test_a_table_replaced_between_calls_is_read_afresh(self, movie_graph, sql):
+        ast = parser.resolve_names(parser.parse_sql(sql), movie_graph)
+        db = _movie_db(movie_graph, MOVIE="1,Heat,1995\n", GENRE="1,drama\n")
+        assert evaluate(ast, db).rows == [("Heat",)]
+        db.tables["MOVIE"] = _movie_db(movie_graph, MOVIE="1,Alien,1995\n").table("MOVIE")
+        assert evaluate(ast, db).rows == [("Alien",)]
+
+
 # --- differential check against sqlite3 ---------------------------------
 
 DIFF_ROWS = 30
@@ -737,3 +766,33 @@ def test_a_star_names_every_column_of_the_from_list(movie_graph, movie_db):
     result = evaluate(parser.resolve_names(parser.parse_sql(sql), movie_graph), movie_db)
     assert result.columns == ["id", "title", "year", "mid", "genre"]  # as sqlite3 names them
     assert result.rows and {len(row) for row in result.rows} == {5}
+
+
+def _star_variants(movie_graph):
+    """q5 and each flattenable IN query of EXTRA_SQL, with `*` for the
+    outer select list, name-resolved."""
+    texts = [corpus_sql("q5")] + [sql for sql in EXTRA_SQL.values() if " in (" in sql]
+    for sql in texts:
+        star = re.sub(r"^select .+? from ", "select * from ", sql, count=1, flags=re.S)
+        ast = parser.resolve_names(parser.parse_sql(star), movie_graph)
+        if rewriter.flattenable(ast) is None:
+            yield ast
+
+
+def test_a_flattened_star_renders_the_columns_it_evaluates(movie_graph):
+    asts = list(_star_variants(movie_graph))
+    assert len(asts) >= 2
+    nonempty = 0
+    for seed in DIFF_SEEDS:
+        tables = _diff_tables(seed)
+        db = load_data(movie_graph, {name: _csv(rows) for name, rows in tables.items()})
+        for ast in asts:
+            assert ast.render().startswith("select * from ")  # as written
+            flat = rewriter.flatten(ast)
+            again = parser.resolve_names(parser.parse_sql(flat.render()), movie_graph)
+            want, got, reparsed = evaluate(ast, db), evaluate(flat, db), evaluate(again, db)
+            assert got.columns == reparsed.columns == want.columns, flat.render()
+            assert got.rows == reparsed.rows, flat.render()
+            assert set(got.rows) == set(want.rows), flat.render()
+            nonempty += bool(want.rows)
+    assert nonempty
