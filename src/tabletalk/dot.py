@@ -1,5 +1,6 @@
 """DOT output: the schema graph, and the graph of one query.
 
+A query's DOT draws every conjunct of every block (`QueryGraph.conjuncts`).
 Only the `graph` subcommand draws, so nothing else loads this module.
 """
 
@@ -24,79 +25,92 @@ def emit_dot(graph) -> str:
 
 
 def emit_query_dot(qg) -> str:
-    """A QueryGraph in DOT: a record-shaped node per tuple variable, and
-    dashed edges into nested children, each in its own NQ<i> cluster.
-    Dotted edges show correlation, from a child to each enclosing node it
-    names: from the local node of a crossing comparison, or from the
-    child's first node for an outer condition or a HAVING comparison."""
+    """A QueryGraph in DOT: a record node per tuple variable with its SELECT
+    columns and node conjuncts, an edge per join (solid when FK-backed), a
+    dashed edge into each nested child's NQ<i> cluster, notes for what no
+    node owns, and dotted edges from a child to each enclosing node that a
+    correlated conjunct of it names."""
     lines = ["digraph query {", "  rankdir=LR;", "  node [shape=record];"]
     _emit_level(qg, lines, ("",), [0])
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _emit_level(qg, lines, prefixes, counter):
-    """`prefixes[k]` is the node id prefix of the block k levels out."""
-    from .ast_nodes import expr_ref, pred_refs  # loaded with any query graph
+def _emit_level(qg, lines, prefixes, counter) -> list[str]:
+    """Draw one block; `prefixes[k]` is the node id prefix of the block k
+    levels out.  Returns its dotted edges, drawn after its cluster."""
+    from .ast_nodes import CountStar, expr_ref, pred_refs  # loaded with any query graph
 
     prefix, query = prefixes[0], qg.query
-    selected = {}  # alias -> its columns in this block's select list, as written
+    boxes = {node.alias: {"SELECT": [], "WHERE": [], "HAVING": []} for node in qg.nodes}
+    loose = {"SELECT": [], "WHERE": [], "HAVING": []}  # what no node owns
     for item in query.select_items:
         ref = expr_ref(item.expr)
         if ref and not ref.level:
             text = ref.column if ref is item.expr else f"count(distinct {ref.column})"
-            selected.setdefault(ref.alias, []).append(text)
+            boxes[ref.alias]["SELECT"].append(text)
+        elif isinstance(item.expr, CountStar):
+            loose["SELECT"].append("count(*)")
+    edges, nested, crossing, outer = [], [], [], []
+    for entry in qg.conjuncts:
+        kind, text = entry.kind, entry.pred.render()
+        label = _escape(text)
+        if kind == "node":
+            boxes[entry.owner][entry.site.upper()].append(text)
+        elif kind == "join":
+            (src, dst), style = entry.ends, "solid" if entry.fk_backed else "bold"
+            edges.append(f'  "{prefix}{src}" -> "{prefix}{dst}" [label="{label}", style={style}];')
+        elif kind == "ownerless":
+            if not entry.correlated:  # a correlated one is drawn as its dotted edges
+                loose[entry.site.upper()].append(text)
+        elif kind == "nested":
+            nested.append(entry)
+        elif kind not in ("crossing", "outer"):  # those are drawn as dotted edges
+            raise ValueError(f"unknown conjunct kind {kind!r}")
+        if entry.correlated:  # from its local side or the first node; crossing ones first
+            src = entry.pred.lhs.alias if kind == "crossing" else qg.nodes[0].alias
+            ends = dict.fromkeys(
+                f"{prefixes[ref.level]}{ref.alias}" for ref in pred_refs(entry.pred) if ref.level
+            )
+            (crossing if kind == "crossing" else outer).extend(
+                f'  "{prefix}{src}" -> "{end}" [style=dotted, label="{label}"];' for end in ends
+            )
     for node in qg.nodes:
-        sections = (
-            ("SELECT", ", ", selected.get(node.alias, ())),
-            ("WHERE", " and ", [pred.render() for pred in node.where_part]),
-            ("HAVING", " and ", [pred.render() for pred in node.having_part]),
-        )
         parts = [f"<<FROM>> {node.relation} {node.alias}"]
-        parts += [f"<<{title}>> {sep.join(items)}" for title, sep, items in sections if items]
+        parts += [_section(title, items) for title, items in boxes[node.alias].items() if items]
         lines.append(f'  "{prefix}{node.alias}" [label="{_escape("|".join(parts))}"];')
     notes = (
+        ("select", "SELECT", loose["SELECT"]),
+        ("where", "WHERE", loose["WHERE"]),
         ("groupby", "GROUP BY", [f"{ref.alias}.{ref.column}" for ref in query.group_by]),
+        ("having", "HAVING", loose["HAVING"]),
         ("orderby", "ORDER BY", [f"{ref.alias}.{ref.column} {d}" for ref, d in query.order_by]),
     )
-    for name, title, cols in notes:
-        if cols:
-            label = _escape(f"<<{title}>> {', '.join(cols)}")
+    for name, title, items in notes:
+        if items:
+            label = _escape(_section(title, items))
             lines.append(f'  "{prefix}{name}" [shape=note, label="{label}"];')
-    for edge in qg.joins:
-        src, dst = edge.ends
-        style = "solid" if edge.fk_backed else "bold"
-        lines.append(
-            f'  "{prefix}{src}" -> "{prefix}{dst}" '
-            f'[label="{_escape(edge.pred.render())}", style={style}];'
-        )
-    for entry in qg.nested:
+    lines += edges
+    for entry in nested:
         counter[0] += 1
         name = f"NQ{counter[0]}"
         child, child_prefix = entry.child, f"{name}."
         lines.append(f"  subgraph cluster_{name} {{")
         lines.append(f'    label="{name} ({entry.connector})";')
-        _emit_level(child, lines, (child_prefix, *prefixes), counter)
+        dotted = _emit_level(child, lines, (child_prefix, *prefixes), counter)
         lines.append("  }")
         if qg.nodes and child.nodes:
             lines.append(
                 f'  "{prefix}{qg.nodes[0].alias}" -> "{child_prefix}{child.nodes[0].alias}" '
                 f'[style=dashed, label="{entry.connector}"];'
             )
-        for pred in child.crossing:
-            src, dst = pred.lhs, pred.rhs  # dst.level blocks out of the child
-            lines.append(
-                f'  "{child_prefix}{src.alias}" -> "{prefixes[dst.level - 1]}{dst.alias}" '
-                f'[style=dotted, label="{_escape(pred.render())}"];'
-            )
-        for pred in child.outer + child.having_outer:
-            anchor = f"{child_prefix}{child.nodes[0].alias}"
-            label = _escape(pred.render())
-            ends = dict.fromkeys(
-                f"{prefixes[ref.level - 1]}{ref.alias}" for ref in pred_refs(pred) if ref.level
-            )
-            for end in ends:
-                lines.append(f'  "{anchor}" -> "{end}" [style=dotted, label="{label}"];')
+        lines += dotted
+    return crossing + outer
+
+
+def _section(title: str, items: list) -> str:
+    sep = " and " if title in ("WHERE", "HAVING") else ", "
+    return f"<<{title}>> {sep.join(items)}"
 
 
 def _escape(text: str) -> str:

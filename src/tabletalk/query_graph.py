@@ -1,23 +1,26 @@
-"""Query graph: one node per tuple variable, join edges, nested children.
+"""Query graph: one node per tuple variable, and one list of conjuncts.
 
-The graph holds what the resolved block does not say directly: how its
-predicates fall into node parts, join edges and the rest.  What the block
-says itself, its select list, GROUP BY and ORDER BY, is read from the
-block the graph keeps (`QueryGraph.query`), each column reference with
-the binding `resolve_names` gave it.
+What the block says itself, its select list, GROUP BY and ORDER BY, is
+read from the resolved block the graph keeps (`QueryGraph.query`).
+`build` files each WHERE and HAVING conjunct once, in source order, as
+one entry of `QueryGraph.conjuncts` with its `pred`, `site` and `kind`.
+The kind follows from the `level` that `resolve_names` recorded on each
+column reference (0: bound in this block, k: k blocks out):
 
-Predicates are partitioned exactly once, by the `level` that
-`resolve_names` recorded on each column reference (0: bound in this
-block, k: k blocks out).  A WHERE comparison of local references goes to
-its node's WHERE part (one alias) or becomes a join edge (two), so
-`joins` holds this block's joins alone; one of constants alone goes to
-`where_misc`; one naming a local and an enclosing alias is a *crossing*
-comparison (`crossing`), mirrored so that its local side comes first;
-one naming only enclosing aliases is an *outer condition* (`outer`).
-Either makes the block correlated.  HAVING comparisons go to the HAVING
-part of the node they count or name, others to `having_misc`; one that
-also names an enclosing alias is listed in `having_outer` too, and makes
-the block correlated.  Subquery connectors become nested child graphs.
+- node: it names one local tuple variable, its `owner` (in HAVING, the
+  one it counts distinct values of, or else the first one it names);
+- join: a WHERE comparison of two local tuple variables, a QueryJoinEdge;
+- crossing: a WHERE comparison of a local and an enclosing column,
+  mirrored so that its local side comes first;
+- ownerless: a WHERE comparison of constants alone, or a HAVING one with
+  no local node to sit on (`count(*) > 1`);
+- outer: a WHERE comparison naming only enclosing columns;
+- nested: a subquery connector with its child graph, a NestedQuery.
+
+A comparison naming an enclosing alias (every crossing and outer entry,
+and some HAVING ones) is `correlated`; it makes its block correlated, as
+a correlated child does.  `joins` and `nested` list the join and nested
+entries again, for the readers that index them.
 """
 
 from __future__ import annotations
@@ -37,13 +40,20 @@ from .schema import SchemaGraph
 class QueryNode(Record):
     alias: str
     relation: str
-    where_part: list = field(factory=list)  # local Compare predicates
-    having_part: list = field(factory=list)
+
+
+class Conjunct(Record):
+    pred: object  # a crossing comparison with its local side first
+    site: str  # where | having
+    kind: str  # node | crossing | ownerless | outer
+    owner: str | None = None  # node: the alias it sits on
+    correlated: bool = False
 
 
 class QueryJoinEdge(Record):
     pred: Compare  # resolved comparison of two local columns
     fk_backed: bool = False
+    site, kind, owner, correlated = "where", "join", None, False
 
     @property
     def ends(self) -> tuple[str, str]:
@@ -53,19 +63,16 @@ class QueryJoinEdge(Record):
 class NestedQuery(Record):
     connector: str  # in | exists | not_exists | compare_all | compare_scalar
     site: str  # where | having
-    predicate: object
+    pred: object
     child: "QueryGraph"
+    kind, owner, correlated = "nested", None, False
 
 
 class QueryGraph(Record):
     nodes: list[QueryNode] = field(factory=list)
-    joins: list[QueryJoinEdge] = field(factory=list)  # this block's own
-    crossing: list = field(factory=list)  # WHERE Compares of a local and an enclosing column
-    nested: list[NestedQuery] = field(factory=list)
-    where_misc: list = field(factory=list)  # constant-only WHERE preds
-    outer: list = field(factory=list)  # WHERE preds naming only enclosing aliases
-    having_misc: list = field(factory=list)  # ownerless HAVING preds
-    having_outer: list = field(factory=list)  # HAVING preds also naming an enclosing alias
+    conjuncts: list = field(factory=list)  # every WHERE and HAVING conjunct, once
+    joins: list[QueryJoinEdge] = field(factory=list)  # the join entries of `conjuncts`
+    nested: list[NestedQuery] = field(factory=list)  # its nested entries
     query: Query = field(factory=Query)  # the resolved block
 
     def node(self, alias: str) -> QueryNode | None:
@@ -75,18 +82,15 @@ class QueryGraph(Record):
         return None
 
     def all_connectors(self) -> list[str]:
-        out = []
-        for entry in self.nested:
-            out.append(entry.connector)
-            out.extend(entry.child.all_connectors())
-        return out
+        return [c for e in self.nested for c in (e.connector, *e.child.all_connectors())]
 
     def is_correlated(self) -> bool:
         """True when this block or one nested in it, at any depth, names an
         alias of a block that encloses it."""
-        return bool(self.crossing or self.outer or self.having_outer) or any(
-            entry.child.is_correlated() for entry in self.nested
-        )
+        for entry in self.conjuncts:
+            if entry.correlated or entry.kind == "nested" and entry.child.is_correlated():
+                return True
+        return False
 
 
 def build(ast: Query, graph: SchemaGraph) -> QueryGraph:
@@ -95,54 +99,45 @@ def build(ast: Query, graph: SchemaGraph) -> QueryGraph:
     for item in ast.from_items:
         qg.nodes.append(QueryNode(item.alias, item.canonical or item.relation))
     for pred in ast.where:
-        _place(qg, graph, pred, "where")
+        qg.conjuncts.append(_filed(qg, graph, pred, "where"))
     for pred in ast.having:
-        _place(qg, graph, pred, "having")
+        qg.conjuncts.append(_filed(qg, graph, pred, "having"))
     return qg
 
 
-def _place(qg, graph, pred, site):
+def _filed(qg, graph, pred, site):
+    """The entry for one conjunct; join and nested ones also go to their view."""
     # A Compare with a scalar subquery on both sides nests only its left one.
     for _, connector, query in pred_subqueries(pred, site):
-        child = build(query, graph)
-        qg.nested.append(NestedQuery(connector, site, pred, child))
-        return
-    _place_compare(qg, graph, pred, site)
-
-
-def _place_compare(qg, graph, pred: Compare, site):
+        entry = NestedQuery(connector, site, pred, build(query, graph))
+        qg.nested.append(entry)
+        return entry
     refs = [s for s in (pred.lhs, pred.rhs) if isinstance(s, ColumnRef)]
     if site == "having":
-        aggregates = [s for s in (pred.lhs, pred.rhs) if isinstance(s, (CountStar, CountDistinct))]
-        owner = None
-        if aggregates and isinstance(aggregates[0], CountDistinct):
-            owner = qg.node(aggregates[0].column.alias)
-        elif refs:
-            owner = qg.node(refs[0].alias)
-        if owner is not None:
-            owner.having_part.append(pred)
-        else:
-            qg.having_misc.append(pred)
-        if any(ref.level for ref in refs):
-            qg.having_outer.append(pred)
-        return
+        counted = pred.lhs if isinstance(pred.lhs, (CountStar, CountDistinct)) else pred.rhs
+        named = counted.column if isinstance(counted, CountDistinct) else next(iter(refs), None)
+        owner = named and qg.node(named.alias)
+        correlated = any(ref.level for ref in refs)
+        if owner:
+            return Conjunct(pred, site, "node", owner.alias, correlated)
+        return Conjunct(pred, site, "ownerless", correlated=correlated)
     if not refs:  # resolve_names keeps aggregates out of WHERE
-        qg.where_misc.append(pred)
-    elif all(ref.level for ref in refs):
-        qg.outer.append(pred)
-    elif len(refs) == 1 or refs[0].alias == refs[1].alias:
-        qg.node(refs[0].alias).where_part.append(pred)
-    else:
-        lhs, rhs = refs
-        if lhs.level:  # keep the local side first
-            qg.crossing.append(Compare(rhs, _MIRROR[pred.op], lhs))
-        elif rhs.level:
-            qg.crossing.append(pred)
-        else:
-            fk = pred.op == "=" and graph.fk_backed(
-                lhs.relation, lhs.attribute, rhs.relation, rhs.attribute
-            )
-            qg.joins.append(QueryJoinEdge(pred, fk_backed=fk))
+        return Conjunct(pred, site, "ownerless")
+    if all(ref.level for ref in refs):
+        return Conjunct(pred, site, "outer", correlated=True)
+    if len(refs) == 1 or refs[0].alias == refs[1].alias:
+        return Conjunct(pred, site, "node", refs[0].alias)
+    lhs, rhs = refs
+    if lhs.level:  # keep the local side first
+        return Conjunct(Compare(rhs, _MIRROR[pred.op], lhs), site, "crossing", correlated=True)
+    if rhs.level:
+        return Conjunct(pred, site, "crossing", correlated=True)
+    fk = pred.op == "=" and graph.fk_backed(
+        lhs.relation, lhs.attribute, rhs.relation, rhs.attribute
+    )
+    edge = QueryJoinEdge(pred, fk_backed=fk)
+    qg.joins.append(edge)
+    return edge
 
 
 _MIRROR = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}

@@ -138,11 +138,11 @@ def _detect_division(qg: QueryGraph) -> list[Motif]:
         if entry.connector != "not_exists":
             continue
         middle = entry.child
-        for inner_entry in middle.nested:
-            if inner_entry.connector != "not_exists":
+        for inner in middle.nested:
+            if inner.connector != "not_exists":
                 continue
             # The outer side of a crossing comparison binds 1 (middle) or 2 blocks out.
-            levels = {p.rhs.level for p in inner_entry.child.crossing}
+            levels = {e.pred.rhs.level for e in inner.child.conjuncts if e.kind == "crossing"}
             if {1, 2} <= levels and qg.nodes and middle.nodes:
                 out.append(
                     Motif(
@@ -161,9 +161,9 @@ def _detect_division(qg: QueryGraph) -> list[Motif]:
 def _detect_same_value(qg: QueryGraph) -> list[Motif]:
     """HAVING count(distinct X) = 1: every X in the group is the same."""
     out = []
-    preds = [p for n in qg.nodes for p in n.having_part] + qg.having_misc
-    for pred in preds:
-        if not isinstance(pred, Compare) or pred.op != "=":
+    for entry in qg.conjuncts:
+        pred = entry.pred
+        if entry.site != "having" or entry.kind == "nested" or pred.op != "=":
             continue
         sides = (pred.lhs, pred.rhs)
         count = next((s for s in sides if isinstance(s, CountDistinct)), None)
@@ -195,7 +195,7 @@ def _detect_superlative_all(qg: QueryGraph) -> list[Motif]:
     for entry in qg.nested:
         if entry.connector != "compare_all":
             continue
-        pred = entry.predicate
+        pred = entry.pred
         if not isinstance(pred, CompareAll) or not isinstance(pred.lhs, ColumnRef):
             continue
         if pred.op in _MIN_OPS:

@@ -85,20 +85,15 @@ class _References:
 
     A tuple variable is named by its alias and the number of query blocks
     out it is bound, a column reference's `level`.  `outer` is the state of
-    the enclosing block, which words the tuple variables bound there.
-    Ordinals ("the second movie") number one relation's tuple variables in
-    this block alone; with `shared`, in this block and the enclosing ones
+    the enclosing block.  Ordinals ("the second movie") number one
+    relation's tuple variables in this block and the enclosing ones
     together, as one FROM list with this block's first.
     """
 
-    def __init__(
-        self, qg: QueryGraph, graph: SchemaGraph,
-        outer: "_References | None" = None, shared: bool = False,
-    ):
+    def __init__(self, qg: QueryGraph, graph: SchemaGraph, outer: _References | None = None):
         self.qg = qg
         self.graph = graph
         self.outer = outer
-        self.shared = shared
         counts: dict[str, int] = {}
         self.index: dict[tuple, tuple] = {}  # (level, alias) -> (relation, ordinal)
         level, refs = 0, self
@@ -106,43 +101,42 @@ class _References:
             for node in refs.qg.nodes:
                 counts[node.relation] = counts.get(node.relation, 0) + 1
                 self.index[level, node.alias] = node.relation, counts[node.relation]
-            level, refs = level + 1, refs.outer if shared else None
+            level, refs = level + 1, refs.outer
         self.counts = counts
         self.mentioned: set[str] = set()
-        self.said: set[int] = set()  # id() of each predicate the text already says
+        self.said: set[int] = set()  # the `qg.conjuncts` indices the text has said
 
     def noun(self, alias: str) -> str:
         return self.graph.relation(self.index[0, alias][0]).noun_singular
 
-    def heading_constant(self, alias: str) -> Compare | None:
-        node = self.qg.node(alias)
-        if node is None:
-            return None
-        return _binding(node, self.graph.relation(node.relation).heading_attribute)
+    def bound_value(self, alias: str, attribute: str | None = None) -> str | None:
+        """The constant that the first WHERE conjunct binding `alias`'s
+        `attribute` (by default its heading) names, marking it said."""
+        if attribute is None:
+            attribute = self.graph.relation(self.index[0, alias][0]).heading_attribute
+        for i, entry in enumerate(self.qg.conjuncts):
+            if entry.owner == alias and entry.site == "where" and _binds(entry.pred, attribute):
+                self.said.add(i)
+                return str(entry.pred.rhs.value)
+        return None
 
     def mention(self, alias: str) -> str:
         """Narrative-flow reference: a movie / another actor / the movie."""
-        pred = self.heading_constant(alias)
-        if pred is not None:
-            self.said.add(id(pred))
+        value = self.bound_value(alias)
+        if value is not None:
             self.mentioned.add(alias)
-            return f"the {self.noun(alias)} {pred.rhs.value}"
+            return f"the {self.noun(alias)} {value}"
+        if alias in self.mentioned:
+            return self.in_predicate(alias)
+        self.mentioned.add(alias)
         relation, ordinal = self.index[0, alias]
         noun = self.graph.relation(relation).noun_singular
-        first_time = alias not in self.mentioned
-        self.mentioned.add(alias)
-        if first_time:
-            if self.counts[relation] > 1 and ordinal > 1:
-                return f"another {noun}"
-            return _indefinite(noun)
-        if self.counts[relation] > 1:
-            return f"the {_ordinal(ordinal)} {noun}"
-        return f"the {noun}"
+        if self.counts[relation] > 1 and ordinal > 1:
+            return f"another {noun}"
+        return _indefinite(noun)
 
     def in_predicate(self, alias: str, level: int = 0) -> str:
         """Reference inside a comparison: ordinals whenever ambiguous."""
-        if level and not self.shared:
-            return self.outer.in_predicate(alias, level - 1)
         self.mentioned.add(alias)
         relation, ordinal = self.index[level, alias]
         noun = self.graph.relation(relation).noun_singular
@@ -174,11 +168,6 @@ def _binds(pred, attribute: str) -> bool:
         and isinstance(pred.rhs, Constant)
         and pred.lhs.attribute == attribute
     )
-
-
-def _binding(node: QueryNode, attribute: str) -> Compare | None:
-    """The node's first conjunct that binds `attribute` to a constant."""
-    return next((pred for pred in node.where_part if _binds(pred, attribute)), None)
 
 
 # --- predicate lexicalization -------------------------------------------
@@ -215,7 +204,9 @@ def _operand_phrase(expr, graph, refs) -> str:
             graph, refs, expr.alias, expr.relation, expr.column, expr.level
         )
     if isinstance(expr, CountStar):
-        return "the number of rows in each group"
+        if refs.qg.query.group_by:
+            return "the number of rows in each group"
+        return "the number of combinations"
     if isinstance(expr, CountDistinct):
         col = expr.column
         attr = graph.attribute(col.relation, col.column)
@@ -235,25 +226,24 @@ def _attribute_phrase(graph, refs, alias, relation, column, level=0) -> str:
 # --- branch discovery ----------------------------------------------------
 
 def _fk_adjacency(qg: QueryGraph):
+    """Each alias's FK-backed joins, as (conjunct index, other alias)."""
     adj: dict[str, list] = {n.alias: [] for n in qg.nodes}
-    for edge in qg.joins:
-        if edge.fk_backed:
-            a, b = edge.ends
-            adj[a].append((edge, b))
-            adj[b].append((edge, a))
+    for i, entry in enumerate(qg.conjuncts):
+        if entry.kind == "join" and entry.fk_backed:
+            a, b = entry.ends
+            adj[a].append((i, b))
+            adj[b].append((i, a))
     return adj
 
 
 def _is_relay(qg: QueryGraph, alias: str) -> bool:
-    node = qg.node(alias)
-    if node.where_part or node.having_part:
-        return False
+    for entry in qg.conjuncts:
+        own_condition = entry.kind == "join" and not entry.fk_backed  # no FK phrase says it
+        if entry.owner == alias or own_condition and alias in entry.ends:
+            return False
     for item in qg.query.select_items:
         ref = expr_ref(item.expr)
         if ref and ref.alias == alias and not ref.level:
-            return False
-    for edge in qg.joins:
-        if not edge.fk_backed and alias in edge.ends:
             return False
     return True
 
@@ -299,7 +289,11 @@ def _match_phrase(graph: SchemaGraph, qg: QueryGraph, chain: list[str]):
 
 def _branch_informative(qg: QueryGraph, chain: list[str]) -> bool:
     """A branch earns a phrase only if it constrains the result."""
-    return any(qg.node(a).where_part for a in chain[1:])
+    tail = chain[1:]
+    for entry in qg.conjuncts:
+        if entry.owner in tail and entry.site == "where":
+            return True
+    return False
 
 
 def _render_phrase(phrase, graph, qg, refs, chain: list[str]):
@@ -329,12 +323,10 @@ def _render_phrase(phrase, graph, qg, refs, chain: list[str]):
 
 def _attribute_slot(graph, refs, alias, attribute) -> str:
     """A {REL.attr} slot: the constant bound to it if any, else a phrase."""
-    node = refs.qg.node(alias)
-    pred = _binding(node, attribute)
-    if pred is None:
-        return _attribute_phrase(graph, refs, alias, node.relation, attribute)
-    refs.said.add(id(pred))
-    return str(pred.rhs.value)
+    value = refs.bound_value(alias, attribute)
+    if value is None:
+        return _attribute_phrase(graph, refs, alias, refs.qg.node(alias).relation, attribute)
+    return value
 
 
 # --- declarative pipelines ------------------------------------------------
@@ -387,16 +379,15 @@ def _translate_root_np(qg, graph, cls, notes) -> TranslationResult:
             text, premod = _render_phrase(phrase, graph, qg, refs, chain)
             (premods if premod else postmods).append(text)
 
-    head_pred = refs.heading_constant(root)
-    if head_pred is not None:
-        refs.said.add(id(head_pred))
+    head = refs.bound_value(root)
+    if head is not None:
         core = " ".join(premods + [root_rel.noun_singular])
-        np = f"the {core} {head_pred.rhs.value}"
+        np = f"the {core} {head}"
     else:
         np = " ".join(premods + [root_rel.noun_plural])
     refs.mentioned.add(root)
 
-    refs.said.update(id(e.pred) for e in qg.joins if e.fk_backed)  # the noun phrase implies them
+    refs.said.update(i for links in adj.values() for i, _ in links)  # the noun phrase implies them
     conditions = _conditions(qg, graph, refs, heading=True)
     opening = "Find"
     if proj_phrases:
@@ -423,17 +414,30 @@ def _sort_phrase(qg, graph, refs) -> str:
     return f"sorted by {listed(cols)}"
 
 
-def _conditions(qg, graph, refs, heading=False) -> list[str]:
-    """A block's WHERE comparisons, each worded unless `refs.said` holds
-    it: joins, node parts, constant-only ones, then outer conditions."""
-    preds = [edge.pred for edge in qg.joins]
-    preds += [pred for node in qg.nodes for pred in node.where_part]
-    preds += qg.where_misc + qg.outer
-    return [
-        lexicalize_predicate(pred, graph, refs, heading)
-        for pred in preds
-        if id(pred) not in refs.said
-    ]
+# The order in which a block's conjuncts are read out, by kind.
+_READING = {"crossing": 0, "join": 1, "node": 2, "ownerless": 3, "outer": 4, "nested": 5}
+
+
+def _conditions(qg, graph, refs, site="where", motifs=(), heading=False) -> list[str]:
+    """Word each conjunct of `qg` at `site` that `refs.said` does not hold
+    yet, and mark it said.  They are read by kind in `_READING` order, node
+    ones in FROM order; a nested one is worded with the block's `motifs`."""
+    entries = qg.conjuncts
+    todo = [i for i, entry in enumerate(entries) if entry.site == site and i not in refs.said]
+    if len(todo) > 1:
+        place = {node.alias: k for k, node in enumerate(qg.nodes)}
+        todo.sort(key=lambda i: (_READING.get(entries[i].kind, 0), place.get(entries[i].owner, 0)))
+    phrases = []
+    for i in todo:
+        entry = entries[i]
+        if entry.kind == "nested":
+            phrases.append(_nested_phrase(entry, motifs, graph, refs))
+        elif entry.kind in _READING:
+            phrases.append(lexicalize_predicate(entry.pred, graph, refs, heading))
+        else:
+            raise ValueError(f"unknown conjunct kind {entry.kind!r}")
+        refs.said.add(i)
+    return phrases
 
 
 def _translate_itemized(qg, graph, cls, notes) -> TranslationResult:
@@ -444,7 +448,7 @@ def _translate_itemized(qg, graph, cls, notes) -> TranslationResult:
     for ref in _selected_columns(qg):
         attr = graph.attribute(ref.relation, ref.attribute)
         item = f"the {attr.noun_singular} of {refs.mention(ref.alias)}"
-        for chain in _chains(qg, graph, adj, ref.alias, claimed, lambda e, n: id(e)):
+        for chain in _chains(qg, graph, adj, ref.alias, claimed, lambda e, n: e):
             phrase = _match_phrase(graph, qg, chain)
             if phrase is None:
                 continue
@@ -452,7 +456,7 @@ def _translate_itemized(qg, graph, cls, notes) -> TranslationResult:
             if not premod:
                 item += f" {text}"
         items.append(item)
-    refs.said.update(id(e.pred) for e in qg.joins if e.fk_backed)  # the noun phrase implies them
+    refs.said.update(i for links in adj.values() for i, _ in links)  # the noun phrase implies them
     items.extend(_conditions(qg, graph, refs, heading=True))
     text = "Find " + ", and ".join(items)
     sort = _sort_phrase(qg, graph, refs)
@@ -465,11 +469,9 @@ def _translate_itemized(qg, graph, cls, notes) -> TranslationResult:
 
 def _division_frame(qg, graph, motif) -> str | None:
     """Full-sentence frame when the division covers the whole query."""
-    if len(qg.nodes) != 1 or qg.joins or len(qg.nested) != 1:
+    if len(qg.nodes) != 1 or [e.kind for e in qg.conjuncts] != ["nested"] or qg.query.order_by:
         return None
     node = qg.nodes[0]
-    if node.where_part or node.having_part or qg.where_misc or qg.having_misc or qg.query.order_by:
-        return None
     heading = graph.relation(node.relation).heading_attribute
     for ref in _selected_columns(qg):
         # The frame speaks of whole entities; only heading projections fit.
@@ -489,11 +491,8 @@ def _same_value_frame(qg, graph, motif) -> str | None:
     for ref in _selected_columns(qg):
         if ref.alias != group_alias:
             return None
-    if any(n.where_part for n in qg.nodes) or qg.nested or qg.where_misc or qg.having_misc:
-        return None
-    if sum(len(n.having_part) for n in qg.nodes) != 1:  # the motif's own only
-        return None
-    if any(not e.fk_backed for e in qg.joins):
+    others = [e for e in qg.conjuncts if not (e.kind == "join" and e.fk_backed)]
+    if [(e.kind, e.site) for e in others] != [("node", "having")]:  # the motif's own only
         return None
     group_rel = graph.relation(group_relation)
     counted_rel = graph.relation(motif.params["relation"])
@@ -542,29 +541,26 @@ def _procedural_steps(qg, graph, cls=None, outer=None) -> list[str]:
 
     adj = _fk_adjacency(qg)
     for node in qg.nodes:
-        links = [(e, a) for e, a in adj[node.alias] if id(e.pred) not in refs.said and a in placed]
+        links = [(i, a) for i, a in adj[node.alias] if i not in refs.said and a in placed]
         if not links:
             flush_follow()
             steps.append(f"Consider each {refs.noun(node.alias)} ({node.alias})")
         else:
-            edge, prev = links[0]
-            refs.said.add(id(edge.pred))
+            i, prev = links[0]
+            refs.said.add(i)
             rel = graph.relation(node.relation)
             verb = "" if pending else "bring in "
             pending.append(f"{refs.noun(prev)}, {verb}its {rel.noun_plural} ({node.alias})")
         placed.append(node.alias)
     flush_follow()
 
-    def keep(rows, site, conditions):
-        conditions += [_nested_phrase(e, motifs, graph, refs) for e in qg.nested if e.site == site]
-        steps.extend(f"Keep {rows} where {c}" for c in conditions)
-
-    keep("combinations", "where", _conditions(qg, graph, refs))
-    if qg.query.group_by:
+    for c in _conditions(qg, graph, refs, "where", motifs):
+        steps.append(f"Keep combinations where {c}")
+    if qg.query.group_by:  # HAVING comes with GROUP BY only
         cols = [_operand_phrase(ref, graph, refs) for ref in qg.query.group_by]
         steps.append(f"Group the combinations by {listed(cols)}")
-    having = [pred for node in qg.nodes for pred in node.having_part] + qg.having_misc
-    keep("groups", "having", [lexicalize_predicate(p, graph, refs, heading=False) for p in having])
+        for c in _conditions(qg, graph, refs, "having", motifs):
+            steps.append(f"Keep groups where {c}")
 
     if qg.query.order_by:
         cols = [
@@ -585,8 +581,7 @@ def _procedural_steps(qg, graph, cls=None, outer=None) -> list[str]:
 
 def _nested_phrase(entry, motifs, graph, refs) -> str:
     """Word a nested predicate, inlining the child query."""
-    pred = entry.predicate
-    child = entry.child
+    pred, child = entry.pred, entry.child
     if entry.connector == "compare_all":
         lhs = _operand_phrase(pred.lhs, graph, refs)
         for motif in motifs:
@@ -608,31 +603,27 @@ def _nested_phrase(entry, motifs, graph, refs) -> str:
     if entry.connector == "not_exists":
         return f"no row exists in {_inline_child(child, graph, refs)}"
     if entry.connector == "compare_scalar":
-        lhs = pred.lhs
-        rhs = pred.rhs
-        if isinstance(rhs, ScalarSubquery):
-            left = _operand_phrase(lhs, graph, refs)
-            return f"{left} {LEXICON[pred.op]} {_scalar_child(child, graph, refs)}"
-        left = _scalar_child(child, graph, refs)
-        return f"{left} {LEXICON[pred.op]} {_operand_phrase(rhs, graph, refs)}"
+        if isinstance(pred.rhs, ScalarSubquery):
+            left, right = _operand_phrase(pred.lhs, graph, refs), _scalar_child(child, graph, refs)
+        else:
+            left, right = _scalar_child(child, graph, refs), _operand_phrase(pred.rhs, graph, refs)
+        return f"{left} {LEXICON[pred.op]} {right}"
     return f"a nested condition holds over {_inline_child(child, graph, refs)}"
 
 
 def _scalar_child(child: QueryGraph, graph, outer_refs) -> str:
-    """Correlated count(*) scalars read as "the number of X for which ..."."""
+    """A count(*) over one relation that does not group reads "the number
+    of X for which ..."; any other scalar child is inlined."""
     query = child.query
     if (
         len(child.nodes) == 1
+        and not query.group_by
         and len(query.select_items) == 1
         and isinstance(query.select_items[0].expr, CountStar)
     ):
-        node = child.nodes[0]
-        rel = graph.relation(node.relation)
-        refs = _References(child, graph, outer_refs, shared=True)
-        conditions = [lexicalize_predicate(p, graph, refs, heading=False) for p in child.crossing]
-        conditions += _conditions(child, graph, refs)  # a one-node child has no join
-        motifs = rewriter.detect_motifs(child)
-        conditions += [_nested_phrase(e, motifs, graph, refs) for e in child.nested]
+        rel = graph.relation(child.nodes[0].relation)
+        refs = _References(child, graph, outer_refs)
+        conditions = _conditions(child, graph, refs, "where", rewriter.detect_motifs(child))
         if conditions:
             return f"the number of {rel.noun_plural} for which {listed(conditions)}"
         return f"the number of {rel.noun_plural}"

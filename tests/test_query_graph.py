@@ -6,7 +6,7 @@ import pytest
 from conftest import CORPUS_NAMES, built, corpus_sql, generated_sql
 
 from tabletalk import parser, query_graph as QG
-from tabletalk.ast_nodes import Compare, Constant, Query, ScalarSubquery
+from tabletalk.ast_nodes import Constant, Query, ScalarSubquery
 from tabletalk.dot import emit_query_dot
 from tabletalk.errors import TabletalkError
 
@@ -50,6 +50,10 @@ DOT_GOLDEN_SQL = {
     "one_outer_alias": ONE_OUTER_ALIAS,
     "two_outer_aliases": TWO_OUTER_ALIASES,
     "having_outer": HAVING_OUTER,
+    # Conjuncts and select items that no node owns are drawn as notes.
+    "ownerless": (
+        "select m.id, count(*) from MOVIE m where 1 < 2 group by m.id having count(*) > 1"
+    ),
 }
 
 
@@ -65,7 +69,7 @@ class TestBuild:
         assert [n.alias for n in qg.nodes] == ["m", "c", "a"]
         assert len(qg.joins) == 2
         assert all(e.fk_backed for e in qg.joins)
-        brad = qg.node("a").where_part
+        brad = [entry.pred for entry in qg.conjuncts if entry.owner == "a"]
         assert len(brad) == 1
         assert isinstance(brad[0].rhs, Constant)
         assert brad[0].rhs.value == "Brad Pitt"
@@ -88,7 +92,9 @@ class TestBuild:
         assert entry.site == "having"
         assert [n.relation for n in entry.child.nodes] == ["GENRE"]
         assert entry.child.joins == []
-        assert [pred.render() for pred in entry.child.crossing] == ["g.mid = m.id"]
+        assert [(e.kind, e.pred.render()) for e in entry.child.conjuncts] == [
+            ("crossing", "g.mid = m.id")
+        ]
 
     def test_crossing_edge_keeps_the_child_side_first(self, movie_graph):
         ast = parser.parse_sql(
@@ -97,7 +103,9 @@ class TestBuild:
         )
         parser.resolve_names(ast, movie_graph)
         child = QG.build(ast, movie_graph).nested[0].child
-        (pred,) = child.crossing
+        (entry,) = child.conjuncts
+        pred = entry.pred
+        assert (entry.kind, entry.site, entry.correlated) == ("crossing", "where", True)
         assert pred.render() == "c.mid > m.id"
         assert (pred.lhs.relation, pred.rhs.relation) == ("CAST", "MOVIE")
         assert child.joins == []
@@ -148,25 +156,24 @@ class TestBuild:
             assert count_nodes(qg) == count_from(qg.query), name
 
     def test_predicate_conservation(self, corpus_graphs):
-        # Every AST predicate lands in exactly one bucket.
+        # One entry per AST predicate, in source order; the join and nested
+        # views list exactly the entries of their kind.
         for name, qg in corpus_graphs.items():
             ast = qg.query
-            ast_preds = len(ast.where) + len(ast.having)
-            placed = (
-                sum(len(n.where_part) + len(n.having_part) for n in qg.nodes)
-                + len(qg.joins) + len(qg.crossing) + len(qg.outer)
-                + len(qg.where_misc) + len(qg.having_misc)
-                + len(qg.nested)
-            )
-            assert placed == ast_preds, name
+            assert [e.site for e in qg.conjuncts] == (
+                ["where"] * len(ast.where) + ["having"] * len(ast.having)
+            ), name
+            assert qg.joins == [e for e in qg.conjuncts if e.kind == "join"], name
+            assert qg.nested == [e for e in qg.conjuncts if e.kind == "nested"], name
 
     def test_every_block_files_each_conjunct_once(self, movie_graph):
         # Every WHERE and HAVING conjunct of every block, the corpus's and
-        # generated ones, lands in exactly one place; `having_outer` is a
-        # view of HAVING conditions filed elsewhere, so it does not count.
-        # `joins` holds this block's joins only, and a crossing comparison
-        # has its local side first.
+        # generated ones, is one entry of `conjuncts`, at its own site; a
+        # HAVING conjunct naming an enclosing alias too.  `joins` holds this
+        # block's joins only, and a crossing comparison has its local side
+        # first.
         texts = [corpus_sql(name) for name in CORPUS_NAMES] + list(generated_sql(2, 500))
+        texts += [ONE_OUTER_ALIAS, TWO_OUTER_ALIASES, HAVING_OUTER]
         blocks = crossing = 0
         for text in texts:
             try:
@@ -178,21 +185,29 @@ class TestBuild:
                 block = pending.pop()
                 pending.extend(entry.child for entry in block.nested)
                 conjuncts = block.query.where + block.query.having
-                filed = [pred for node in block.nodes for pred in node.where_part + node.having_part]
-                filed += [edge.pred for edge in block.joins] + block.where_misc + block.outer
-                filed += block.having_misc + [entry.predicate for entry in block.nested]
-                for pred in block.crossing:
-                    assert isinstance(pred, Compare) and not pred.lhs.level and pred.rhs.level
-                    # Filed as written, or mirrored: the same two sides swapped.
-                    filed += [
-                        c for c in conjuncts
-                        if c is pred or (getattr(c, "lhs", None) is pred.rhs and c.rhs is pred.lhs)
-                    ]
-                for edge in block.joins:
-                    assert not edge.pred.lhs.level and not edge.pred.rhs.level, text
+                filed = []
+                for entry in block.conjuncts:
+                    pred = entry.pred
+                    sources = [c for c in conjuncts if c is pred]
+                    if entry.kind == "crossing":
+                        assert not pred.lhs.level and pred.rhs.level, text
+                        # Filed as written, or mirrored: the same two sides swapped.
+                        sources += [
+                            c for c in conjuncts
+                            if getattr(c, "lhs", 0) is pred.rhs and getattr(c, "rhs", 0) is pred.lhs
+                        ]
+                        crossing += 1
+                    (source,) = sources
+                    assert entry.site == ("where" if source in block.query.where else "having")
+                    filed.append(source)
+                    if entry.kind == "join":
+                        assert not pred.lhs.level and not pred.rhs.level, text
+                    elif entry.kind == "node":
+                        assert block.node(entry.owner) is not None, text
+                    else:
+                        assert entry.kind in ("crossing", "ownerless", "outer", "nested"), text
                 assert sorted(map(id, filed)) == sorted(map(id, conjuncts)), text
                 blocks += 1
-                crossing += len(block.crossing)
         assert blocks > 1000 and crossing > 100
 
     def test_fk_backed_matches_schema_key_pairs(self, corpus_graphs, movie_graph):
@@ -218,19 +233,34 @@ class TestBuild:
     def test_outer_only_predicates_are_outer_conditions(self, movie_graph, sql, outer):
         qg = built_sql(sql, movie_graph)
         child = qg.nested[0].child
-        assert [p.render() for p in child.outer] == [outer]
-        assert child.having_misc == child.query.having  # count(*) > 1 only
-        assert child.crossing == []
+        kinds = {e.kind: [] for e in child.conjuncts}
+        for e in child.conjuncts:
+            kinds[e.kind].append(e.pred)
+        assert [p.render() for p in kinds["outer"]] == [outer]
+        assert kinds.get("ownerless", []) == child.query.having  # count(*) > 1 only
+        assert "crossing" not in kinds
+        assert [e.pred.render() for e in child.conjuncts if e.correlated] == [outer]
         assert qg.is_correlated()
 
     def test_an_outer_alias_in_having_makes_the_block_correlated(self, movie_graph):
         qg = built_sql(HAVING_OUTER, movie_graph)
         child = qg.nested[0].child
-        assert [p.render() for p in child.having_outer] == ["count(*) > m.year"]
-        assert child.having_misc == child.having_outer  # still a HAVING condition
-        assert child.outer == []
+        # One entry, at its HAVING site, flagged: not listed a second time.
+        assert [(e.pred.render(), e.site, e.kind, e.correlated) for e in child.conjuncts] == [
+            ("count(*) > m.year", "having", "ownerless", True)
+        ]
         assert child.is_correlated() and qg.is_correlated()
         assert QG.shape(qg).correlated
+
+    def test_a_having_conjunct_sits_on_the_node_it_names(self, movie_graph):
+        qg = built_sql(
+            "select m.title from MOVIE m where exists (select c.mid from CAST c "
+            "group by c.mid having c.mid > m.year and count(distinct c.aid) > 1)", movie_graph
+        )
+        child = qg.nested[0].child
+        assert [(e.kind, e.owner, e.correlated) for e in child.conjuncts] == [
+            ("node", "c", True), ("node", "c", False)
+        ]
 
 
 class TestShape:

@@ -1,10 +1,12 @@
 import pytest
 
-from conftest import CORPUS_NAMES, built, corpus_sql
+from conftest import CORPUS_NAMES, built, corpus_sql, generated_sql
 
 from tabletalk import parser, query_graph as QG, rewriter, translator
-from tabletalk.ast_nodes import ColumnRef, Compare, Constant
+from tabletalk.ast_nodes import ColumnRef, Compare, Constant, CountStar
 from tabletalk.classifier import classify
+from tabletalk.dot import _escape, emit_query_dot
+from tabletalk.errors import TabletalkError
 from tabletalk.translator import (
     LEXICON,
     lexicalize_predicate,
@@ -43,6 +45,11 @@ class TestGoldenTranslations:
         for name in ("q8", "q9"):
             result = translate(corpus_graphs[name], movie_graph)
             assert any("higher-order" in n for n in result.notes), name
+
+    def test_aggregate_notes_are_exact(self, movie_graph, corpus_graphs):
+        result = translate(corpus_graphs["q7"], movie_graph)
+        assert result.class_used.label == "Aggregate"
+        assert result.notes == ["aggregate query rendered procedurally"]
 
     def test_q9_reads_earliest(self, movie_graph, corpus_graphs):
         result = translate(corpus_graphs["q9"], movie_graph)
@@ -109,7 +116,7 @@ class TestProcedural:
 
 class TestLexicalize:
     def test_heading_convention(self, movie_graph, corpus_graphs):
-        pred = corpus_graphs["q1"].node("a").where_part[0]
+        (pred,) = [e.pred for e in corpus_graphs["q1"].conjuncts if e.owner == "a"]
         refs = translator._References(corpus_graphs["q1"], movie_graph)
         assert lexicalize_predicate(pred, movie_graph, refs) == "the actor Brad Pitt"
 
@@ -286,7 +293,7 @@ class TestEdges:
             "4. Keep groups where 1 is less than the number of genres for which "
             "the mid of the genre is the id of the movie and the mid of the genre "
             "is among (consider each cast entry (c2); keep combinations where the "
-            "role of the cast entry is Chris; report the mid of the cast entry)."
+            "role of the first cast entry is Chris; report the mid of the first cast entry)."
         )
 
     @pytest.mark.parametrize(
@@ -383,6 +390,19 @@ class TestOuterConditions:
             "aid of the cast entry is not the id of the movie."
         ) in text
 
+    def test_an_inlined_child_numbers_outer_instances_with_its_own(self, movie_graph):
+        # m3 is the child's movie and m2 the enclosing block's: they read apart.
+        text = self.translated(
+            "select g1.genre from GENRE g1, MOVIES m2 where g1.mid = m2.id and g1.mid in "
+            "(select m3.id from MOVIES m3 where m2.title != g1.genre and m3.title = 'King Kong')",
+            movie_graph,
+        )
+        assert (
+            "(consider each movie (m3); keep combinations where the title of the first "
+            "movie is King Kong; keep combinations where the title of the second movie "
+            "is not the genre of the genre; report the id of the first movie)"
+        ) in text
+
     def test_count_frame_numbers_outer_instances_with_its_own(self, movie_graph):
         text = self.translated(
             "select m1.title from MOVIES m1 where 1 != (select count(*) "
@@ -420,8 +440,8 @@ class TestProceduralWording:
             "1. Consider each movie (m).\n"
             "2. Keep combinations where the year of the movie is larger than the "
             "single value produced by (consider each movie (m2); keep "
-            "combinations where the title of the movie is Seven; report the "
-            "year of the movie).\n"
+            "combinations where the title of the first movie is Seven; report the "
+            "year of the first movie).\n"
             "3. Report the title of the movie.",
         ),
         "exists": (
@@ -439,8 +459,8 @@ class TestProceduralWording:
             "1. Consider each movie (m).\n"
             "2. Keep combinations where the year of the movie is larger than "
             "every value from (consider each movie (m2); keep combinations "
-            "where the title of the movie is Seven; report the year of the "
-            "movie).\n"
+            "where the title of the first movie is Seven; report the year of the "
+            "first movie).\n"
             "3. Report the title of the movie.",
         ),
         "inlined_constant_ending_in_a_period": (
@@ -451,6 +471,47 @@ class TestProceduralWording:
             "cast entry (c); for each cast entry, bring in its actors (a); keep "
             "combinations where the name of the actor is Sammy Davis Jr.; report "
             "the mid of the cast entry).\n"
+            "3. Report the title of the movie.",
+        ),
+        # The child's correlation is said where the child is inlined.
+        "inlined_crossing": (
+            "select m.title from MOVIES m where exists "
+            "(select g.mid from GENRE g where g.mid = m.id and g.genre = 'drama')",
+            "1. Consider each movie (m).\n"
+            "2. Keep combinations where at least one row exists in (consider each "
+            "genre (g); keep combinations where the mid of the genre is the id of the "
+            "movie; keep combinations where the genre of the genre is drama; report "
+            "the mid of the genre).\n"
+            "3. Report the title of the movie.",
+        ),
+        # Nothing groups: count(*) counts the combinations.
+        "ungrouped_count": (
+            "select count(*) from MOVIES m, CAST c where m.id = c.mid",
+            "1. Consider each movie (m).\n"
+            "2. For each movie, bring in its cast entries (c).\n"
+            "3. Report the number of combinations.",
+        ),
+        "inlined_ungrouped_count": (
+            "select m.title from MOVIES m where 1 < (select count(*) "
+            "from CAST c, ACTOR a where c.mid = m.id and c.aid = a.id)",
+            "1. Consider each movie (m).\n"
+            "2. Keep combinations where 1 is less than the single value produced by "
+            "(consider each cast entry (c); for each cast entry, bring in its actors "
+            "(a); keep combinations where the mid of the cast entry is the id of the "
+            "movie; report the number of combinations).\n"
+            "3. Report the title of the movie.",
+        ),
+        # A count(*) child that groups is inlined whole, GROUP BY and HAVING too.
+        "count_scalar_that_groups": (
+            "select m.title from MOVIE m where 1 < (select count(*) from CAST c "
+            "where c.mid = m.id group by c.mid having count(*) > m.year)",
+            "1. Consider each movie (m).\n"
+            "2. Keep combinations where 1 is less than the single value produced by "
+            "(consider each cast entry (c); keep combinations where the mid of the "
+            "cast entry is the id of the movie; group the combinations by the mid of "
+            "the cast entry; keep groups where the number of rows in each group is "
+            "larger than the year of the movie; report the number of rows in each "
+            "group).\n"
             "3. Report the title of the movie.",
         ),
         # Both columns of the child's comparison belong to the outer query.
@@ -472,6 +533,119 @@ class TestProceduralWording:
         parser.resolve_names(ast, movie_graph)
         result = translate_procedural(QG.build(ast, movie_graph), movie_graph)
         assert result.text == expected
+
+
+def _blocks(qg):
+    """`qg` and every block nested in it, at any depth."""
+    pending = [qg]
+    while pending:
+        block = pending.pop()
+        yield block
+        pending.extend(entry.child for entry in block.nested)
+
+
+# Blocks that no corpus or generated query has.
+EXTRA_SQL = [
+    "select m.id, count(*) from MOVIE m where 1 < 2 group by m.id having count(*) > 1",
+    "select m.title from MOVIE m where 1 < (select count(*) from CAST c "
+    "where c.mid = m.id group by c.mid having count(*) > m.year)",
+]
+
+
+def _every_query(movie_graph, emp_graph):
+    """(graph, query graph, text) for the corpus, emp.sql, generated SQL and
+    `EXTRA_SQL`."""
+    yield emp_graph, built("emp", emp_graph), "emp"
+    texts = [corpus_sql(name) for name in CORPUS_NAMES] + EXTRA_SQL
+    texts += [text for seed in (1, 2, 3) for text in generated_sql(seed, 300)]
+    for text in texts:
+        try:
+            ast = parser.parse_sql(text)
+            parser.resolve_names(ast, movie_graph)
+        except TabletalkError:
+            continue
+        yield movie_graph, QG.build(ast, movie_graph), text
+
+
+class TestEveryConjunctIsSaid:
+    """Every entry of every block's `conjuncts` reaches the procedural text
+    and the DOT output."""
+
+    def test_procedural_text_marks_every_conjunct_said(
+        self, movie_graph, emp_graph, monkeypatch
+    ):
+        made = []
+        init = translator._References.__init__
+
+        def recorded(refs, *args):
+            init(refs, *args)
+            made.append(refs)
+
+        monkeypatch.setattr(translator._References, "__init__", recorded)
+        blocks = counted = grouped = 0
+        for graph, qg, text in _every_query(movie_graph, emp_graph):
+            made.clear()
+            steps = translate_procedural(qg, graph).text
+            said, refs_of = {}, {}
+            for refs in made:
+                said.setdefault(id(refs.qg), set()).update(refs.said)
+                refs_of[id(refs.qg)] = refs
+            # A superlative reading words an ALL child by its motif alone.
+            unsaid = {
+                id(block)
+                for parent in _blocks(qg)
+                for motif in rewriter.detect_motifs(parent) if motif.kind == "SuperlativeAll"
+                for block in _blocks(motif.entry.child)
+            }
+            for block in _blocks(qg):
+                if id(block) in unsaid:
+                    continue
+                assert said.get(id(block)) == set(range(len(block.conjuncts))), text
+                blocks += 1
+                # Said means worded: every comparison's phrase is in the text,
+                # but an FK join that a "bring in" step may stand for.
+                for entry in block.conjuncts:
+                    if entry.kind != "nested" and not getattr(entry, "fk_backed", False):
+                        refs = refs_of[id(block)]
+                        phrase = lexicalize_predicate(entry.pred, graph, refs, heading=False)
+                        assert phrase in steps, (text, phrase)
+                # A count(*) child over one relation is said by the count
+                # frame, or inlined whole when it groups.
+                for entry in block.nested:
+                    child = entry.child
+                    items = [type(item.expr) for item in child.query.select_items]
+                    if entry.connector != "compare_scalar" or len(child.nodes) != 1 or (
+                        items != [CountStar]
+                    ):
+                        continue
+                    node = child.nodes[0]
+                    rel = graph.relation(node.relation)
+                    if child.query.group_by:
+                        grouped += 1
+                        expected = f"value produced by (consider each {rel.noun_singular} ("
+                    else:
+                        expected = f"the number of {rel.noun_plural}"
+                    assert expected in steps, text
+                    counted += 1
+        assert blocks > 2000 and counted > 10 and grouped > 0
+
+    def test_query_dot_draws_every_conjunct(self, movie_graph, emp_graph):
+        drawn = 0
+        for graph, qg, text in _every_query(movie_graph, emp_graph):
+            dot = emit_query_dot(qg)
+            clusters = 0
+            for block in _blocks(qg):
+                for entry in block.conjuncts:
+                    if entry.kind == "nested":
+                        assert f"({entry.connector})" in dot, text
+                        clusters += 1
+                    else:
+                        assert _escape(entry.pred.render()) in dot, text
+                        drawn += 1
+                if any(isinstance(item.expr, CountStar) for item in block.query.select_items):
+                    assert _escape("<<SELECT>> count(*)") in dot, text
+            assert dot.count("subgraph cluster_") == clusters, text
+        assert drawn > 5000
 
 
 class TestMotifsOncePerLevel:
