@@ -183,10 +183,8 @@ def pred_subqueries(pred, site):
         yield site, ("not_exists" if pred.negated else "exists"), pred.query
     elif isinstance(pred, CompareAll):
         yield site, "compare_all", pred.query
-    elif isinstance(pred, Compare):
-        for side in (pred.lhs, pred.rhs):
-            if isinstance(side, ScalarSubquery):
-                yield site, "compare_scalar", side.query
+    elif isinstance(pred, Compare) and isinstance(pred.rhs, ScalarSubquery):
+        yield site, "compare_scalar", pred.rhs.query
 
 
 def expr_ref(expr) -> ColumnRef | None:
@@ -198,12 +196,19 @@ def expr_ref(expr) -> ColumnRef | None:
     return None
 
 
+def operands(pred) -> tuple:
+    """A predicate's operands, the block of a subquery connector included."""
+    if isinstance(pred, Compare):
+        return pred.lhs, pred.rhs
+    if isinstance(pred, CompareAll):
+        return pred.lhs, pred.query
+    if isinstance(pred, InSubquery):
+        return pred.column, pred.query
+    if isinstance(pred, Exists):
+        return (pred.query,)
+    return ()
+
+
 def pred_refs(pred) -> list[ColumnRef]:
     """The column references of one predicate, outside subqueries."""
-    if isinstance(pred, Compare):
-        return [ref for side in (pred.lhs, pred.rhs) if (ref := expr_ref(side))]
-    if isinstance(pred, CompareAll):
-        return [ref] if (ref := expr_ref(pred.lhs)) else []
-    if isinstance(pred, InSubquery):
-        return [pred.column]
-    return []
+    return [ref for expr in operands(pred) if (ref := expr_ref(expr))]

@@ -76,25 +76,15 @@ def _label(
     if report.cyclic:
         return "GraphCyclic", ["join graph contains an undirected cycle"]
     if report.multi_instance:
-        dupes = _duplicated_relations(qg)
         return "GraphMultiInstance", [
-            f"multiple tuple variables over: {', '.join(dupes)}"
+            f"multiple tuple variables over: {', '.join(report.repeated)}"
         ]
     # No cycle and no self-join here, so the join graph is a forest: one
     # simple path exactly when it has n - 1 edges and no degree above two.
-    if report.max_degree <= 2 and sum(report.degrees.values()) == 2 * (len(qg.nodes) - 1):
+    if report.max_degree <= 2 and sum(report.degrees.values()) == 2 * (len(report.degrees) - 1):
         return "Path", [
             "acyclic, single-instance, at most two joins per relation, "
             "join graph is a simple path"
         ]
     return "Subgraph", ["acyclic single-instance subgraph of the schema graph"]
-
-
-def _duplicated_relations(qg: QueryGraph) -> list[str]:
-    seen, dupes = set(), []
-    for node in qg.nodes:
-        if node.relation in seen and node.relation not in dupes:
-            dupes.append(node.relation)
-        seen.add(node.relation)
-    return dupes
 

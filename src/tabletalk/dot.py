@@ -42,7 +42,8 @@ def _emit_level(qg, lines, prefixes, counter) -> list[str]:
     from .ast_nodes import CountStar, expr_ref, pred_refs  # loaded with any query graph
 
     prefix, query = prefixes[0], qg.query
-    boxes = {node.alias: {"SELECT": [], "WHERE": [], "HAVING": []} for node in qg.nodes}
+    nodes = query.from_items
+    boxes = {item.alias: {"SELECT": [], "WHERE": [], "HAVING": []} for item in nodes}
     loose = {"SELECT": [], "WHERE": [], "HAVING": []}  # what no node owns
     for item in query.select_items:
         ref = expr_ref(item.expr)
@@ -68,17 +69,17 @@ def _emit_level(qg, lines, prefixes, counter) -> list[str]:
         elif kind not in ("crossing", "outer"):  # those are drawn as dotted edges
             raise ValueError(f"unknown conjunct kind {kind!r}")
         if entry.correlated:  # from its local side or the first node; crossing ones first
-            src = entry.pred.lhs.alias if kind == "crossing" else qg.nodes[0].alias
+            src = entry.pred.lhs.alias if kind == "crossing" else nodes[0].alias
             ends = dict.fromkeys(
                 f"{prefixes[ref.level]}{ref.alias}" for ref in pred_refs(entry.pred) if ref.level
             )
             (crossing if kind == "crossing" else outer).extend(
                 f'  "{prefix}{src}" -> "{end}" [style=dotted, label="{label}"];' for end in ends
             )
-    for node in qg.nodes:
-        parts = [f"<<FROM>> {node.relation} {node.alias}"]
-        parts += [_section(title, items) for title, items in boxes[node.alias].items() if items]
-        lines.append(f'  "{prefix}{node.alias}" [label="{_escape("|".join(parts))}"];')
+    for item in nodes:
+        parts = [f"<<FROM>> {item.canonical} {item.alias}"]
+        parts += [_section(title, items) for title, items in boxes[item.alias].items() if items]
+        lines.append(f'  "{prefix}{item.alias}" [label="{_escape("|".join(parts))}"];')
     notes = (
         ("select", "SELECT", loose["SELECT"]),
         ("where", "WHERE", loose["WHERE"]),
@@ -99,9 +100,10 @@ def _emit_level(qg, lines, prefixes, counter) -> list[str]:
         lines.append(f'    label="{name} ({entry.connector})";')
         dotted = _emit_level(child, lines, (child_prefix, *prefixes), counter)
         lines.append("  }")
-        if qg.nodes and child.nodes:
+        child_nodes = child.query.from_items
+        if nodes and child_nodes:
             lines.append(
-                f'  "{prefix}{qg.nodes[0].alias}" -> "{child_prefix}{child.nodes[0].alias}" '
+                f'  "{prefix}{nodes[0].alias}" -> "{child_prefix}{child_nodes[0].alias}" '
                 f'[style=dashed, label="{entry.connector}"];'
             )
         lines += dotted

@@ -57,6 +57,7 @@ from .ast_nodes import (
     Query,
     ScalarSubquery,
     Star,
+    operands,
 )
 from .data import Database
 from .errors import SqlError
@@ -122,7 +123,7 @@ def _plan(query: Query) -> _Plan:
             expr.column if isinstance(expr, ColumnRef) else expr.render()
         ))
     for pred in query.where:
-        sides = [_read(expr, refs, blocks) for expr in _operands(pred)]
+        sides = [_read(expr, refs, blocks) for expr in operands(pred)]
         if isinstance(pred, Compare) and None not in sides:
             (a, x), (b, y) = sides
             level = max(depth.get(a, 0), depth.get(b, 0))
@@ -130,7 +131,7 @@ def _plan(query: Query) -> _Plan:
         else:
             nested.append(_test(pred))
     for pred in query.having:
-        for expr in _operands(pred):
+        for expr in operands(pred):
             _read(expr, refs, blocks)
     refs += query.group_by
     refs += [col for col, _ in query.order_by]
@@ -372,19 +373,6 @@ class _Evaluation:
             # ALL over an empty result is vacuously true (SQL semantics).
             return all(_compare(lhs, op, row[0]) for row in result.rows)
         raise SqlError(f"cannot evaluate predicate {pred!r}")
-
-
-def _operands(pred) -> tuple:
-    """A predicate's operands, the block of a subquery connector included."""
-    if isinstance(pred, Compare):
-        return pred.lhs, pred.rhs
-    if isinstance(pred, CompareAll):
-        return pred.lhs, pred.query
-    if isinstance(pred, InSubquery):
-        return pred.column, pred.query
-    if isinstance(pred, Exists):
-        return (pred.query,)
-    return ()
 
 
 def _ordered(query, keyed):

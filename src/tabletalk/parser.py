@@ -34,6 +34,7 @@ from .ast_nodes import (
     ScalarSubquery,
     SelectItem,
     Star,
+    operands,
 )
 from .errors import (
     AmbiguousColumn,
@@ -380,7 +381,7 @@ def _resolve_query(query: Query, names, outer_scopes):
                 for item in query.from_items for attr in names.by_relation.get(item.canonical, ())
             ]
     for pred in query.where:  # a count is of a group's rows, so HAVING only
-        for side in (getattr(pred, "lhs", None), getattr(pred, "rhs", None)):
+        for side in operands(pred):
             if isinstance(side, (CountStar, CountDistinct)):
                 raise SqlError(f"aggregate {side.render()} in WHERE; use HAVING")
     for _, connector, child in query.subqueries():

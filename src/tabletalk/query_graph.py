@@ -1,26 +1,29 @@
-"""Query graph: one node per tuple variable, and one list of conjuncts.
+"""Query graph: the tuple variables of one block, and one list of conjuncts.
 
-What the block says itself, its select list, GROUP BY and ORDER BY, is
-read from the resolved block the graph keeps (`QueryGraph.query`).
-`build` files each WHERE and HAVING conjunct once, in source order, as
-one entry of `QueryGraph.conjuncts` with its `pred`, `site` and `kind`.
-The kind follows from the `level` that `resolve_names` recorded on each
-column reference (0: bound in this block, k: k blocks out):
+A `QueryGraph` keeps its resolved block (`query`) and `conjuncts`.  The
+nodes are the block's FROM items (`query.from_items`), read by their
+`canonical` relation; what the block says itself, its select list,
+GROUP BY and ORDER BY, is read from the block too.  `build` files each
+WHERE and HAVING conjunct once, in source order, as one `Conjunct`: its
+`pred`, `site`, `kind` and `correlated`, and, by kind, its `owner`, its
+`fk_backed` or its `connector` and `child`.  The kind follows from the
+`level` that `resolve_names` recorded on each column reference (0: bound
+in this block, k: k blocks out):
 
 - node: it names one local tuple variable, its `owner` (in HAVING, the
   one it counts distinct values of, or else the first one it names);
-- join: a WHERE comparison of two local tuple variables, a QueryJoinEdge;
+- join: a WHERE comparison of two local tuple variables, `fk_backed`
+  when the schema declares its two columns a key pair;
 - crossing: a WHERE comparison of a local and an enclosing column,
   mirrored so that its local side comes first;
 - ownerless: a WHERE comparison of constants alone, or a HAVING one with
   no local node to sit on (`count(*) > 1`);
 - outer: a WHERE comparison naming only enclosing columns;
-- nested: a subquery connector with its child graph, a NestedQuery.
+- nested: a subquery `connector` with the `child` graph of its block.
 
-A comparison naming an enclosing alias (every crossing and outer entry,
-and some HAVING ones) is `correlated`; it makes its block correlated, as
-a correlated child does.  `joins` and `nested` list the join and nested
-entries again, for the readers that index them.
+A conjunct whose own columns (outside its subquery) name an enclosing
+alias is `correlated`; it makes its block correlated, as a correlated
+child does.
 """
 
 from __future__ import annotations
@@ -30,59 +33,46 @@ from .ast_nodes import (
     Compare,
     CountDistinct,
     CountStar,
+    FromItem,
     Query,
+    pred_refs,
     pred_subqueries,
 )
 from .record import Record, field
 from .schema import SchemaGraph
 
 
-class QueryNode(Record):
-    alias: str
-    relation: str
-
-
 class Conjunct(Record):
     pred: object  # a crossing comparison with its local side first
     site: str  # where | having
-    kind: str  # node | crossing | ownerless | outer
+    kind: str  # node | join | crossing | ownerless | outer | nested
     owner: str | None = None  # node: the alias it sits on
     correlated: bool = False
-
-
-class QueryJoinEdge(Record):
-    pred: Compare  # resolved comparison of two local columns
-    fk_backed: bool = False
-    site, kind, owner, correlated = "where", "join", None, False
+    fk_backed: bool = False  # join: the schema declares its columns a key pair
+    connector: str | None = None  # nested: in | exists | not_exists | compare_all | compare_scalar
+    child: QueryGraph | None = None  # nested: the graph of its subquery
 
     @property
     def ends(self) -> tuple[str, str]:
+        """A join's two aliases."""
         return self.pred.lhs.alias, self.pred.rhs.alias
 
 
-class NestedQuery(Record):
-    connector: str  # in | exists | not_exists | compare_all | compare_scalar
-    site: str  # where | having
-    pred: object
-    child: "QueryGraph"
-    kind, owner, correlated = "nested", None, False
-
-
 class QueryGraph(Record):
-    nodes: list[QueryNode] = field(factory=list)
-    conjuncts: list = field(factory=list)  # every WHERE and HAVING conjunct, once
-    joins: list[QueryJoinEdge] = field(factory=list)  # the join entries of `conjuncts`
-    nested: list[NestedQuery] = field(factory=list)  # its nested entries
-    query: Query = field(factory=Query)  # the resolved block
+    query: Query = field(factory=Query)  # the resolved block; its FROM items are the nodes
+    conjuncts: list[Conjunct] = field(factory=list)  # every WHERE and HAVING conjunct, once
 
-    def node(self, alias: str) -> QueryNode | None:
-        for node in self.nodes:
-            if node.alias == alias:
-                return node
+    def node(self, alias: str) -> FromItem | None:
+        for item in self.query.from_items:
+            if item.alias == alias:
+                return item
         return None
 
     def all_connectors(self) -> list[str]:
-        return [c for e in self.nested for c in (e.connector, *e.child.all_connectors())]
+        return [
+            c for e in self.conjuncts if e.kind == "nested"
+            for c in (e.connector, *e.child.all_connectors())
+        ]
 
     def is_correlated(self) -> bool:
         """True when this block or one nested in it, at any depth, names an
@@ -95,9 +85,7 @@ class QueryGraph(Record):
 
 def build(ast: Query, graph: SchemaGraph) -> QueryGraph:
     """Build the graph for a resolved AST, recursing into subqueries."""
-    qg = QueryGraph(query=ast)
-    for item in ast.from_items:
-        qg.nodes.append(QueryNode(item.alias, item.canonical or item.relation))
+    qg = QueryGraph(ast)
     for pred in ast.where:
         qg.conjuncts.append(_filed(qg, graph, pred, "where"))
     for pred in ast.having:
@@ -106,18 +94,19 @@ def build(ast: Query, graph: SchemaGraph) -> QueryGraph:
 
 
 def _filed(qg, graph, pred, site):
-    """The entry for one conjunct; join and nested ones also go to their view."""
-    # A Compare with a scalar subquery on both sides nests only its left one.
+    """The one entry for one conjunct.  It is `correlated` when one of its
+    `pred_refs` binds in an enclosing block; of a WHERE comparison the kind
+    tells (every crossing and outer one is, no other is)."""
     for _, connector, query in pred_subqueries(pred, site):
-        entry = NestedQuery(connector, site, pred, build(query, graph))
-        qg.nested.append(entry)
-        return entry
+        correlated = any(ref.level for ref in pred_refs(pred))
+        child = build(query, graph)
+        return Conjunct(pred, site, "nested", None, correlated, connector=connector, child=child)
     refs = [s for s in (pred.lhs, pred.rhs) if isinstance(s, ColumnRef)]
     if site == "having":
         counted = pred.lhs if isinstance(pred.lhs, (CountStar, CountDistinct)) else pred.rhs
         named = counted.column if isinstance(counted, CountDistinct) else next(iter(refs), None)
         owner = named and qg.node(named.alias)
-        correlated = any(ref.level for ref in refs)
+        correlated = any(ref.level for ref in pred_refs(pred))
         if owner:
             return Conjunct(pred, site, "node", owner.alias, correlated)
         return Conjunct(pred, site, "ownerless", correlated=correlated)
@@ -135,9 +124,7 @@ def _filed(qg, graph, pred, site):
     fk = pred.op == "=" and graph.fk_backed(
         lhs.relation, lhs.attribute, rhs.relation, rhs.attribute
     )
-    edge = QueryJoinEdge(pred, fk_backed=fk)
-    qg.joins.append(edge)
-    return edge
+    return Conjunct(pred, site, "join", fk_backed=fk)
 
 
 _MIRROR = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
@@ -147,7 +134,7 @@ _MIRROR = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 class ShapeReport(Record):
     degrees: dict
-    multi_instance: bool
+    repeated: list[str]  # each relation named by more than one FROM item, once
     cyclic: bool
     connectors: list[str]
     has_aggregate: bool
@@ -156,6 +143,10 @@ class ShapeReport(Record):
     @property
     def max_degree(self) -> int:
         return max(self.degrees.values(), default=0)
+
+    @property
+    def multi_instance(self) -> bool:
+        return bool(self.repeated)
 
 
 def shape(qg: QueryGraph) -> ShapeReport:
@@ -166,29 +157,33 @@ def shape(qg: QueryGraph) -> ShapeReport:
     multi-instance evidence (the schema-graph picture would need a copied
     node), not a cycle through the schema.
     """
-    degrees = {n.alias: 0 for n in qg.nodes}
-    for edge in qg.joins:
+    query = qg.query
+    joins = [e for e in qg.conjuncts if e.kind == "join"]
+    degrees = {item.alias: 0 for item in query.from_items}
+    for edge in joins:
         for alias in edge.ends:
             degrees[alias] += 1
-    relations = [n.relation for n in qg.nodes]
-    multi = len(set(relations)) < len(relations)
-    cyclic = _has_cycle(qg)
-    query = qg.query
+    seen, repeated = set(), []
+    for item in query.from_items:
+        if item.canonical in seen and item.canonical not in repeated:
+            repeated.append(item.canonical)
+        seen.add(item.canonical)
     has_aggregate = bool(query.group_by) or any(
         isinstance(item.expr, (CountStar, CountDistinct)) for item in query.select_items
     )
     return ShapeReport(
         degrees=degrees,
-        multi_instance=multi,
-        cyclic=cyclic,
+        repeated=repeated,
+        cyclic=_has_cycle(qg, joins),
         connectors=qg.all_connectors(),
         has_aggregate=has_aggregate,
         correlated=qg.is_correlated(),
     )
 
 
-def _has_cycle(qg: QueryGraph) -> bool:
-    parent = {n.alias: n.alias for n in qg.nodes}
+def _has_cycle(qg: QueryGraph, joins: list[Conjunct]) -> bool:
+    relation = {item.alias: item.canonical for item in qg.query.from_items}
+    parent = {alias: alias for alias in relation}
 
     def find(x):
         while parent[x] != x:
@@ -196,14 +191,12 @@ def _has_cycle(qg: QueryGraph) -> bool:
             x = parent[x]
         return x
 
-    by_alias = {n.alias: n for n in qg.nodes}
-    for edge in qg.joins:
+    for edge in joins:
         a, b = edge.ends
-        if by_alias[a].relation == by_alias[b].relation:
+        if relation[a] == relation[b]:
             continue  # self-join edge: multi-instance evidence, not a cycle
         ra, rb = find(a), find(b)
         if ra == rb:
             return True
         parent[ra] = rb
     return False
-

@@ -13,7 +13,7 @@ from .ast_nodes import (
     Query,
 )
 from .errors import NotFlattenable
-from .query_graph import NestedQuery, QueryGraph
+from .query_graph import Conjunct, QueryGraph
 from .record import Record, field
 
 
@@ -22,7 +22,7 @@ class Motif(Record):
     anchor: str  # predicate site description
     params: dict = field(factory=dict)
     # SuperlativeAll: the nested ALL comparison the motif was found on.
-    entry: NestedQuery | None = field(None, shown=False)
+    entry: Conjunct | None = field(None, shown=False)
 
 
 HIGHER_ORDER_KINDS = ("SameValue", "SuperlativeAll")
@@ -134,24 +134,25 @@ def _detect_division(qg: QueryGraph) -> list[Motif]:
     """Double NOT EXISTS whose innermost query is correlated to both the
     outer query and the middle query's range."""
     out = []
-    for entry in qg.nested:
-        if entry.connector != "not_exists":
+    for entry in qg.conjuncts:
+        if entry.connector != "not_exists":  # None on every entry but a nested one
             continue
         middle = entry.child
-        for inner in middle.nested:
+        for inner in middle.conjuncts:
             if inner.connector != "not_exists":
                 continue
             # The outer side of a crossing comparison binds 1 (middle) or 2 blocks out.
             levels = {e.pred.rhs.level for e in inner.child.conjuncts if e.kind == "crossing"}
-            if {1, 2} <= levels and qg.nodes and middle.nodes:
+            ranges, divisors = qg.query.from_items, middle.query.from_items
+            if {1, 2} <= levels and ranges and divisors:
                 out.append(
                     Motif(
                         "Division",
                         anchor=f"{entry.site} not exists",
                         params={
-                            "range": qg.nodes[0].relation,
-                            "range_alias": qg.nodes[0].alias,
-                            "divisor": middle.nodes[0].relation,
+                            "range": ranges[0].canonical,
+                            "range_alias": ranges[0].alias,
+                            "divisor": divisors[0].canonical,
                         },
                     )
                 )
@@ -192,7 +193,7 @@ _MAX_OPS = (">=", ">")
 def _detect_superlative_all(qg: QueryGraph) -> list[Motif]:
     """<op> ALL against a correlated subquery over the same attribute."""
     out = []
-    for entry in qg.nested:
+    for entry in qg.conjuncts:
         if entry.connector != "compare_all":
             continue
         pred = entry.pred

@@ -20,13 +20,13 @@ from .ast_nodes import (
     Constant,
     CountDistinct,
     CountStar,
-    ScalarSubquery,
+    FromItem,
     Star,
     expr_ref,
     pred_refs,
 )
 from .classifier import QueryClass, classify
-from .query_graph import QueryGraph, QueryNode
+from .query_graph import QueryGraph
 from .record import Record, field
 from .schema import SUBJECT_SLOT, SchemaGraph
 from .templates import Placeholder, listed
@@ -98,9 +98,9 @@ class _References:
         self.index: dict[tuple, tuple] = {}  # (level, alias) -> (relation, ordinal)
         level, refs = 0, self
         while refs is not None:
-            for node in refs.qg.nodes:
-                counts[node.relation] = counts.get(node.relation, 0) + 1
-                self.index[level, node.alias] = node.relation, counts[node.relation]
+            for item in refs.qg.query.from_items:
+                counts[item.canonical] = counts.get(item.canonical, 0) + 1
+                self.index[level, item.alias] = item.canonical, counts[item.canonical]
             level, refs = level + 1, refs.outer
         self.counts = counts
         self.mentioned: set[str] = set()
@@ -152,7 +152,7 @@ def _plain_refs(graph: SchemaGraph, pred) -> _References:
     for ref in pred_refs(pred):
         qg = blocks.setdefault(ref.level, QueryGraph())
         if ref.alias and qg.node(ref.alias) is None and ref.relation:
-            qg.nodes.append(QueryNode(ref.alias, ref.relation))
+            qg.query.from_items.append(FromItem(ref.relation, ref.alias, ref.relation))
     refs = None
     for level in range(max(blocks, default=0), -1, -1):
         refs = _References(blocks.get(level, QueryGraph()), graph, refs)
@@ -187,7 +187,7 @@ def lexicalize_predicate(
         if heading and isinstance(pred.lhs, ColumnRef):
             node = refs.qg.node(pred.lhs.alias)
             if node is not None:
-                rel = graph.relation(node.relation)
+                rel = graph.relation(node.canonical)
                 if _binds(pred, rel.heading_attribute):
                     return f"the {rel.noun_singular} {pred.rhs.value}"
         lhs = _operand_phrase(pred.lhs, graph, refs)
@@ -227,7 +227,7 @@ def _attribute_phrase(graph, refs, alias, relation, column, level=0) -> str:
 
 def _fk_adjacency(qg: QueryGraph):
     """Each alias's FK-backed joins, as (conjunct index, other alias)."""
-    adj: dict[str, list] = {n.alias: [] for n in qg.nodes}
+    adj: dict[str, list] = {item.alias: [] for item in qg.query.from_items}
     for i, entry in enumerate(qg.conjuncts):
         if entry.kind == "join" and entry.fk_backed:
             a, b = entry.ends
@@ -249,7 +249,7 @@ def _is_relay(qg: QueryGraph, alias: str) -> bool:
 
 
 def _at_route_end(qg, graph, chain) -> bool:
-    relations = [qg.node(a).relation for a in chain]
+    relations = [qg.node(a).canonical for a in chain]
     return any(phrase.route == relations for phrase in graph.phrases)
 
 
@@ -282,7 +282,7 @@ def _chains(qg, graph, adj, start: str, claimed: set, claim) -> list[list[str]]:
 
 def _match_phrase(graph: SchemaGraph, qg: QueryGraph, chain: list[str]):
     """Longest declared phrase whose route prefixes this chain's relations."""
-    relations = [qg.node(a).relation for a in chain]
+    relations = [qg.node(a).canonical for a in chain]
     matches = [p for p in graph.phrases if relations[: len(p.route)] == p.route]
     return max(matches, key=lambda p: len(p.route), default=None)  # first longest
 
@@ -300,7 +300,7 @@ def _render_phrase(phrase, graph, qg, refs, chain: list[str]):
     """Instantiate a translation phrase; returns (text, is_premodifier)."""
     by_relation = {}
     for alias in chain:
-        by_relation.setdefault(qg.node(alias).relation, alias)
+        by_relation.setdefault(qg.node(alias).canonical, alias)
     premod = False
     out = []
     for part in graph.compiled[phrase.text].parts:
@@ -325,7 +325,7 @@ def _attribute_slot(graph, refs, alias, attribute) -> str:
     """A {REL.attr} slot: the constant bound to it if any, else a phrase."""
     value = refs.bound_value(alias, attribute)
     if value is None:
-        return _attribute_phrase(graph, refs, alias, refs.qg.node(alias).relation, attribute)
+        return _attribute_phrase(graph, refs, alias, refs.qg.node(alias).canonical, attribute)
     return value
 
 
@@ -343,15 +343,14 @@ def _pick_root(qg: QueryGraph, graph: SchemaGraph) -> str:
         if ref.alias not in owners:
             owners.append(ref.alias)
     if not owners:
-        return qg.nodes[0].alias
-    return max(owners, key=lambda a: graph.relation(qg.node(a).relation).weight)
+        return qg.query.from_items[0].alias
+    return max(owners, key=lambda a: graph.relation(qg.node(a).canonical).weight)
 
 
 def _translate_root_np(qg, graph, cls, notes) -> TranslationResult:
     refs = _References(qg, graph)
     root = _pick_root(qg, graph)
-    root_node = qg.node(root)
-    root_rel = graph.relation(root_node.relation)
+    root_rel = graph.relation(qg.node(root).canonical)
 
     proj_phrases = []
     for ref in _selected_columns(qg):
@@ -425,7 +424,7 @@ def _conditions(qg, graph, refs, site="where", motifs=(), heading=False) -> list
     entries = qg.conjuncts
     todo = [i for i, entry in enumerate(entries) if entry.site == site and i not in refs.said]
     if len(todo) > 1:
-        place = {node.alias: k for k, node in enumerate(qg.nodes)}
+        place = {item.alias: k for k, item in enumerate(qg.query.from_items)}
         todo.sort(key=lambda i: (_READING.get(entries[i].kind, 0), place.get(entries[i].owner, 0)))
     phrases = []
     for i in todo:
@@ -469,10 +468,11 @@ def _translate_itemized(qg, graph, cls, notes) -> TranslationResult:
 
 def _division_frame(qg, graph, motif) -> str | None:
     """Full-sentence frame when the division covers the whole query."""
-    if len(qg.nodes) != 1 or [e.kind for e in qg.conjuncts] != ["nested"] or qg.query.order_by:
+    nodes = qg.query.from_items
+    if len(nodes) != 1 or [e.kind for e in qg.conjuncts] != ["nested"] or qg.query.order_by:
         return None
-    node = qg.nodes[0]
-    heading = graph.relation(node.relation).heading_attribute
+    node = nodes[0]
+    heading = graph.relation(node.canonical).heading_attribute
     for ref in _selected_columns(qg):
         # The frame speaks of whole entities; only heading projections fit.
         if ref.alias != node.alias or ref.attribute != heading:
@@ -540,7 +540,7 @@ def _procedural_steps(qg, graph, cls=None, outer=None) -> list[str]:
             pending.clear()
 
     adj = _fk_adjacency(qg)
-    for node in qg.nodes:
+    for node in qg.query.from_items:
         links = [(i, a) for i, a in adj[node.alias] if i not in refs.said and a in placed]
         if not links:
             flush_follow()
@@ -548,7 +548,7 @@ def _procedural_steps(qg, graph, cls=None, outer=None) -> list[str]:
         else:
             i, prev = links[0]
             refs.said.add(i)
-            rel = graph.relation(node.relation)
+            rel = graph.relation(node.canonical)
             verb = "" if pending else "bring in "
             pending.append(f"{refs.noun(prev)}, {verb}its {rel.noun_plural} ({node.alias})")
         placed.append(node.alias)
@@ -602,13 +602,10 @@ def _nested_phrase(entry, motifs, graph, refs) -> str:
         return f"at least one row exists in {_inline_child(child, graph, refs)}"
     if entry.connector == "not_exists":
         return f"no row exists in {_inline_child(child, graph, refs)}"
-    if entry.connector == "compare_scalar":
-        if isinstance(pred.rhs, ScalarSubquery):
-            left, right = _operand_phrase(pred.lhs, graph, refs), _scalar_child(child, graph, refs)
-        else:
-            left, right = _scalar_child(child, graph, refs), _operand_phrase(pred.rhs, graph, refs)
+    if entry.connector == "compare_scalar":  # the parser puts the subquery on the right
+        left, right = _operand_phrase(pred.lhs, graph, refs), _scalar_child(child, graph, refs)
         return f"{left} {LEXICON[pred.op]} {right}"
-    return f"a nested condition holds over {_inline_child(child, graph, refs)}"
+    raise ValueError(f"unknown nesting connector {entry.connector!r}")
 
 
 def _scalar_child(child: QueryGraph, graph, outer_refs) -> str:
@@ -616,12 +613,12 @@ def _scalar_child(child: QueryGraph, graph, outer_refs) -> str:
     of X for which ..."; any other scalar child is inlined."""
     query = child.query
     if (
-        len(child.nodes) == 1
+        len(query.from_items) == 1
         and not query.group_by
         and len(query.select_items) == 1
         and isinstance(query.select_items[0].expr, CountStar)
     ):
-        rel = graph.relation(child.nodes[0].relation)
+        rel = graph.relation(query.from_items[0].canonical)
         refs = _References(child, graph, outer_refs)
         conditions = _conditions(child, graph, refs, "where", rewriter.detect_motifs(child))
         if conditions:

@@ -218,21 +218,22 @@ def test_criterion_6_property_suites(movie_graph, movie_db, corpus_graphs):
             pass
 
     # classifier: totality and uniqueness on generated SPJ graphs.
-    from tabletalk.ast_nodes import ColumnRef, Compare
-    from tabletalk.query_graph import QueryGraph, QueryJoinEdge, QueryNode
+    from tabletalk.ast_nodes import ColumnRef, Compare, FromItem
+    from tabletalk.query_graph import Conjunct, QueryGraph
 
     relations = ["MOVIE", "GENRE", "DIRECTOR", "CAST", "ACTOR"]
     for _ in range(300):
         qg = QueryGraph()
         n = rng.randint(1, 5)
         for i in range(n):
-            qg.nodes.append(QueryNode(f"t{i}", rng.choice(relations)))
+            relation = rng.choice(relations)
+            qg.query.from_items.append(FromItem(relation, f"t{i}", relation))
         for _ in range(rng.randint(0, n)):
             if n < 2:
                 break
             a, b = rng.sample(range(n), 2)
             pred = Compare(ColumnRef(f"t{a}", "k"), "=", ColumnRef(f"t{b}", "k"))
-            qg.joins.append(QueryJoinEdge(pred, fk_backed=True))
+            qg.conjuncts.append(Conjunct(pred, "where", "join", fk_backed=True))
         label = classifier.classify(qg).label
         assert label in classifier.LABELS
 

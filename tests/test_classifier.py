@@ -5,10 +5,10 @@ import pytest
 from conftest import CORPUS_NAMES, corpus_sql
 
 from tabletalk import parser, query_graph as QG, rewriter, translator
-from tabletalk.ast_nodes import ColumnRef, Compare
+from tabletalk.ast_nodes import ColumnRef, Compare, FromItem
 from tabletalk.classifier import LABELS, classify
 from tabletalk.errors import NotFlattenable
-from tabletalk.query_graph import QueryGraph, QueryJoinEdge, QueryNode
+from tabletalk.query_graph import Conjunct, QueryGraph
 
 EXPECTED = {
     "q1": "Path",
@@ -113,9 +113,9 @@ class TestAgreesWithRewriter:
             pytest.fail(f"translate leaked NotFlattenable: {exc}")
 
 
-def _edge(a: str, b: str, column: str, op: str, fk: bool) -> QueryJoinEdge:
+def _edge(a: str, b: str, column: str, op: str, fk: bool) -> Conjunct:
     pred = Compare(ColumnRef(a, column), op, ColumnRef(b, column))
-    return QueryJoinEdge(pred, fk_backed=fk)
+    return Conjunct(pred, "where", "join", fk_backed=fk)
 
 
 def _random_spj_graph(rng: random.Random) -> QueryGraph:
@@ -123,12 +123,13 @@ def _random_spj_graph(rng: random.Random) -> QueryGraph:
     qg = QueryGraph()
     n = rng.randint(1, 5)
     for i in range(n):
-        qg.nodes.append(QueryNode(f"t{i}", rng.choice(relations)))
+        relation = rng.choice(relations)
+        qg.query.from_items.append(FromItem(relation, f"t{i}", relation))
     for _ in range(rng.randint(0, n + 1)):
         a, b = rng.sample(range(n), 2) if n > 1 else (0, 0)
         if a == b:
             continue
-        qg.joins.append(
+        qg.conjuncts.append(
             _edge(f"t{a}", f"t{b}", "k", rng.choice(["=", "=", ">"]), rng.random() < 0.7)
         )
     return qg
@@ -151,12 +152,12 @@ class TestProperties:
             qg = QueryGraph()
             chosen = rng.sample(relations, n)
             for i, rel in enumerate(chosen):
-                qg.nodes.append(QueryNode(f"t{i}", rel))
+                qg.query.from_items.append(FromItem(rel, f"t{i}", rel))
             for i in range(n - 1):
-                qg.joins.append(_edge(f"t{i}", f"t{i+1}", "k", "=", True))
+                qg.conjuncts.append(_edge(f"t{i}", f"t{i+1}", "k", "=", True))
             assert classify(qg).label == "Path"
             a, b = rng.sample(range(n), 2)
-            qg.joins.append(_edge(f"t{a}", f"t{b}", "j", "=", False))
+            qg.conjuncts.append(_edge(f"t{a}", f"t{b}", "j", "=", False))
             # A non-key edge between two nodes of a path closes a cycle.
             assert classify(qg).label == "GraphCyclic"
             assert QG.shape(qg).cyclic

@@ -663,6 +663,8 @@ EXTRA_SQL = {
         "select m.title, m.year from MOVIES m where m.year >= (select m2.year "
         "from MOVIES m2 where m2.id = m.id and m2.year > 2000)"
     ),
+    # Constants among the select items: rows are read item by item.
+    "constant_items": "select 'x', m.title, 7 from MOVIES m where m.year > 2003",
 }
 
 

@@ -897,3 +897,17 @@ class TestRecipes:
                 assert narrate(graph, db, plan) == narrate(graph, db, unranked)
                 # Unknown spellings add no recipe.
                 assert narrator._recipe(graph, plan) is narrator._recipe(graph, unranked)
+
+
+@pytest.mark.parametrize("texts,expected", [
+    (["Woody Allen directed Scoop"], "Woody Allen directed Scoop"),
+    (["Woody Allen directed Scoop", "Scarlett Johansson played in Scoop"], None),
+    (["The movie Scoop was made", "The movie Scoop was praised"], None),
+    (["Woody Allen directed", "Woody Allen directed Scoop"], None),
+    (
+        ["Woody Allen directed Scoop", "Woody Allen directed Match Point"],
+        "Woody Allen directed Scoop and Match Point",
+    ),
+], ids=["single", "no_prefix", "prefix_without_subject", "empty_remainder", "fused"])
+def test_fuse_split_fuses_only_on_a_prefix_naming_the_subject(texts, expected):
+    assert narrator.fuse_split(texts, "Woody Allen") == expected

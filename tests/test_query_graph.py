@@ -6,9 +6,10 @@ import pytest
 from conftest import CORPUS_NAMES, built, corpus_sql, generated_sql
 
 from tabletalk import parser, query_graph as QG
-from tabletalk.ast_nodes import Constant, Query, ScalarSubquery
+from tabletalk.ast_nodes import Constant, FromItem, Query
+from tabletalk.classifier import classify
 from tabletalk.dot import emit_query_dot
-from tabletalk.errors import TabletalkError
+from tabletalk.errors import SyntaxError_, TabletalkError
 
 # A subquery predicate that names only outer aliases, one and two of them
 # (ROADMAP item 3).
@@ -26,6 +27,11 @@ TWO_OUTER_ALIASES = (
 HAVING_OUTER = (
     "select m.title from MOVIE m where exists "
     "(select c.mid from CAST c group by c.mid having count(*) > m.year)"
+)
+# Correlated only through the needle of a nested IN.
+NESTED_NEEDLE = (
+    "select m.title from MOVIES m where exists "
+    "(select g.mid from GENRE g where m.id in (select c.mid from CAST c))"
 )
 
 # Query DOT is pinned byte for byte: the corpus, emp.sql and these.
@@ -63,12 +69,17 @@ def built_sql(sql, graph):
     return QG.build(ast, graph)
 
 
+def of_kind(qg, kind):
+    return [entry for entry in qg.conjuncts if entry.kind == kind]
+
+
 class TestBuild:
     def test_q1_partition(self, corpus_graphs):
         qg = corpus_graphs["q1"]
-        assert [n.alias for n in qg.nodes] == ["m", "c", "a"]
-        assert len(qg.joins) == 2
-        assert all(e.fk_backed for e in qg.joins)
+        assert [item.alias for item in qg.query.from_items] == ["m", "c", "a"]
+        joins = of_kind(qg, "join")
+        assert len(joins) == 2
+        assert all(e.fk_backed for e in joins)
         brad = [entry.pred for entry in qg.conjuncts if entry.owner == "a"]
         assert len(brad) == 1
         assert isinstance(brad[0].rhs, Constant)
@@ -76,22 +87,21 @@ class TestBuild:
 
     def test_q3_multi_instance_and_nonfk_join(self, corpus_graphs):
         qg = corpus_graphs["q3"]
-        assert len(qg.nodes) == 5
-        relations = [n.relation for n in qg.nodes]
+        assert len(qg.query.from_items) == 5
+        relations = [item.canonical for item in qg.query.from_items]
         assert relations.count("CAST") == 2 and relations.count("ACTOR") == 2
-        nonfk = [e for e in qg.joins if not e.fk_backed]
+        assert QG.shape(qg).repeated == ["CAST", "ACTOR"]
+        nonfk = [e for e in of_kind(qg, "join") if not e.fk_backed]
         assert len(nonfk) == 1
         assert nonfk[0].pred.op == ">"
         assert set(nonfk[0].ends) == {"a1", "a2"}
 
     def test_q7_nested_child_under_compare_having(self, corpus_graphs):
         qg = corpus_graphs["q7"]
-        assert len(qg.nested) == 1
-        entry = qg.nested[0]
+        (entry,) = of_kind(qg, "nested")
         assert entry.connector == "compare_scalar"
         assert entry.site == "having"
-        assert [n.relation for n in entry.child.nodes] == ["GENRE"]
-        assert entry.child.joins == []
+        assert [item.canonical for item in entry.child.query.from_items] == ["GENRE"]
         assert [(e.kind, e.pred.render()) for e in entry.child.conjuncts] == [
             ("crossing", "g.mid = m.id")
         ]
@@ -102,28 +112,22 @@ class TestBuild:
             "(select c.mid from CAST c where m.id < c.mid)"
         )
         parser.resolve_names(ast, movie_graph)
-        child = QG.build(ast, movie_graph).nested[0].child
+        child = of_kind(QG.build(ast, movie_graph), "nested")[0].child
         (entry,) = child.conjuncts
         pred = entry.pred
         assert (entry.kind, entry.site, entry.correlated) == ("crossing", "where", True)
         assert pred.render() == "c.mid > m.id"
         assert (pred.lhs.relation, pred.rhs.relation) == ("CAST", "MOVIE")
-        assert child.joins == []
 
-    def test_two_scalar_subqueries_nest_only_the_left_one(self, movie_graph):
-        # The parser puts a subquery on the right only; a built AST may not.
-        ast = parser.parse_sql(
-            "select m.title from MOVIES m where 1 > "
-            "(select count(*) from GENRE g where g.mid = m.id)"
-        )
-        ast.where[0].lhs = ScalarSubquery(
-            parser.parse_sql("select count(*) from CAST c where c.mid = m.id")
-        )
-        parser.resolve_names(ast, movie_graph)
-        nested = QG.build(ast, movie_graph).nested
-        assert [(e.connector, [n.relation for n in e.child.nodes]) for e in nested] == [
-            ("compare_scalar", ["CAST"])
-        ]
+    @pytest.mark.parametrize(
+        "site", ["where", "group by m.title having"], ids=["where", "having"]
+    )
+    def test_the_parser_puts_a_scalar_subquery_on_the_right_only(self, site):
+        # So a scalar comparison nests the block on its right, and no other.
+        with pytest.raises(SyntaxError_):
+            parser.parse_sql(
+                f"select m.title from MOVIES m {site} (select count(*) from CAST c) > 1"
+            )
 
     def test_group_and_order_notes(self, corpus_graphs, movie_graph):
         # GROUP BY and ORDER BY are read from the resolved block, bindings and all.
@@ -137,13 +141,17 @@ class TestBuild:
         ]
 
     def test_a_hand_built_graph_holds_an_empty_block(self):
-        qg = QG.QueryGraph(nodes=[QG.QueryNode("m", "MOVIE")])
-        assert qg.query == Query() and not QG.shape(qg).has_aggregate
+        qg = QG.QueryGraph()
+        assert qg.query == Query() and qg.conjuncts == []
+        qg.query.from_items.append(FromItem("MOVIES", "m", "MOVIE"))
+        assert qg.node("m").canonical == "MOVIE" and QG.QueryGraph().query.from_items == []
+        report = QG.shape(qg)
+        assert report.degrees == {"m": 0} and not report.has_aggregate
 
     def test_node_count_conservation(self, corpus_graphs):
         def count_nodes(qg):
-            return len(qg.nodes) + sum(
-                count_nodes(e.child) for e in qg.nested
+            return len(qg.query.from_items) + sum(
+                count_nodes(e.child) for e in of_kind(qg, "nested")
             )
 
         def count_from(ast):
@@ -156,24 +164,27 @@ class TestBuild:
             assert count_nodes(qg) == count_from(qg.query), name
 
     def test_predicate_conservation(self, corpus_graphs):
-        # One entry per AST predicate, in source order; the join and nested
-        # views list exactly the entries of their kind.
+        # One entry per AST predicate, in source order; the nested ones hold
+        # the block's subqueries in order, and only a join is FK-backed.
         for name, qg in corpus_graphs.items():
             ast = qg.query
             assert [e.site for e in qg.conjuncts] == (
                 ["where"] * len(ast.where) + ["having"] * len(ast.having)
             ), name
-            assert qg.joins == [e for e in qg.conjuncts if e.kind == "join"], name
-            assert qg.nested == [e for e in qg.conjuncts if e.kind == "nested"], name
+            nested = [(e.site, e.connector, e.child.query) for e in of_kind(qg, "nested")]
+            assert nested == list(ast.subqueries()), name
+            for e in qg.conjuncts:
+                assert (e.kind == "nested") == (e.connector is not None) == (e.child is not None)
+                assert e.kind == "join" or not e.fk_backed, name
 
     def test_every_block_files_each_conjunct_once(self, movie_graph):
         # Every WHERE and HAVING conjunct of every block, the corpus's and
         # generated ones, is one entry of `conjuncts`, at its own site; a
-        # HAVING conjunct naming an enclosing alias too.  `joins` holds this
-        # block's joins only, and a crossing comparison has its local side
+        # HAVING conjunct naming an enclosing alias too.  A join names this
+        # block's aliases only, and a crossing comparison has its local side
         # first.
         texts = [corpus_sql(name) for name in CORPUS_NAMES] + list(generated_sql(2, 500))
-        texts += [ONE_OUTER_ALIAS, TWO_OUTER_ALIASES, HAVING_OUTER]
+        texts += [ONE_OUTER_ALIAS, TWO_OUTER_ALIASES, HAVING_OUTER, NESTED_NEEDLE]
         blocks = crossing = 0
         for text in texts:
             try:
@@ -183,7 +194,7 @@ class TestBuild:
             pending = [qg]
             while pending:
                 block = pending.pop()
-                pending.extend(entry.child for entry in block.nested)
+                pending.extend(entry.child for entry in of_kind(block, "nested"))
                 conjuncts = block.query.where + block.query.having
                 filed = []
                 for entry in block.conjuncts:
@@ -212,7 +223,7 @@ class TestBuild:
 
     def test_fk_backed_matches_schema_key_pairs(self, corpus_graphs, movie_graph):
         for name, qg in corpus_graphs.items():
-            for edge in qg.joins:
+            for edge in of_kind(qg, "join"):
                 a, b = edge.pred.lhs, edge.pred.rhs
                 expected = edge.pred.op == "=" and movie_graph.fk_backed(
                     a.relation, a.attribute, b.relation, b.attribute
@@ -232,7 +243,7 @@ class TestBuild:
     )
     def test_outer_only_predicates_are_outer_conditions(self, movie_graph, sql, outer):
         qg = built_sql(sql, movie_graph)
-        child = qg.nested[0].child
+        child = of_kind(qg, "nested")[0].child
         kinds = {e.kind: [] for e in child.conjuncts}
         for e in child.conjuncts:
             kinds[e.kind].append(e.pred)
@@ -244,7 +255,7 @@ class TestBuild:
 
     def test_an_outer_alias_in_having_makes_the_block_correlated(self, movie_graph):
         qg = built_sql(HAVING_OUTER, movie_graph)
-        child = qg.nested[0].child
+        child = of_kind(qg, "nested")[0].child
         # One entry, at its HAVING site, flagged: not listed a second time.
         assert [(e.pred.render(), e.site, e.kind, e.correlated) for e in child.conjuncts] == [
             ("count(*) > m.year", "having", "ownerless", True)
@@ -252,12 +263,24 @@ class TestBuild:
         assert child.is_correlated() and qg.is_correlated()
         assert QG.shape(qg).correlated
 
+    def test_a_nested_needle_naming_an_enclosing_alias_is_correlated(self, movie_graph):
+        # The EXISTS child's IN tests `m.id`, a column of the block around it.
+        qg = built_sql(NESTED_NEEDLE, movie_graph)
+        assert QG.shape(qg).correlated
+        assert classify(qg).evidence == [
+            "nesting connectors: exists, in", "at least one subquery is correlated"
+        ]
+        assert (
+            '  "NQ1.g" -> "m" [style=dotted, label="m.id in (select c.mid from CAST c)"];\n'
+            in emit_query_dot(qg)
+        )
+
     def test_a_having_conjunct_sits_on_the_node_it_names(self, movie_graph):
         qg = built_sql(
             "select m.title from MOVIE m where exists (select c.mid from CAST c "
             "group by c.mid having c.mid > m.year and count(distinct c.aid) > 1)", movie_graph
         )
-        child = qg.nested[0].child
+        child = of_kind(qg, "nested")[0].child
         assert [(e.kind, e.owner, e.correlated) for e in child.conjuncts] == [
             ("node", "c", True), ("node", "c", False)
         ]
@@ -295,7 +318,7 @@ class TestShape:
             "(select count(*) from CAST c where c.mid = m.id)", movie_graph
         )
         assert not QG.shape(qg).has_aggregate
-        assert QG.shape(qg.nested[0].child).has_aggregate
+        assert QG.shape(of_kind(qg, "nested")[0].child).has_aggregate
 
 
 def _dot_golden_graph(name, movie_graph, emp_graph):
@@ -333,7 +356,7 @@ class TestDot:
     def test_every_edge_end_is_a_declared_node(self, movie_graph, emp_graph):
         dots = [(emit_query_dot(built(name, movie_graph)), name) for name in CORPUS_NAMES]
         dots.append((emit_query_dot(built("emp", emp_graph)), "emp"))
-        for sql in (ONE_OUTER_ALIAS, TWO_OUTER_ALIASES, HAVING_OUTER):
+        for sql in (ONE_OUTER_ALIAS, TWO_OUTER_ALIASES, HAVING_OUTER, NESTED_NEEDLE):
             dots.append((emit_query_dot(built_sql(sql, movie_graph)), sql))
         for dot, name in dots:
             nodes = set(re.findall(r'^ *"([^"]+)" \[', dot, re.M))

@@ -72,6 +72,25 @@ class TestFlatten:
         assert len(aliases) == len({a.upper() for a in aliases})
         assert flat.where[0].rhs.alias == "m_2"
 
+    def test_in_in_having_is_not_flattenable(self, movie_graph):
+        ast = parser.parse_sql(
+            "select m.id from MOVIES m group by m.id "
+            "having m.id in (select c.mid from CAST c)"
+        )
+        parser.resolve_names(ast, movie_graph)
+        assert rewriter.flattenable(ast) == "IN nesting in HAVING is not flattenable"
+
+    def test_a_taken_fresh_alias_is_skipped(self, movie_graph):
+        ast = parser.parse_sql(
+            "select m.title from MOVIES m, MOVIES m_2 where m.id = m_2.id and "
+            "m.id in (select m.id from MOVIES m where m.year > 2003)"
+        )
+        parser.resolve_names(ast, movie_graph)
+        assert rewriter.flatten(ast).render() == (
+            "select m.title from MOVIES m, MOVIES m_2, MOVIES m_3 where m.id = m_2.id "
+            "and m.id = m_3.id and m_3.year > 2003"
+        )
+
     def test_two_level_chain_over_emp_dept(self, emp_graph):
         nested = parser.parse_sql(
             "select e.name from EMP e where e.did in "
@@ -206,7 +225,7 @@ class TestMotifs:
         )
         parser.resolve_names(ast, movie_graph)
         qg = QG.build(ast, movie_graph)
-        assert qg.nested[0].child.is_correlated()
+        assert qg.conjuncts[0].child.is_correlated()
         assert rewriter.detect_motifs(qg) == []
 
     @pytest.mark.parametrize("sql", [

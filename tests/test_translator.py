@@ -204,6 +204,20 @@ class TestEdges:
             "sorted by the year of the movie in descending order"
         )
 
+    def test_order_by_ends_an_itemized_rendering(self, movie_graph):
+        ast = parser.parse_sql(
+            "select m1.title, m2.title from MOVIES m1, MOVIES m2 "
+            "where m1.year = m2.year order by m1.title"
+        )
+        parser.resolve_names(ast, movie_graph)
+        result = translate(QG.build(ast, movie_graph), movie_graph)
+        assert result.class_used.label == "GraphMultiInstance"
+        assert result.text == (
+            "Find the title of a movie, and the title of another movie, and the "
+            "year of the first movie is the year of the second movie, "
+            "sorted by the title of the first movie"
+        )
+
     def test_division_frame_requires_heading_projection(self, movie_graph):
         ast = parser.parse_sql(
             "select m.year from MOVIE m where not exists "
@@ -428,6 +442,13 @@ class TestProceduralWording:
             "title of the movie (ascending).\n"
             "4. Report the title of the movie.",
         ),
+        # A count(*) child with no condition of its own.
+        "count_unconditioned": (
+            "select m.title from MOVIES m where 1 < (select count(*) from CAST c)",
+            "1. Consider each movie (m).\n"
+            "2. Keep combinations where 1 is less than the number of cast entries.\n"
+            "3. Report the title of the movie.",
+        ),
         "star": (
             "select * from MOVIES m where m.year = 2005",
             "1. Consider each movie (m).\n"
@@ -541,7 +562,7 @@ def _blocks(qg):
     while pending:
         block = pending.pop()
         yield block
-        pending.extend(entry.child for entry in block.nested)
+        pending.extend(entry.child for entry in block.conjuncts if entry.kind == "nested")
 
 
 # Blocks that no corpus or generated query has.
@@ -605,21 +626,21 @@ class TestEveryConjunctIsSaid:
                 # Said means worded: every comparison's phrase is in the text,
                 # but an FK join that a "bring in" step may stand for.
                 for entry in block.conjuncts:
-                    if entry.kind != "nested" and not getattr(entry, "fk_backed", False):
+                    if entry.kind != "nested" and not entry.fk_backed:
                         refs = refs_of[id(block)]
                         phrase = lexicalize_predicate(entry.pred, graph, refs, heading=False)
                         assert phrase in steps, (text, phrase)
                 # A count(*) child over one relation is said by the count
                 # frame, or inlined whole when it groups.
-                for entry in block.nested:
-                    child = entry.child
-                    items = [type(item.expr) for item in child.query.select_items]
-                    if entry.connector != "compare_scalar" or len(child.nodes) != 1 or (
-                        items != [CountStar]
-                    ):
+                for entry in block.conjuncts:
+                    if entry.connector != "compare_scalar":
                         continue
-                    node = child.nodes[0]
-                    rel = graph.relation(node.relation)
+                    child = entry.child
+                    nodes = child.query.from_items
+                    items = [type(item.expr) for item in child.query.select_items]
+                    if len(nodes) != 1 or items != [CountStar]:
+                        continue
+                    rel = graph.relation(nodes[0].canonical)
                     if child.query.group_by:
                         grouped += 1
                         expected = f"value produced by (consider each {rel.noun_singular} ("
