@@ -198,22 +198,9 @@ def _stage(i: int, alias: str, checks: list, other, attribute, inner):
     """The closure (evaluation, sources, env, emit) -> bool binding level i:
     alias to each row of `sources[i]` (or, for a join probe, of its entry
     for the cell `other.attribute`) that passes `checks`, then `inner`."""
-    if other is None:
-        def scan(ev, sources, env, emit):
-            for row in sources[i]:
-                env[alias] = row
-                for a, x, op, b, y in checks:
-                    if not _compare(x if a is None else env[a].cell(x), op,
-                                    y if b is None else env[b].cell(y)):
-                        break
-                else:
-                    if inner(ev, sources, env, emit):
-                        return True
-            return False
-        return scan
-
-    def probe(ev, sources, env, emit):
-        for row in sources[i].get(env[other].cell(attribute), ()):
+    def stage(ev, sources, env, emit):
+        rows = sources[i] if other is None else sources[i].get(env[other].cell(attribute), ())
+        for row in rows:
             env[alias] = row
             for a, x, op, b, y in checks:
                 if not _compare(x if a is None else env[a].cell(x), op,
@@ -223,7 +210,7 @@ def _stage(i: int, alias: str, checks: list, other, attribute, inner):
                 if inner(ev, sources, env, emit):
                     return True
         return False
-    return probe
+    return stage
 
 
 def _leaf(nested: list):

@@ -86,7 +86,7 @@ class _Facts(Record):
     """What narration reads of one relation's schema."""
 
     steps: list  # [_Step, ...] leaving the relation
-    clauses: list  # compiled projection templates, heaviest attribute first
+    clauses: list  # compiled given templates of non-heading attributes, heaviest first
     wide: bool  # over two clause attributes and no long template
     # (filter, folded rank attribute, descending) -> _Recipe starting here.
     recipes: dict = field(factory=dict, init=False, shown=False)
@@ -158,11 +158,10 @@ def _derive(graph: SchemaGraph, relation: str) -> _Facts:
     attrs = graph.attributes_of(relation)
     clauses = []
     for attr in sorted(attrs, key=lambda a: -a.weight):  # stable: ties keep order
-        proj = graph.projection(relation, attr.name)
-        if not attr.is_heading and proj is not None and not proj.is_default:
-            clauses.append(graph.compiled[proj.template])
+        if attr.name != rel.heading_attribute and attr.template is not None:
+            clauses.append(graph.compiled[attr.template])
     keys = graph.key_attributes(relation)
-    clause_attrs = [a for a in attrs if not a.is_heading and a.name not in keys]
+    clause_attrs = [a for a in attrs if a.name != rel.heading_attribute and a.name not in keys]
     wide = len(clause_attrs) > 2 and not rel.long_template
     return _Facts(_derive_steps(graph, relation), clauses, wide)
 

@@ -103,8 +103,8 @@ def _filed(qg, graph, pred, site):
         return Conjunct(pred, site, "nested", None, correlated, connector=connector, child=child)
     refs = [s for s in (pred.lhs, pred.rhs) if isinstance(s, ColumnRef)]
     if site == "having":
-        counted = pred.lhs if isinstance(pred.lhs, (CountStar, CountDistinct)) else pred.rhs
-        named = counted.column if isinstance(counted, CountDistinct) else next(iter(refs), None)
+        counted = next((s for s in (pred.lhs, pred.rhs) if isinstance(s, CountDistinct)), None)
+        named = counted.column if counted is not None else next(iter(refs), None)
         owner = named and qg.node(named.alias)
         correlated = any(ref.level for ref in pred_refs(pred))
         if owner:

@@ -2,7 +2,9 @@
 
 The graph is loaded once from a JSON annotation file and treated as
 immutable afterwards; it is the knowledge base both for narrating table
-contents and for wording query translations.
+contents and for wording query translations.  Each annotation is kept
+once, on the node it labels: a relation names its heading attribute, and
+an attribute carries its projection template (None when none is given).
 """
 
 from __future__ import annotations
@@ -38,18 +40,11 @@ class RelationNode(Record):
 class AttributeNode(Record):
     relation: str
     name: str
-    is_heading: bool = False
     weight: float = 1.0
     noun_singular: str = ""
     noun_plural: str = ""
     temporal: bool = False
-
-
-class ProjectionEdge(Record):
-    relation: str
-    attribute: str
-    template: str
-    is_default: bool = False
+    template: str | None = None  # the projection edge's; "" is a given template
 
 
 class JoinEdge(Record):
@@ -78,7 +73,6 @@ class PhraseEntry(Record):
 class SchemaGraph(Record):
     relations: list[RelationNode] = field(factory=list)
     attributes: list[AttributeNode] = field(factory=list)
-    projections: list[ProjectionEdge] = field(factory=list)
     joins: list[JoinEdge] = field(factory=list)
     join_paths: list[JoinPathTemplate] = field(factory=list)
     phrases: list[PhraseEntry] = field(factory=list)
@@ -123,10 +117,6 @@ class SchemaGraph(Record):
             raise DanglingReference(f"unknown attribute {relation}.{name}")
         return attr
 
-    def projection(self, relation: str, attribute: str) -> ProjectionEdge | None:
-        rel = self.relation(relation).name
-        return self._index().projections.get((rel, attribute.upper()))
-
     def key_attributes(self, relation: str) -> set[str]:
         """Attributes that serve as a key on either side of a join edge."""
         rel = self.relation(relation).name
@@ -153,7 +143,9 @@ class _Names:
     """Declared nodes keyed by declared and by case-folded name (relations
     also by alias; attributes per declared relation); the first declaration
     of a name wins.  Also every attribute name folded, whatever its
-    relation, and every join edge's key pair, both ways round."""
+    relation, and every join edge's key pair, both ways round.  A relation's
+    heading and an attribute's template are fields of their node, read
+    without an index."""
 
     def __init__(self, graph: SchemaGraph):
         self.relations: dict[str, RelationNode] = {}
@@ -170,9 +162,6 @@ class _Names:
             named.setdefault(attr.name.upper(), attr)
             named.setdefault(attr.name, attr)
             self.by_relation.setdefault(attr.relation, []).append(attr)
-        self.projections: dict[tuple, ProjectionEdge] = {}
-        for proj in graph.projections:
-            self.projections.setdefault((proj.relation, proj.attribute.upper()), proj)
         self.key_pairs: set[tuple[str, str, str, str]] = set()
         for e in graph.joins:
             self.key_pairs.add((e.from_relation, e.from_key, e.to_relation, e.to_key))
@@ -240,10 +229,9 @@ def _build_graph(doc: dict) -> SchemaGraph:
     names that resolve to nothing are kept as given for _check to report."""
     graph = SchemaGraph()
     for rel_doc in doc.get("relations", []):
-        rel, attrs, projections = _build_relation(rel_doc)
+        rel, attrs = _build_relation(rel_doc)
         graph.relations.append(rel)
         graph.attributes.extend(attrs)
-        graph.projections.extend(projections)
 
     def declared(name, relation=None):
         node = (
@@ -300,7 +288,6 @@ def _build_relation(doc: dict):
     plural = noun.get("plural", singular + "s")
     heading = doc.get("heading") or ""
     attrs = []
-    projections = []
     for attr_doc in doc.get("attributes", []):
         attr_name = _require(attr_doc, "name")
         attr_noun = attr_doc.get("noun", {})
@@ -308,32 +295,27 @@ def _build_relation(doc: dict):
             AttributeNode(
                 relation=name,
                 name=attr_name,
-                is_heading=attr_name.upper() == heading.upper(),
                 weight=attr_doc.get("weight", 1),
                 noun_singular=attr_noun.get("singular", attr_name.lower()),
                 noun_plural=attr_noun.get(
                     "plural", attr_noun.get("singular", attr_name.lower()) + "s"
                 ),
                 temporal=attr_doc.get("temporal", False),
+                template=attr_doc.get("template"),
             )
         )
-        template = attr_doc.get("template")
-        if template is None:
-            template = f'"the {attrs[-1].noun_singular} of a {singular}"'
-            projections.append(ProjectionEdge(name, attr_name, template, True))
-        else:
-            projections.append(ProjectionEdge(name, attr_name, template, False))
+    heading = next((a.name for a in attrs if a.name.upper() == heading.upper()), heading)
     rel = RelationNode(
         name=name,
         noun_singular=singular,
         noun_plural=plural,
-        heading_attribute=next((a.name for a in attrs if a.is_heading), heading),
+        heading_attribute=heading,
         weight=doc.get("weight", 1),
         short_template=doc.get("short_template"),
         long_template=doc.get("long_template"),
         alt_names=tuple(doc.get("aliases", ())),
     )
-    return rel, attrs, projections
+    return rel, attrs
 
 
 # --- the one checker ---------------------------------------------------
@@ -347,45 +329,31 @@ def _check(graph: SchemaGraph):
     def report(kind, message):
         findings.append((kind, message))
 
-    declared = [rel.name for rel in graph.relations]
-    relations, seen = set(declared), set()
+    relations = {rel.name for rel in graph.relations}
+    attributes = {(attr.relation, attr.name) for attr in graph.attributes}
+    seen = set()
     for rel in graph.relations:
         if rel.name.upper() in seen:
             report(MalformedDocument, f"duplicate relation {rel.name}")
         seen.add(rel.name.upper())
         if rel.weight < 0:
             report(MalformedDocument, f"relation {rel.name}: negative weight")
-        flagged = [a.name for a in graph.attributes if a.relation == rel.name and a.is_heading]
-        # A name declared twice pools both declarations' heading flags.
-        if flagged != [rel.heading_attribute] and declared.count(rel.name) == 1:
+        if (rel.name, rel.heading_attribute) not in attributes:
             report(
                 MissingHeading,
-                f"relation {rel.name}: heading {rel.heading_attribute!r} must be the "
-                f"one attribute flagged as heading, found {flagged}",
+                f"relation {rel.name}: heading {rel.heading_attribute!r} names no attribute",
             )
 
-    attributes, seen = set(), set()
+    seen = set()
     for attr in graph.attributes:
         where = f"attribute {attr.relation}.{attr.name}"
         if (attr.relation.upper(), attr.name.upper()) in seen:
             report(MalformedDocument, f"duplicate {where}")
         seen.add((attr.relation.upper(), attr.name.upper()))
-        attributes.add((attr.relation, attr.name))
         if attr.relation not in relations:
             report(DanglingReference, f"{where} names unknown relation")
         if attr.weight < 0:
             report(MalformedDocument, f"{where}: negative weight")
-    projected = set()
-    for proj in graph.projections:
-        key = (proj.relation, proj.attribute)
-        where = f"projection edge {proj.relation}.{proj.attribute}"
-        if key in projected:
-            report(MalformedDocument, f"duplicate {where}")
-        projected.add(key)
-        if key not in attributes:
-            report(DanglingReference, f"{where} names unknown attribute")
-    for rel_name, attr_name in sorted(attributes - projected):
-        report(MalformedDocument, f"attribute {rel_name}.{attr_name} has no projection edge")
 
     for edge in graph.joins:
         for end in ((edge.from_relation, edge.from_key), (edge.to_relation, edge.to_key)):
@@ -446,8 +414,9 @@ def _iter_templates(graph: SchemaGraph):
             yield f"relation {rel.name} short_template", rel.short_template, None
         if rel.long_template:
             yield f"relation {rel.name} long_template", rel.long_template, None
-    for proj in graph.projections:
-        yield f"projection {proj.relation}.{proj.attribute}", proj.template, None
+    for attr in graph.attributes:
+        if attr.template is not None:
+            yield f"projection {attr.relation}.{attr.name}", attr.template, None
     for edge in graph.joins:
         where = f"join {edge.from_relation}->{edge.to_relation}"
         for label, text in (
@@ -498,7 +467,7 @@ def validate(graph: SchemaGraph) -> list[str]:
     one diagnostic per finding of the load-time checker, then the
     connectivity warnings."""
     unindexed = SchemaGraph(  # shares the lists; its lookups index them anew
-        graph.relations, graph.attributes, graph.projections, graph.joins,
+        graph.relations, graph.attributes, graph.joins,
         graph.join_paths, graph.phrases, graph.warnings, graph.compiled,
     )
     findings, _ = _check(unindexed)
@@ -527,9 +496,8 @@ def serialize(graph: SchemaGraph) -> str:
                 "weight": attr.weight,
                 "noun": {"singular": attr.noun_singular, "plural": attr.noun_plural},
             } | _given(temporal=bool(attr.temporal))
-            proj = graph.projection(rel.name, attr.name)
-            if proj is not None and not proj.is_default:
-                attr_doc["template"] = proj.template
+            if attr.template is not None:
+                attr_doc["template"] = attr.template
             rel_doc["attributes"].append(attr_doc)
         doc["relations"].append(rel_doc)
     for edge in graph.joins:

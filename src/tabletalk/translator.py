@@ -474,7 +474,7 @@ def _division_frame(qg, graph, motif) -> str | None:
     node = nodes[0]
     heading = graph.relation(node.canonical).heading_attribute
     for ref in _selected_columns(qg):
-        # The frame speaks of whole entities; only heading projections fit.
+        # The frame speaks of whole entities; only the heading may be selected.
         if ref.alias != node.alias or ref.attribute != heading:
             return None
     range_plural = graph.relation(motif.params["range"]).noun_plural

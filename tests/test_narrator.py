@@ -763,7 +763,7 @@ class TestSchemaFacts:
 
         for name in ("_derive", "_derive_steps"):
             counting(narrator, name, derived)
-        for name in ("attributes_of", "projection", "key_attributes", "joins_between"):
+        for name in ("attributes_of", "key_attributes", "joins_between"):
             counting(schema.SchemaGraph, name, looked_up)
         first = narrate(graph, db, plan)
         assert sorted(derived) == [

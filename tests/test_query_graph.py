@@ -8,7 +8,7 @@ from conftest import CORPUS_NAMES, built, corpus_sql, generated_sql
 from tabletalk import parser, query_graph as QG
 from tabletalk.ast_nodes import Constant, FromItem, Query
 from tabletalk.classifier import classify
-from tabletalk.dot import emit_query_dot
+from tabletalk.dot import _escape, emit_query_dot
 from tabletalk.errors import SyntaxError_, TabletalkError
 
 # A subquery predicate that names only outer aliases, one and two of them
@@ -284,6 +284,15 @@ class TestBuild:
         assert [(e.kind, e.owner, e.correlated) for e in child.conjuncts] == [
             ("node", "c", True), ("node", "c", False)
         ]
+
+    @pytest.mark.parametrize(
+        "having", ["count(*) > count(distinct c.aid)", "count(distinct c.aid) < count(*)"]
+    )
+    def test_a_having_count_distinct_sits_on_its_node_on_either_side(self, movie_graph, having):
+        qg = built_sql(f"select c.mid from CAST c group by c.mid having {having}", movie_graph)
+        assert [(e.kind, e.owner) for e in qg.conjuncts] == [("node", "c")]
+        (record,) = [line for line in emit_query_dot(qg).splitlines() if line.startswith('  "c" [')]
+        assert _escape(f"<<HAVING>> {having}") in record
 
 
 class TestShape:

@@ -65,7 +65,7 @@ class TestRepr:
             "SchemaGraph(relations=[RelationNode(name='A', noun_singular='a', "
             "noun_plural='as', heading_attribute='x', weight=1.0, "
             "short_template=None, long_template=None, alt_names=())], "
-            "attributes=[], projections=[], joins=[], join_paths=[], phrases=[], "
+            "attributes=[], joins=[], join_paths=[], phrases=[], "
             "warnings=[])"
         )
         motif = Motif("SuperlativeAll", "where <= all", {"a": 1}, entry=object())

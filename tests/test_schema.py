@@ -121,13 +121,10 @@ class TestValidate:
         assert schema.validate(split_graph) == []
         assert schema.validate(emp_graph) == []
 
-    def test_two_headings_is_flagged(self):
+    def test_a_heading_edited_to_name_no_attribute_is_flagged(self):
         graph = mini()
-        for attr in graph.attributes:
-            if attr.relation == "A":
-                attr.is_heading = True
-        diags = schema.validate(graph)
-        assert any("heading" in d for d in diags)
+        graph.relation("A").heading_attribute = "ghost"
+        assert schema.validate(graph) == ["relation A: heading 'ghost' names no attribute"]
 
     def test_disconnected_relation_warns(self):
         doc = copy.deepcopy(MINI)
@@ -252,18 +249,18 @@ class TestLoadTimeChecks:
         assert str(err.value) == message
 
     def test_a_relation_declared_twice_is_a_duplicate(self):
-        # Both declarations flag x as heading; that is not a heading problem.
+        # Both declarations name x as heading; that is not a heading problem.
         rel = {"name": "A", "heading": "x", "attributes": [{"name": "x"}]}
         with pytest.raises(MalformedDocument) as err:
             schema.loads(json.dumps({"relations": [rel, rel]}))
         assert str(err.value) == "duplicate relation A"
 
-    def test_a_duplicate_projection_edge_is_reported_after_load(self):
-        # At load an attribute's duplicate always comes first, so this
-        # finding is reached through validate on an edited graph.
-        graph = mini()
-        graph.projections.append(graph.projections[1])
-        assert schema.validate(graph) == ["duplicate projection edge A.y"]
+    def test_a_heading_declared_twice_is_a_duplicate_attribute(self):
+        # The heading names the first of the two; the second is the finding.
+        rel = {"name": "A", "heading": "title", "attributes": [{"name": "title"}, {"name": "TITLE"}]}
+        with pytest.raises(MalformedDocument) as err:
+            schema.loads(json.dumps({"relations": [rel]}))
+        assert str(err.value) == "duplicate attribute A.TITLE"
 
 
 class TestRoundTrip:
@@ -273,6 +270,28 @@ class TestRoundTrip:
         for graph in (movie_graph, split_graph, emp_graph):
             again = schema.loads(schema.serialize(graph))
             assert again == graph
+
+    def test_an_empty_template_round_trips(self):
+        doc = copy.deepcopy(MINI)
+        doc["relations"][0]["attributes"][1]["template"] = ""
+        graph = schema.loads(json.dumps(doc))
+        assert graph.attribute("A", "y").template == ""
+        text = schema.serialize(graph)
+        assert '"template": ""' in text
+        assert schema.loads(text) == graph
+
+    @pytest.mark.parametrize("name", ["movies", "split", "emp"])
+    def test_only_given_templates_are_compiled(self, name):
+        doc = json.loads((FIXTURES / f"{name}.schema.json").read_text())
+        given = set()
+        for rel in doc["relations"]:
+            given.update(rel.get(k) for k in ("short_template", "long_template"))
+            given.update(attr.get("template") for attr in rel.get("attributes", []))
+        for entry in doc.get("joins", []) + doc.get("phrases", []):
+            given.update(entry.get(k) for k in ("template", "relative_clause",
+                                                 "procedural_template", "text"))
+        graph = schema.load_schema(FIXTURES / f"{name}.schema.json")
+        assert set(graph.compiled) <= given - {None}
 
 
 class TestDot:
@@ -342,5 +361,5 @@ class TestNamesResolvedAtLoad:
 
     def test_validate_reports_a_template_edited_after_load(self, movie_graph):
         base = schema.loads(schema.serialize(movie_graph))
-        base.projections[2].template = "{MOVIE.ghost}"
+        base.attribute("MOVIE", "year").template = "{MOVIE.ghost}"
         assert any("unknown attribute" in d for d in schema.validate(base))

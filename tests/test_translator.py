@@ -229,6 +229,14 @@ class TestEdges:
         # "Find movies that have all genres" would misstate a year query.
         assert result.style == "procedural"
 
+    def test_a_query_selecting_no_column_finds_its_first_relation(self, movie_graph):
+        # No column is selected, so the first FROM item is the root and the
+        # opening names only its noun.
+        ast = parser.parse_sql("select 'x' from MOVIES m where m.year > 2003")
+        parser.resolve_names(ast, movie_graph)
+        result = translate(QG.build(ast, movie_graph), movie_graph)
+        assert result.text == "Find movies where the year of the movie is larger than 2003"
+
     def test_repeated_join_reaches_its_relation_once(self, movie_graph):
         ast = parser.parse_sql(
             "select m.title from MOVIES m, GENRE g "
