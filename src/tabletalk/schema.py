@@ -382,28 +382,41 @@ def _check(graph: SchemaGraph):
             report(BadTemplate, f"{where}: {exc}")
             continue
         for ref in expr.references():
-            problem = _resolve_reference(graph, ref, route)
-            if problem:
-                report(DanglingReference, f"{where}: {problem}")
+            finding = _resolve_reference(graph, ref, route)
+            if finding:
+                kind, problem = finding
+                report(kind, f"{where}: {problem}")
         compiled[text] = expr
     return findings, compiled
 
 
-def _resolve_reference(graph: SchemaGraph, ref, route) -> str | None:
-    """Point a placeholder or loop at declared names, or say why it cannot."""
+def _resolve_reference(graph: SchemaGraph, ref, route):
+    """Point a placeholder or loop at declared names, or say why it cannot:
+    the exception to raise and its message.  A slot ({REL} or {SUBJECT})
+    stands only in a translation phrase (the one kind with a route), and a
+    phrase takes no loop and no variant."""
+    if route is None:
+        if ref.attribute is None or ref.alias.upper() == SUBJECT_SLOT:
+            return BadTemplate, f"slot {{{ref.alias}}} stands only in a translation phrase"
+    elif isinstance(ref, templates.ListLoop):
+        return BadTemplate, "a translation phrase takes no loop"
+    elif ref.variant not in ("value", "ref"):
+        return BadTemplate, f"a translation phrase takes no variant (:{ref.variant})"
     if ref.alias.upper() == SUBJECT_SLOT:
         ref.alias = SUBJECT_SLOT
         return None
     rel = graph.find_relation(ref.alias)
     if rel is None:
-        return f"placeholder names unknown relation {ref.alias!r}"
+        return DanglingReference, f"placeholder names unknown relation {ref.alias!r}"
     if route is not None and rel.name not in route:
-        return f"placeholder alias {ref.alias!r} is not on the route"
+        return DanglingReference, f"placeholder alias {ref.alias!r} is not on the route"
     ref.alias = rel.name
     if ref.attribute is not None:
         attr = graph.find_attribute(rel.name, ref.attribute)
         if attr is None:
-            return f"placeholder names unknown attribute {rel.name}.{ref.attribute}"
+            return DanglingReference, (
+                f"placeholder names unknown attribute {rel.name}.{ref.attribute}"
+            )
         ref.attribute = attr.name
     return None
 
@@ -486,7 +499,7 @@ def serialize(graph: SchemaGraph) -> str:
             "heading": rel.heading_attribute,
             "weight": rel.weight,
             "attributes": [],
-        } | _given(aliases=list(rel.alt_names), short_template=rel.short_template,
+        } | _given(aliases=rel.alt_names, short_template=rel.short_template,
                    long_template=rel.long_template)
         for attr in graph.attributes:
             if attr.relation != rel.name:
@@ -495,9 +508,7 @@ def serialize(graph: SchemaGraph) -> str:
                 "name": attr.name,
                 "weight": attr.weight,
                 "noun": {"singular": attr.noun_singular, "plural": attr.noun_plural},
-            } | _given(temporal=bool(attr.temporal))
-            if attr.template is not None:
-                attr_doc["template"] = attr.template
+            } | _given(temporal=bool(attr.temporal), template=attr.template)
             rel_doc["attributes"].append(attr_doc)
         doc["relations"].append(rel_doc)
     for edge in graph.joins:
@@ -516,9 +527,13 @@ def serialize(graph: SchemaGraph) -> str:
     return json.dumps(doc, indent=2)
 
 
+# What load_schema reads for a missing optional key; None unless named here.
+_ABSENT = {"aliases": (), "temporal": False}
+
+
 def _given(**fields) -> dict:
-    """The fields that are set: not None, empty or false."""
-    return {key: value for key, value in fields.items() if value}
+    """The optional fields whose value differs from what a missing key loads as."""
+    return {key: value for key, value in fields.items() if value != _ABSENT.get(key)}
 
 
 def loads(text: str) -> SchemaGraph:

@@ -7,17 +7,21 @@ A template is a '+'-concatenation of parts:
         [i = arityOf(ALIAS.attr)] ", and " + { body }
 
 Parts are double-quoted literals, brace placeholders, and guarded list
-loops.  A placeholder may carry a variant suffix: {m.title} renders the
+loops.  The text is lexed by one token pattern into string literals,
+identifiers and single characters, and parsed by recursive descent over
+the tokens.  A variant suffix follows an attribute: {m.title} renders the
 cell value, {m.title:noun} the relation's noun, {m.title:heading} the
-value of the relation's heading attribute.  A bare {ALIAS} placeholder is
-a node reference slot filled in by callers that manage their own
-referring expressions (the query translator).
+value of the relation's heading attribute.  A bare {ALIAS} placeholder
+takes no variant; it is a node reference slot filled in by callers that
+manage their own referring expressions (the query translator).  Which
+template kinds take slots, loops and variants is checked at schema load.
 
-A loop iterates the tuple list bound to its alias.  The less-than arm
-renders for positions 1..n-1, the equals arm for position n; with a
-single tuple only the equals arm fires.  The optional literal before each
-arm's braced body is a joiner, emitted only between iterations, which is
-why a one-element list comes out without a leading separator.
+A loop iterates the tuple list bound to its alias; both arms name the
+same arityOf(ALIAS.attr).  The less-than arm renders for positions
+1..n-1, the equals arm for position n; with a single tuple only the
+equals arm fires.  The optional literal before each arm's braced body is
+a joiner, emitted only between iterations, which is why a one-element
+list comes out without a leading separator.
 
 See docs/templates.md for the grammar and worked examples.
 """
@@ -80,176 +84,148 @@ class TemplateExpr(Record):
 
 # --- parsing -----------------------------------------------------------
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def eof(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str):
-        if not self.take(literal):
-            raise TemplateError(
-                f"expected {literal!r} at position {self.pos} in template"
-            )
-
-    def ident(self) -> str:
-        self.skip_ws()
-        m = _IDENT.match(self.text, self.pos)
-        if not m:
-            raise TemplateError(f"expected identifier at position {self.pos}")
-        self.pos = m.end()
-        return m.group()
-
-    def keyword(self, word: str) -> bool:
-        self.skip_ws()
-        m = _IDENT.match(self.text, self.pos)
-        if m and m.group() == word:
-            self.pos = m.end()
-            return True
-        return False
-
-    def string(self) -> str:
-        self.skip_ws()
-        if self.peek() != '"':
-            raise TemplateError(f"expected string literal at position {self.pos}")
-        self.pos += 1
-        out = []
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "\\" and self.pos + 1 < len(self.text):
-                out.append(self.text[self.pos + 1])
-                self.pos += 2
-                continue
-            if ch == '"':
-                self.pos += 1
-                return "".join(out)
-            out.append(ch)
-            self.pos += 1
-        raise TemplateError("unterminated string literal")
-
+# One token after optional space: a string literal (its closing quote in
+# group 2, empty when the literal runs to the end of the text unclosed), an
+# identifier, any other single character, or the end of the text.
+_TOKEN = re.compile(r'\s*("(?:\\.|[^"])*("?)|[A-Za-z_][A-Za-z0-9_]*|\S|\Z)', re.DOTALL)
 
 MAX_LOOP_DEPTH = 16
 
 
 def parse_template(text: str) -> TemplateExpr:
     """Parse template text; empty input yields an empty expression."""
-    cur = _Cursor(text)
-    expr = _parse_concat(cur, stop="", depth=0)
-    if not cur.eof():
-        raise UnbalancedBraces(f"unexpected {cur.peek()!r} at position {cur.pos}")
+    toks = _Tokens(text)
+    expr = _parse_concat(toks, stop="", depth=0)
+    if toks.peek():
+        raise toks.unexpected()
     return expr
 
 
-def _parse_concat(cur: _Cursor, stop: str, depth: int) -> TemplateExpr:
+class _Tokens:
+    """A template's tokens, read by index.  Each is (value, closing quote);
+    lexing never fails, and the last token is the empty one at the end of
+    the text."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.items = _TOKEN.findall(text)
+        self.i = 0
+
+    def peek(self) -> str:
+        return self.items[self.i][0]
+
+    def pos(self) -> int:
+        """The current token's position, found again for an error message."""
+        return [m.start(1) for m in _TOKEN.finditer(self.text)][self.i]
+
+    def take(self, value: str) -> bool:
+        if self.items[self.i][0] != value:
+            return False
+        self.i += 1
+        return True
+
+    def expect(self, value: str):
+        if not self.take(value):
+            raise TemplateError(f"expected {value!r} at position {self.pos()} in template")
+
+    def ident(self) -> str:
+        value = self.peek()
+        if not (value.isidentifier() and value.isascii()):
+            raise TemplateError(f"expected identifier at position {self.pos()}")
+        self.i += 1
+        return value
+
+    def string(self) -> str:
+        value, closed = self.items[self.i]
+        if not closed:
+            raise TemplateError("unterminated string literal")
+        self.i += 1
+        body = value[1:-1]
+        return re.sub(r"\\(.)", r"\1", body, flags=re.DOTALL) if "\\" in body else body
+
+    def unexpected(self) -> UnbalancedBraces:
+        return UnbalancedBraces(f"unexpected {self.peek()[0]!r} at position {self.pos()}")
+
+
+def _parse_concat(toks: _Tokens, stop: str, depth: int) -> TemplateExpr:
     if depth > MAX_LOOP_DEPTH:
         raise UnbalancedBraces("loop nesting too deep")
     parts = []
-    while True:
-        if cur.eof() or (stop and cur.peek() == stop):
-            break
-        parts.append(_parse_part(cur, depth))
-        if not cur.take("+"):
+    while toks.peek() not in ("", stop):
+        parts.append(_parse_part(toks, depth))
+        if not toks.take("+"):
             break
     return TemplateExpr(parts)
 
 
-def _parse_part(cur: _Cursor, depth: int):
-    ch = cur.peek()
-    if ch == '"':
-        return Literal(cur.string())
-    if ch == "{":
-        return _parse_placeholder(cur)
-    if cur.keyword("DEFINE"):
-        return _parse_loop(cur, depth)
-    raise UnbalancedBraces(f"unexpected {ch!r} at position {cur.pos}")
+def _parse_part(toks: _Tokens, depth: int):
+    if toks.peek()[0] == '"':
+        return Literal(toks.string())
+    if toks.take("{"):
+        return _parse_placeholder(toks)
+    if toks.take("DEFINE"):
+        return _parse_loop(toks, depth)
+    raise toks.unexpected()
 
 
-def _parse_placeholder(cur: _Cursor) -> Placeholder:
-    cur.expect("{")
-    alias = cur.ident()
-    attribute = None
-    variant = "value"
-    if cur.take("."):
-        attribute = cur.ident()
-    if cur.take(":"):
-        variant = cur.ident().lower()
-        if variant not in VARIANTS:
-            raise TemplateError(f"unknown placeholder variant {variant!r}")
-    if not cur.take("}"):
-        raise UnbalancedBraces(f"missing '}}' at position {cur.pos}")
-    if attribute is None:
-        variant = "ref"
-    return Placeholder(alias, attribute, variant)
+def _parse_placeholder(toks: _Tokens) -> Placeholder:
+    alias = toks.ident()
+    attribute = toks.ident() if toks.take(".") else None
+    variant = toks.ident().lower() if toks.take(":") else None
+    if variant not in (None, *VARIANTS):
+        raise TemplateError(f"unknown placeholder variant {variant!r}")
+    if not toks.take("}"):
+        raise UnbalancedBraces(f"missing '}}' at position {toks.pos()}")
+    if variant == "ref":
+        raise TemplateError("variant 'ref' is not written: a bare {ALIAS} is the reference slot")
+    if attribute is None and variant is not None:
+        raise TemplateError(f"variant {variant!r} follows an attribute; {{{alias}}} has none")
+    return Placeholder(alias, attribute, "ref" if attribute is None else variant or "value")
 
 
-def _parse_loop(cur: _Cursor, depth: int) -> ListLoop:
-    name = cur.ident()
-    if not cur.keyword("AS"):
+def _parse_loop(toks: _Tokens, depth: int) -> ListLoop:
+    name = toks.ident()
+    if not toks.take("AS"):
         raise TemplateError(f"expected AS after DEFINE {name}")
-    first = _parse_arm(cur, depth)
-    second = _parse_arm(cur, depth)
+    first, alias, attr = _parse_arm(toks, depth)
+    second, alias2, attr2 = _parse_arm(toks, depth)
     if first.guard != "<" or second.guard != "=":
         raise UnknownGuard(
             "loop arms must be [i < arityOf(..)] then [i = arityOf(..)]"
         )
-    alias, attr = first._bound
-    alias2, _ = second._bound
     if alias2 != alias:
         raise UnknownGuard(f"loop arms bind different aliases: {alias}, {alias2}")
+    if attr2 != attr:
+        raise UnknownGuard(f"loop arms bind different attributes: {alias}.{attr}, {alias}.{attr2}")
     return ListLoop(name, alias, attr, [first, second])
 
 
-def _parse_arm(cur: _Cursor, depth: int) -> LoopArm:
-    cur.expect("[")
-    if not cur.keyword("i"):
-        raise UnknownGuard(f"expected loop variable 'i' at position {cur.pos}")
-    if cur.take("<"):
-        guard = "<"
-    elif cur.take("="):
-        guard = "="
-    else:
-        raise UnknownGuard(f"expected '<' or '=' at position {cur.pos}")
-    if not cur.keyword("arityOf"):
-        raise UnknownGuard(f"expected arityOf at position {cur.pos}")
-    cur.expect("(")
-    alias = cur.ident()
-    cur.expect(".")
-    attr = cur.ident()
-    cur.expect(")")
-    cur.expect("]")
+def _parse_arm(toks: _Tokens, depth: int) -> tuple[LoopArm, str, str]:
+    """One guarded arm, with the alias and attribute its arityOf binds."""
+    toks.expect("[")
+    if not toks.take("i"):
+        raise UnknownGuard(f"expected loop variable 'i' at position {toks.pos()}")
+    guard = toks.peek()
+    if not (toks.take("<") or toks.take("=")):
+        raise UnknownGuard(f"expected '<' or '=' at position {toks.pos()}")
+    if not toks.take("arityOf"):
+        raise UnknownGuard(f"expected arityOf at position {toks.pos()}")
+    toks.expect("(")
+    alias = toks.ident()
+    toks.expect(".")
+    attr = toks.ident()
+    toks.expect(")")
+    toks.expect("]")
     joiner = ""
-    if cur.peek() == '"':
-        joiner = cur.string()
-        cur.expect("+")
-    cur.expect("{")
-    body = _parse_concat(cur, stop="}", depth=depth + 1)
-    cur.expect("}")
+    if toks.peek().startswith('"'):
+        joiner = toks.string()
+        toks.expect("+")
+    toks.expect("{")
+    body = _parse_concat(toks, stop="}", depth=depth + 1)
+    toks.expect("}")
     if not body.parts:
         raise EmptyLoopBody("loop arm body is empty")
-    arm = LoopArm(guard, body, joiner)
-    arm._bound = (alias, attr)
-    return arm
+    return LoopArm(guard, body, joiner), alias, attr
 
 
 # --- instantiation -----------------------------------------------------

@@ -228,6 +228,22 @@ LOAD_FINDINGS = {
         _template('DEFINE L AS [j < arityOf(A.y)] { {A.y} } [i = arityOf(A.y)] { {A.y} }'),
         BadTemplate, "projection A.y: expected loop variable 'i' at position 13",
     ),
+    "bare_slot_in_a_projection": (
+        _template("{A}"), BadTemplate,
+        "projection A.y: slot {A} stands only in a translation phrase",
+    ),
+    "subject_slot_in_a_projection": (
+        _template('{A.y} + " of " + {subject}'), BadTemplate,
+        "projection A.y: slot {subject} stands only in a translation phrase",
+    ),
+    "loop_in_a_phrase": (
+        _phrase(["B", "A"], 'DEFINE L AS [i < arityOf(A.y)] { {A.y} } [i = arityOf(A.y)] { {A.y} }'),
+        BadTemplate, "phrase B-A: a translation phrase takes no loop",
+    ),
+    "variant_in_a_phrase": (
+        _phrase(["B", "A"], '"of " + {A.y:noun}'), BadTemplate,
+        "phrase B-A: a translation phrase takes no variant (:noun)",
+    ),
     "loop_without_arity_of": (
         _template('DEFINE L AS [i < count(A.y)] { {A.y} } [i = arityOf(A.y)] { {A.y} }'),
         BadTemplate, "projection A.y: expected arityOf at position 17",
@@ -271,14 +287,21 @@ class TestRoundTrip:
             again = schema.loads(schema.serialize(graph))
             assert again == graph
 
-    def test_an_empty_template_round_trips(self):
-        doc = copy.deepcopy(MINI)
-        doc["relations"][0]["attributes"][1]["template"] = ""
+    @pytest.mark.parametrize("path,read", [
+        (("relations", 0, "attributes", 1, "template"), lambda g: g.attribute("A", "y").template),
+        (("relations", 0, "short_template"), lambda g: g.relation("A").short_template),
+        (("joins", 0, "template"), lambda g: g.joins[0].template),
+        (("joins", 2, "procedural_template"), lambda g: g.join_paths[0].procedural_template),
+    ], ids=["attribute", "relation_short", "join", "join_path_procedural"])
+    def test_an_empty_template_round_trips(self, path, read):
+        doc = copy.deepcopy(MINI3)
+        doc["joins"].append({"path": ["B", "A", "C"], "template": '"x"'})
+        _set(path, "")(doc)
         graph = schema.loads(json.dumps(doc))
-        assert graph.attribute("A", "y").template == ""
-        text = schema.serialize(graph)
-        assert '"template": ""' in text
-        assert schema.loads(text) == graph
+        assert read(graph) == ""
+        again = schema.loads(schema.serialize(graph))
+        assert read(again) == ""
+        assert again == graph
 
     @pytest.mark.parametrize("name", ["movies", "split", "emp"])
     def test_only_given_templates_are_compiled(self, name):

@@ -81,14 +81,8 @@ class TestParse:
             )
 
     def test_pathological_nesting_gets_a_typed_error(self):
-        inner = '"x"'
-        for _ in range(40):
-            inner = (
-                "DEFINE L AS "
-                f'[i < arityOf(M.t)] {{ {inner} }} [i = arityOf(M.t)] {{ "y" }}'
-            )
         with pytest.raises(T.TemplateError):
-            T.parse_template(inner)
+            T.parse_template(_nested(40))
 
     def test_parse_is_total_over_random_text(self):
         import random
@@ -102,6 +96,99 @@ class TestParse:
                 T.parse_template(text)
             except T.TemplateError:
                 pass
+
+
+def _nested(depth):
+    """A loop nested `depth` deep inside loop bodies."""
+    inner = '"x"'
+    for _ in range(depth):
+        inner = f'DEFINE L AS [i < arityOf(M.t)] {{ {inner} }} [i = arityOf(M.t)] {{ "y" }}'
+    return inner
+
+
+ARM = 'DEFINE L AS [i < arityOf(M.t)] '
+EQ_ARM = ' [i = arityOf(M.t)] { "y" }'
+
+# Every reachable parse error: input, exception type, exact message.
+PARSE_ERRORS = {
+    "identifier_after_brace": ("{ }", T.TemplateError, "expected identifier at position 2"),
+    "identifier_after_dot": ("{MOVIE.}", T.TemplateError, "expected identifier at position 7"),
+    "identifier_not_a_digit": ("{1}", T.TemplateError, "expected identifier at position 1"),
+    "closing_brace_before_literal": (
+        '{MOVIE.title "x"', UnbalancedBraces, "missing '}' at position 13",
+    ),
+    "closing_brace_at_end": ("{MOVIE.title  ", UnbalancedBraces, "missing '}' at position 14"),
+    "open_paren": (
+        'DEFINE L AS [i < arityOf{M.t)] { "x" }' + EQ_ARM,
+        T.TemplateError, "expected '(' at position 24 in template",
+    ),
+    "closing_bracket": (
+        ARM.replace(")]", ")") + '{ "x" }', T.TemplateError,
+        "expected ']' at position 30 in template",
+    ),
+    "plus_after_joiner": (
+        ARM + '"," { "x" }' + EQ_ARM, T.TemplateError, "expected '+' at position 35 in template",
+    ),
+    "unterminated_literal": ('"abc', T.TemplateError, "unterminated string literal"),
+    "unterminated_after_escaped_quote": (
+        '"abc\\"', T.TemplateError, "unterminated string literal",
+    ),
+    "unterminated_joiner": (ARM + '", { x }', T.TemplateError, "unterminated string literal"),
+    "unexpected_closing_brace": ('"a" }', UnbalancedBraces, "unexpected '}' at position 4"),
+    "unexpected_after_escapes": ('"a\\"{b}" }', UnbalancedBraces, "unexpected '}' at position 9"),
+    "missing_brace_after_escapes": (
+        '"é\\\\" + {M.t "x"', UnbalancedBraces, "missing '}' at position 13",
+    ),
+    "unexpected_literal": ('"a" "b"', UnbalancedBraces, "unexpected '\"' at position 4"),
+    "unexpected_identifier": ("DEFINEX", UnbalancedBraces, "unexpected 'D' at position 0"),
+    "unexpected_in_loop_body": (
+        ARM + '{ + }' + EQ_ARM, UnbalancedBraces, "unexpected '+' at position 33",
+    ),
+    "guard_operator": (
+        ARM.replace("<", ">") + '{ "x" }' + EQ_ARM, UnknownGuard,
+        "expected '<' or '=' at position 15",
+    ),
+    "unexpected_after_unicode_space": (
+        "\u00a0\u3000}", UnbalancedBraces, "unexpected '}' at position 2",
+    ),
+    "guard_order": (
+        ARM.replace("<", "=") + '{ "x" }' + EQ_ARM, UnknownGuard,
+        "loop arms must be [i < arityOf(..)] then [i = arityOf(..)]",
+    ),
+    "empty_loop_body": (ARM + "{ }" + EQ_ARM, EmptyLoopBody, "loop arm body is empty"),
+    "unknown_variant": ("{M.t:bogus}", T.TemplateError, "unknown placeholder variant 'bogus'"),
+    "loop_nesting": (_nested(17), UnbalancedBraces, "loop nesting too deep"),
+    # What docs/templates.md does not allow.
+    "written_ref_variant": (
+        "{M.t:ref}", T.TemplateError,
+        "variant 'ref' is not written: a bare {ALIAS} is the reference slot",
+    ),
+    "variant_on_a_bare_slot": (
+        "{MOVIE:noun}", T.TemplateError, "variant 'noun' follows an attribute; {MOVIE} has none",
+    ),
+    "arms_bind_different_attributes": (
+        ARM + '{ "x" } [i = arityOf(M.bogus)] { "y" }', UnknownGuard,
+        "loop arms bind different attributes: M.t, M.bogus",
+    ),
+}
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("text,kind,message", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+    def test_message_and_position(self, text, kind, message):
+        with pytest.raises(kind) as err:
+            T.parse_template(text)
+        assert str(err.value) == message
+
+    def test_sixteen_nested_loops_parse(self):
+        assert T.parse_template(_nested(16)).parts
+
+    def test_a_variant_is_case_folded(self):
+        assert T.parse_template("{M.t:NOUN}").parts == [T.Placeholder("M", "t", "noun")]
+
+    def test_any_unicode_space_separates_tokens(self):
+        spaced = '\u3000{\u00a0M\u2003.\nt\u2028}\u205f+ "\u00a0"\u3000'
+        assert T.parse_template(spaced) == T.parse_template('{M.t} + "\u00a0"')
 
 
 def render(expr):
