@@ -70,6 +70,22 @@ class PhraseEntry(Record):
     text: str
 
 
+# Each record's optional document keys, in the order serialize writes them:
+# (key, the field it fills, what a missing key loads as).  A field named
+# *template holds a template.
+_OPTIONAL = {
+    RelationNode: (("aliases", "alt_names", ()),
+                   ("short_template", "short_template", None),
+                   ("long_template", "long_template", None)),
+    AttributeNode: (("temporal", "temporal", False), ("template", "template", None)),
+    JoinEdge: (("template", "template", None),
+               ("relative_clause", "relative_clause_template", None),
+               ("procedural_template", "procedural_template", None)),
+    JoinPathTemplate: (("template", "template", ""),
+                       ("procedural_template", "procedural_template", None)),
+}
+
+
 class SchemaGraph(Record):
     relations: list[RelationNode] = field(factory=list)
     attributes: list[AttributeNode] = field(factory=list)
@@ -233,44 +249,25 @@ def _build_graph(doc: dict) -> SchemaGraph:
         graph.relations.append(rel)
         graph.attributes.extend(attrs)
 
-    def declared(name, relation=None):
-        node = (
-            graph.find_relation(name)
-            if relation is None
-            else graph.find_attribute(relation, name)
-        )
+    def declared(name, of=None):  # the name of a relation, or of an attribute of `of`
+        node = graph.find_relation(name) if of is None else graph.find_attribute(of, name)
         return name if node is None else node.name
 
     for join_doc in doc.get("joins", []):
         if "path" in join_doc:
-            graph.join_paths.append(
-                JoinPathTemplate(
-                    path=[declared(r) for r in join_doc["path"]],
-                    template=join_doc.get("template", ""),
-                    procedural_template=join_doc.get("procedural_template"),
-                )
-            )
+            path = [declared(r) for r in join_doc["path"]]
+            graph.join_paths.append(_node(JoinPathTemplate, join_doc, {"path": path}))
         else:
             frm = declared(_require(join_doc, "from"))
             to = declared(_require(join_doc, "to"))
-            graph.joins.append(
-                JoinEdge(
-                    from_relation=frm,
-                    to_relation=to,
-                    from_key=declared(_require(join_doc, "from_key"), frm),
-                    to_key=declared(_require(join_doc, "to_key"), to),
-                    template=join_doc.get("template"),
-                    relative_clause_template=join_doc.get("relative_clause"),
-                    procedural_template=join_doc.get("procedural_template"),
-                )
-            )
+            graph.joins.append(_node(JoinEdge, join_doc, {
+                "from_relation": frm, "to_relation": to,
+                "from_key": declared(_require(join_doc, "from_key"), frm),
+                "to_key": declared(_require(join_doc, "to_key"), to),
+            }))
     for phrase_doc in doc.get("phrases", []):
-        graph.phrases.append(
-            PhraseEntry(
-                route=[declared(r) for r in _require(phrase_doc, "route")],
-                text=_require(phrase_doc, "text"),
-            )
-        )
+        route = [declared(r) for r in _require(phrase_doc, "route")]
+        graph.phrases.append(PhraseEntry(route=route, text=_require(phrase_doc, "text")))
     graph._names = None  # `declared` indexed the graph before its joins
     return graph
 
@@ -281,41 +278,38 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _build_relation(doc: dict):
-    name = _require(doc, "name")
+def _node(cls, doc: dict, fields: dict):
+    """A `cls` record of `fields` and of `doc`'s optional keys."""
+    for key, name, missing in _OPTIONAL[cls]:
+        value = doc.get(key, missing)
+        fields[name] = tuple(value) if isinstance(missing, tuple) else value
+    return cls(**fields)
+
+
+def _noun(doc: dict, name: str) -> tuple[str, str]:
+    """The noun's singular and plural: as given, else the name lower-cased, plural in -s."""
     noun = doc.get("noun", {})
     singular = noun.get("singular", name.lower())
-    plural = noun.get("plural", singular + "s")
-    heading = doc.get("heading") or ""
+    return singular, noun.get("plural", singular + "s")
+
+
+def _build_relation(doc: dict):
+    name = _require(doc, "name")
     attrs = []
     for attr_doc in doc.get("attributes", []):
         attr_name = _require(attr_doc, "name")
-        attr_noun = attr_doc.get("noun", {})
-        attrs.append(
-            AttributeNode(
-                relation=name,
-                name=attr_name,
-                weight=attr_doc.get("weight", 1),
-                noun_singular=attr_noun.get("singular", attr_name.lower()),
-                noun_plural=attr_noun.get(
-                    "plural", attr_noun.get("singular", attr_name.lower()) + "s"
-                ),
-                temporal=attr_doc.get("temporal", False),
-                template=attr_doc.get("template"),
-            )
-        )
+        singular, plural = _noun(attr_doc, attr_name)
+        attrs.append(_node(AttributeNode, attr_doc, {
+            "relation": name, "name": attr_name, "weight": attr_doc.get("weight", 1),
+            "noun_singular": singular, "noun_plural": plural,
+        }))
+    heading = doc.get("heading") or ""
     heading = next((a.name for a in attrs if a.name.upper() == heading.upper()), heading)
-    rel = RelationNode(
-        name=name,
-        noun_singular=singular,
-        noun_plural=plural,
-        heading_attribute=heading,
-        weight=doc.get("weight", 1),
-        short_template=doc.get("short_template"),
-        long_template=doc.get("long_template"),
-        alt_names=tuple(doc.get("aliases", ())),
-    )
-    return rel, attrs
+    singular, plural = _noun(doc, name)
+    return _node(RelationNode, doc, {
+        "name": name, "noun_singular": singular, "noun_plural": plural,
+        "heading_attribute": heading, "weight": doc.get("weight", 1),
+    }), attrs
 
 
 # --- the one checker ---------------------------------------------------
@@ -394,7 +388,7 @@ def _resolve_reference(graph: SchemaGraph, ref, route):
     """Point a placeholder or loop at declared names, or say why it cannot:
     the exception to raise and its message.  A slot ({REL} or {SUBJECT})
     stands only in a translation phrase (the one kind with a route), and a
-    phrase takes no loop and no variant."""
+    phrase takes no loop and no variant.  {SUBJECT} takes no attribute."""
     if route is None:
         if ref.attribute is None or ref.alias.upper() == SUBJECT_SLOT:
             return BadTemplate, f"slot {{{ref.alias}}} stands only in a translation phrase"
@@ -403,6 +397,9 @@ def _resolve_reference(graph: SchemaGraph, ref, route):
     elif ref.variant not in ("value", "ref"):
         return BadTemplate, f"a translation phrase takes no variant (:{ref.variant})"
     if ref.alias.upper() == SUBJECT_SLOT:
+        if ref.attribute is not None:
+            written = f"{{{ref.alias}.{ref.attribute}}}"
+            return BadTemplate, f"slot {{{ref.alias}}} takes no attribute: {written}"
         ref.alias = SUBJECT_SLOT
         return None
     rel = graph.find_relation(ref.alias)
@@ -422,29 +419,21 @@ def _resolve_reference(graph: SchemaGraph, ref, route):
 
 
 def _iter_templates(graph: SchemaGraph):
-    for rel in graph.relations:
-        if rel.short_template:
-            yield f"relation {rel.name} short_template", rel.short_template, None
-        if rel.long_template:
-            yield f"relation {rel.name} long_template", rel.long_template, None
-    for attr in graph.attributes:
-        if attr.template is not None:
-            yield f"projection {attr.relation}.{attr.name}", attr.template, None
-    for edge in graph.joins:
-        where = f"join {edge.from_relation}->{edge.to_relation}"
-        for label, text in (
-            ("template", edge.template),
-            ("relative_clause", edge.relative_clause_template),
-            ("procedural_template", edge.procedural_template),
-        ):
-            if text:
-                yield f"{where} {label}", text, None
-    for path in graph.join_paths:
-        where = f"join path {'-'.join(path.path)}"
-        if path.template:
-            yield f"{where} template", path.template, None
-        if path.procedural_template:
-            yield f"{where} procedural_template", path.procedural_template, None
+    """Every template that is not None, with the label its findings carry
+    and its route (a translation phrase's; None for every other kind)."""
+    for cls, nodes, label in (
+        (RelationNode, graph.relations, lambda r, key: f"relation {r.name} {key}"),
+        # A projection's one template is labelled by its attribute alone.
+        (AttributeNode, graph.attributes, lambda a, _: f"projection {a.relation}.{a.name}"),
+        (JoinEdge, graph.joins, lambda e, key: f"join {e.from_relation}->{e.to_relation} {key}"),
+        (JoinPathTemplate, graph.join_paths, lambda p, key: f"join path {'-'.join(p.path)} {key}"),
+    ):
+        keys = [(key, name) for key, name, _ in _OPTIONAL[cls] if name.endswith("template")]
+        for node in nodes:
+            for key, name in keys:
+                text = getattr(node, name)
+                if text is not None:
+                    yield label(node, key), text, None
     for phrase in graph.phrases:
         yield f"phrase {'-'.join(phrase.route)}", phrase.text, phrase.route
 
@@ -491,49 +480,38 @@ def validate(graph: SchemaGraph) -> list[str]:
 
 def serialize(graph: SchemaGraph) -> str:
     """Inverse of load_schema for validated graphs (round-trip identity)."""
-    doc = {"relations": [], "joins": [], "phrases": []}
-    for rel in graph.relations:
-        rel_doc = {
-            "name": rel.name,
-            "noun": {"singular": rel.noun_singular, "plural": rel.noun_plural},
-            "heading": rel.heading_attribute,
+    relations = [
+        {
+            "name": rel.name, "noun": _noun_doc(rel), "heading": rel.heading_attribute,
             "weight": rel.weight,
-            "attributes": [],
-        } | _given(aliases=rel.alt_names, short_template=rel.short_template,
-                   long_template=rel.long_template)
-        for attr in graph.attributes:
-            if attr.relation != rel.name:
-                continue
-            attr_doc = {
-                "name": attr.name,
-                "weight": attr.weight,
-                "noun": {"singular": attr.noun_singular, "plural": attr.noun_plural},
-            } | _given(temporal=bool(attr.temporal), template=attr.template)
-            rel_doc["attributes"].append(attr_doc)
-        doc["relations"].append(rel_doc)
-    for edge in graph.joins:
-        doc["joins"].append({
-            "from": edge.from_relation,
-            "to": edge.to_relation,
-            "from_key": edge.from_key,
-            "to_key": edge.to_key,
-        } | _given(template=edge.template, relative_clause=edge.relative_clause_template,
-                   procedural_template=edge.procedural_template))
-    for path in graph.join_paths:
-        doc["joins"].append({"path": list(path.path), "template": path.template}
-                            | _given(procedural_template=path.procedural_template))
-    for phrase in graph.phrases:
-        doc["phrases"].append({"route": list(phrase.route), "text": phrase.text})
-    return json.dumps(doc, indent=2)
+            "attributes": [
+                {"name": attr.name, "weight": attr.weight, "noun": _noun_doc(attr)}
+                | _given(attr)
+                for attr in graph.attributes if attr.relation == rel.name
+            ],
+        } | _given(rel)
+        for rel in graph.relations
+    ]
+    joins = [
+        {"from": edge.from_relation, "to": edge.to_relation,
+         "from_key": edge.from_key, "to_key": edge.to_key} | _given(edge)
+        for edge in graph.joins
+    ] + [{"path": list(path.path)} | _given(path) for path in graph.join_paths]
+    phrases = [{"route": list(phrase.route), "text": phrase.text} for phrase in graph.phrases]
+    return json.dumps({"relations": relations, "joins": joins, "phrases": phrases}, indent=2)
 
 
-# What load_schema reads for a missing optional key; None unless named here.
-_ABSENT = {"aliases": (), "temporal": False}
+def _noun_doc(node) -> dict:
+    return {"singular": node.noun_singular, "plural": node.noun_plural}
 
 
-def _given(**fields) -> dict:
-    """The optional fields whose value differs from what a missing key loads as."""
-    return {key: value for key, value in fields.items() if value != _ABSENT.get(key)}
+def _given(node) -> dict:
+    """The node's optional keys whose field differs from what a missing key loads as."""
+    return {
+        key: getattr(node, name)
+        for key, name, missing in _OPTIONAL[type(node)]
+        if getattr(node, name) != missing
+    }
 
 
 def loads(text: str) -> SchemaGraph:

@@ -310,9 +310,7 @@ def _render_phrase(phrase, graph, qg, refs, chain: list[str]):
             if part.alias == SUBJECT_SLOT:
                 premod = True
                 continue
-            alias = by_relation.get(part.alias)
-            if alias is None:
-                continue
+            alias = by_relation[part.alias]  # load puts it on the route
             if part.attribute is None:
                 out.append(refs.mention(alias))
             else:
@@ -338,10 +336,7 @@ def _selected_columns(qg: QueryGraph) -> list[ColumnRef]:
 
 
 def _pick_root(qg: QueryGraph, graph: SchemaGraph) -> str:
-    owners = []
-    for ref in _selected_columns(qg):
-        if ref.alias not in owners:
-            owners.append(ref.alias)
+    owners = [ref.alias for ref in _selected_columns(qg)]
     if not owners:
         return qg.query.from_items[0].alias
     return max(owners, key=lambda a: graph.relation(qg.node(a).canonical).weight)

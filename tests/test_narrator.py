@@ -238,6 +238,28 @@ class TestSplitVariants:
             "The actor A1 is Greek.",
         ]
 
+    def test_a_relative_clause_replaces_its_target_s_attribute_clauses(self):
+        doc = json.loads(json.dumps(self.VAPID_DOC))
+        doc["joins"][0]["relative_clause"] = '"who was born in " + {DIRECTOR.blocation}'
+        doc["joins"][1]["relative_clause"] = '"who is " + {ACTOR.nationality}'
+        graph = schema.loads(json.dumps(doc))
+        db = load_data(graph, self.DATA)
+        narrative = narrate(graph, db, NarrationPlan(mode="declarative"))
+        assert narrative.sentences == [SPLIT_SENTENCE]
+
+    def test_branches_without_a_shared_prefix_come_as_sentences(self):
+        doc = json.loads(json.dumps(self.VAPID_DOC))
+        doc["joins"][1]["template"] = '"Actor " + {ACTOR.aname} + " plays in " + {MOVIE.title}'
+        graph = schema.loads(json.dumps(doc))
+        db = load_data(graph, self.DATA)
+        narrative = narrate(graph, db, NarrationPlan(mode="declarative"))
+        assert narrative.sentences == [
+            "The movie M1 involves the director D1.",
+            "Actor A1 plays in M1.",
+            "The director D1 was born in Italy.",
+            "The actor A1 is Greek.",
+        ]
+
     def test_procedural_split_spells_out_branch_content(self, split_graph, split_db):
         narrative = narrate(split_graph, split_db, NarrationPlan(mode="procedural"))
         # No attribute templates in the split fixture, so only the fused
@@ -680,6 +702,32 @@ def _movie_tables(**replaced):
     texts = {path.stem: path.read_text() for path in (FIXTURES / "movies").glob("*.csv")}
     texts.update(replaced)
     return texts
+
+
+class TestFollow:
+    def test_a_row_reached_from_two_relay_rows_is_narrated_once(self, movie_graph):
+        # Two DIRECTED rows credit Woody Allen with Match Point; the budget
+        # admits every movie reached.
+        directed = (FIXTURES / "movies" / "DIRECTED.csv").read_text() + "1,1\n"
+        db = load_data(movie_graph, _movie_tables(DIRECTED=directed))
+        plan = NarrationPlan(mode="declarative", tuple_budget=10)
+        narrative = narrate(movie_graph, db, plan)
+        assert narrative.sentences[:2] == [
+            "Woody Allen was born in Brooklyn, New York, USA on December 1, 1935.",
+            "As a director, Woody Allen's work includes Match Point (2005), "
+            "Melinda and Melinda (2004), and Anything Else (2003).",
+        ]
+
+    def test_a_path_template_reads_its_relay_rows(self, movie_db):
+        doc = json.loads((FIXTURES / "movies.schema.json").read_text())
+        path = next(j for j in doc["joins"] if "path" in j)
+        path["template"] = (
+            '{DIRECTOR.name} + " is credited with movie " + {DIRECTED.mid} + '
+            '", " + {MOVIE.title}'
+        )
+        graph = schema.loads(json.dumps(doc))
+        narrative = narrate(graph, movie_db, NarrationPlan(mode="declarative"))
+        assert narrative.sentences[1] == "Woody Allen is credited with movie 1, Match Point."
 
 
 class TestSkippedStepNotes:

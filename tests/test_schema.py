@@ -108,6 +108,22 @@ class TestLoad:
         assert (edge.from_key, edge.to_key) == ("mgr", "eid")
         assert edge not in graph.joins_between("EMP", "DEPT")
         assert len(graph.joins_between("DEPT", "EMP")) == 2
+        assert graph.joins_between("emp", "dpt") == graph.joins_between("DEPT", "EMP")
+
+    def test_a_lookup_of_an_undeclared_name_raises(self, movie_graph):
+        with pytest.raises(DanglingReference) as err:
+            movie_graph.relation("GHOST")
+        assert str(err.value) == "unknown relation 'GHOST'"
+        with pytest.raises(DanglingReference) as err:
+            movie_graph.attribute("MOVIE", "ghost")
+        assert str(err.value) == "unknown attribute MOVIE.ghost"
+
+    def test_key_attributes_are_the_keys_on_either_end_of_an_edge(self, movie_graph):
+        keys = {rel.name: movie_graph.key_attributes(rel.name) for rel in movie_graph.relations}
+        assert keys == {
+            "MOVIE": {"id"}, "GENRE": {"mid"}, "DIRECTOR": {"id"},
+            "DIRECTED": {"mid", "did"}, "CAST": {"mid", "aid"}, "ACTOR": {"id"},
+        }
 
     def test_weights_default_to_one(self):
         graph = mini()
@@ -148,6 +164,26 @@ class TestValidate:
         base = schema.loads(schema.serialize(movie_graph))
         base.attributes[0].relation = "GHOST"
         assert schema.validate(base)
+
+    def test_an_attribute_edited_to_name_no_relation_is_reported(self):
+        graph = mini()
+        graph.attributes[0].relation = "GHOST"
+        assert schema.validate(graph) == [
+            "relation A: heading 'x' names no attribute",
+            "attribute GHOST.x names unknown relation",
+            "join edge names unknown attribute A.x",
+        ]
+
+    def test_a_join_edited_to_name_no_relation_is_reported(self):
+        graph = mini()
+        graph.joins[0].to_relation = "GHOST"
+        assert schema.validate(graph) == [
+            "join edge names unknown relation 'GHOST'",
+            "join-edge graph is not connected; unreachable from A: B",
+        ]
+
+    def test_an_empty_graph_validates_clean(self):
+        assert schema.validate(schema.SchemaGraph()) == []
 
 
 # MINI with a third relation C, also joined to A, for route checks.
@@ -201,6 +237,15 @@ LOAD_FINDINGS = {
         _phrase(["B", "C"]), MalformedDocument,
         "phrase route ['B', 'C']: no join edge between B and C",
     ),
+    "join_names_unknown_relation": (
+        _set(("joins", 0, "to"), "Z"), DanglingReference,
+        "join edge names unknown relation 'Z'",
+    ),
+    # The join's keys are looked up on a relation that declares no attribute.
+    "relation_without_attributes": (
+        _set(("relations", 0, "attributes"), []), MissingHeading,
+        "relation A: heading 'x' names no attribute",
+    ),
     "placeholder_names_unknown_relation": (
         _template("{Z.y}"), DanglingReference,
         "projection A.y: placeholder names unknown relation 'Z'",
@@ -235,6 +280,10 @@ LOAD_FINDINGS = {
     "subject_slot_in_a_projection": (
         _template('{A.y} + " of " + {subject}'), BadTemplate,
         "projection A.y: slot {subject} stands only in a translation phrase",
+    ),
+    "attribute_on_the_subject_slot": (
+        _phrase(["B", "A"], '{A.x} + " " + {Subject.y}'), BadTemplate,
+        "phrase B-A: slot {Subject} takes no attribute: {Subject.y}",
     ),
     "loop_in_a_phrase": (
         _phrase(["B", "A"], 'DEFINE L AS [i < arityOf(A.y)] { {A.y} } [i = arityOf(A.y)] { {A.y} }'),
@@ -279,6 +328,111 @@ class TestLoadTimeChecks:
         assert str(err.value) == "duplicate attribute A.TITLE"
 
 
+# MINI3 with a join path and a phrase, each with a template, so that every
+# kind of template has a place in the document.
+MINI3_TEMPLATED = copy.deepcopy(MINI3)
+MINI3_TEMPLATED["joins"].append({"path": ["B", "A", "C"], "template": '"x"'})
+MINI3_TEMPLATED["phrases"] = [{"route": ["B", "A"], "text": '"x"'}]
+
+# Each template key, and the label a finding in its template starts with.
+TEMPLATE_LABELS = {
+    "relation_short": (("relations", 0, "short_template"), "relation A short_template"),
+    "relation_long": (("relations", 0, "long_template"), "relation A long_template"),
+    "projection": (("relations", 0, "attributes", 1, "template"), "projection A.y"),
+    "join": (("joins", 0, "template"), "join B->A template"),
+    "join_relative_clause": (("joins", 0, "relative_clause"), "join B->A relative_clause"),
+    "join_procedural": (("joins", 0, "procedural_template"), "join B->A procedural_template"),
+    "join_path": (("joins", 2, "template"), "join path B-A-C template"),
+    "join_path_procedural": (
+        ("joins", 2, "procedural_template"), "join path B-A-C procedural_template",
+    ),
+    "phrase": (("phrases", 0, "text"), "phrase B-A"),
+}
+
+
+class TestFindingLabels:
+    @pytest.mark.parametrize("path,label", TEMPLATE_LABELS.values(), ids=TEMPLATE_LABELS)
+    def test_a_finding_names_its_template(self, path, label):
+        doc = copy.deepcopy(MINI3_TEMPLATED)
+        assert schema.loads(json.dumps(doc)).warnings == []
+        _set(path, "{Z.y}")(doc)
+        with pytest.raises(DanglingReference) as err:
+            schema.loads(json.dumps(doc))
+        assert str(err.value) == f"{label}: placeholder names unknown relation 'Z'"
+
+
+# Each optional document key: the item of MINI3_TEMPLATED that holds it,
+# the key, how the loaded graph reads its field, what a missing key loads
+# as, and another value with what it loads as.
+OPTIONAL_KEYS = {
+    "relation_aliases": (
+        ("relations", 0), "aliases", lambda g: g.relations[0].alt_names, (), ["AA"], ("AA",),
+    ),
+    "relation_short_template": (
+        ("relations", 0), "short_template", lambda g: g.relations[0].short_template,
+        None, '"x"', '"x"',
+    ),
+    "relation_long_template": (
+        ("relations", 0), "long_template", lambda g: g.relations[0].long_template,
+        None, '"x"', '"x"',
+    ),
+    "attribute_temporal": (
+        ("relations", 0, "attributes", 1), "temporal", lambda g: g.attributes[1].temporal,
+        False, True, True,
+    ),
+    "attribute_template": (
+        ("relations", 0, "attributes", 1), "template", lambda g: g.attributes[1].template,
+        None, '"x"', '"x"',
+    ),
+    "join_template": (
+        ("joins", 0), "template", lambda g: g.joins[0].template, None, '"x"', '"x"',
+    ),
+    "join_relative_clause": (
+        ("joins", 0), "relative_clause", lambda g: g.joins[0].relative_clause_template,
+        None, '"x"', '"x"',
+    ),
+    "join_procedural_template": (
+        ("joins", 0), "procedural_template", lambda g: g.joins[0].procedural_template,
+        None, '"x"', '"x"',
+    ),
+    "join_path_template": (
+        ("joins", 2), "template", lambda g: g.join_paths[0].template, "", '"y"', '"y"',
+    ),
+    "join_path_procedural_template": (
+        ("joins", 2), "procedural_template", lambda g: g.join_paths[0].procedural_template,
+        None, '"x"', '"x"',
+    ),
+}
+
+
+def _item(doc, where):
+    for step in where:
+        doc = doc[step]
+    return doc
+
+
+# The record each OPTIONAL_KEYS item of MINI3_TEMPLATED loads as.
+RECORD_AT = {
+    ("relations", 0): schema.RelationNode,
+    ("relations", 0, "attributes", 1): schema.AttributeNode,
+    ("joins", 0): schema.JoinEdge,
+    ("joins", 2): schema.JoinPathTemplate,
+}
+
+
+def _optional_key_doc(where, key, state, missing, other):
+    """MINI3_TEMPLATED with `key` of the item at `where` absent, given at
+    its missing value, or given another value."""
+    doc = copy.deepcopy(MINI3_TEMPLATED)
+    item = _item(doc, where)
+    item.pop(key, None)
+    if state == "missing":
+        item[key] = list(missing) if isinstance(missing, tuple) else missing
+    elif state == "other":
+        item[key] = other
+    return doc
+
+
 class TestRoundTrip:
     def test_serialize_then_load_is_identity(
         self, movie_graph, split_graph, emp_graph
@@ -302,6 +456,50 @@ class TestRoundTrip:
         again = schema.loads(schema.serialize(graph))
         assert read(again) == ""
         assert again == graph
+
+    def test_every_optional_key_and_its_missing_value_is_tested(self):
+        tested = {(RECORD_AT[where], key, missing)
+                  for where, key, _, missing, *_ in OPTIONAL_KEYS.values()}
+        declared = {(cls, key, missing)
+                    for cls, entries in schema._OPTIONAL.items() for key, _, missing in entries}
+        assert tested == declared
+
+    def test_the_documented_optional_keys_are_the_declared_ones(self):
+        records = {"relation": schema.RelationNode, "attribute": schema.AttributeNode,
+                   "join edge": schema.JoinEdge, "join path": schema.JoinPathTemplate}
+        values = {"`()`": (), "`None`": None, "`false`": False, '`""`': ""}
+        text = (FIXTURES.parent / "docs" / "annotations.md").read_text()
+        table = text.split("## Optional keys")[1].split("\n\n")[2].splitlines()[2:]
+        documented = set()
+        for line in table:
+            on, key, name, missing = (cell.strip() for cell in line.strip("|").split("|"))
+            name = name.split()[0]
+            documented.add((records[on], key.strip("`"), name.strip("`"), values[missing]))
+        declared = {(cls, *entry) for cls, entries in schema._OPTIONAL.items() for entry in entries}
+        assert documented == declared
+
+    @pytest.mark.parametrize("state", ["absent", "missing", "other"])
+    @pytest.mark.parametrize(
+        "where,key,read,missing,other,loaded", OPTIONAL_KEYS.values(), ids=OPTIONAL_KEYS,
+    )
+    def test_an_optional_key_round_trips(self, where, key, read, missing, other, loaded, state):
+        doc = _optional_key_doc(where, key, state, missing, other)
+        graph = schema.loads(json.dumps(doc))
+        assert read(graph) == (loaded if state == "other" else missing)
+        text = schema.serialize(graph)
+        again = schema.loads(text)
+        assert again == graph
+        assert schema.serialize(again) == text
+
+    @pytest.mark.parametrize(
+        "where,key,read,missing,other,loaded", OPTIONAL_KEYS.values(), ids=OPTIONAL_KEYS,
+    )
+    def test_a_key_at_its_missing_value_is_not_written(
+        self, where, key, read, missing, other, loaded,
+    ):
+        doc = _optional_key_doc(where, key, "missing", missing, other)
+        written = json.loads(schema.serialize(schema.loads(json.dumps(doc))))
+        assert key not in _item(written, where)
 
     @pytest.mark.parametrize("name", ["movies", "split", "emp"])
     def test_only_given_templates_are_compiled(self, name):
@@ -375,6 +573,27 @@ class TestNamesResolvedAtLoad:
                 got = narrate(graph, db, plan)
                 want = narrate(movie_graph, movie_db, plan)
                 assert (got.text, got.mode_used) == (want.text, want.mode_used)
+
+    def test_a_heading_in_another_case_names_the_declared_attribute(self):
+        doc = copy.deepcopy(MINI)
+        doc["relations"][0]["heading"] = "X"
+        graph = schema.loads(json.dumps(doc))
+        assert graph.relation("A").heading_attribute == "x"
+        assert json.loads(schema.serialize(graph))["relations"][0]["heading"] == "x"
+
+    def test_a_template_compiles_to_declared_spellings(self):
+        doc = copy.deepcopy(MINI3_TEMPLATED)
+        doc["relations"][0]["attributes"][1]["template"] = '{a.Y} + " of " + {A.X}'
+        doc["phrases"][0]["text"] = '{Subject} + " of " + {b.Z} + " " + {a}'
+        graph = schema.loads(json.dumps(doc))
+        projection = graph.compiled[graph.attribute("A", "y").template]
+        assert [(r.alias, r.attribute) for r in projection.references()] == [
+            ("A", "y"), ("A", "x"),
+        ]
+        phrase = graph.compiled[graph.phrases[0].text]
+        assert [(r.alias, r.attribute) for r in phrase.references()] == [
+            ("SUBJECT", None), ("B", "z"), ("A", None),
+        ]
 
     def test_serialize_prints_declared_spelling(self):
         doc = _respelled_movies("lower-case join endpoint")

@@ -268,6 +268,19 @@ class TestInstantiate:
         with pytest.raises(MissingAttribute):
             T.instantiate(expr, {"MOVIE": [row]})
 
+    @pytest.mark.parametrize("variant", ["noun", "heading"])
+    def test_each_schema_variant_names_the_graph_it_needs(self, variant):
+        expr = T.parse_template(f"{{MOVIE.year:{variant}}}")
+        with pytest.raises(MissingAttribute) as err:
+            T.instantiate(expr, {"MOVIE": MOVIES})
+        assert str(err.value) == f"{variant} variant needs a schema graph"
+
+    def test_an_alias_bound_to_no_tuple_outside_a_loop(self):
+        expr = T.parse_template('"The movie " + {MOVIE.title}')
+        with pytest.raises(UnboundAlias) as err:
+            T.instantiate(expr, {"MOVIE": []})
+        assert str(err.value) == "alias 'MOVIE' is bound to an empty tuple list"
+
 
 # --- fuzzed delimiter invariant -----------------------------------------
 

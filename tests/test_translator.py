@@ -51,6 +51,16 @@ class TestGoldenTranslations:
         assert result.class_used.label == "Aggregate"
         assert result.notes == ["aggregate query rendered procedurally"]
 
+    @pytest.mark.parametrize("name,reading", [
+        ("q6", "relational division (for-all) pattern"),
+        ("q8", 'count(distinct ...) = 1 read as "all in the same"'),
+        ("q9", 'comparison with ALL read as "earliest"'),
+    ])
+    def test_a_motif_reading_is_noted(self, movie_graph, corpus_graphs, name, reading):
+        result = translate(corpus_graphs[name], movie_graph)
+        higher_order = [translator.HIGHER_ORDER_NOTE] if name != "q6" else []
+        assert result.notes == higher_order + [reading]
+
     def test_q9_reads_earliest(self, movie_graph, corpus_graphs):
         result = translate(corpus_graphs["q9"], movie_graph)
         assert result.style == "procedural"
@@ -85,6 +95,23 @@ class TestProcedural:
             "3. Keep combinations where the name of the actor is Brad Pitt."
         )
         assert steps[3] == "4. Report the title of the movie."
+
+    def test_two_separate_follow_steps(self, movie_graph):
+        # The director is linked to no earlier FROM item, so it starts a
+        # step of its own between the two "For each" steps.
+        ast = parser.parse_sql(
+            "select m.title from MOVIES m, CAST c, DIRECTOR d, DIRECTED r "
+            "where m.id = c.mid and r.did = d.id"
+        )
+        parser.resolve_names(ast, movie_graph)
+        result = translate_procedural(QG.build(ast, movie_graph), movie_graph)
+        assert result.text == (
+            "1. Consider each movie (m).\n"
+            "2. For each movie, bring in its cast entries (c).\n"
+            "3. Consider each director (d).\n"
+            "4. For each director, bring in its directing credits (r).\n"
+            "5. Report the title of the movie."
+        )
 
     def test_q7_steps(self, movie_graph, corpus_graphs):
         result = translate_procedural(corpus_graphs["q7"], movie_graph)
@@ -267,6 +294,34 @@ class TestEdges:
             "combinations where the name of the actor is Brad Pitt; report "
             "the id of the actor); report the mid of the cast entry)."
         )
+
+    @pytest.mark.parametrize("op,word", [("<=", "smallest"), (">=", "largest")])
+    def test_a_superlative_over_a_non_temporal_attribute(self, movie_graph, op, word):
+        # q9 with the movie's id, which is not temporal, in place of its year.
+        ast = parser.parse_sql(
+            "select a.name from MOVIES m, CAST c, ACTOR a "
+            f"where m.id = c.mid and c.aid = a.id and m.id {op} all "
+            "(select m1.id from MOVIES m1, MOVIES m2 where m1.title = m2.title "
+            "and m2.title = m.title and m1.id != m2.id)"
+        )
+        parser.resolve_names(ast, movie_graph)
+        result = translate(QG.build(ast, movie_graph), movie_graph)
+        assert result.notes[1:] == [f'comparison with ALL read as "{word}"']
+        assert result.text.split("\n")[2] == (
+            f"3. Keep combinations where the id of the movie is the {word} such id."
+        )
+
+    def test_a_relay_chain_stops_at_a_node_with_a_condition(self, movie_graph):
+        # In q1 the cast entry is a relay, so the actor's phrase is reached
+        # through it.  Here it owns a condition: the chain from the actor
+        # stops at it, and no phrase from the actor to the movie is said.
+        ast = parser.parse_sql(
+            "select a.id from MOVIES m, CAST c, ACTOR a "
+            "where m.id = c.mid and c.aid = a.id and c.role = 'King Kong'"
+        )
+        parser.resolve_names(ast, movie_graph)
+        result = translate(QG.build(ast, movie_graph), movie_graph)
+        assert result.text == "Find the ids of actors where the cast entry King Kong"
 
     def test_superlative_reading_stays_on_its_own_all_comparison(self, movie_graph):
         ast = parser.parse_sql(
