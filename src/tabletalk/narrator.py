@@ -13,22 +13,20 @@ and the walk.  The walk follows single steps from the start; a split
 realizes its branches and ends the walk, so relations beyond it are not
 narrated, though they count in `detect_patterns` and `fallback_mode`.
 
-What narration reads of a relation's schema (its steps with their relay
-hops resolved, its clause templates in weight order, whether it is wide)
-is derived once per graph, on the relation's first narration, and kept
-on the graph.  So is a start's recipe for each relation filter and rank:
-the names resolved, each relation's rank attribute, the traversal and
-its mode verdict.  A call then only picks the entity, follows joins,
-fills templates and merges clauses; its mode and tuple budget are read
-per call.  As with the graph's lookup index, a graph edited after that
-is not seen; load a new one instead.  An unknown start raises on every
-call.  A narration left with no sentence and no other diagnostic says
+What narration from one start reads of the schema, for one relation
+filter and rank, is one recipe: the names resolved, each relation's rank
+attribute, the traversal with its relay hops resolved, each visited
+relation's clause templates in weight order, and the mode verdict.  It
+is derived on first use and kept on the graph.  A call then only picks
+the entity, follows joins, fills templates and merges clauses; its mode
+and tuple budget are read per call.  As with the graph's lookup index,
+a graph edited after that is not seen; load a new one instead.  An
+unknown start raises on every call.  A narration left with no sentence and no other diagnostic says
 that its start has nothing to narrate.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import reduce
 
 from . import templates
@@ -82,33 +80,23 @@ class _Step(Record):
         return [rel for _, rel in self.hops[:-1]]
 
 
-class _Facts(Record):
-    """What narration reads of one relation's schema."""
-
-    steps: list  # [_Step, ...] leaving the relation
-    clauses: list  # compiled given templates of non-heading attributes, heaviest first
-    wide: bool  # over two clause attributes and no long template
-    # (filter, folded rank attribute, descending) -> _Recipe starting here.
-    recipes: dict = field(factory=dict, init=False, shown=False)
-
-
-# A traversal node; fresh steps reach new relations, back steps old ones.
-_Visit = namedtuple("_Visit", "node fresh back")
-
-
 class _Recipe(Record):
     """What narration from one start reads of the schema for one relation
     filter and rank, whatever the mode, budget and data."""
 
     start: str  # declared spelling
     ranks: dict  # relation -> RankSpec; relations lacking the attribute absent
-    traversal: list  # [_Visit, ...] in visit order
+    # [(node, fresh steps, back steps), ...] in visit order; fresh steps
+    # reach new relations, back steps old ones.
+    traversal: list
+    clauses: dict  # visited relation -> compiled non-heading templates, heaviest first
     mode: str  # the verdict of fallback_mode
 
 
 def _recipe(graph: SchemaGraph, plan: NarrationPlan) -> _Recipe:
-    """The plan's recipe, derived on first use and kept in its start's facts
-    under the plan's names resolved, so spellings of one name share it."""
+    """The plan's recipe, derived on first use and kept on the graph under
+    the plan's names resolved, so spellings of one name share it; like
+    `SchemaGraph._index()`, later edits to the graph are not seen."""
     if plan.start_relation is not None:
         rel = graph.find_relation(plan.start_relation)
         if rel is None:
@@ -121,52 +109,41 @@ def _recipe(graph: SchemaGraph, plan: NarrationPlan) -> _Recipe:
     if plan.relation_filter is not None:
         found = map(graph.find_relation, plan.relation_filter)
         allowed = frozenset(r.name for r in found if r is not None)
-    rank, key = plan.rank, (allowed, None, False)
+    rank, key = plan.rank, (rel.name, allowed, None, False)
     if rank is not None and rank.attribute is not None:
         folded = rank.attribute.upper()
         if folded in graph._index().folded_attributes:  # else nothing ranks: load order
-            key = (allowed, folded, rank.descending)
-    recipes = _facts(graph, rel.name).recipes
-    recipe = recipes.get(key)
+            key = (rel.name, allowed, folded, rank.descending)
+    recipe = graph.narration.get(key)
     if recipe is None:
-        recipe = recipes[key] = _derive_recipe(graph, rel.name, *key)
+        recipe = graph.narration[key] = _derive(graph, *key)
     return recipe
 
 
-def _derive_recipe(graph, start, allowed, attribute, descending) -> _Recipe:
+def _derive(graph, start, allowed, attribute, descending) -> _Recipe:
     # Plan-level ranking skips relations that lack the rank attribute.
     ranks = {}
     if attribute is not None:
         found = (graph.find_attribute(r.name, attribute) for r in graph.relations)
         ranks = {a.relation: RankSpec(a.name, descending) for a in found if a}
     traversal = _traversal(graph, start, allowed)
-    wide = any(len(fresh) > 2 or _facts(graph, node).wide for node, fresh, _ in traversal)
-    return _Recipe(start, ranks, traversal, "procedural" if wide else "declarative")
+    clauses, wide = {}, False
+    for node, fresh, _ in traversal:
+        rel = graph.relation(node)
+        attrs = graph.attributes_of(node)
+        clauses[node] = [
+            graph.compiled[a.template]
+            for a in sorted(attrs, key=lambda a: -a.weight)  # stable: ties keep order
+            if a.name != rel.heading_attribute and a.template is not None
+        ]
+        keys = graph.key_attributes(node)
+        plain = [a for a in attrs if a.name != rel.heading_attribute and a.name not in keys]
+        # Over two plain attribute clauses and no long template, or a wide split.
+        wide = wide or len(fresh) > 2 or (len(plain) > 2 and not rel.long_template)
+    return _Recipe(start, ranks, traversal, clauses, "procedural" if wide else "declarative")
 
 
-def _facts(graph: SchemaGraph, relation: str) -> _Facts:
-    """The relation's facts, derived on its first narration and kept on the
-    graph; like `SchemaGraph._index()`, later edits to the graph are not seen."""
-    facts = graph.narration.get(relation)
-    if facts is None:
-        facts = graph.narration[relation] = _derive(graph, relation)
-    return facts
-
-
-def _derive(graph: SchemaGraph, relation: str) -> _Facts:
-    rel = graph.relation(relation)
-    attrs = graph.attributes_of(relation)
-    clauses = []
-    for attr in sorted(attrs, key=lambda a: -a.weight):  # stable: ties keep order
-        if attr.name != rel.heading_attribute and attr.template is not None:
-            clauses.append(graph.compiled[attr.template])
-    keys = graph.key_attributes(relation)
-    clause_attrs = [a for a in attrs if a.name != rel.heading_attribute and a.name not in keys]
-    wide = len(clause_attrs) > 2 and not rel.long_template
-    return _Facts(_derive_steps(graph, relation), clauses, wide)
-
-
-def _derive_steps(graph: SchemaGraph, relation: str) -> list[_Step]:
+def _steps(graph: SchemaGraph, relation: str) -> list[_Step]:
     """Narration steps leaving `relation`: templated edges and relay paths."""
     steps = []
     for edge in graph.joins:
@@ -198,11 +175,7 @@ def _derive_steps(graph: SchemaGraph, relation: str) -> list[_Step]:
     return steps
 
 
-def _steps_from(graph: SchemaGraph, relation: str) -> list[_Step]:
-    return _facts(graph, relation).steps
-
-
-def _traversal(graph: SchemaGraph, start: str, allowed: frozenset | None) -> list[_Visit]:
+def _traversal(graph: SchemaGraph, start: str, allowed: frozenset | None) -> list[tuple]:
     """Breadth-first over the narration steps from the start, in visit order."""
     out = []
     visited = {start}
@@ -210,12 +183,12 @@ def _traversal(graph: SchemaGraph, start: str, allowed: frozenset | None) -> lis
     while frontier:
         node = frontier.pop(0)
         fresh, back = [], []
-        for step in _steps_from(graph, node):
+        for step in _steps(graph, node):
             if allowed is None or step.target in allowed:
                 (back if step.target in visited else fresh).append(step)
                 # Claimed at once: a second step into it, even from this node, is back.
                 visited.add(step.target)
-        out.append(_Visit(node, fresh, back))
+        out.append((node, fresh, back))
         frontier.extend(step.target for step in fresh)
     return out
 
@@ -258,20 +231,20 @@ def fallback_mode(graph: SchemaGraph, plan: NarrationPlan) -> str:
 def narrate(graph: SchemaGraph, db: Database, plan: NarrationPlan) -> Narrative:
     recipe = _recipe(graph, plan)
     mode = plan.mode if plan.mode != "auto" else recipe.mode
-    start, ranks, budget = recipe.start, recipe.ranks, max(plan.tuple_budget, 0)
+    start, budget = recipe.start, max(plan.tuple_budget, 0)
     diagnostics: list[str] = []
     sentences: list[str] = []
-    rows = select_tuples(db, start, 1, ranks.get(start))
+    rows = select_tuples(db, start, 1, recipe.ranks.get(start))
     if not rows:
         return Narrative([], mode, [f"relation {start} has no rows to narrate"])
     entity = rows[0]
 
-    for clause in _relation_clauses(graph, start, entity, mode):
+    for clause in _relation_clauses(graph, recipe, start, entity, mode):
         sentences.append(_finish(clause))
 
-    _walk(graph, db, ranks, budget, mode, recipe.traversal, [entity], sentences, diagnostics)
+    _walk(graph, db, recipe, budget, mode, [entity], sentences, diagnostics)
     if not sentences and not diagnostics:
-        if _facts(graph, start).steps:  # every one outside the relation filter
+        if _steps(graph, start):  # every one outside the relation filter
             note = "no clause or template to narrate, and the filter excludes its steps"
         else:
             note = "no clause, template or templated step to narrate"
@@ -284,12 +257,12 @@ def _fill(graph: SchemaGraph, text: str, bindings: dict) -> str:
     return templates.instantiate(graph.compiled[text], bindings, graph)
 
 
-def _relation_clauses(graph, relation, row, mode) -> list[str]:
+def _relation_clauses(graph, recipe, relation, row, mode) -> list[str]:
     """Clauses describing one tuple of a relation, merged on shared prefixes."""
     rel = graph.relation(relation)
     if mode == "declarative" and rel.long_template:
         return [_fill(graph, rel.long_template, {rel.name: [row]})]
-    clause_texts = _attribute_clauses(graph, relation, row)
+    clause_texts = _attribute_clauses(graph, recipe, relation, row)
     if not clause_texts:
         if rel.short_template:
             return [_fill(graph, rel.short_template, {rel.name: [row]})]
@@ -300,42 +273,39 @@ def _relation_clauses(graph, relation, row, mode) -> list[str]:
     return [c.text for c in merge_common(clauses)]
 
 
-def _attribute_clauses(graph, relation, row) -> list[str]:
+def _attribute_clauses(graph, recipe, relation, row) -> list[str]:
     """Instantiated non-heading attribute templates, heaviest first."""
     bindings = {relation: [row]}
-    return [
-        templates.instantiate(expr, bindings, graph)
-        for expr in _facts(graph, relation).clauses
-    ]
+    return [templates.instantiate(expr, bindings, graph) for expr in recipe.clauses[relation]]
 
 
-def _walk(graph, db, ranks, budget, mode, traversal, rows, sentences, diagnostics):
-    for relation, steps, _ in traversal:
+def _walk(graph, db, recipe, budget, mode, rows, sentences, diagnostics):
+    for relation, steps, _ in recipe.traversal:
         if len(steps) > 1:
-            _split(graph, db, ranks, budget, mode, relation, steps, rows, sentences, diagnostics)
+            _split(graph, db, recipe, budget, mode, relation, steps, rows, sentences, diagnostics)
         if len(steps) != 1:
             return
         step = steps[0]
-        reached, target_rows, bindings = _follow(db, ranks, budget, step, rows)
+        reached, target_rows, bindings = _follow(db, recipe.ranks, budget, step, rows)
         if not target_rows:
             diagnostics.append(_skipped(budget, relation, step, reached, "step"))
             return
         sentences.append(_finish(_fill(graph, _step_template(step, mode), bindings)))
         if mode == "procedural":
             for row in target_rows:
-                for clause in _attribute_clauses(graph, step.target, row):
+                for clause in _attribute_clauses(graph, recipe, step.target, row):
                     sentences.append(_finish(clause))
         rows = target_rows
 
 
-def _split(graph, db, ranks, budget, mode, relation, steps, rows, sentences, diagnostics):
+def _split(graph, db, recipe, budget, mode, relation, steps, rows, sentences, diagnostics):
     """Realize every branch of a split and fuse them on the shared hub prefix."""
     branch_texts = []
     deferred = []
     hub = graph.relation(relation)
     subject = rows[0].cell(hub.heading_attribute) if rows else None
     for step in steps:
-        reached, target_rows, bindings = _follow(db, ranks, budget, step, rows)
+        reached, target_rows, bindings = _follow(db, recipe.ranks, budget, step, rows)
         if not target_rows:
             diagnostics.append(_skipped(budget, relation, step, reached, "branch"))
             continue
@@ -349,7 +319,7 @@ def _split(graph, db, ranks, budget, mode, relation, steps, rows, sentences, dia
         branch_texts.append(clause)
         if not covered:
             for row in target_rows:
-                deferred.extend(_attribute_clauses(graph, step.target, row))
+                deferred.extend(_attribute_clauses(graph, recipe, step.target, row))
     fused = fuse_split(branch_texts, "" if subject is None else str(subject))
     if fused is not None:
         sentences.append(_finish(fused))

@@ -5,7 +5,6 @@ from __future__ import annotations
 from .ast_nodes import (
     ColumnRef,
     Compare,
-    CompareAll,
     Constant,
     CountDistinct,
     FromItem,
@@ -194,10 +193,8 @@ def _detect_superlative_all(qg: QueryGraph) -> list[Motif]:
     """<op> ALL against a correlated subquery over the same attribute."""
     out = []
     for entry in qg.conjuncts:
-        if entry.connector != "compare_all":
-            continue
-        pred = entry.pred
-        if not isinstance(pred, CompareAll) or not isinstance(pred.lhs, ColumnRef):
+        pred = entry.pred  # a CompareAll exactly when the connector is compare_all
+        if entry.connector != "compare_all" or not isinstance(pred.lhs, ColumnRef):
             continue
         if pred.op in _MIN_OPS:
             direction = "min"

@@ -96,7 +96,8 @@ class SchemaGraph(Record):
     # Template text -> expression compiled at load, names resolved.
     compiled: dict = field(factory=dict, shown=False)
     _names: _Names | None = field(None, init=False, shown=False)
-    # Relation -> facts the narrator derives on first use; see narrator.py.
+    # (start, relation filter, rank attribute, descending) -> the recipe the
+    # narrator derives on first use; see narrator.py.
     narration: dict = field(factory=dict, init=False, shown=False)
 
     # -- lookups: a declared name reads one dict; any other is folded once --
@@ -178,11 +179,17 @@ class _Names:
             named.setdefault(attr.name.upper(), attr)
             named.setdefault(attr.name, attr)
             self.by_relation.setdefault(attr.relation, []).append(attr)
-        self.key_pairs: set[tuple[str, str, str, str]] = set()
-        for e in graph.joins:
-            self.key_pairs.add((e.from_relation, e.from_key, e.to_relation, e.to_key))
-            self.key_pairs.add((e.to_relation, e.to_key, e.from_relation, e.from_key))
+        self.key_pairs = _key_pairs(graph.joins)
         self.layouts = {rel.name: {} for rel in graph.relations}  # CSV layouts; see data.py
+
+
+def _key_pairs(joins) -> set[tuple[str, str, str, str]]:
+    """Each join edge's (relation, key, relation, key), both ways round."""
+    pairs = set()
+    for e in joins:
+        pairs.add((e.from_relation, e.from_key, e.to_relation, e.to_key))
+        pairs.add((e.to_relation, e.to_key, e.from_relation, e.from_key))
+    return pairs
 
 
 # --- loading -----------------------------------------------------------
@@ -268,7 +275,8 @@ def _build_graph(doc: dict) -> SchemaGraph:
     for phrase_doc in doc.get("phrases", []):
         route = [declared(r) for r in _require(phrase_doc, "route")]
         graph.phrases.append(PhraseEntry(route=route, text=_require(phrase_doc, "text")))
-    graph._names = None  # `declared` indexed the graph before its joins
+    # `declared` indexed the graph before its joins: index their keys now.
+    graph._index().key_pairs = _key_pairs(graph.joins)
     return graph
 
 

@@ -48,7 +48,35 @@ class TestTaxonomy:
         parser.resolve_names(ast, movie_graph)
         result = classify(QG.build(ast, movie_graph))
         assert result.label == "Aggregate"
-        assert any("GraphCyclic" in line for line in result.evidence)
+        assert result.evidence == [
+            "count aggregate or group note present",
+            "join core is cyclic; Aggregate chosen by precedence over GraphCyclic",
+        ]
+
+    def test_aggregate_over_acyclic_core_names_no_alternative(self, corpus_graphs):
+        assert classify(corpus_graphs["q7"]).evidence == ["count aggregate or group note present"]
+
+    @pytest.mark.parametrize("name, evidence", [
+        ("q8", ["SameValue motif at having count(distinct ...) = 1",
+                "meaning rests on a higher-order reading of the aggregate"]),
+        ("q9", ["SuperlativeAll motif at where <= all",
+                "meaning rests on a higher-order reading of ALL"]),
+    ])
+    def test_higher_order_evidence_names_the_reading(self, corpus_graphs, name, evidence):
+        assert classify(corpus_graphs[name]).evidence == evidence
+
+    @pytest.mark.parametrize("nesting, connector", [
+        ("exists (select g.mid from GENRE g)", "exists"),
+        ("m.year >= all (select m2.year from MOVIE m2)", "compare_all"),
+    ])
+    def test_uncorrelated_non_in_nesting_is_general(self, movie_graph, nesting, connector):
+        ast = parser.parse_sql(f"select m.title from MOVIE m where {nesting}")
+        parser.resolve_names(ast, movie_graph)
+        result = classify(QG.build(ast, movie_graph))
+        assert (result.label, result.evidence) == (
+            "NestedGeneral", [f"nesting connectors: {connector}"]
+        )
+        assert rewriter.flattenable(ast) == f"{connector} nesting is not flattenable"
 
     @pytest.mark.parametrize("sql, evidence", [
         ("select m1.title from MOVIES m1, MOVIES m2, MOVIES m3 "

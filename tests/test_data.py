@@ -56,6 +56,30 @@ class TestLoad:
     def test_empty_csv_with_header(self, woody_db):
         assert woody_db.table("ACTOR") == []
 
+    def test_an_empty_file_loads_as_an_empty_table(self, movie_graph, tmp_path):
+        for path in (FIXTURES / "movies").glob("*.csv"):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        (tmp_path / "ACTOR.csv").write_bytes(b"")
+        db = load_data(movie_graph, tmp_path)
+        assert db.table("ACTOR") == []
+        assert load_data(movie_graph, dict(WOODY_SLICE, ACTOR="")).table("ACTOR") == []
+
+    def test_a_relation_with_no_file_loads_as_an_empty_table(self, movie_graph, tmp_path):
+        (tmp_path / "MOVIE.csv").write_text(WOODY_SLICE["MOVIE"])
+        db = load_data(movie_graph, tmp_path)
+        assert sorted(db.tables) == sorted(rel.name for rel in movie_graph.relations)
+        assert len(db.table("MOVIE")) == 3
+        assert all(db.table(rel) == [] for rel in db.tables if rel != "MOVIE")
+
+    def test_files_other_than_csv_are_ignored(self, movie_graph, tmp_path):
+        (tmp_path / "MOVIE.csv").write_text(WOODY_SLICE["MOVIE"])
+        (tmp_path / "ACTOR.txt").write_text("not,a,table\n")
+        (tmp_path / "SIDECHANNEL.json").write_text("{}")
+        (tmp_path / "README").write_text("notes")
+        db = load_data(movie_graph, tmp_path)
+        assert len(db.table("MOVIE")) == 3
+        assert db.table("ACTOR") == []
+
     def test_ragged_row_names_line(self, movie_graph):
         bad = dict(WOODY_SLICE)
         bad["ACTOR"] = "id,name\n1,Brad Pitt\n2\n"

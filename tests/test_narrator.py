@@ -443,13 +443,13 @@ class TestBeyondASplit:
         graph = schema.loads(json.dumps(self.DOC))
         db = load_data(graph, self.DATA)
         calls = []
-        steps_from = narrator._steps_from
+        steps = narrator._steps
 
         def counted(graph, relation):
             calls.append(relation)
-            return steps_from(graph, relation)
+            return steps(graph, relation)
 
-        monkeypatch.setattr(narrator, "_steps_from", counted)
+        monkeypatch.setattr(narrator, "_steps", counted)
         narrate(graph, db, self.PLAN)
         assert sorted(calls) == ["B1", "B2", "FAR", "HUB"]
 
@@ -494,13 +494,13 @@ class TestDuplicateTarget:
         graph = schema.loads(json.dumps(self.DOC))
         db = load_data(graph, self.DATA)
         calls = []
-        steps_from = narrator._steps_from
+        steps = narrator._steps
 
         def counted(graph, relation):
             calls.append(relation)
-            return steps_from(graph, relation)
+            return steps(graph, relation)
 
-        monkeypatch.setattr(narrator, "_steps_from", counted)
+        monkeypatch.setattr(narrator, "_steps", counted)
         narrative = narrate(graph, db, self.PLAN)
         assert narrative.sentences == ["a 1 sees c 1."]
         assert calls == ["A", "C"]
@@ -791,8 +791,8 @@ FIXTURE_RANKS = {
 }
 
 
-class TestSchemaFacts:
-    """The narrator derives each relation's facts once per graph."""
+class TestDerivation:
+    """The narrator derives each recipe once per graph."""
 
     def test_a_second_narration_derives_nothing(self, monkeypatch):
         graph = schema.load_schema(FIXTURES / "movies.schema.json")
@@ -809,14 +809,13 @@ class TestSchemaFacts:
 
             monkeypatch.setattr(module, name, counted)
 
-        for name in ("_derive", "_derive_steps"):
+        for name in ("_derive", "_steps"):
             counting(narrator, name, derived)
         for name in ("attributes_of", "key_attributes", "joins_between"):
             counting(schema.SchemaGraph, name, looked_up)
         first = narrate(graph, db, plan)
         assert sorted(derived) == [
-            ("_derive", "DIRECTOR"), ("_derive", "MOVIE"),
-            ("_derive_steps", "DIRECTOR"), ("_derive_steps", "MOVIE"),
+            ("_derive", "DIRECTOR"), ("_steps", "DIRECTOR"), ("_steps", "MOVIE"),
         ]
         assert looked_up
         del derived[:], looked_up[:]
@@ -840,7 +839,7 @@ class TestSchemaFacts:
             assert _answers(graph, db, plan, i + 1) == once
             assert _answers(schema.load_schema(path), db, plan, i) == once
 
-    def test_graphs_keep_their_own_facts(self):
+    def test_graphs_keep_their_own_recipes(self):
         doc = TestDeepTraversal.DOC
         other = json.loads(json.dumps(doc))
         other["joins"][2]["template"] = '{STUDIO.sname} + " made " + {FILM.title}'
@@ -854,10 +853,10 @@ class TestSchemaFacts:
             db = load_data(graph, TestDeepTraversal.DATA)
             assert narrate(graph, db, NarrationPlan()).sentences == texts[i % 2]
             gc.collect()
-        # The facts live on each graph, not in a table that a graph loaded
+        # The recipes live on each graph, not in a table that a graph loaded
         # later at a freed graph's address could read.
         for graph in live:
-            assert sorted(graph.narration) == ["AWARD", "FILM", "STUDIO"]
+            assert list(graph.narration) == [("STUDIO", None, None, False)]
         # A graph freed before the next is loaded may leave it its address.
         for i in range(6):
             graph = schema.loads(docs[i % 2])
@@ -959,3 +958,57 @@ class TestRecipes:
 ], ids=["single", "no_prefix", "prefix_without_subject", "empty_remainder", "fused"])
 def test_fuse_split_fuses_only_on_a_prefix_naming_the_subject(texts, expected):
     assert narrator.fuse_split(texts, "Woody Allen") == expected
+
+
+def test_fuse_split_without_subject_or_prefix_gives_no_fusion():
+    assert narrator.fuse_split(["Actor A1 plays", "The director D1 directs"], "") is None
+
+
+def test_a_hub_with_a_null_heading_and_no_shared_prefix_narrates_each_branch():
+    doc = json.loads(json.dumps(TestSplitVariants.VAPID_DOC))
+    doc["joins"][1]["template"] = '"Actor " + {ACTOR.aname} + " plays in a movie"'
+    graph = schema.loads(json.dumps(doc))
+    db = load_data(graph, dict(TestSplitVariants.DATA, MOVIE="title,did,aid\n,1,1\n"))
+    narrative = narrate(graph, db, NarrationPlan(mode="declarative"))
+    assert narrative.sentences == [
+        "The movie  involves the director D1.",
+        "Actor A1 plays in a movie.",
+        "The director D1 was born in Italy.",
+        "The actor A1 is Greek.",
+    ]
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("  Woody Allen directed Scoop  ", "Woody Allen directed Scoop."),
+    ("Scoop was made. ", "Scoop was made."),
+    ("   ", ""),
+])
+def test_finish_strips_surrounding_space_before_the_stop(text, expected):
+    assert narrator._finish(text) == expected
+
+
+class TestClauseSubjects:
+    def test_a_clause_not_led_by_its_subject_is_all_subject(self):
+        clause = narrator.Clause.from_text("The movie Scoop was made", "Woody Allen")
+        assert clause.subject_len == 5
+        assert narrator.Clause.from_text("Woody Allen directed Scoop", "Woody Allen").subject_len == 2
+        assert narrator.Clause.from_text("Scoop was made", "").subject_len == 0
+
+    def test_clauses_not_led_by_their_subject_never_fuse(self):
+        clauses = [
+            narrator.Clause.from_text(text, "Woody Allen")
+            for text in ("Scoop was made in 2006", "Scoop was praised")
+        ]
+        merged = narrator.merge_common(clauses)
+        assert [c.text for c in merged] == ["Scoop was made in 2006", "Scoop was praised"]
+
+    def test_clauses_with_different_subjects_never_fuse(self):
+        a = narrator.Clause.from_text("Woody Allen directed Scoop", "Woody Allen")
+        b = narrator.Clause.from_text("Woody Allen directed Match Point", "Woody Allen directed")
+        merged = narrator.merge_common([a, b])
+        assert [c.text for c in merged] == [a.text, b.text]
+        # With one subject, the same clauses fuse.
+        b = narrator.Clause.from_text(b.text, "Woody Allen")
+        assert [c.text for c in narrator.merge_common([a, b])] == [
+            "Woody Allen directed Scoop Match Point"
+        ]

@@ -80,6 +80,33 @@ class TestFlatten:
         parser.resolve_names(ast, movie_graph)
         assert rewriter.flattenable(ast) == "IN nesting in HAVING is not flattenable"
 
+    def test_an_in_over_a_child_holding_an_exists_is_not_flattenable(self, movie_graph):
+        ast = parser.parse_sql(
+            "select m.title from MOVIE m where m.id in (select g.mid from GENRE g "
+            "where exists (select c.mid from CAST c))"
+        )
+        parser.resolve_names(ast, movie_graph)
+        assert rewriter.flattenable(ast) == "exists nesting is not flattenable"
+        with pytest.raises(NotFlattenable):
+            rewriter.flatten(ast)
+
+    def test_conjuncts_it_does_not_rename_are_shared(self, movie_graph):
+        ast = parser.parse_sql(
+            "select m.title from MOVIE m where m.year > 2000 and m.id in "
+            "(select m.mid from CAST m where m.role = 'Nola' and 1 = 1)"
+        )
+        parser.resolve_names(ast, movie_graph)
+        outer, nested = ast.where
+        renamed, constant = nested.query.where
+        flat = rewriter.flatten(ast)
+        assert flat.render() == (
+            "select m.title from MOVIE m, CAST m_2 where m.year > 2000 "
+            "and m.id = m_2.mid and m_2.role = 'Nola' and 1 = 1"
+        )
+        assert flat.where[0] is outer
+        assert flat.where[2] is not renamed
+        assert flat.where[3] is constant
+
     def test_a_taken_fresh_alias_is_skipped(self, movie_graph):
         ast = parser.parse_sql(
             "select m.title from MOVIES m, MOVIES m_2 where m.id = m_2.id and "
@@ -245,12 +272,18 @@ class TestMotifs:
         "exists (select * from GENRE g2 where g2.mid = m.id and g2.genre = g1.genre))",
         "select m.title from MOVIE m where exists (select * from GENRE g1 where "
         "not exists (select * from GENRE g2 where g2.mid = m.id and g2.genre = g1.genre))",
+        # Division: the innermost query must be correlated to both blocks above.
+        "select m.title from MOVIE m where not exists (select * from GENRE g1 where "
+        "not exists (select * from GENRE g2 where g2.mid = m.id))",
+        "select m.title from MOVIE m where not exists (select * from GENRE g1 where "
+        "not exists (select * from GENRE g2 where g2.genre = g1.genre))",
         # SameValue: the distinct count must equal 1.
         "select a.id from MOVIE m, CAST c, ACTOR a where m.id = c.mid and c.aid = a.id "
         "group by a.id having count(distinct m.year) = 2",
     ], ids=[
         "all_equal", "constant_lhs", "count_child", "other_attribute", "other_relation",
-        "inner_exists", "outer_exists", "distinct_count_two",
+        "inner_exists", "outer_exists", "outer_level_only", "middle_level_only",
+        "distinct_count_two",
     ])
     def test_a_near_miss_classifies_with_no_motif(self, movie_graph, sql):
         qg = QG.build(parser.resolve_names(parser.parse_sql(sql), movie_graph), movie_graph)

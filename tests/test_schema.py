@@ -125,6 +125,19 @@ class TestLoad:
             "DIRECTED": {"mid", "did"}, "CAST": {"mid", "aid"}, "ACTOR": {"id"},
         }
 
+    def test_a_load_indexes_the_graph_once(self, monkeypatch):
+        built = []
+        init = schema._Names.__init__
+        monkeypatch.setattr(
+            schema._Names, "__init__", lambda names, graph: built.append(graph) or init(names, graph)
+        )
+        graph = schema.load_schema(FIXTURES / "movies.schema.json")
+        assert built == [graph]
+        # The one index holds every join edge's keys, though it was built before them.
+        assert graph.fk_backed("MOVIE", "id", "DIRECTED", "mid")
+        assert graph.fk_backed("ACTOR", "id", "CAST", "aid")
+        assert built == [graph]
+
     def test_weights_default_to_one(self):
         graph = mini()
         assert graph.relation("A").weight == 1
